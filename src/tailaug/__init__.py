@@ -18,14 +18,14 @@ from .corpus import (DatasetStats, Interaction, PreferenceClass, Segmentation,
 from .encoders import ModelState, encode, encode_batch, init_model
 from .errors import ConfigError, DataError, NumericError, TailaugError
 from .evaluation import (MetricReport, RankingResult, evaluate_model,
-                         format_table, full_rank, hit_at_k, mean_report,
+                         format_table, hit_at_k, mean_report,
                          ndcg_at_k, rank_users, segmented_report,
                          tail_coverage_at_k, validation_score)
 from .simcand import (BinaryInteractionMatrix, CandidateSets, SimilarityMatrix,
                       SolverConfig, build_candidates, build_cooccurrence,
                       build_interaction_matrix, solve_similarity,
                       top_k_correlation, union_candidates)
-from .training import (AdamState, TrainConfig, adam_step, batch_loss, bce_loss,
+from .training import (AdamState, TrainConfig, adam_step, batch_loss,
                        init_adam, load_checkpoint, sample_negative,
                        save_checkpoint, train_stage1, train_stage2)
 

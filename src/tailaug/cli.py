@@ -2,23 +2,22 @@
 
 Each subcommand persists versioned artifacts into an output directory and
 embeds a lineage id (config hash chained through parents); downstream
-subcommands refuse inputs from a different lineage unless ``--force`` is
-given.  Flags override config-file keys.  Exit codes: 0 ok, 2 config
-error, 3 data error, 4 numeric failure.
+subcommands refuse inputs from a different lineage, or with none, unless
+``--force`` is given.  Flags override config-file keys.  Exit codes: 0 ok,
+2 config error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import corpus, evaluation, simcand, synth, training
+from . import corpus, evaluation, serialize, simcand, synth, training
 from .augment import OperatorConfig
 from .config import config_hash, lineage_id, load_config
 from .encoders import init_model
@@ -49,13 +48,20 @@ def _artifact(out_dir, name) -> Path:
 
 
 def _check_lineage(expected: str | None, found: str | None, what: str, force: bool):
-    if force or expected is None or found is None:
+    """Refuse unless both lineage ids are present and equal, or ``force``."""
+    if force or (expected is not None and expected == found):
         return
-    if expected != found:
-        raise DataError(
-            f"{what}: lineage mismatch (expected {expected}, found {found}); "
-            "artifacts come from a different config or input. Re-run the "
-            "upstream step or pass --force to override.")
+    problem = "lineage mismatch" if expected and found else "missing lineage id"
+    raise DataError(
+        f"{what}: {problem} (expected {expected}, found {found}); artifacts "
+        "come from a different config or input, or carry no lineage. Re-run "
+        "the upstream step, or pass --force where the command offers it.")
+
+
+def _check_items(n_items: int, store, path):
+    """Item universes must agree even when --force overrides lineage."""
+    if n_items != store.n_items:
+        raise DataError(f"{path} covers {n_items} items, the prepared store {store.n_items}")
 
 
 # ---------------------------------------------------------------- prepare
@@ -90,12 +96,12 @@ def cmd_prepare(args) -> int:
     prep_id = lineage_id("prepare", config_hash(cfg, CORPUS_KEYS),
                          {"input": _file_sha(args.input)})
     lineage = {"id": prep_id}
-    store.lineage = lineage
-    store.save(_artifact(out_dir, "store.json"))
-    seg.save(_artifact(out_dir, "segmentation.json"), lineage=lineage)
-    stats_dict = stats.to_json_dict()
-    stats_dict["lineage"] = lineage
-    corpus.write_json(_artifact(out_dir, "stats.json"), stats_dict)
+    serialize.save(_artifact(out_dir, "store.json"), corpus.STORE_SCHEMA,
+                   store.to_fields(), lineage)
+    serialize.save(_artifact(out_dir, "segmentation.json"), corpus.SEGMENTATION_SCHEMA,
+                   seg.to_fields(), lineage)
+    serialize.save(_artifact(out_dir, "stats.json"), corpus.STATS_SCHEMA,
+                   stats.to_fields(), lineage)
 
     print(f"users={stats.n_users} items={stats.n_items} "
           f"interactions={stats.n_interactions} avg_length={stats.avg_length:.2f} "
@@ -111,10 +117,11 @@ def _load_prepared(out_dir):
     for p in (store_path, seg_path):
         if not p.exists():
             raise DataError(f"missing artifact {p}; run `tailaug prepare` first")
-    store = corpus.SequenceStore.load(store_path)
-    seg = corpus.Segmentation.load(seg_path)
-    seg_lineage = corpus.read_json(seg_path).get("lineage", {})
-    store_id = (store.lineage or {}).get("id")
+    store, store_lineage = serialize.load(store_path, corpus.STORE_SCHEMA,
+                                          corpus.SequenceStore.from_fields)
+    seg, seg_lineage = serialize.load(seg_path, corpus.SEGMENTATION_SCHEMA,
+                                      corpus.Segmentation.from_fields)
+    store_id = store_lineage.get("id")
     _check_lineage(store_id, seg_lineage.get("id"), "segmentation vs store", False)
     return store, seg, store_id
 
@@ -129,7 +136,8 @@ def cmd_candidates(args) -> int:
     if store.n_items > cfg["simcand.warn_items"]:
         print(f"warning: {store.n_items} items exceed simcand.warn_items="
               f"{cfg['simcand.warn_items']}; the dense solve needs "
-              f"~{8 * store.n_items ** 2 / 1e9:.1f} GB. Consider preparing with "
+              f"~{40 * store.n_items ** 2 / 1e9:.1f} GB (five n x n float64 "
+              "arrays at its peak). Consider preparing with "
               "corpus.sample_users at desk scale.", file=sys.stderr)
 
     solver_cfg = simcand.SolverConfig(ridge_penalty=cfg["simcand.ridge_penalty"],
@@ -138,10 +146,8 @@ def cmd_candidates(args) -> int:
                                           cfg["simcand.k"], read=cfg["simcand.read"])
     cand_id = lineage_id("candidates", config_hash(cfg, CANDIDATE_KEYS),
                          {"prepare": store_id or ""})
-    cands.save(_artifact(out_dir, "candidates.json"),
-               lineage={"id": cand_id, "prepare": store_id})
-    if args.save_similarity:
-        sim.save(_artifact(out_dir, "similarity.bin"))
+    serialize.save(_artifact(out_dir, "candidates.json"), simcand.CANDIDATES_SCHEMA,
+                   cands.to_fields(), {"id": cand_id, "prepare": store_id})
     sizes = [len(c) for c in cands.c]
     print(f"candidates for {store.n_items} items: mean |c_v|={np.mean(sizes):.1f} "
           f"min={min(sizes)} max={max(sizes)}; solver branches={sim.branch_counts}; "
@@ -199,10 +205,7 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
         config_meta=config_meta,
         metrics={"final_loss": history[-1]["loss_total"] if history else None},
         lineage={"prepare": store_id, "candidates": cand_id})
-    with open(_artifact(out_dir, f"losses_{mode}_seed{seed}.jsonl"), "w",
-              encoding="utf-8") as fh:
-        for rec in history:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    serialize.write_jsonl(_artifact(out_dir, f"losses_{mode}_seed{seed}.jsonl"), history)
     if not quiet:
         last = history[-1] if history else {}
         print(f"mode={mode} seed={seed} epochs={len(history)} "
@@ -222,11 +225,12 @@ def cmd_train(args) -> int:
     if needs_candidates:
         if not cand_path.exists():
             raise DataError(f"missing artifact {cand_path}; run `tailaug candidates` first")
-        cands = simcand.CandidateSets.load(cand_path)
-        cand_lineage = corpus.read_json(cand_path).get("lineage", {})
+        cands, cand_lineage = serialize.load(cand_path, simcand.CANDIDATES_SCHEMA,
+                                             simcand.CandidateSets.from_fields)
         cand_id = cand_lineage.get("id")
         _check_lineage(store_id, cand_lineage.get("prepare"),
                        "candidates vs store", args.force)
+        _check_items(len(cands.c), store, cand_path)
 
     seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
     for seed in seeds:
@@ -255,23 +259,24 @@ def cmd_evaluate(args) -> int:
         model, _, meta = training.load_checkpoint(path)
         _check_lineage(store_id, meta.get("lineage", {}).get("prepare"),
                        f"checkpoint {path.name} vs store", args.force)
+        _check_items(model.n_items, store, path)
         report = evaluation.evaluate_model(
             model, store, seg, ks=cfg["eval.ks"], phase=args.phase,
             filter_seen=cfg["eval.filter_seen"])
         rep_path = path.with_name(path.stem + f"_report_{args.phase}.json")
-        report.save(rep_path, lineage={"checkpoint": path.name,
-                                       "prepare": store_id})
-        rep_path.with_suffix(".txt").write_text(
-            evaluation.format_table(report) + "\n", encoding="utf-8")
+        serialize.save(rep_path, evaluation.REPORT_SCHEMA, report.to_fields(),
+                       {"checkpoint": path.name, "prepare": store_id})
+        serialize.write_text(rep_path.with_suffix(".txt"),
+                             evaluation.format_table(report) + "\n")
         reports.append(report)
         print(f"== {path.name} ({args.phase}) ==")
         print(evaluation.format_table(report))
     if len(reports) > 1:
         mean = evaluation.mean_report(reports)
         mean_path = _artifact(out_dir, f"report_{args.mode}_mean_{args.phase}.json")
-        mean.save(mean_path)
-        mean_path.with_suffix(".txt").write_text(
-            evaluation.format_table(mean) + "\n", encoding="utf-8")
+        serialize.save(mean_path, evaluation.REPORT_SCHEMA, mean.to_fields())
+        serialize.write_text(mean_path.with_suffix(".txt"),
+                             evaluation.format_table(mean) + "\n")
         print(f"== mean over {len(reports)} checkpoints ==")
         print(evaluation.format_table(mean))
     return 0
@@ -280,10 +285,16 @@ def cmd_evaluate(args) -> int:
 # ----------------------------------------------------------------- report
 
 def cmd_report(args) -> int:
-    reports = [evaluation.MetricReport.load(p) for p in args.reports]
+    reports, prepare_id = [], None
+    for path in args.reports:
+        report, lineage = serialize.load(path, evaluation.REPORT_SCHEMA,
+                                         evaluation.MetricReport.from_fields)
+        prepare_id = prepare_id or lineage.get("prepare")
+        _check_lineage(prepare_id, lineage.get("prepare"), f"report {path}", False)
+        reports.append(report)
     mean = evaluation.mean_report(reports) if len(reports) > 1 else reports[0]
     if args.out:
-        mean.save(args.out)
+        serialize.save(args.out, evaluation.REPORT_SCHEMA, mean.to_fields())
     print(evaluation.format_table(mean))
     return 0
 
@@ -355,7 +366,7 @@ def _add_common(p):
     p.add_argument("--out-dir", default="artifacts", help="artifact directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", action="store_true",
-                   help="proceed despite artifact lineage mismatches")
+                   help="proceed despite missing or mismatched artifact lineage")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diag-cap", dest="diag_cap", type=float, default=None)
     p.add_argument("--k", type=int, default=None, help="top-K correlation candidates")
     p.add_argument("--read", choices=["column", "row"], default=None)
-    p.add_argument("--save-similarity", action="store_true",
-                   help="persist the dense similarity matrix blob")
     p.set_defaults(func=cmd_candidates)
 
     p = sub.add_parser("train", help="train a model (baseline or augmented)")

@@ -88,7 +88,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     raw: dict[str, object] = {}
     if path is not None:
         try:
-            text = open(path, "r", encoding="utf-8").read()
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         stripped = text.lstrip()

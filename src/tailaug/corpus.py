@@ -15,10 +15,9 @@ lexicographically otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -129,7 +128,6 @@ class SequenceStore:
     item_ids: list[str]
     sequences: list[np.ndarray]
     split: bool = False
-    lineage: dict | None = field(default=None, compare=False)
 
     @property
     def n_users(self) -> int:
@@ -158,55 +156,24 @@ class SequenceStore:
         self._require_split()
         return int(self.sequences[u][-1])
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "schema": STORE_SCHEMA,
+    def to_fields(self) -> dict:
+        return {
             "max_len": self.max_len,
             "split": self.split,
             "users": self.user_ids,
             "items": self.item_ids,
             "sequences": [seq.tolist() for seq in self.sequences],
         }
-        if self.lineage is not None:
-            d["lineage"] = self.lineage
-        return d
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SequenceStore":
-        if d.get("schema") != STORE_SCHEMA:
-            raise DataError(f"unexpected sequence store schema: {d.get('schema')!r}")
+    def from_fields(cls, d: dict) -> "SequenceStore":
         return cls(
             max_len=int(d["max_len"]),
             user_ids=list(d["users"]),
             item_ids=list(d["items"]),
             sequences=[np.asarray(s, dtype=np.int64) for s in d["sequences"]],
             split=bool(d["split"]),
-            lineage=d.get("lineage"),
         )
-
-    def save(self, path) -> None:
-        write_json(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path) -> "SequenceStore":
-        return cls.from_json_dict(read_json(path))
-
-
-def write_json(path, obj: dict) -> None:
-    """Canonical JSON serialization: sorted keys, fixed separators."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def read_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def build_sequences(log: Sequence[Interaction], max_len: int) -> SequenceStore:
@@ -282,9 +249,8 @@ class Segmentation:
     def is_head_item(self, v: int) -> bool:
         return bool(self.item_head_mask[v])
 
-    def to_json_dict(self) -> dict:
+    def to_fields(self) -> dict:
         return {
-            "schema": SEGMENTATION_SCHEMA,
             "beta": self.beta,
             "n_users": self.n_users,
             "n_items": self.n_items,
@@ -295,9 +261,7 @@ class Segmentation:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Segmentation":
-        if d.get("schema") != SEGMENTATION_SCHEMA:
-            raise DataError(f"unexpected segmentation schema: {d.get('schema')!r}")
+    def from_fields(cls, d: dict) -> "Segmentation":
         return cls(
             head_users=frozenset(d["head_users"]),
             tail_users=frozenset(d["tail_users"]),
@@ -307,16 +271,6 @@ class Segmentation:
             n_users=int(d["n_users"]),
             n_items=int(d["n_items"]),
         )
-
-    def save(self, path, lineage: dict | None = None) -> None:
-        d = self.to_json_dict()
-        if lineage is not None:
-            d["lineage"] = lineage
-        write_json(path, d)
-
-    @classmethod
-    def load(cls, path) -> "Segmentation":
-        return cls.from_json_dict(read_json(path))
 
 
 def _head_cut(ranked: list[int], n_total: int) -> frozenset[int]:
@@ -381,15 +335,8 @@ class DatasetStats:
     avg_length: float
     sparsity: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": STATS_SCHEMA,
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "n_interactions": self.n_interactions,
-            "avg_length": self.avg_length,
-            "sparsity": self.sparsity,
-        }
+    def to_fields(self) -> dict:
+        return asdict(self)
 
 
 def dataset_stats(store: SequenceStore) -> DatasetStats:

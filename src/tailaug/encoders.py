@@ -187,11 +187,6 @@ class ModelState:
     def encoder(self):
         return get_encoder(self.encoder_name)
 
-    def check_finite(self):
-        for name, arr in self.params.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"parameter {name} contains non-finite values")
-
 
 def init_model(n_items: int, dim: int, seed: int, encoder: str = "gru") -> ModelState:
     """Embeddings ~ Normal(0, 1/sqrt(dim)); padding row zeroed; seeded."""

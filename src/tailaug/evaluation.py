@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Segmentation, SequenceStore, read_json, write_json
+from .corpus import Segmentation, SequenceStore
 from .encoders import ModelState, encode_batch
-from .errors import DataError
+from .errors import DataError, NumericError
 
 REPORT_SCHEMA = "tailaug.metric_report.v1"
 
@@ -59,6 +59,8 @@ def _score_users(model: ModelState, store: SequenceStore, users, phase: str):
         seqs = [_phase_input(store, u, phase) for u in chunk]
         h, _ = encode_batch(model, seqs)
         scores = h @ item_emb.T
+        if not np.all(np.isfinite(scores)):
+            raise NumericError(f"non-finite {phase} scores for users {chunk[0]}..{chunk[-1]}")
         for row, u, seq in zip(scores, chunk, seqs):
             yield u, row, seq
 
@@ -91,11 +93,6 @@ def rank_users(model: ModelState, store: SequenceStore, phase: str = "test",
         out.append(RankingResult(user=u, target=target,
                                  rank=rank_of_target(row, target)))
     return out
-
-
-def full_rank(model: ModelState, store: SequenceStore, user: int,
-              phase: str = "test", filter_seen: bool = False) -> RankingResult:
-    return rank_users(model, store, phase, users=[user], filter_seen=filter_seen)[0]
 
 
 def hit_at_k(results, k: int) -> float:
@@ -155,9 +152,8 @@ class MetricReport:
     tcov: dict[int, float]
     phase: str = "test"
 
-    def to_json_dict(self) -> dict:
+    def to_fields(self) -> dict:
         return {
-            "schema": REPORT_SCHEMA,
             "ks": list(self.ks),
             "phase": self.phase,
             "segments": self.segments,
@@ -165,23 +161,11 @@ class MetricReport:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "MetricReport":
-        if d.get("schema") != REPORT_SCHEMA:
-            raise DataError(f"unexpected report schema: {d.get('schema')!r}")
+    def from_fields(cls, d: dict) -> "MetricReport":
         return cls(ks=[int(k) for k in d["ks"]],
                    segments=d["segments"],
                    tcov={int(k): float(v) for k, v in d["tcov"].items()},
                    phase=d.get("phase", "test"))
-
-    def save(self, path, lineage: dict | None = None) -> None:
-        d = self.to_json_dict()
-        if lineage is not None:
-            d["lineage"] = lineage
-        write_json(path, d)
-
-    @classmethod
-    def load(cls, path) -> "MetricReport":
-        return cls.from_json_dict(read_json(path))
 
 
 def _segment_members(results, segmentation: Segmentation):

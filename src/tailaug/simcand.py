@@ -27,12 +27,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .corpus import Segmentation, SequenceStore, read_json, write_json
+from .corpus import Segmentation, SequenceStore
 from .errors import DataError, NumericError
-from . import serialize
 
 CANDIDATES_SCHEMA = "tailaug.candidate_sets.v1"
-SIMILARITY_SCHEMA = "tailaug.similarity_matrix.v1"
 
 
 @dataclass(frozen=True)
@@ -98,28 +96,6 @@ class SimilarityMatrix:
     def branch_counts(self) -> dict:
         capped = int(np.count_nonzero(self.capped))
         return {"capped": capped, "uncapped": int(self.capped.size - capped)}
-
-    def save(self, path) -> None:
-        serialize.write_blob(
-            path,
-            {"values": self.values, "gamma": self.gamma,
-             "capped": self.capped.astype(np.float32)},
-            meta={
-                "schema": SIMILARITY_SCHEMA,
-                "shape": list(self.values.shape),
-                "ridge_penalty": self.config.ridge_penalty,
-                "diag_cap": self.config.diag_cap,
-            },
-        )
-
-    @classmethod
-    def load(cls, path) -> "SimilarityMatrix":
-        sections, meta = serialize.read_blob(path)
-        if meta.get("schema") != SIMILARITY_SCHEMA:
-            raise DataError(f"unexpected similarity schema: {meta.get('schema')!r}")
-        cfg = SolverConfig(ridge_penalty=meta["ridge_penalty"], diag_cap=meta["diag_cap"])
-        return cls(values=sections["values"], gamma=sections["gamma"],
-                   capped=sections["capped"].astype(bool), config=cfg)
 
 
 def solve_similarity(matrix: BinaryInteractionMatrix, config: SolverConfig) -> SimilarityMatrix:
@@ -224,9 +200,8 @@ class CandidateSets:
     def candidates_for(self, v: int) -> np.ndarray:
         return self.c[v - 1]
 
-    def to_json_dict(self) -> dict:
+    def to_fields(self) -> dict:
         return {
-            "schema": CANDIDATES_SCHEMA,
             "k": self.k,
             "cr": [a.tolist() for a in self.cr],
             "cc": [a.tolist() for a in self.cc],
@@ -234,22 +209,10 @@ class CandidateSets:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "CandidateSets":
-        if d.get("schema") != CANDIDATES_SCHEMA:
-            raise DataError(f"unexpected candidate-set schema: {d.get('schema')!r}")
+    def from_fields(cls, d: dict) -> "CandidateSets":
         as_arrays = lambda lists: [np.asarray(a, dtype=np.int64) for a in lists]
         return cls(k=int(d["k"]), cr=as_arrays(d["cr"]), cc=as_arrays(d["cc"]),
                    c=as_arrays(d["c"]))
-
-    def save(self, path, lineage: dict | None = None) -> None:
-        d = self.to_json_dict()
-        if lineage is not None:
-            d["lineage"] = lineage
-        write_json(path, d)
-
-    @classmethod
-    def load(cls, path) -> "CandidateSets":
-        return cls.from_json_dict(read_json(path))
 
 
 def union_candidates(cr: list[np.ndarray], cc: list[np.ndarray], k: int) -> CandidateSets:

@@ -23,7 +23,8 @@ from . import serialize
 from .augment import (CrossPlan, OperatorConfig, apply_cross_mixup,
                       augment_sequence, plan_cross_batch)
 from .corpus import Segmentation, SequenceStore, classify_sequence
-from .encoders import ModelState, backward_batch, encode_batch, lookup, sigmoid
+from .encoders import (ModelState, backward_batch, encode_batch, init_model,
+                       lookup, sigmoid)
 from .errors import DataError, NumericError
 from .rand import AUGMENT, CROSS, NEGATIVE, PREFIX, SHUFFLE, derive_rng
 from .simcand import CandidateSets
@@ -81,13 +82,6 @@ def bce_loss_batch(h, e_pos, e_neg):
     de_pos = g_pos * h
     de_neg = g_neg * h
     return losses, dh, de_pos, de_neg
-
-
-def bce_loss(h, e_pos, e_neg):
-    """Single-instance BCE; returns (loss, dh, de_pos, de_neg)."""
-    losses, dh, de_pos, de_neg = bce_loss_batch(
-        np.asarray(h)[np.newaxis], np.asarray(e_pos)[np.newaxis], np.asarray(e_neg)[np.newaxis])
-    return float(losses[0]), dh[0], de_pos[0], de_neg[0]
 
 
 def sample_negative(user_train_items, n_items: int, rng: np.random.Generator) -> int:
@@ -390,8 +384,7 @@ def save_checkpoint(path, model: ModelState, adam: AdamState | None, *,
         sections.update({f"adam_m/{k}": v for k, v in adam.m.items()})
         sections.update({f"adam_v/{k}": v for k, v in adam.v.items()})
         adam_step_count = adam.step
-    serialize.write_blob(path, sections, meta={
-        "schema": CHECKPOINT_SCHEMA,
+    serialize.save(path, CHECKPOINT_SCHEMA, {
         "n_items": model.n_items,
         "dim": model.dim,
         "encoder": model.encoder_name,
@@ -399,24 +392,31 @@ def save_checkpoint(path, model: ModelState, adam: AdamState | None, *,
         "adam_step": adam_step_count,
         "config": config_meta,
         "metrics": metrics or {},
-        "lineage": lineage or {},
-    })
+    }, lineage=lineage or {}, sections=sections)
+
+
+def _decode_checkpoint(meta: dict, sections: dict):
+    bad = sorted(k for k, v in sections.items() if not np.all(np.isfinite(v)))
+    if bad:
+        raise DataError(f"checkpoint has non-finite values in {', '.join(bad)}")
+
+    def group(prefix):
+        return {k[len(prefix):]: v.astype(np.float64)
+                for k, v in sections.items() if k.startswith(prefix)}
+
+    model = ModelState(n_items=int(meta["n_items"]), dim=int(meta["dim"]),
+                       encoder_name=meta["encoder"], params=group("param/"))
+    # an unknown encoder or a missing or misshapen section fails here, not mid-evaluation
+    expected = init_model(model.n_items, model.dim, 0, model.encoder_name).params
+    if {k: v.shape for k, v in model.params.items()} != {k: v.shape for k, v in expected.items()}:
+        raise DataError(f"checkpoint sections do not match a {model.encoder_name} model "
+                        f"with {model.n_items} items and dim {model.dim}")
+    adam = None
+    if any(k.startswith("adam_m/") for k in sections):
+        adam = AdamState(m=group("adam_m/"), v=group("adam_v/"), step=int(meta["adam_step"]))
+    return model, adam, meta
 
 
 def load_checkpoint(path):
-    sections, meta = serialize.read_blob(path)
-    if meta.get("schema") != CHECKPOINT_SCHEMA:
-        raise DataError(f"unexpected checkpoint schema: {meta.get('schema')!r}")
-    params = {k[len("param/"):]: sections[k].astype(np.float64)
-              for k in sections if k.startswith("param/")}
-    model = ModelState(n_items=int(meta["n_items"]), dim=int(meta["dim"]),
-                       encoder_name=meta["encoder"], params=params)
-    adam = None
-    if any(k.startswith("adam_m/") for k in sections):
-        adam = AdamState(
-            m={k[len("adam_m/"):]: sections[k].astype(np.float64)
-               for k in sections if k.startswith("adam_m/")},
-            v={k[len("adam_v/"):]: sections[k].astype(np.float64)
-               for k in sections if k.startswith("adam_v/")},
-            step=int(meta["adam_step"]))
-    return model, adam, meta
+    """Returns ``(model, adam or None, meta)``; ``meta`` carries the lineage."""
+    return serialize.load(path, CHECKPOINT_SCHEMA, _decode_checkpoint, blob=True)[0]

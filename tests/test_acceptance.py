@@ -25,7 +25,7 @@ from tailaug.evaluation import (RankingResult, hit_at_k, ndcg_at_k,
                                 rank_of_target, tail_coverage_at_k, top_k_lists)
 from tailaug.rand import derive_rng
 from tailaug.simcand import BinaryInteractionMatrix, SolverConfig, solve_similarity
-from tailaug.training import Batch, batch_loss, bce_loss
+from tailaug.training import Batch, batch_loss, bce_loss_batch
 
 import scipy.sparse
 
@@ -179,20 +179,20 @@ def test_criterion_3_gradient_suite(small_corpus):
 
         # BCE loss on 20 random coordinates of random 8-dim inputs
         rng = np.random.default_rng(3)
-        h, ep, en = rng.normal(size=(3, 8))
-        _, dh, dp, dn = bce_loss(h, ep, en)
+        h, ep, en = rng.normal(size=(3, 1, 8))  # one row through the batched loss
+        _, dh, dp, dn = (a[0] for a in bce_loss_batch(h, ep, en))
         vecs = {"h": (h, dh), "ep": (ep, dp), "en": (en, dn)}
         for _ in range(20):
             name = ("h", "ep", "en")[rng.integers(3)]
             vec, grad = vecs[name]
             j = int(rng.integers(8))
             eps = 1e-6
-            old = vec[j]
-            vec[j] = old + eps
-            f1 = bce_loss(h, ep, en)[0]
-            vec[j] = old - eps
-            f2 = bce_loss(h, ep, en)[0]
-            vec[j] = old
+            old = vec[0, j]
+            vec[0, j] = old + eps
+            f1 = bce_loss_batch(h, ep, en)[0][0]
+            vec[0, j] = old - eps
+            f2 = bce_loss_batch(h, ep, en)[0][0]
+            vec[0, j] = old
             numeric = (f1 - f2) / (2 * eps)
             assert abs(numeric - grad[j]) <= 1e-4 * max(abs(numeric), abs(grad[j]), 1e-7)
 

@@ -1,10 +1,11 @@
 import json
+import shutil
 import time
 
 import numpy as np
 import pytest
 
-from tailaug import synth
+from tailaug import evaluation, serialize, synth
 from tailaug.cli import main
 from tailaug.config import DEFAULTS, config_hash, load_config
 from tailaug.errors import ConfigError
@@ -70,10 +71,8 @@ class TestCandidates:
 
     def test_builds_and_persists(self, tmp_path, csv_path):
         _prepare(tmp_path, csv_path)
-        assert main(["candidates", "--out-dir", str(tmp_path), "--k", "5",
-                     "--save-similarity"]) == 0
+        assert main(["candidates", "--out-dir", str(tmp_path), "--k", "5"]) == 0
         assert (tmp_path / "candidates.json").exists()
-        assert (tmp_path / "similarity.bin").exists()
 
     def test_default_k_from_config(self):
         assert DEFAULTS["simcand.k"] == 10
@@ -243,3 +242,128 @@ class TestConfigFile:
         assert main(["synth", "--out", str(out), "--users", "30",
                      "--items", "20"]) == 0
         assert out.exists() and len(out.read_text().splitlines()) > 50
+
+
+# ---------------------------------------------------------- fault injection
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory, csv_path):
+    """One finished prepare -> candidates -> train -> evaluate run (seed 1)."""
+    out = tmp_path_factory.mktemp("pipeline")
+    assert _prepare(out, csv_path) == 0
+    assert main(["candidates", "--out-dir", str(out), "--k", "5"]) == 0
+    assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN]) == 0
+    assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 0
+    return out
+
+
+CHECKPOINT = "checkpoint_augmented_seed1.bin"
+REPORT = "checkpoint_augmented_seed1_report_test.json"
+
+# artifact -> (the command that reads it, a required JSON field or blob section)
+ARTIFACTS = {
+    "store.json": (["candidates", "--k", "5"], "sequences"),
+    "segmentation.json": (["candidates", "--k", "5"], "head_items"),
+    "candidates.json": (["train", "--seed", "1", *FAST_TRAIN], "cc"),
+    CHECKPOINT: (["evaluate", "--seed", "1"], "param/item_embeddings"),
+    REPORT: (["report"], "segments"),
+}
+
+
+def _command(name, out):
+    argv, _ = ARTIFACTS[name]
+    if argv == ["report"]:
+        return ["report", str(out / name)]
+    return [argv[0], "--out-dir", str(out), *argv[1:]]
+
+
+def _edit_envelope(path, edit):
+    """Apply ``edit`` to a JSON artifact's top-level dict or a blob's meta."""
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    else:
+        sections, meta = serialize.read_blob(path)
+        edit(meta)
+        serialize.write_blob(path, sections, meta)
+
+
+def _truncate(path, key):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _garbage_head(path, key):
+    path.write_bytes(b"\xff" * 8 + path.read_bytes()[8:])
+
+
+def _drop_field(path, key):
+    if path.suffix == ".json":
+        _edit_envelope(path, lambda doc: doc.pop(key))
+    else:  # drop a section from the blob header; the payload checksum still holds
+        raw = path.read_bytes()
+        hlen = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+        header = json.loads(raw[16:16 + hlen])
+        header["sections"] = [s for s in header["sections"] if s["name"] != key]
+        text = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + np.uint64(len(text)).tobytes() + text + raw[16 + hlen:])
+
+
+def _drop_lineage(path, key):
+    _edit_envelope(path, lambda doc: doc.pop("lineage"))
+
+
+CORRUPTIONS = {"truncate": _truncate, "garbage-head": _garbage_head,
+               "drop-field": _drop_field, "drop-lineage": _drop_lineage}
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+    def test_corrupt_input_is_data_error(self, artifact, corruption, pipeline_dir,
+                                         tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        CORRUPTIONS[corruption](out / artifact, ARTIFACTS[artifact][1])
+        capsys.readouterr()
+        assert main(_command(artifact, out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("artifact", ["candidates.json", CHECKPOINT])
+    def test_missing_lineage_passes_with_force(self, artifact, pipeline_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        _drop_lineage(out / artifact, None)
+        assert main(_command(artifact, out) + ["--force"]) == 0
+
+    def test_forced_foreign_item_universe_is_data_error(self, pipeline_dir, csv_path,
+                                                        tmp_path, capsys):
+        out = tmp_path / "small"
+        _prepare(out, csv_path, extra=["--sample-users", "40"])
+        for name in ("candidates.json", CHECKPOINT):
+            shutil.copy(pipeline_dir / name, out / name)
+        for name in ("candidates.json", CHECKPOINT):
+            assert main(_command(name, out) + ["--force"]) == 3
+            assert "items" in capsys.readouterr().err
+
+    def test_nan_embedding_is_refused_not_scored(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / REPORT).unlink()
+        sections, meta = serialize.read_blob(out / CHECKPOINT)
+        sections["param/item_embeddings"][3, 0] = np.nan
+        serialize.write_blob(out / CHECKPOINT, sections, meta)
+        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / REPORT).exists()
+
+    def test_non_finite_scores_are_numeric_failure(self, pipeline_dir, tmp_path,
+                                                   monkeypatch, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        monkeypatch.setattr(evaluation, "encode_batch", lambda model, seqs: (
+            np.full((len(seqs), model.dim), np.nan), None))
+        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 4
+        assert capsys.readouterr().err.startswith("numeric failure:")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailaug import corpus
+from tailaug import corpus, serialize
 from tailaug.corpus import (Interaction, PreferenceClass, build_sequences,
                             classify_sequence, dataset_stats, k_core_filter,
                             leave_one_out_split, load_interactions, segment)
@@ -275,9 +275,9 @@ class TestPersistence:
     def test_store_roundtrip_bit_exact(self, tmp_path):
         store = store_from_sequences({"u1": ["a", "b", "c", "d"], "u2": ["b", "c", "a"]})
         p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
-        store.save(p1)
-        reloaded = corpus.SequenceStore.load(p1)
-        reloaded.save(p2)
+        serialize.save(p1, corpus.STORE_SCHEMA, store.to_fields())
+        reloaded, _ = serialize.load(p1, corpus.STORE_SCHEMA, corpus.SequenceStore.from_fields)
+        serialize.save(p2, corpus.STORE_SCHEMA, reloaded.to_fields())
         assert p1.read_bytes() == p2.read_bytes()
         assert reloaded.max_len == store.max_len
         assert all(np.array_equal(a, b)
@@ -287,8 +287,8 @@ class TestPersistence:
         store = store_from_sequences({f"u{i}": ["a", "b", "c", "d"] for i in range(5)})
         seg = segment(store, beta=0.4)
         p = tmp_path / "seg.json"
-        seg.save(p)
-        reloaded = corpus.Segmentation.load(p)
+        serialize.save(p, corpus.SEGMENTATION_SCHEMA, seg.to_fields())
+        reloaded, _ = serialize.load(p, corpus.SEGMENTATION_SCHEMA, corpus.Segmentation.from_fields)
         assert reloaded == seg
 
     def test_identical_inputs_identical_bytes(self, tmp_path):
@@ -300,9 +300,9 @@ class TestPersistence:
             rows = load_interactions(tmp_path / f"{name}.csv")
             store = leave_one_out_split(build_sequences(rows, 50))
             out = tmp_path / f"{name}_store.json"
-            store.save(out)
+            serialize.save(out, corpus.STORE_SCHEMA, store.to_fields())
             seg = segment(store)
             seg_out = tmp_path / f"{name}_seg.json"
-            seg.save(seg_out)
+            serialize.save(seg_out, corpus.SEGMENTATION_SCHEMA, seg.to_fields())
             outs.append((out.read_bytes(), seg_out.read_bytes()))
         assert outs[0] == outs[1]

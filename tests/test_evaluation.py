@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailaug.encoders import init_model
-from tailaug.errors import DataError
-from tailaug.evaluation import (MetricReport, RankingResult, evaluate_model,
-                                format_table, full_rank, hit_at_k, mean_report,
+from tailaug import serialize
+from tailaug.encoders import encode, init_model
+from tailaug.errors import DataError, NumericError
+from tailaug.evaluation import (REPORT_SCHEMA, MetricReport, RankingResult,
+                                evaluate_model, format_table, hit_at_k, mean_report,
                                 ndcg_at_k, rank_of_target, rank_users,
                                 segmented_report, tail_coverage_at_k,
                                 top_k_lists, validation_score)
@@ -49,18 +50,24 @@ class TestFullRank:
              for i in range(8)})
         model = init_model(store.n_items, 8, seed=1)
         for u in range(store.n_users):
-            res = full_rank(model, store, u, phase="test")
-            from tailaug.encoders import encode
+            res = rank_users(model, store, "test", users=[u])[0]
             seq = np.concatenate([store.train_prefix(u), [store.valid_item(u)]])
             scores = model.embeddings[1:] @ encode(model, seq)
             expected = 1 + sum(1 for j in range(store.n_items)
                                if j + 1 != res.target and scores[j] >= scores[res.target - 1])
             assert res.rank == expected
 
+    def test_non_finite_scores_raise_not_rank(self):
+        store = store_from_sequences({"u": ["a", "b", "c", "d", "e"]})
+        model = init_model(store.n_items, 4, seed=2)
+        model.embeddings[2, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            rank_users(model, store, "test")
+
     def test_valid_phase_uses_prefix_only(self):
         store = store_from_sequences({"u": ["a", "b", "c", "d", "e"]})
         model = init_model(store.n_items, 4, seed=2)
-        res = full_rank(model, store, 0, phase="valid")
+        res = rank_users(model, store, "valid", users=[0])[0]
         assert res.target == store.valid_item(0)
 
     def test_filter_seen_improves_or_keeps_rank(self, small_corpus):
@@ -197,9 +204,9 @@ class TestReportPlumbing:
         report = segmented_report(_toy_results(), _toy_seg(), ks=[5, 10],
                                   tcov={5: 0.25})
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        report.save(p1)
-        back = MetricReport.load(p1)
-        back.save(p2)
+        serialize.save(p1, REPORT_SCHEMA, report.to_fields())
+        back, _ = serialize.load(p1, REPORT_SCHEMA, MetricReport.from_fields)
+        serialize.save(p2, REPORT_SCHEMA, back.to_fields())
         assert p1.read_bytes() == p2.read_bytes()
         assert back.tcov == {5: 0.25}
 

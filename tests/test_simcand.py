@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from tailaug import corpus
+from tailaug import corpus, serialize
 from tailaug.errors import DataError
-from tailaug.simcand import (BinaryInteractionMatrix, CandidateSets,
+from tailaug.simcand import (CANDIDATES_SCHEMA, BinaryInteractionMatrix, CandidateSets,
                              SimilarityMatrix, SolverConfig, build_candidates,
                              build_cooccurrence, build_interaction_matrix,
                              solve_similarity, top_k_correlation,
@@ -152,18 +152,6 @@ class TestSolver:
         with pytest.raises(DataError):
             solve_similarity(as_matrix(np.zeros((3, 0))), SolverConfig())
 
-    def test_blob_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        X = (rng.random((9, 5)) < 0.4).astype(float)
-        sim = solve_similarity(as_matrix(X), SolverConfig(3.0, 0.1))
-        path = tmp_path / "sim.bin"
-        sim.save(path)
-        back = SimilarityMatrix.load(path)
-        np.testing.assert_array_equal(back.values,
-                                      sim.values.astype(np.float32))
-        assert back.config == sim.config
-        np.testing.assert_array_equal(back.capped, sim.capped)
-
 
 class TestTopK:
     def test_two_items(self):
@@ -292,8 +280,8 @@ class TestUnion:
     def test_json_roundtrip(self, small_corpus, tmp_path):
         _, _, cands, _ = small_corpus
         p1, p2 = tmp_path / "c1.json", tmp_path / "c2.json"
-        cands.save(p1)
-        back = CandidateSets.load(p1)
-        back.save(p2)
+        serialize.save(p1, CANDIDATES_SCHEMA, cands.to_fields())
+        back, _ = serialize.load(p1, CANDIDATES_SCHEMA, CandidateSets.from_fields)
+        serialize.save(p2, CANDIDATES_SCHEMA, back.to_fields())
         assert p1.read_bytes() == p2.read_bytes()
         assert all(np.array_equal(x, y) for x, y in zip(back.c, cands.c))

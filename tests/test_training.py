@@ -7,53 +7,54 @@ from tailaug.encoders import init_model
 from tailaug.errors import DataError, NumericError
 from tailaug.rand import derive_rng
 from tailaug.training import (Batch, TrainConfig, adam_step,
-                              batch_loss, bce_loss, bce_loss_batch, init_adam,
+                              batch_loss, bce_loss_batch, init_adam,
                               load_checkpoint, sample_negative, save_checkpoint,
                               train_stage1, train_stage2)
 
 
 class TestBCE:
+    # single rows go through the batched loss with a leading axis of one
     def test_zero_logits(self):
-        loss, *_ = bce_loss(np.zeros(4), np.zeros(4), np.zeros(4))
-        assert loss == pytest.approx(2 * np.log(2))
+        losses, *_ = bce_loss_batch(np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 4)))
+        assert losses[0] == pytest.approx(2 * np.log(2))
 
     def test_saturation_drives_loss_to_zero(self):
-        h = np.array([100.0])
-        loss, *_ = bce_loss(h, np.array([1.0]), np.array([-1.0]))
-        assert loss == pytest.approx(0.0, abs=1e-8)
+        h = np.array([[100.0]])
+        losses, *_ = bce_loss_batch(h, np.array([[1.0]]), np.array([[-1.0]]))
+        assert losses[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_extreme_logits_stay_finite(self):
-        h = np.array([1e4])
-        loss, dh, dp, dn = bce_loss(h, np.array([-1.0]), np.array([1.0]))
-        assert np.isfinite(loss) and np.all(np.isfinite(dh))
+        h = np.array([[1e4]])
+        losses, dh, dp, dn = bce_loss_batch(h, np.array([[-1.0]]), np.array([[1.0]]))
+        assert np.isfinite(losses[0]) and np.all(np.isfinite(dh[0]))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
-        h, ep, en = rng.normal(size=(3, 8))
-        loss, dh, dp, dn = bce_loss(h, ep, en)
+        h, ep, en = rng.normal(size=(3, 1, 8))
+        losses, dh, dp, dn = bce_loss_batch(h, ep, en)
         eps = 1e-6
         for vec, grad in ((h, dh), (ep, dp), (en, dn)):
             for j in range(8):
-                old = vec[j]
-                vec[j] = old + eps
-                f1 = bce_loss(h, ep, en)[0]
-                vec[j] = old - eps
-                f2 = bce_loss(h, ep, en)[0]
-                vec[j] = old
+                old = vec[0, j]
+                vec[0, j] = old + eps
+                f1 = bce_loss_batch(h, ep, en)[0][0]
+                vec[0, j] = old - eps
+                f2 = bce_loss_batch(h, ep, en)[0][0]
+                vec[0, j] = old
                 num = (f1 - f2) / (2 * eps)
-                assert num == pytest.approx(grad[j], rel=1e-5, abs=1e-9)
+                assert num == pytest.approx(grad[0, j], rel=1e-5, abs=1e-9)
 
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(NumericError):
-            bce_loss(np.array([np.nan]), np.array([1.0]), np.array([1.0]))
+            bce_loss_batch(np.array([[np.nan]]), np.array([[1.0]]), np.array([[1.0]]))
 
     def test_mixup_linearity_through_loss_input(self):
         rng = np.random.default_rng(1)
-        h1, h2, ep, en = rng.normal(size=(4, 6))
-        l0 = bce_loss(h2, ep, en)[0]
-        l1 = bce_loss(h1, ep, en)[0]
+        h1, h2, ep, en = rng.normal(size=(4, 1, 6))
+        l0 = bce_loss_batch(h2, ep, en)[0][0]
+        l1 = bce_loss_batch(h1, ep, en)[0][0]
         lams = np.linspace(0, 1, 11)
-        vals = [bce_loss(lam * h1 + (1 - lam) * h2, ep, en)[0] for lam in lams]
+        vals = [bce_loss_batch(lam * h1 + (1 - lam) * h2, ep, en)[0][0] for lam in lams]
         assert vals[0] == pytest.approx(l0) and vals[-1] == pytest.approx(l1)
         assert np.all(np.abs(np.diff(vals)) < 1.0)  # continuous, no jumps
 
