@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, NumericError, TailaugError
 from .evaluation import (MetricReport, RankingResult, evaluate_model,
                          format_table, hit_at_k, mean_report,
                          ndcg_at_k, rank_users, segmented_report,
-                         tail_coverage_at_k, validation_score)
+                         validation_score)
 from .simcand import (BinaryInteractionMatrix, CandidateSets, SimilarityMatrix,
                       SolverConfig, build_candidates, build_cooccurrence,
                       build_interaction_matrix, solve_similarity,

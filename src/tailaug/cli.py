@@ -274,7 +274,8 @@ def cmd_evaluate(args) -> int:
     if len(reports) > 1:
         mean = evaluation.mean_report(reports)
         mean_path = _artifact(out_dir, f"report_{args.mode}_mean_{args.phase}.json")
-        serialize.save(mean_path, evaluation.REPORT_SCHEMA, mean.to_fields())
+        serialize.save(mean_path, evaluation.REPORT_SCHEMA, mean.to_fields(),
+                       {"prepare": store_id})
         serialize.write_text(mean_path.with_suffix(".txt"),
                              evaluation.format_table(mean) + "\n")
         print(f"== mean over {len(reports)} checkpoints ==")
@@ -294,7 +295,8 @@ def cmd_report(args) -> int:
         reports.append(report)
     mean = evaluation.mean_report(reports) if len(reports) > 1 else reports[0]
     if args.out:
-        serialize.save(args.out, evaluation.REPORT_SCHEMA, mean.to_fields())
+        serialize.save(args.out, evaluation.REPORT_SCHEMA, mean.to_fields(),
+                       {"prepare": prepare_id})
     print(evaluation.format_table(mean))
     return 0
 

@@ -124,6 +124,9 @@ def validate_config(cfg: dict) -> None:
         errors.append("corpus.max_len must be >= 3")
     if not 0.0 < cfg["corpus.beta"] < 1.0:
         errors.append("corpus.beta must be in (0, 1)")
+    for key in ("corpus.sample_users", "train.stage1_epochs", "train.stage2_epochs"):
+        if cfg[key] < 0:
+            errors.append(f"{key} must be >= 0")
     if not 0.0 < cfg["augment.a"] < cfg["augment.b"] < 1.0:
         errors.append("augment rates need 0 < a < b < 1")
     if cfg["augment.alpha"] <= 0:

@@ -246,9 +246,6 @@ class Segmentation:
             umask[np.fromiter(self.head_users, dtype=np.int64)] = True
         object.__setattr__(self, "user_head_mask", umask)
 
-    def is_head_item(self, v: int) -> bool:
-        return bool(self.item_head_mask[v])
-
     def to_fields(self) -> dict:
         return {
             "beta": self.beta,

@@ -50,27 +50,42 @@ def _phase_target(store: SequenceStore, u: int, phase: str) -> int:
     return store.valid_item(u) if phase == "valid" else store.test_item(u)
 
 
-def _score_users(model: ModelState, store: SequenceStore, users, phase: str):
-    """Yield (user, scores-over-real-items, input-seq) in eval batches."""
+def rank_of_target(scores: np.ndarray, target) -> np.ndarray:
+    """1-based pessimistic rank along the last axis: the target sorts after equal scores.
+
+    ``scores[..., j]`` is the score of internal item id j + 1; ``target``
+    holds one item id per row of ``scores`` (a scalar for a single row).
+    """
+    own = np.take_along_axis(scores, np.asarray(target)[..., None] - 1, axis=-1)
+    return np.count_nonzero(scores >= own, axis=-1)
+
+
+def _score_blocks(model: ModelState, store: SequenceStore, users, phase: str,
+                  filter_seen: bool, depth: int = 0):
+    """Yield (ranking results, top-``depth`` item ids) per block of users.
+
+    Each block is encoded and scored once; ranks and top lists read the
+    same (optionally seen-filtered) scores.  Top lists order by score
+    descending, then id ascending on ties.
+    """
     users = list(users)
     item_emb = model.embeddings[1:]  # padding row excluded from ranking
     for start in range(0, len(users), _EVAL_BATCH):
         chunk = users[start:start + _EVAL_BATCH]
         seqs = [_phase_input(store, u, phase) for u in chunk]
+        targets = np.array([_phase_target(store, u, phase) for u in chunk])
         h, _ = encode_batch(model, seqs)
         scores = h @ item_emb.T
         if not np.all(np.isfinite(scores)):
             raise NumericError(f"non-finite {phase} scores for users {chunk[0]}..{chunk[-1]}")
-        for row, u, seq in zip(scores, chunk, seqs):
-            yield u, row, seq
-
-
-def rank_of_target(scores: np.ndarray, target: int) -> int:
-    """1-based pessimistic rank: the target sorts after equal scores.
-
-    ``scores[j]`` is the score of internal item id j + 1.
-    """
-    return int(np.count_nonzero(scores >= scores[target - 1]))
+        if filter_seen:  # the target itself stays ranked when it reoccurs
+            for row, seq, target in zip(scores, seqs, targets):
+                row[seq[seq != target] - 1] = -np.inf
+        ranks = rank_of_target(scores, targets)
+        results = [RankingResult(user=u, target=int(t), rank=int(r))
+                   for u, t, r in zip(chunk, targets, ranks)]
+        top = np.argsort(-scores, axis=-1, kind="stable")[:, :depth] + 1 if depth else None
+        yield results, top
 
 
 def rank_users(model: ModelState, store: SequenceStore, phase: str = "test",
@@ -82,17 +97,8 @@ def rank_users(model: ModelState, store: SequenceStore, phase: str = "test",
     """
     if users is None:
         users = range(store.n_users)
-    out = []
-    for u, row, seq in _score_users(model, store, users, phase):
-        target = _phase_target(store, u, phase)
-        if filter_seen:
-            seen = np.unique(seq)
-            seen = seen[seen != target]
-            row = row.copy()
-            row[seen - 1] = -np.inf
-        out.append(RankingResult(user=u, target=target,
-                                 rank=rank_of_target(row, target)))
-    return out
+    return [r for block, _ in _score_blocks(model, store, users, phase, filter_seen)
+            for r in block]
 
 
 def hit_at_k(results, k: int) -> float:
@@ -115,32 +121,6 @@ def ndcg_at_k(results, k: int) -> float:
         raise DataError("cannot compute metrics over zero ranking results")
     gains = [1.0 / math.log2(r.rank + 1) if r.rank <= k else 0.0 for r in results]
     return math.fsum(gains) / len(results)
-
-
-def top_k_lists(model: ModelState, store: SequenceStore, k: int,
-                users=None, phase: str = "test") -> dict[int, np.ndarray]:
-    """Deterministic top-K recommendation lists (score desc, id asc on ties)."""
-    if users is None:
-        users = range(store.n_users)
-    ids = np.arange(1, store.n_items + 1, dtype=np.int64)
-    lists = {}
-    for u, row, _ in _score_users(model, store, users, phase):
-        order = np.lexsort((ids, -row))
-        lists[u] = ids[order[:k]].copy()
-    return lists
-
-
-def tail_coverage_at_k(model: ModelState, store: SequenceStore, k: int,
-                       segmentation: Segmentation, users=None,
-                       phase: str = "test") -> float:
-    """Fraction of tail items recommended to at least one user at cutoff K."""
-    if not segmentation.tail_items:
-        return 0.0
-    covered: set[int] = set()
-    head = segmentation.item_head_mask
-    for lst in top_k_lists(model, store, k, users=users, phase=phase).values():
-        covered.update(int(v) for v in lst if not head[v])
-    return len(covered) / len(segmentation.tail_items)
 
 
 @dataclass
@@ -196,12 +176,23 @@ def segmented_report(results, segmentation: Segmentation, ks,
 
 def evaluate_model(model: ModelState, store: SequenceStore,
                    segmentation: Segmentation, ks=(5, 10, 20),
-                   phase: str = "test", filter_seen: bool = False,
-                   tcov_ks=None) -> MetricReport:
-    """Rank every user, then assemble the segmented report plus tail coverage."""
-    results = rank_users(model, store, phase=phase, filter_seen=filter_seen)
-    tcov = {int(k): tail_coverage_at_k(model, store, int(k), segmentation, phase=phase)
-            for k in (ks if tcov_ks is None else tcov_ks)}
+                   phase: str = "test", filter_seen: bool = False) -> MetricReport:
+    """Score every user once: the segmented report plus tail coverage per cutoff.
+
+    TCov@K is the fraction of tail items in at least one user's top-K list;
+    ``filter_seen`` applies to those lists as it does to the ranks.
+    """
+    results = []
+    listed = {int(k): np.zeros(store.n_items + 1, dtype=bool) for k in ks}
+    for block, top in _score_blocks(model, store, range(store.n_users), phase,
+                                    filter_seen, depth=max(listed, default=0)):
+        results += block
+        for k, covered in listed.items():
+            covered[top[:, :k]] = True
+    n_tail = len(segmentation.tail_items)
+    tail = ~segmentation.item_head_mask
+    tcov = {k: np.count_nonzero(covered & tail) / n_tail if n_tail else 0.0
+            for k, covered in listed.items()}
     return segmented_report(results, segmentation, ks, tcov=tcov, phase=phase)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from tailaug import corpus, simcand, synth
 from tailaug.corpus import Interaction
+from tailaug.encoders import encode_batch
 
 
 def store_from_sequences(user_items: dict, max_len: int = 50, split: bool = True):
@@ -25,6 +26,24 @@ def segmentation_with_heads(store, head_items, head_users=(), beta=0.5):
         head_items=head_items,
         tail_items=frozenset(range(1, store.n_items + 1)) - head_items,
         beta=beta, n_users=store.n_users, n_items=store.n_items)
+
+
+def bruteforce_tail_coverage(model, store, seg, k):
+    """Test-phase TCov@k from one encode of every user and a pure-Python sort.
+
+    Each user's top-k list orders items by score descending, id ascending
+    on ties; coverage is the share of tail items in at least one list.
+    """
+    seqs = [np.concatenate([store.train_prefix(u), [store.valid_item(u)]])[-store.max_len:]
+            for u in range(store.n_users)]
+    h, _ = encode_batch(model, seqs)
+    scores = h @ model.embeddings[1:].T
+    n = store.n_items
+    covered = set()
+    for s in scores:
+        top = sorted(range(1, n + 1), key=lambda v: (-s[v - 1], v))[:k]
+        covered |= {v for v in top if v in seg.tail_items}
+    return len(covered) / len(seg.tail_items)
 
 
 def candidate_sets(n_items, mapping: dict, k: int = 10):

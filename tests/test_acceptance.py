@@ -21,8 +21,8 @@ from tailaug.augment import (CrossPlan, OperatorConfig, augment_sequence,
                              plan_cross_batch, t_substitute)
 from tailaug.corpus import classify_sequence
 from tailaug.encoders import backward_batch, encode_batch, init_model
-from tailaug.evaluation import (RankingResult, hit_at_k, ndcg_at_k,
-                                rank_of_target, tail_coverage_at_k, top_k_lists)
+from tailaug.evaluation import (RankingResult, evaluate_model, hit_at_k, ndcg_at_k,
+                                rank_of_target)
 from tailaug.rand import derive_rng
 from tailaug.simcand import BinaryInteractionMatrix, SolverConfig, solve_similarity
 from tailaug.training import Batch, batch_loss, bce_loss_batch
@@ -232,21 +232,22 @@ def test_criterion_4_metric_oracle_equivalence():
             assert hit_at_k(results, k) == oracle_hit
             assert ndcg_at_k(results, k) == oracle_ndcg
 
-        # tail coverage against a brute-force union on a 15-item toy model
-        from conftest import segmentation_with_heads, store_from_sequences
+        # tail coverage against an independent brute force on a 15-item toy
+        # model: one encode of every user, a pure-Python sort per score row
+        from conftest import (bruteforce_tail_coverage, segmentation_with_heads,
+                              store_from_sequences)
         store = store_from_sequences(
             {f"u{i}": [f"i{j:02d}" for j in
                        np.random.default_rng(i).integers(0, 15, 6)]
              for i in range(12)})
         seg = segmentation_with_heads(store, head_items={1, 2, 3})
         model = init_model(store.n_items, 5, seed=2)
-        for k in (1, 3, 5, 10):
-            lists = top_k_lists(model, store, k)
-            union = set()
-            for lst in lists.values():
-                union |= {int(v) for v in lst if v in seg.tail_items}
-            assert tail_coverage_at_k(model, store, k, seg) == \
-                len(union) / len(seg.tail_items)
+        ties = init_model(store.n_items, 5, seed=2)
+        ties.embeddings[1:] = 1.0  # every score in a row ties
+        for m in (model, ties):
+            for k in (1, 3, 5, 10, store.n_items):
+                assert evaluate_model(m, store, seg, ks=(k,)).tcov[k] == \
+                    bruteforce_tail_coverage(m, store, seg, k)
 
 
 # ---------------------------------------------------------------------- 5

@@ -51,6 +51,19 @@ class TestPrepare:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key", [
+        (["prepare", "--input", "missing.csv", "--sample-users", "-5"],
+         "corpus.sample_users"),
+        (["train", "--stage1-epochs", "-1"], "train.stage1_epochs"),
+        (["train", "--stage2-epochs", "-2"], "train.stage2_epochs"),
+    ])
+    def test_negative_count_fails_before_io(self, tmp_path, capsys, argv, key):
+        # neither the input nor the prepared artifacts exist
+        code = main([*argv, "--out-dir", str(tmp_path / "none")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
     def test_too_aggressive_kcore_is_data_error(self, tmp_path, csv_path, capsys):
         code = main(["prepare", "--input", str(csv_path), "--out-dir",
                      str(tmp_path), "--k-core", "500"])
@@ -189,6 +202,9 @@ class TestReportCommand:
         a = json.loads(r1.read_text())["segments"]["overall"]["hit@10"]
         b = json.loads(r2.read_text())["segments"]["overall"]["hit@10"]
         assert merged["segments"]["overall"]["hit@10"] == pytest.approx((a + b) / 2)
+        # mean reports carry the prepare lineage, so they are valid inputs
+        for mean in (out_path, tmp_path / "report_augmented_mean_test.json"):
+            assert main(["report", str(mean)]) == 0
 
 
 class TestConfigFile:

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailaug import serialize
+from tailaug import evaluation, serialize
 from tailaug.encoders import encode, init_model
 from tailaug.errors import DataError, NumericError
 from tailaug.evaluation import (REPORT_SCHEMA, MetricReport, RankingResult,
                                 evaluate_model, format_table, hit_at_k, mean_report,
                                 ndcg_at_k, rank_of_target, rank_users,
-                                segmented_report, tail_coverage_at_k,
-                                top_k_lists, validation_score)
+                                segmented_report, validation_score)
 
-from conftest import segmentation_with_heads, store_from_sequences
+from conftest import (bruteforce_tail_coverage, segmentation_with_heads,
+                      store_from_sequences)
 
 
 class TestRankOfTarget:
@@ -160,6 +160,10 @@ class TestSegmentedReport:
             weighted / seg["overall"]["count"])
 
 
+def _tcov(model, store, seg, k, filter_seen=False):
+    return evaluate_model(model, store, seg, ks=(k,), filter_seen=filter_seen).tcov[k]
+
+
 class TestTailCoverage:
     def _setup(self, head_items):
         store = store_from_sequences(
@@ -172,31 +176,46 @@ class TestTailCoverage:
 
     def test_matches_bruteforce_union(self):
         store, seg, model = self._setup(head_items={1, 2, 3})
-        k = 4
-        got = tail_coverage_at_k(model, store, k, seg)
-        lists = top_k_lists(model, store, k)
-        union = set()
-        for lst in lists.values():
-            union |= set(int(v) for v in lst if v in seg.tail_items)
-        assert got == pytest.approx(len(union) / len(seg.tail_items))
+        for k in (1, 4, store.n_items):
+            assert _tcov(model, store, seg, k) == \
+                bruteforce_tail_coverage(model, store, seg, k)
 
     def test_zero_when_no_tail_recommended(self):
         store, seg, model = self._setup(head_items={1, 2, 3})
         # identical embeddings -> all scores tie -> lists are the 3 lowest ids,
         # which are exactly the head items
         model.embeddings[1:] = 1.0
-        assert tail_coverage_at_k(model, store, 3, seg) == 0.0
+        assert _tcov(model, store, seg, 3) == 0.0
 
     def test_one_when_every_tail_item_listed(self):
         store, seg, model = self._setup(head_items=set())
         # K = |V| puts every item in every list
-        assert tail_coverage_at_k(model, store, store.n_items, seg) == 1.0
+        assert _tcov(model, store, seg, store.n_items) == 1.0
 
     def test_monotone_in_k(self):
         store, seg, model = self._setup(head_items={1, 2})
-        vals = [tail_coverage_at_k(model, store, k, seg)
-                for k in (1, 3, 5, 8, store.n_items)]
+        ks = (1, 3, 5, 8, store.n_items)
+        tcov = evaluate_model(model, store, seg, ks=ks).tcov
+        vals = [tcov[k] for k in ks]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_filter_seen_drops_seen_items_from_lists(self, monkeypatch):
+        # "top" is seen by every user and never a target; "head" is only
+        # user 0's test target, so it is in no scored input
+        store = store_from_sequences(
+            {f"u{i}": ["top", f"a{i}", f"b{i}", "head" if i == 0 else f"c{i}"]
+             for i in range(4)})
+        top = store.item_ids.index("top") + 1
+        head = store.item_ids.index("head") + 1
+        seg = segmentation_with_heads(store, head_items={head})
+        model = init_model(store.n_items, 3, seed=0)
+        model.embeddings[1:] = 0.0
+        model.embeddings[top] = 2.0
+        model.embeddings[head] = 1.0
+        monkeypatch.setattr(evaluation, "encode_batch", lambda model, seqs: (
+            np.ones((len(seqs), model.dim)), None))
+        assert _tcov(model, store, seg, 1) == 1 / len(seg.tail_items)
+        assert _tcov(model, store, seg, 1, filter_seen=True) == 0.0
 
 
 class TestReportPlumbing:
