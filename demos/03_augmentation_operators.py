@@ -8,8 +8,7 @@ cross plan.
 import numpy as np
 
 from tailaug import corpus, simcand, synth
-from tailaug.augment import (OperatorConfig, apply_cross_mixup,
-                             mix_representations, plan_cross_batch,
+from tailaug.augment import (OperatorConfig, apply_cross_mixup, plan_cross_batch,
                              select_operator, t_insert, t_substitute)
 from tailaug.rand import derive_rng
 
@@ -52,12 +51,11 @@ print(f"  extended : {sample.s_ext.tolist()}")
 assert len(sample.s_prime) == len(sample.s_ext)
 
 # ---------------------------------------------------------------------
-# Mixup blends two representations with a Beta(alpha, alpha) weight.
+# Mixup blends the extended-original and augmented representations as
+# lam * h_ext + (1 - lam) * h_aug with lam ~ Beta(alpha, alpha).
 # Small alpha pushes weights toward the endpoints {0, 1}.
-h_orig, h_aug = np.ones(4), np.zeros(4)
 for alpha in (0.1, 0.3, 5.0):
-    lams = [mix_representations(h_orig, h_aug, alpha, derive_rng(1, i))[1]
-            for i in range(2000)]
+    lams = [derive_rng(1, i).beta(alpha, alpha) for i in range(2000)]
     near_edge = np.mean([(l < 0.1) or (l > 0.9) for l in lams])
     print(f"alpha={alpha}: {near_edge:.0%} of mixup weights near an endpoint")
 
@@ -71,6 +69,7 @@ print(f"\nclasses: {[c.value for c in classes]}")
 print(f"pairing: {plan.pairing.tolist()}")
 print(f"weights: {np.round(plan.lams, 2).tolist()}")
 
+# training stacks [h | e_pos | e_neg] per row, so one weight and pairing mix all three
 h = np.arange(8, dtype=float)[:, None] * np.ones((8, 3))
-mixed, _, _ = apply_cross_mixup(plan, h, h, h)
+mixed = apply_cross_mixup(plan, h)
 print(f"mixed first coordinates: {np.round(mixed[:, 0], 2).tolist()}")

@@ -178,19 +178,6 @@ def augment_sequence(seq, segmentation: Segmentation, candidates: CandidateSets,
     return t_insert(seq, segmentation, candidates, config, max_len, rng)
 
 
-def mix_representations(h, h_prime, alpha: float, rng: np.random.Generator):
-    """Convex blend lam*h + (1-lam)*h_prime with lam ~ Beta(alpha, alpha).
-
-    Returns (mixed, lam) so the weight can be recorded for replay.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    h_prime = np.asarray(h_prime, dtype=np.float64)
-    if h.shape != h_prime.shape:
-        raise ValueError(f"shape mismatch: {h.shape} vs {h_prime.shape}")
-    lam = float(rng.beta(alpha, alpha))
-    return lam * h + (1.0 - lam) * h_prime, lam
-
-
 @dataclass
 class CrossPlan:
     """Within-class pairing and mixup weights for one batch.
@@ -232,19 +219,15 @@ def plan_cross_batch(classes: Sequence[PreferenceClass], alpha: float,
     return CrossPlan(pairing=pairing, lams=lams, classes=list(classes))
 
 
-def apply_cross_mixup(plan: CrossPlan, h_batch, e_pos, e_neg):
-    """Row-wise mixup of sequence representations and their positive and
-    negative item embeddings, using one shared weight and pairing per row.
+def apply_cross_mixup(plan: CrossPlan, rows):
+    """Row-wise mixup ``lam_i * rows[i] + (1 - lam_i) * rows[pairing[i]]``.
+
+    Stacking ``[h | e_pos | e_neg]`` as one row mixes a representation and
+    its positive and negative item embeddings with one shared weight and
+    pairing.
     """
-    h_batch = np.asarray(h_batch, dtype=np.float64)
-    e_pos = np.asarray(e_pos, dtype=np.float64)
-    e_neg = np.asarray(e_neg, dtype=np.float64)
-    n = len(plan.pairing)
-    for name, arr in (("h_batch", h_batch), ("e_pos", e_pos), ("e_neg", e_neg)):
-        if arr.shape[0] != n:
-            raise ValueError(f"{name} has {arr.shape[0]} rows, plan covers {n}")
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape[0] != len(plan.pairing):
+        raise ValueError(f"rows has {rows.shape[0]} rows, plan covers {len(plan.pairing)}")
     lam = plan.lams[:, np.newaxis]
-    pi = plan.pairing
-    return (lam * h_batch + (1.0 - lam) * h_batch[pi],
-            lam * e_pos + (1.0 - lam) * e_pos[pi],
-            lam * e_neg + (1.0 - lam) * e_neg[pi])
+    return lam * rows + (1.0 - lam) * rows[plan.pairing]

@@ -142,10 +142,17 @@ class MetricReport:
 
     @classmethod
     def from_fields(cls, d: dict) -> "MetricReport":
-        return cls(ks=[int(k) for k in d["ks"]],
-                   segments=d["segments"],
-                   tcov={int(k): float(v) for k, v in d["tcov"].items()},
-                   phase=d.get("phase", "test"))
+        report = cls(ks=[int(k) for k in d["ks"]],
+                     segments=d["segments"],
+                     tcov={int(k): float(v) for k, v in d["tcov"].items()},
+                     phase=d.get("phase", "test"))
+        keys = {"count", *(f"{m}@{k}" for k in report.ks for m in ("hit", "ndcg"))}
+        for name, row in report.segments.items():
+            if not keys <= set(row):
+                raise ValueError(f"segment {name!r} lacks {sorted(keys - set(row))}")
+        if not set(report.tcov) <= set(report.ks):
+            raise ValueError(f"tcov cutoffs {sorted(report.tcov)} outside ks {report.ks}")
+        return report
 
 
 def _segment_members(results, segmentation: Segmentation):
@@ -230,13 +237,15 @@ def format_table(report: MetricReport) -> str:
 
 
 def mean_report(reports: list[MetricReport]) -> MetricReport:
-    """Average metrics across same-structure reports (multi-seed runs)."""
+    """Average metrics across same-structure, same-phase reports (multi-seed runs)."""
     if not reports:
         raise DataError("no reports to aggregate")
     first = reports[0]
     for other in reports[1:]:
-        if other.ks != first.ks or set(other.segments) != set(first.segments):
-            raise DataError("reports have mismatched structure; cannot average")
+        if (other.ks, other.phase, set(other.segments), set(other.tcov)) != \
+                (first.ks, first.phase, set(first.segments), set(first.tcov)):
+            raise DataError("reports differ in cutoffs, phase, segments or tcov; "
+                            "cannot average")
     segments = {}
     for name, row in first.segments.items():
         out = {"count": row["count"]}

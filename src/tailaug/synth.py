@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import serialize
 from .corpus import Interaction
 from .rand import derive_rng
 
@@ -70,6 +71,6 @@ def generate_interactions(n_users: int = 3500, n_items: int = 1200,
 
 
 def write_csv(path, interactions: list[Interaction], delimiter: str = ",") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in interactions:
-            fh.write(f"{r.user_id}{delimiter}{r.item_id}{delimiter}{r.timestamp}\n")
+    """Write ``user,item,timestamp`` lines atomically."""
+    serialize.write_text(path, "".join(
+        f"{r.user_id}{delimiter}{r.item_id}{delimiter}{r.timestamp}\n" for r in interactions))

@@ -158,109 +158,69 @@ def _epoch_batches(store: SequenceStore, eligible: np.ndarray, train_sets: list[
 
 
 def batch_loss(model: ModelState, batch: Batch, *,
-               samples=None, op_lams=None, plan: CrossPlan | None = None,
-               enable_operator: bool = False, enable_cross: bool = False):
-    """Composite per-batch loss and gradients.
+               samples=None, op_lams=None, plan: CrossPlan | None = None):
+    """Composite per-batch loss and gradients from one encode and one backward.
 
-    The main term always runs.  With the operator term enabled, ``samples``
-    and ``op_lams`` supply each row's augmentation and mixup weight; the
-    augmented representation blends the extended-original encoding with
-    the augmented-sequence encoding.  With the cross term enabled, ``plan``
-    pairs rows of the pool (originals followed by the operator-mixed rows,
-    when present) within preference classes; positives and negatives are
-    mixed with the same pairing and weights.  All randomness is injected,
-    so the function is deterministic and finite-difference checkable.
+    The main term always runs.  The operator term runs when ``samples``
+    and ``op_lams`` are given: each row's augmented representation blends
+    the extended-original encoding with the augmented-sequence encoding.
+    The cross term runs when ``plan`` is given: it pairs rows of the pool
+    (originals followed by the operator-mixed rows, when present) within
+    preference classes and mixes each row's representation, positive and
+    negative with one weight.  All randomness is injected, so the function
+    is deterministic and finite-difference checkable.
 
     Returns (components, grads) where components has per-term means.
     """
     n = len(batch)
-    h, cache = encode_batch(model, batch.prefixes)
-    e_pos = lookup(model, batch.targets)
-    e_neg = lookup(model, batch.negatives)
-
-    losses, dh_row, dpos_row, dneg_row = bce_loss_batch(h, e_pos, e_neg)
-    loss_main = float(np.mean(losses))
-    dh = dh_row / n
-    dpos = dpos_row / n
-    dneg = dneg_row / n
-
-    components = {"main": loss_main, "operator": 0.0, "cross": 0.0}
-    h_ao = None
-    dh_ext = dh_pr = None
-    ext_cache = pr_cache = None
-    lam_op = None
-
-    if enable_operator:
-        if samples is None or op_lams is None:
-            raise ValueError("operator term enabled but samples/op_lams missing")
-        h_ext, ext_cache = encode_batch(model, [s.s_ext for s in samples])
-        h_pr, pr_cache = encode_batch(model, [s.s_prime for s in samples])
+    seqs = list(batch.prefixes)
+    if samples is not None:
+        seqs += [s.s_ext for s in samples] + [s.s_prime for s in samples]
+    h_all, cache = encode_batch(model, seqs)
+    pool = h_all[:n]
+    if samples is not None:
         lam_op = np.asarray(op_lams, dtype=np.float64)[:, np.newaxis]
-        h_ao = lam_op * h_ext + (1.0 - lam_op) * h_pr
-        op_losses, dh_ao, dpos_row, dneg_row = bce_loss_batch(h_ao, e_pos, e_neg)
-        components["operator"] = float(np.mean(op_losses))
-        dh_ao = dh_ao / n
-        dh_ext = lam_op * dh_ao
-        dh_pr = (1.0 - lam_op) * dh_ao
-        dpos += dpos_row / n
-        dneg += dneg_row / n
+        h_ao = lam_op * h_all[n:2 * n] + (1.0 - lam_op) * h_all[2 * n:]
+        pool = np.concatenate([pool, h_ao])
+    # one row per pool entry: [h | e_pos | e_neg], operator rows share the original's items
+    copies = len(pool) // n
+    targets = np.tile(batch.targets, copies)
+    negatives = np.tile(batch.negatives, copies)
+    rows = np.hstack([pool, lookup(model, targets), lookup(model, negatives)])
 
-    if enable_cross:
-        if plan is None:
-            raise ValueError("cross term enabled but plan missing")
-        if h_ao is not None:
-            h_pool = np.concatenate([h, h_ao], axis=0)
-            pos_pool = np.concatenate([e_pos, e_pos], axis=0)
-            neg_pool = np.concatenate([e_neg, e_neg], axis=0)
-        else:
-            h_pool, pos_pool, neg_pool = h, e_pos, e_neg
-        p = h_pool.shape[0]
-        if len(plan.pairing) != p:
-            raise ValueError(f"cross plan covers {len(plan.pairing)} rows, pool has {p}")
-        h_ac, pos_ac, neg_ac = apply_cross_mixup(plan, h_pool, pos_pool, neg_pool)
-        cr_losses, dh_ac, dpos_ac, dneg_ac = bce_loss_batch(h_ac, pos_ac, neg_ac)
+    losses, *d_rows = bce_loss_batch(*np.split(rows, 3, axis=1))
+    d_rows = np.hstack(d_rows) / n
+    components = {"main": float(np.mean(losses[:n])),
+                  "operator": float(np.mean(losses[n:])) if copies > 1 else 0.0,
+                  "cross": 0.0}
+    if plan is not None:
+        mixed = apply_cross_mixup(plan, rows)
+        cr_losses, *d_mixed = bce_loss_batch(*np.split(mixed, 3, axis=1))
         components["cross"] = float(np.mean(cr_losses))
+        d_mixed = np.hstack(d_mixed) / len(rows)
         lam = plan.lams[:, np.newaxis]
-        pi = plan.pairing
-        dh_pool = lam * (dh_ac / p)
-        np.add.at(dh_pool, pi, (1.0 - lam) * (dh_ac / p))
-        dpos_pool = lam * (dpos_ac / p)
-        np.add.at(dpos_pool, pi, (1.0 - lam) * (dpos_ac / p))
-        dneg_pool = lam * (dneg_ac / p)
-        np.add.at(dneg_pool, pi, (1.0 - lam) * (dneg_ac / p))
-        dh += dh_pool[:n]
-        dpos += dpos_pool[:n]
-        dneg += dneg_pool[:n]
-        if h_ao is not None:
-            dh_ao_cross = dh_pool[n:]
-            dh_ext += lam_op * dh_ao_cross
-            dh_pr += (1.0 - lam_op) * dh_ao_cross
-            dpos += dpos_pool[n:]
-            dneg += dneg_pool[n:]
-
+        d_rows += lam * d_mixed
+        np.add.at(d_rows, plan.pairing, (1.0 - lam) * d_mixed)
     components["total"] = components["main"] + components["operator"] + components["cross"]
 
+    dh, dpos, dneg = np.split(d_rows, 3, axis=1)
+    if samples is not None:  # the blend's gradient splits between its two encodings
+        dh = np.concatenate([dh[:n], lam_op * dh[n:], (1.0 - lam_op) * dh[n:]])
     grads = backward_batch(model, cache, dh)
-    if enable_operator:
-        for extra in (backward_batch(model, ext_cache, dh_ext),
-                      backward_batch(model, pr_cache, dh_pr)):
-            for name, g in extra.items():
-                grads[name] += g
-    np.add.at(grads["item_embeddings"], batch.targets, dpos)
-    np.add.at(grads["item_embeddings"], batch.negatives, dneg)
+    np.add.at(grads["item_embeddings"], targets, dpos)
+    np.add.at(grads["item_embeddings"], negatives, dneg)
     grads["item_embeddings"][0] = 0.0
     return components, grads
 
 
 def _draw_stage2_randomness(batch: Batch, store, segmentation, candidates,
-                            op_config: OperatorConfig, seed: int, epoch: int,
-                            step: int, classes_by_user, *, enable_operator,
-                            enable_cross, trace=None):
+                            op_config: OperatorConfig, config: TrainConfig, epoch: int,
+                            step: int, classes_by_user, trace=None):
     samples = op_lams = plan = None
-    if enable_operator:
+    if config.enable_operator_loss:
         samples, op_lams = [], []
         for u, prefix in zip(batch.users, batch.prefixes):
-            rng = derive_rng(seed, AUGMENT, epoch, int(u))
+            rng = derive_rng(config.seed, AUGMENT, epoch, int(u))
             sample = augment_sequence(prefix, segmentation, candidates, op_config,
                                       store.max_len, rng)
             lam = float(rng.beta(op_config.alpha, op_config.alpha))
@@ -268,11 +228,11 @@ def _draw_stage2_randomness(batch: Batch, store, segmentation, candidates,
             op_lams.append(lam)
             if trace is not None:
                 trace.write(sample.trace_line(user=int(u), mix_weight=lam) + "\n")
-    if enable_cross:
+    if config.enable_cross_loss:
         classes = [classes_by_user[int(u)] for u in batch.users]
-        if enable_operator:
+        if config.enable_operator_loss:
             classes = classes + classes  # operator rows inherit the original's class
-        rng = derive_rng(seed, CROSS, epoch, step)
+        rng = derive_rng(config.seed, CROSS, epoch, step)
         plan = plan_cross_batch(classes, op_config.alpha, rng)
     return samples, op_lams, plan
 
@@ -282,19 +242,18 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig, *,
                 segmentation: Segmentation | None = None,
                 candidates: CandidateSets | None = None,
                 op_config: OperatorConfig | None = None,
-                enable_operator: bool = False, enable_cross: bool = False,
                 adam: AdamState | None = None, validator=None, trace=None):
+    """Train ``epochs`` epochs; stage 2 (augmentation) iff ``op_config`` is given."""
     store._require_split()
-    if (enable_operator or enable_cross) and (segmentation is None or candidates is None
-                                              or op_config is None):
-        raise ValueError("augmentation losses need segmentation, candidates, op_config")
+    if op_config is not None and (segmentation is None or candidates is None):
+        raise ValueError("augmentation losses need segmentation and candidates")
     eligible = np.asarray([u for u in range(store.n_users)
                            if len(store.train_prefix(u)) >= 2], dtype=np.int64)
     if len(eligible) == 0:
         raise DataError("no user has a training prefix of length >= 2")
     train_sets = [set(store.train_prefix(u).tolist()) for u in range(store.n_users)]
     classes_by_user = {}
-    if enable_cross:
+    if op_config is not None and config.enable_cross_loss:
         classes_by_user = {u: classify_sequence(store.train_prefix(u), segmentation)
                            for u in range(store.n_users)
                            if len(store.train_prefix(u)) >= 1}
@@ -308,13 +267,13 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig, *,
         count = 0
         for step, batch in enumerate(_epoch_batches(store, eligible, train_sets,
                                                     config.seed, e, config.batch_size)):
-            samples, op_lams, plan = _draw_stage2_randomness(
-                batch, store, segmentation, candidates, op_config, config.seed, e,
-                step, classes_by_user, enable_operator=enable_operator,
-                enable_cross=enable_cross, trace=trace)
-            components, grads = batch_loss(
-                model, batch, samples=samples, op_lams=op_lams, plan=plan,
-                enable_operator=enable_operator, enable_cross=enable_cross)
+            samples = op_lams = plan = None
+            if op_config is not None:
+                samples, op_lams, plan = _draw_stage2_randomness(
+                    batch, store, segmentation, candidates, op_config, config, e,
+                    step, classes_by_user, trace=trace)
+            components, grads = batch_loss(model, batch, samples=samples,
+                                           op_lams=op_lams, plan=plan)
             if not np.isfinite(components["total"]):
                 raise NumericError(
                     f"training diverged: non-finite loss at epoch {e}, step {step} "
@@ -365,8 +324,6 @@ def train_stage2(store: SequenceStore, model: ModelState,
         epochs=config.stage2_epochs if epochs is None else epochs,
         epoch_offset=config.stage1_epochs if epoch_offset is None else epoch_offset,
         segmentation=segmentation, candidates=candidates, op_config=op_config,
-        enable_operator=config.enable_operator_loss,
-        enable_cross=config.enable_cross_loss,
         adam=adam, validator=validator, trace=trace)
 
 

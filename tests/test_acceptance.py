@@ -161,11 +161,11 @@ def _stage2_case(small_corpus, seed):
 
     def loss_fn():
         comp, _ = batch_loss(model, batch, samples=samples, op_lams=lams,
-                             plan=plan, enable_operator=True, enable_cross=True)
+                             plan=plan)
         return comp["total"]
 
     _, grads = batch_loss(model, batch, samples=samples, op_lams=lams,
-                          plan=plan, enable_operator=True, enable_cross=True)
+                          plan=plan)
     return model, (loss_fn, grads), np.random.default_rng(seed + 7)
 
 
@@ -316,8 +316,7 @@ def test_criterion_6_degenerate_mixing(small_corpus):
         classes = [classify_sequence(store.train_prefix(u), seg) for u in users]
         plan = CrossPlan.identity(classes + classes, lam=1.0)
         comp2, _ = batch_loss(model, batch, samples=samples,
-                              op_lams=[1.0] * len(users), plan=plan,
-                              enable_operator=True, enable_cross=True)
+                              op_lams=[1.0] * len(users), plan=plan)
         comp1, _ = batch_loss(model, batch)
         assert abs(comp2["total"] - 3.0 * comp1["main"]) <= 1e-6
 

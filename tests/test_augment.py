@@ -3,8 +3,8 @@ import pytest
 
 from tailaug.augment import (INSERT, SUBSTITUTE, CrossPlan, OperatorConfig,
                              apply_cross_mixup, augment_sequence,
-                             mix_representations, plan_cross_batch, sample_rate,
-                             select_operator, t_insert, t_substitute)
+                             plan_cross_batch, sample_rate, select_operator,
+                             t_insert, t_substitute)
 from tailaug.corpus import PreferenceClass
 from tailaug.rand import derive_rng
 
@@ -208,33 +208,6 @@ def _is_subsequence(needle, haystack):
     return all(any(x == y for y in it) for x in needle)
 
 
-class TestMixRepresentations:
-    def test_endpoints(self):
-        h1, h2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        mixed, lam = mix_representations(h1, h2, 0.3, ForcedRng(beta=1.0))
-        assert lam == 1.0 and mixed.tolist() == [1.0, 0.0]
-        mixed, lam = mix_representations(h1, h2, 0.3, ForcedRng(beta=0.0))
-        assert lam == 0.0 and mixed.tolist() == [0.0, 1.0]
-
-    def test_hand_arithmetic(self):
-        mixed, lam = mix_representations(
-            np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.3, ForcedRng(beta=0.3))
-        np.testing.assert_allclose(mixed, [0.3, 0.7])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mix_representations(np.zeros(3), np.zeros(4), 0.3, derive_rng(0, 0))
-
-    def test_affine_between_inputs(self):
-        rng = derive_rng(11, 0)
-        for _ in range(30):
-            h1, h2 = rng.normal(size=5), rng.normal(size=5)
-            mixed, lam = mix_representations(h1, h2, 0.4, rng)
-            assert 0.0 <= lam <= 1.0
-            lo, hi = np.minimum(h1, h2), np.maximum(h1, h2)
-            assert np.all(mixed >= lo - 1e-12) and np.all(mixed <= hi + 1e-12)
-
-
 class TestCrossPlan:
     def test_grouping_never_crosses_classes(self):
         classes = [T, T, H, H]
@@ -273,12 +246,17 @@ class TestCrossPlan:
             plan_cross_batch([], 0.3, derive_rng(0, 0))
 
 
+def _cross_mixup(plan, h, ep, en):
+    """Mix stacked [h | e_pos | e_neg] rows and split them back."""
+    return np.split(apply_cross_mixup(plan, np.hstack([h, ep, en])), 3, axis=1)
+
+
 class TestApplyCrossMixup:
     def test_identity_plan_is_noop(self):
         rng = derive_rng(17, 0)
         h, ep, en = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         plan = CrossPlan.identity([H, T, H, T], lam=1.0)
-        out = apply_cross_mixup(plan, h, ep, en)
+        out = _cross_mixup(plan, h, ep, en)
         for got, want in zip(out, (h, ep, en)):
             np.testing.assert_array_equal(got, want)
 
@@ -287,7 +265,7 @@ class TestApplyCrossMixup:
         h, ep, en = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         plan = CrossPlan(pairing=np.array([1, 0, 3, 2]), lams=np.ones(4),
                          classes=[H, H, T, T])
-        out = apply_cross_mixup(plan, h, ep, en)
+        out = _cross_mixup(plan, h, ep, en)
         for got, want in zip(out, (h, ep, en)):
             np.testing.assert_array_equal(got, want)
 
@@ -295,14 +273,14 @@ class TestApplyCrossMixup:
         h = np.array([[2.0, 0.0], [0.0, 4.0]])
         plan = CrossPlan(pairing=np.array([1, 0]), lams=np.array([0.5, 0.5]),
                          classes=[T, T])
-        mixed, _, _ = apply_cross_mixup(plan, h, h, h)
+        mixed, _, _ = _cross_mixup(plan, h, h, h)
         np.testing.assert_allclose(mixed, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_matches_rowwise_formula(self):
         rng = derive_rng(19, 0)
         h, ep, en = rng.normal(size=(4, 5)), rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
         plan = plan_cross_batch([H, T, H, T], 0.3, rng)
-        h_ac, ep_ac, en_ac = apply_cross_mixup(plan, h, ep, en)
+        h_ac, ep_ac, en_ac = _cross_mixup(plan, h, ep, en)
         for i in range(4):
             lam, j = plan.lams[i], plan.pairing[i]
             np.testing.assert_allclose(h_ac[i], lam * h[i] + (1 - lam) * h[j])
@@ -312,7 +290,7 @@ class TestApplyCrossMixup:
     def test_shape_mismatch(self):
         plan = CrossPlan.identity([H, T])
         with pytest.raises(ValueError):
-            apply_cross_mixup(plan, np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+            apply_cross_mixup(plan, np.zeros((3, 6)))
 
 
 class TestDeterminism:

@@ -206,6 +206,18 @@ class TestReportCommand:
         for mean in (out_path, tmp_path / "report_augmented_mean_test.json"):
             assert main(["report", str(mean)]) == 0
 
+    def test_refuses_to_average_phases(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        assert main(["evaluate", "--out-dir", str(out), "--seed", "1",
+                     "--phase", "valid"]) == 0
+        valid = out / REPORT.replace("_test", "_valid")
+        capsys.readouterr()
+        assert main(["report", str(out / REPORT), str(valid),
+                     "--out", str(out / "m.json")]) == 3
+        assert "phase" in capsys.readouterr().err
+        assert not (out / "m.json").exists()
+
 
 class TestConfigFile:
     def test_key_value_file(self, tmp_path):
@@ -363,6 +375,26 @@ class TestFaultInjection:
         for name in ("candidates.json", CHECKPOINT):
             assert main(_command(name, out) + ["--force"]) == 3
             assert "items" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, order", [
+        (lambda doc: doc["segments"]["overall"].pop("ndcg@10"), "alone"),
+        (lambda doc: doc["segments"]["tail_item"].pop("count"), "alone"),
+        (lambda doc: doc["tcov"].update({"7": 0.5}), "alone"),
+        (lambda doc: doc["tcov"].pop("10"), "first"),
+        (lambda doc: doc["tcov"].pop("10"), "second"),
+    ], ids=["no-ndcg@10", "no-count", "tcov-outside-ks", "no-tcov@10-first",
+            "no-tcov@10-second"])
+    def test_malformed_report_is_data_error(self, edit, order, pipeline_dir, tmp_path,
+                                            capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        shutil.copy(pipeline_dir / REPORT, good)
+        shutil.copy(pipeline_dir / REPORT, bad)
+        _edit_envelope(bad, edit)
+        inputs = {"alone": [bad], "first": [bad, good], "second": [good, bad]}[order]
+        capsys.readouterr()
+        assert main(["report", *map(str, inputs)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
 
     def test_nan_embedding_is_refused_not_scored(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"

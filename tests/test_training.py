@@ -1,15 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from tailaug.augment import CrossPlan, OperatorConfig, t_substitute
+from tailaug import training
+from tailaug.augment import (CrossPlan, OperatorConfig, augment_sequence,
+                             plan_cross_batch, t_substitute)
 from tailaug.corpus import classify_sequence
-from tailaug.encoders import init_model
+from tailaug.encoders import encode_batch, init_model, lookup
 from tailaug.errors import DataError, NumericError
-from tailaug.rand import derive_rng
+from tailaug.rand import AUGMENT, CROSS, derive_rng
 from tailaug.training import (Batch, TrainConfig, adam_step,
                               batch_loss, bce_loss_batch, init_adam,
                               load_checkpoint, sample_negative, save_checkpoint,
                               train_stage1, train_stage2)
+
+from conftest import users_with_train_len
 
 
 class TestBCE:
@@ -177,8 +183,7 @@ class TestStage2:
         classes = [classify_sequence(store.train_prefix(u), seg) for u in users]
         plan = CrossPlan.identity(classes + classes, lam=1.0)
         comp2, _ = batch_loss(model, batch, samples=samples,
-                              op_lams=[1.0] * len(users), plan=plan,
-                              enable_operator=True, enable_cross=True)
+                              op_lams=[1.0] * len(users), plan=plan)
         comp1, _ = batch_loss(model, batch)
         assert comp2["total"] == pytest.approx(3 * comp1["main"], abs=1e-6)
 
@@ -200,53 +205,35 @@ class TestStage2:
         assert [h["loss_main"] for h in h1 + h2] == [h["loss_main"] for h in hb]
 
     def test_composite_gradient_finite_differences(self, small_corpus):
-        from tailaug.augment import augment_sequence, plan_cross_batch
-        from tailaug.rand import AUGMENT, CROSS
-
-        from conftest import users_with_train_len
-        store, seg, cands, model = _toy_setup(small_corpus, encoder="gru", dim=6)
-        op_cfg = OperatorConfig()
-        users = users_with_train_len(store, 2, 6)
-        prefixes = [store.train_prefix(u)[:-1] for u in users]
-        targets = np.array([int(store.train_prefix(u)[-1]) for u in users])
-        negs = np.array([(int(t) % store.n_items) + 1 for t in targets])
-        batch = Batch(users=np.array(users), prefixes=prefixes, targets=targets,
-                      negatives=negs)
-        samples, lams = [], []
-        for u, p in zip(users, prefixes):
-            rng = derive_rng(0, AUGMENT, 0, u)
-            samples.append(augment_sequence(p, seg, cands, op_cfg, store.max_len, rng))
-            lams.append(float(rng.beta(0.3, 0.3)))
-        classes = [classify_sequence(store.train_prefix(u), seg) for u in users]
+        model, batch, samples, lams, classes = _stage2_inputs(small_corpus)
         plan = plan_cross_batch(classes + classes, 0.3, derive_rng(0, CROSS, 0, 0))
+        _fd_check(model, lambda: batch_loss(model, batch, samples=samples,
+                                            op_lams=lams, plan=plan))
 
-        def total():
-            comp, _ = batch_loss(model, batch, samples=samples, op_lams=lams,
-                                 plan=plan, enable_operator=True, enable_cross=True)
-            return comp["total"]
+    @pytest.mark.parametrize("term", ["operator", "cross"])
+    def test_single_term_gradient_finite_differences(self, small_corpus, term):
+        model, batch, samples, lams, classes = _stage2_inputs(small_corpus)
+        if term == "operator":
+            kwargs, other = {"samples": samples, "op_lams": lams}, "cross"
+        else:
+            plan = plan_cross_batch(classes, 0.3, derive_rng(0, CROSS, 0, 0))
+            kwargs, other = {"plan": plan}, "operator"
+        comp, _ = batch_loss(model, batch, **kwargs)
+        assert comp[term] > 0 and comp[other] == 0
+        _fd_check(model, lambda: batch_loss(model, batch, **kwargs))
 
-        _, grads = batch_loss(model, batch, samples=samples, op_lams=lams,
-                              plan=plan, enable_operator=True, enable_cross=True)
-        rng = np.random.default_rng(5)
-        names = list(model.params)
-        checked = 0
-        while checked < 20:
-            name = names[rng.integers(len(names))]
-            arr = model.params[name]
-            idx = tuple(rng.integers(s) for s in arr.shape)
-            if name == "item_embeddings" and idx[0] == 0:
-                continue
-            eps = 1e-6
-            old = arr[idx]
-            arr[idx] = old + eps
-            f1 = total()
-            arr[idx] = old - eps
-            f2 = total()
-            arr[idx] = old
-            num = (f1 - f2) / (2 * eps)
-            ana = grads[name][idx]
-            assert abs(num - ana) <= 1e-4 * max(abs(num), abs(ana), 1e-7)
-            checked += 1
+    def test_one_encode_and_one_backward_per_step(self, small_corpus, monkeypatch):
+        model, batch, samples, lams, classes = _stage2_inputs(small_corpus)
+        plan = plan_cross_batch(classes + classes, 0.3, derive_rng(0, CROSS, 0, 0))
+        calls = {"encode_batch": 0, "backward_batch": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(training, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(training, name, counted)
+        comp, _ = batch_loss(model, batch, samples=samples, op_lams=lams, plan=plan)
+        assert comp["operator"] > 0 and comp["cross"] > 0
+        assert calls == {"encode_batch": 1, "backward_batch": 1}
 
     def test_stage2_trains_and_records_components(self, small_corpus):
         store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
@@ -275,6 +262,106 @@ class TestStage2:
         assert len(lines) > 0
         rec = json.loads(lines[0])
         assert {"operator", "indices", "rate", "chosen", "mix_weight"} <= set(rec)
+
+
+def _stage2_inputs(small_corpus):
+    """A GRU model, a batch, its augmented samples, mixup weights and classes."""
+    store, seg, cands, model = _toy_setup(small_corpus, encoder="gru", dim=6)
+    op_cfg = OperatorConfig()
+    users = users_with_train_len(store, 2, 6)
+    prefixes = [store.train_prefix(u)[:-1] for u in users]
+    targets = np.array([int(store.train_prefix(u)[-1]) for u in users])
+    negs = np.array([(int(t) % store.n_items) + 1 for t in targets])
+    batch = Batch(users=np.array(users), prefixes=prefixes, targets=targets,
+                  negatives=negs)
+    samples, lams = [], []
+    for u, p in zip(users, prefixes):
+        rng = derive_rng(0, AUGMENT, 0, u)
+        samples.append(augment_sequence(p, seg, cands, op_cfg, store.max_len, rng))
+        lams.append(float(rng.beta(0.3, 0.3)))
+    classes = [classify_sequence(store.train_prefix(u), seg) for u in users]
+    return model, batch, samples, lams, classes
+
+
+def _fd_check(model, loss):
+    """20 random parameters: central differences of the total vs the analytic grads."""
+    _, grads = loss()
+    rng = np.random.default_rng(5)
+    names = list(model.params)
+    checked = 0
+    while checked < 20:
+        name = names[rng.integers(len(names))]
+        arr = model.params[name]
+        idx = tuple(rng.integers(s) for s in arr.shape)
+        if name == "item_embeddings" and idx[0] == 0:
+            continue
+        eps = 1e-6
+        old = arr[idx]
+        arr[idx] = old + eps
+        f1 = loss()[0]["total"]
+        arr[idx] = old - eps
+        f2 = loss()[0]["total"]
+        arr[idx] = old
+        num = (f1 - f2) / (2 * eps)
+        ana = grads[name][idx]
+        assert abs(num - ana) <= 1e-4 * max(abs(num), abs(ana), 1e-7)
+        checked += 1
+
+
+class TestOperatorMixup:
+    """The operator term scores lam * h_ext + (1 - lam) * h_prime per row."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_operator_loss_is_bce_of_the_blend(self, small_corpus, lam):
+        model, batch, samples, _, _ = _stage2_inputs(small_corpus)
+        comp, _ = batch_loss(model, batch, samples=samples, op_lams=[lam] * len(samples))
+        h_ext, _ = encode_batch(model, [s.s_ext for s in samples])
+        h_pr, _ = encode_batch(model, [s.s_prime for s in samples])
+        losses, *_ = bce_loss_batch(lam * h_ext + (1 - lam) * h_pr,
+                                    lookup(model, batch.targets),
+                                    lookup(model, batch.negatives))
+        assert comp["operator"] == pytest.approx(np.mean(losses), rel=1e-12)
+
+    @staticmethod
+    def _blend(monkeypatch, h_ext, h_pr, lams):
+        """The operator term's input for fixed extended/augmented encodings."""
+        n, dim = h_ext.shape
+        model = init_model(3, dim, seed=0, encoder="pooled")
+        batch = Batch(users=np.arange(n), prefixes=[np.array([1])] * n,
+                      targets=np.full(n, 2), negatives=np.full(n, 3))
+        h_all = np.vstack([np.zeros((n, dim)), h_ext, h_pr])
+        monkeypatch.setattr(training, "encode_batch", lambda model, seqs: (h_all, None))
+        monkeypatch.setattr(training, "backward_batch", lambda model, cache, dh: {
+            "item_embeddings": np.zeros_like(model.embeddings)})
+        seen = []
+
+        def record(h, e_pos, e_neg):
+            seen.append(np.array(h))
+            return bce_loss_batch(h, e_pos, e_neg)
+
+        monkeypatch.setattr(training, "bce_loss_batch", record)
+        sample = SimpleNamespace(s_ext=np.array([1]), s_prime=np.array([1]))
+        batch_loss(model, batch, samples=[sample] * n, op_lams=lams)
+        return seen[0][n:]  # the operator rows follow the originals
+
+    def test_endpoints(self, monkeypatch):
+        h1, h2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+        assert self._blend(monkeypatch, h1, h2, [1.0]).tolist() == [[1.0, 0.0]]
+        assert self._blend(monkeypatch, h1, h2, [0.0]).tolist() == [[0.0, 1.0]]
+
+    def test_hand_arithmetic(self, monkeypatch):
+        mixed = self._blend(monkeypatch, np.array([[1.0, 0.0]]),
+                            np.array([[0.0, 1.0]]), [0.3])
+        np.testing.assert_allclose(mixed, [[0.3, 0.7]])
+
+    def test_affine_between_inputs(self, monkeypatch):
+        rng = derive_rng(11, 0)
+        h1, h2 = rng.normal(size=(30, 5)), rng.normal(size=(30, 5))
+        lams = rng.beta(0.4, 0.4, size=30)
+        mixed = self._blend(monkeypatch, h1, h2, lams)
+        assert np.all((0.0 <= lams) & (lams <= 1.0))
+        lo, hi = np.minimum(h1, h2), np.maximum(h1, h2)
+        assert np.all(mixed >= lo - 1e-12) and np.all(mixed <= hi + 1e-12)
 
 
 class TestEarlyStopping:
