@@ -20,8 +20,8 @@ from .evaluation import (MetricReport, RankingResult, evaluate_model,
                          format_table, hit_at_k, mean_report,
                          ndcg_at_k, rank_users, segmented_report,
                          validation_score)
-from .simcand import (BinaryInteractionMatrix, CandidateSets, SimilarityMatrix,
-                      SolverConfig, build_candidates, build_cooccurrence,
+from .simcand import (CandidateSets, SimilarityMatrix, SolverConfig,
+                      build_candidates, build_cooccurrence,
                       build_interaction_matrix, solve_similarity,
                       top_k_correlation, union_candidates)
 from .training import (AdamState, TrainConfig, adam_step, batch_loss,

@@ -3,7 +3,8 @@
 Each subcommand persists versioned artifacts into an output directory and
 embeds a lineage id (config hash chained through parents); downstream
 subcommands refuse inputs from a different lineage, or with none, unless
-``--force`` is given.  Flags override config-file keys.  Exit codes: 0 ok,
+``--force`` is given.  Each pipeline command has one flag per key of its
+config sections; flags override config-file keys.  Exit codes: 0 ok,
 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -19,20 +20,12 @@ import numpy as np
 
 from . import corpus, evaluation, serialize, simcand, synth, training
 from .augment import OperatorConfig
-from .config import config_hash, lineage_id, load_config
+from .config import DEFAULTS, config_hash, lineage_id, load_config, section_keys
 from .encoders import init_model
 from .errors import ConfigError, DataError, NumericError, TailaugError
 from .rand import SUBSAMPLE, derive_rng
 
-CORPUS_KEYS = ["corpus.k_core", "corpus.max_len", "corpus.delimiter",
-               "corpus.header", "corpus.beta", "corpus.sample_users", "seed"]
-CANDIDATE_KEYS = ["simcand.ridge_penalty", "simcand.diag_cap", "simcand.k",
-                  "simcand.read"]
-TRAIN_KEYS = ["model.dim", "model.encoder", "train.batch_size",
-              "train.stage1_epochs", "train.stage2_epochs", "train.learning_rate",
-              "train.beta1", "train.beta2", "train.eps", "train.operator_loss",
-              "train.cross_loss", "train.patience", "augment.a", "augment.b",
-              "augment.alpha"]
+WARN_ITEMS = 20_000  # the dense similarity solve is O(n^2) memory in items
 
 
 def _file_sha(path) -> str:
@@ -93,7 +86,7 @@ def cmd_prepare(args) -> int:
     seg = corpus.segment(store, beta=cfg["corpus.beta"])
     stats = corpus.dataset_stats(store)
 
-    prep_id = lineage_id("prepare", config_hash(cfg, CORPUS_KEYS),
+    prep_id = lineage_id("prepare", config_hash(cfg, ["seed", *section_keys("prepare")]),
                          {"input": _file_sha(args.input)})
     lineage = {"id": prep_id}
     serialize.save(_artifact(out_dir, "store.json"), corpus.STORE_SCHEMA,
@@ -133,18 +126,17 @@ def cmd_candidates(args) -> int:
     out_dir = Path(args.out_dir)
     store, seg, store_id = _load_prepared(out_dir)
 
-    if store.n_items > cfg["simcand.warn_items"]:
-        print(f"warning: {store.n_items} items exceed simcand.warn_items="
-              f"{cfg['simcand.warn_items']}; the dense solve needs "
-              f"~{40 * store.n_items ** 2 / 1e9:.1f} GB (five n x n float64 "
-              "arrays at its peak). Consider preparing with "
-              "corpus.sample_users at desk scale.", file=sys.stderr)
+    if store.n_items > WARN_ITEMS:
+        print(f"warning: {store.n_items} items exceed {WARN_ITEMS}; the dense solve "
+              f"needs ~{40 * store.n_items ** 2 / 1e9:.1f} GB (five n x n float64 arrays "
+              "at its peak). Consider preparing with corpus.sample_users at desk scale.",
+              file=sys.stderr)
 
     solver_cfg = simcand.SolverConfig(ridge_penalty=cfg["simcand.ridge_penalty"],
                                       diag_cap=cfg["simcand.diag_cap"])
     cands, sim = simcand.build_candidates(store, seg, solver_cfg,
                                           cfg["simcand.k"], read=cfg["simcand.read"])
-    cand_id = lineage_id("candidates", config_hash(cfg, CANDIDATE_KEYS),
+    cand_id = lineage_id("candidates", config_hash(cfg, section_keys("candidates")),
                          {"prepare": store_id or ""})
     serialize.save(_artifact(out_dir, "candidates.json"), simcand.CANDIDATES_SCHEMA,
                    cands.to_fields(), {"id": cand_id, "prepare": store_id})
@@ -165,7 +157,6 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
         stage1_epochs=cfg["train.stage1_epochs"],
         stage2_epochs=cfg["train.stage2_epochs"],
         learning_rate=cfg["train.learning_rate"],
-        beta1=cfg["train.beta1"], beta2=cfg["train.beta2"], eps=cfg["train.eps"],
         seed=seed,
         enable_operator_loss=cfg["train.operator_loss"],
         enable_cross_loss=cfg["train.cross_loss"],
@@ -198,7 +189,7 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
         history = history + h2
 
     ckpt_path = _artifact(out_dir, f"checkpoint_{mode}_seed{seed}.bin")
-    config_meta = {k: cfg[k] for k in TRAIN_KEYS}
+    config_meta = {k: cfg[k] for k in section_keys("train")}
     config_meta.update({"mode": mode, "seed": seed})
     training.save_checkpoint(
         ckpt_path, model, adam, epoch=history[-1]["epoch"] if history else 0,
@@ -315,42 +306,8 @@ def cmd_synth(args) -> int:
 
 # ------------------------------------------------------------------- main
 
-_FLAG_TO_KEY = {
-    "seed": "seed",
-    "k_core": "corpus.k_core",
-    "max_len": "corpus.max_len",
-    "delimiter": "corpus.delimiter",
-    "header": "corpus.header",
-    "beta": "corpus.beta",
-    "sample_users": "corpus.sample_users",
-    "ridge_penalty": "simcand.ridge_penalty",
-    "diag_cap": "simcand.diag_cap",
-    "k": "simcand.k",
-    "read": "simcand.read",
-    "a": "augment.a",
-    "b": "augment.b",
-    "alpha": "augment.alpha",
-    "dim": "model.dim",
-    "encoder": "model.encoder",
-    "batch_size": "train.batch_size",
-    "stage1_epochs": "train.stage1_epochs",
-    "stage2_epochs": "train.stage2_epochs",
-    "learning_rate": "train.learning_rate",
-    "patience": "train.patience",
-    "operator_loss": "train.operator_loss",
-    "cross_loss": "train.cross_loss",
-    "ks": "eval.ks",
-    "filter_seen": "eval.filter_seen",
-}
-
-
 def _overrides(args) -> dict:
-    out = {}
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[key] = value
-    return out
+    return {k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None}
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -363,12 +320,24 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _add_common(p):
+def _add_common(p, command):
+    """Shared flags, then one flag per key of ``command``'s sections.
+
+    The values stay strings; ``load_config`` coerces them to the keys' types.
+    """
     p.add_argument("--config", help="config file (JSON or key=value lines)")
     p.add_argument("--out-dir", default="artifacts", help="artifact directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", action="store_true",
                    help="proceed despite missing or mismatched artifact lineage")
+    for key in section_keys(command):
+        flag = "--" + key.rpartition(".")[2].replace("_", "-")
+        if isinstance(DEFAULTS[key], bool):
+            p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
+                           help=f"{key} (default {DEFAULTS[key]})")
+        else:
+            p.add_argument(flag, dest=key, metavar=key,
+                           help=f"default {DEFAULTS[key]}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,55 +347,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="ingest, filter, split, segment")
-    _add_common(p)
+    _add_common(p, "prepare")
     p.add_argument("--input", required=True, help="interaction file (user,item,timestamp)")
-    p.add_argument("--k-core", dest="k_core", type=int, default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--delimiter", default=None)
-    p.add_argument("--header", action="store_const", const=True, default=None,
-                   help="skip a header row")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--sample-users", dest="sample_users", type=int, default=None,
-                   help="sub-sample this many users (then re-apply k-core)")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("candidates", help="solve similarity and build candidate sets")
-    _add_common(p)
-    p.add_argument("--ridge-penalty", dest="ridge_penalty", type=float, default=None)
-    p.add_argument("--diag-cap", dest="diag_cap", type=float, default=None)
-    p.add_argument("--k", type=int, default=None, help="top-K correlation candidates")
-    p.add_argument("--read", choices=["column", "row"], default=None)
+    _add_common(p, "candidates")
     p.set_defaults(func=cmd_candidates)
 
     p = sub.add_parser("train", help="train a model (baseline or augmented)")
-    _add_common(p)
+    _add_common(p, "train")
     p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented")
     p.add_argument("--seeds", default=None, help="comma-separated seed sweep")
-    p.add_argument("--encoder", choices=["gru", "pooled"], default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--stage1-epochs", dest="stage1_epochs", type=int, default=None)
-    p.add_argument("--stage2-epochs", dest="stage2_epochs", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--patience", type=int, default=None,
-                   help="early-stopping patience; negative disables")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--trace", default=None,
                    help="write one JSON line per augmented sample to this file")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="rank held-out targets and report metrics")
-    _add_common(p)
+    _add_common(p, "evaluate")
     p.add_argument("--checkpoint", nargs="*", default=None,
                    help="explicit checkpoint path(s); default derives from mode/seeds")
     p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented")
     p.add_argument("--seeds", default=None, help="comma-separated seed sweep")
     p.add_argument("--phase", choices=["valid", "test"], default="test")
-    p.add_argument("--ks", default=None, help="comma-separated metric cutoffs")
-    p.add_argument("--filter-seen", dest="filter_seen", action="store_const",
-                   const=True, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="aggregate one or more report files")

@@ -2,9 +2,9 @@
 
 Config files are either JSON (flat or nested by section) or plain
 ``key=value`` lines; keys are dot-namespaced (``corpus.k_core``).  CLI
-flags override file keys.  Every pipeline artifact embeds a lineage id
-derived from the producing step's config hash and its parents' ids, so
-downstream commands can refuse mismatched inputs.
+flags override file keys.  ``DEFAULTS`` lists every key; a command's
+``SECTIONS`` give its flags and the keys hashed into its artifacts'
+lineage ids, chained through parent ids to refuse mismatched inputs.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from .encoders import ENCODERS
 from .errors import ConfigError
 
 DEFAULTS: dict[str, object] = {
@@ -26,7 +27,6 @@ DEFAULTS: dict[str, object] = {
     "simcand.diag_cap": 0.2,
     "simcand.k": 10,
     "simcand.read": "column",
-    "simcand.warn_items": 20000,
     "augment.a": 0.2,
     "augment.b": 0.8,
     "augment.alpha": 0.3,
@@ -36,15 +36,21 @@ DEFAULTS: dict[str, object] = {
     "train.stage1_epochs": 50,
     "train.stage2_epochs": 150,
     "train.learning_rate": 0.001,
-    "train.beta1": 0.9,
-    "train.beta2": 0.999,
-    "train.eps": 1e-8,
     "train.operator_loss": True,
     "train.cross_loss": True,
     "train.patience": 10,              # early stopping on validation NDCG@10; <0 disables
     "eval.ks": [5, 10, 20],
     "eval.filter_seen": False,
 }
+
+# each command's key sections: its flags, and the keys its artifacts hash
+SECTIONS = {"prepare": ("corpus",), "candidates": ("simcand",),
+            "train": ("model", "train", "augment"), "evaluate": ("eval",)}
+
+
+def section_keys(command: str) -> list[str]:
+    """The keys of ``command``'s sections, section by section in DEFAULTS order."""
+    return [k for s in SECTIONS[command] for k in DEFAULTS if k.startswith(s + ".")]
 
 
 def _flatten(obj: dict, prefix: str = "") -> dict:
@@ -122,6 +128,8 @@ def validate_config(cfg: dict) -> None:
         errors.append("corpus.k_core must be >= 1")
     if cfg["corpus.max_len"] < 3:
         errors.append("corpus.max_len must be >= 3")
+    if not cfg["corpus.delimiter"]:
+        errors.append("corpus.delimiter must not be empty")
     if not 0.0 < cfg["corpus.beta"] < 1.0:
         errors.append("corpus.beta must be in (0, 1)")
     for key in ("corpus.sample_users", "train.stage1_epochs", "train.stage2_epochs"):
@@ -139,14 +147,17 @@ def validate_config(cfg: dict) -> None:
         errors.append("simcand.k must be >= 1")
     if cfg["simcand.read"] not in ("column", "row"):
         errors.append("simcand.read must be 'column' or 'row'")
+    if cfg["model.encoder"] not in ENCODERS:
+        errors.append(f"model.encoder must be one of {sorted(ENCODERS)}")
     if cfg["model.dim"] < 1:
         errors.append("model.dim must be >= 1")
     if cfg["train.batch_size"] < 1:
         errors.append("train.batch_size must be >= 1")
     if cfg["train.learning_rate"] <= 0:
         errors.append("train.learning_rate must be > 0")
-    if any(k < 1 for k in cfg["eval.ks"]) or not cfg["eval.ks"]:
-        errors.append("eval.ks must be a non-empty list of cutoffs >= 1")
+    ks = cfg["eval.ks"]
+    if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
+        errors.append("eval.ks must be a non-empty list of distinct cutoffs >= 1")
     if errors:
         raise ConfigError("; ".join(errors))
 

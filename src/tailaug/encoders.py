@@ -156,14 +156,14 @@ class GRUEncoder:
         return grads, demb
 
 
-_ENCODERS = {"pooled": PooledEncoder(), "gru": GRUEncoder()}
+ENCODERS = {"pooled": PooledEncoder(), "gru": GRUEncoder()}
 
 
 def get_encoder(name: str):
     try:
-        return _ENCODERS[name]
+        return ENCODERS[name]
     except KeyError:
-        raise ValueError(f"unknown encoder {name!r}; available: {sorted(_ENCODERS)}") from None
+        raise ValueError(f"unknown encoder {name!r}; available: {sorted(ENCODERS)}") from None
 
 
 @dataclass

@@ -45,22 +45,12 @@ class SolverConfig:
             raise ValueError(f"diag_cap must be in [0, 1), got {self.diag_cap}")
 
 
-@dataclass
-class BinaryInteractionMatrix:
+def build_interaction_matrix(store: SequenceStore) -> scipy.sparse.csr_matrix:
     """Users x items 0/1 matrix over training prefixes (repeats collapse to 1).
 
     Column ``j`` corresponds to internal item id ``j + 1``; the padding id
     has no column.
     """
-
-    matrix: scipy.sparse.csr_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
-def build_interaction_matrix(store: SequenceStore) -> BinaryInteractionMatrix:
     store._require_split()
     rows, cols = [], []
     for u in range(store.n_users):
@@ -68,10 +58,9 @@ def build_interaction_matrix(store: SequenceStore) -> BinaryInteractionMatrix:
         rows.extend([u] * len(items))
         cols.extend((items - 1).tolist())
     data = np.ones(len(rows), dtype=np.float64)
-    mat = scipy.sparse.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (data, (rows, cols)), shape=(store.n_users, store.n_items)
     )
-    return BinaryInteractionMatrix(mat)
 
 
 @dataclass
@@ -98,14 +87,13 @@ class SimilarityMatrix:
         return {"capped": capped, "uncapped": int(self.capped.size - capped)}
 
 
-def solve_similarity(matrix: BinaryInteractionMatrix, config: SolverConfig) -> SimilarityMatrix:
+def solve_similarity(X: scipy.sparse.csr_matrix, config: SolverConfig) -> SimilarityMatrix:
     """Closed-form solve of the diagonal-constrained ridge system.
 
     Uses a Cholesky factorization of the Gram matrix plus ridge (SPD for
     any positive ridge).  Raises NumericError on factorization failure or
     non-finite output.
     """
-    X = matrix.matrix
     n_items = X.shape[1]
     if n_items < 1:
         raise DataError("interaction matrix has no items")

@@ -30,6 +30,7 @@ from .rand import AUGMENT, CROSS, NEGATIVE, PREFIX, SHUFFLE, derive_rng
 from .simcand import CandidateSets
 
 CHECKPOINT_SCHEMA = "tailaug.checkpoint.v1"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -38,9 +39,6 @@ class TrainConfig:
     stage1_epochs: int = 50
     stage2_epochs: int = 150
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     enable_operator_loss: bool = True
     enable_cross_loss: bool = True
@@ -115,16 +113,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """Standard bias-corrected Adam update, applied in place."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - config.beta1 ** t
-    bc2 = 1.0 - config.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, g in grads.items():
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        params[name] -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        params[name] -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params
 
 

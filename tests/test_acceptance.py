@@ -24,7 +24,7 @@ from tailaug.encoders import backward_batch, encode_batch, init_model
 from tailaug.evaluation import (RankingResult, evaluate_model, hit_at_k, ndcg_at_k,
                                 rank_of_target)
 from tailaug.rand import derive_rng
-from tailaug.simcand import BinaryInteractionMatrix, SolverConfig, solve_similarity
+from tailaug.simcand import SolverConfig, solve_similarity
 from tailaug.training import Batch, batch_loss, bce_loss_batch
 
 import scipy.sparse
@@ -77,9 +77,7 @@ def test_criterion_1_solver_optimality():
                       "(50 instances, 1e-5 relative) with diag <= cap + 1e-8"):
         t0 = time.perf_counter()
         for X, lam, cap in _solver_instances():
-            sim = solve_similarity(
-                BinaryInteractionMatrix(scipy.sparse.csr_matrix(X)),
-                SolverConfig(lam, cap))
+            sim = solve_similarity(scipy.sparse.csr_matrix(X), SolverConfig(lam, cap))
             f_cf = _ridge_objective(X, sim.values, lam)
             f_pg = _ridge_objective(X, _projected_gradient(X, lam, cap), lam)
             assert abs(f_cf - f_pg) <= 1e-5 * max(abs(f_pg), 1e-12), (lam, cap)
@@ -92,9 +90,7 @@ def test_criterion_2_zero_cap_zero_diagonal():
         for X, lam, cap in _solver_instances():
             if cap != 0.0:
                 continue
-            sim = solve_similarity(
-                BinaryInteractionMatrix(scipy.sparse.csr_matrix(X)),
-                SolverConfig(lam, 0.0))
+            sim = solve_similarity(scipy.sparse.csr_matrix(X), SolverConfig(lam, 0.0))
             assert np.max(np.abs(np.diag(sim.values))) <= 1e-8
 
 

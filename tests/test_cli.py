@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from tailaug import evaluation, serialize, synth
+from tailaug import cli, evaluation, serialize, synth
 from tailaug.cli import main
 from tailaug.config import DEFAULTS, config_hash, load_config
 from tailaug.errors import ConfigError
@@ -56,6 +56,9 @@ class TestPrepare:
          "corpus.sample_users"),
         (["train", "--stage1-epochs", "-1"], "train.stage1_epochs"),
         (["train", "--stage2-epochs", "-2"], "train.stage2_epochs"),
+        (["train", "--encoder", "lstm"], "model.encoder"),
+        (["prepare", "--input", "missing.csv", "--delimiter", ""], "corpus.delimiter"),
+        (["evaluate", "--ks", "10,10,5"], "eval.ks"),
     ])
     def test_negative_count_fails_before_io(self, tmp_path, capsys, argv, key):
         # neither the input nor the prepared artifacts exist
@@ -168,6 +171,23 @@ class TestTrainEvaluate:
         assert (tmp_path / "report_augmented_mean_test.json").exists()
         assert "mean over 2 checkpoints" in capsys.readouterr().out
 
+    def test_stage2_with_both_losses_off_is_baseline(self, pipeline_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        for mode, extra in (("augmented", ["--no-operator-loss", "--no-cross-loss"]),
+                            ("baseline", [])):
+            assert main(["train", "--out-dir", str(out), "--mode", mode, "--seed", "5",
+                         *FAST_TRAIN, *extra]) == 0
+        off, off_meta = serialize.read_blob(out / "checkpoint_augmented_seed5.bin")
+        base, base_meta = serialize.read_blob(out / "checkpoint_baseline_seed5.bin")
+        assert off_meta["config"]["train.operator_loss"] is False
+        assert off_meta["config"]["train.cross_loss"] is False
+        assert sorted(off) == sorted(base) and off_meta["epoch"] == base_meta["epoch"]
+        for name in base:
+            np.testing.assert_array_equal(off[name], base[name])
+        assert (out / "losses_augmented_seed5.jsonl").read_bytes() == \
+            (out / "losses_baseline_seed5.jsonl").read_bytes()
+
     def test_fresh_model_chance_level(self, tmp_path, csv_path):
         # evaluating an effectively untrained model lands near K/|V|
         _prepare(tmp_path, csv_path)
@@ -219,6 +239,26 @@ class TestReportCommand:
         assert not (out / "m.json").exists()
 
 
+COMMAND_OF_SECTION = {"corpus": "prepare", "simcand": "candidates", "model": "train",
+                      "train": "train", "augment": "train", "eval": "evaluate"}
+OTHER_VALUE = {"corpus.delimiter": ";", "simcand.read": "row", "model.encoder": "pooled",
+               "eval.ks": [3, 7]}
+
+
+def _flag_for(key):
+    """The flag arguments that set ``key`` to a valid non-default value, and that value."""
+    default = DEFAULTS[key]
+    name = "--" + key.rpartition(".")[2].replace("_", "-")
+    if isinstance(default, bool):
+        return [name if not default else name.replace("--", "--no-")], not default
+    if key in OTHER_VALUE:
+        value = OTHER_VALUE[key]
+    else:
+        value = default / 2 if isinstance(default, float) else default + 1
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    return [name, text], value
+
+
 class TestConfigFile:
     def test_key_value_file(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -254,8 +294,6 @@ class TestConfigFile:
         assert DEFAULTS["model.dim"] == 64
         assert DEFAULTS["train.batch_size"] == 256
         assert DEFAULTS["train.learning_rate"] == pytest.approx(0.001)
-        assert DEFAULTS["train.beta1"] == 0.9
-        assert DEFAULTS["train.beta2"] == 0.999
         assert DEFAULTS["eval.ks"] == [5, 10, 20]
         assert DEFAULTS["corpus.k_core"] == 5
         assert DEFAULTS["corpus.max_len"] == 50
@@ -264,6 +302,43 @@ class TestConfigFile:
         assert 0.5 <= DEFAULTS["augment.b"] <= 0.8
         assert 0.1 <= DEFAULTS["augment.alpha"] <= 0.5
         assert 0.4 <= DEFAULTS["corpus.beta"] <= 0.6
+
+    @pytest.mark.parametrize("key", [k for k in DEFAULTS if k != "seed"])
+    def test_every_key_has_a_flag(self, key, tmp_path, monkeypatch):
+        loaded = {}
+
+        def spy(path, overrides):
+            loaded.update(load_config(path, overrides))
+            raise ConfigError("stop before any I/O")
+
+        monkeypatch.setattr(cli, "load_config", spy)
+        command = COMMAND_OF_SECTION[key.partition(".")[0]]
+        flag, value = _flag_for(key)
+        extra = ["--input", "missing.csv"] if command == "prepare" else []
+        assert main([command, "--out-dir", str(tmp_path), *flag, *extra]) == 2
+        assert loaded[key] == value and loaded[key] != DEFAULTS[key]
+
+    @pytest.mark.parametrize("command, owned", [
+        ("prepare", ["seed"] + [k for k in DEFAULTS if k.startswith("corpus.")]),
+        ("candidates", [k for k in DEFAULTS if k.startswith("simcand.")]),
+    ], ids=["prepare", "candidates"])
+    def test_lineage_hash_covers_every_section_key(self, command, owned, csv_path,
+                                                   tmp_path, monkeypatch):
+        hashed = []
+
+        def spy(cfg, keys):
+            hashed.append((cfg, keys))
+            return config_hash(cfg, keys)
+
+        monkeypatch.setattr(cli, "config_hash", spy)
+        assert _prepare(tmp_path, csv_path) == 0
+        if command == "candidates":
+            hashed.clear()
+            assert main(["candidates", "--out-dir", str(tmp_path)]) == 0
+        [(cfg, keys)] = hashed
+        hashes = {config_hash(cfg, keys)}
+        hashes.update(config_hash({**cfg, key: _flag_for(key)[1]}, keys) for key in owned)
+        assert len(hashes) == len(owned) + 1
 
     def test_synth_subcommand(self, tmp_path):
         out = tmp_path / "synth.csv"

@@ -4,7 +4,7 @@ import scipy.sparse
 
 from tailaug import corpus, serialize
 from tailaug.errors import DataError
-from tailaug.simcand import (CANDIDATES_SCHEMA, BinaryInteractionMatrix, CandidateSets,
+from tailaug.simcand import (CANDIDATES_SCHEMA, CandidateSets,
                              SimilarityMatrix, SolverConfig, build_candidates,
                              build_cooccurrence, build_interaction_matrix,
                              solve_similarity, top_k_correlation,
@@ -21,7 +21,7 @@ def dense(rows, n_users, n_items):
 
 
 def as_matrix(X):
-    return BinaryInteractionMatrix(scipy.sparse.csr_matrix(np.asarray(X, dtype=float)))
+    return scipy.sparse.csr_matrix(np.asarray(X, dtype=float))
 
 
 def ridge_objective(X, B, lam):
@@ -46,7 +46,7 @@ def projected_gradient_minimizer(X, lam, cap, iters=20000):
 class TestInteractionMatrix:
     def test_repeats_collapse_to_one(self):
         store = store_from_sequences({"u": ["a", "a", "b", "c", "d"]})
-        mat = build_interaction_matrix(store).matrix.toarray()
+        mat = build_interaction_matrix(store).toarray()
         # training prefix is [a, a, b]
         expected = np.zeros((1, 4))
         expected[0, store.item_ids.index("a")] = 1
@@ -57,7 +57,7 @@ class TestInteractionMatrix:
         store = corpus.SequenceStore(
             max_len=10, user_ids=["u"], item_ids=["a", "b"],
             sequences=[np.array([1, 2], dtype=np.int64)], split=True)
-        mat = build_interaction_matrix(store).matrix.toarray()
+        mat = build_interaction_matrix(store).toarray()
         np.testing.assert_array_equal(mat, np.zeros((1, 2)))
 
     def test_hand_built_table(self):
@@ -66,7 +66,7 @@ class TestInteractionMatrix:
             "u2": ["b", "c", "x", "y"],      # train: b, c
             "u3": ["a", "c", "d", "x", "y"],  # train: a, c, d
         })
-        mat = build_interaction_matrix(store).matrix.toarray()
+        mat = build_interaction_matrix(store).toarray()
         idx = {raw: store.item_ids.index(raw) for raw in store.item_ids}
         expected = np.zeros((3, store.n_items))
         for u, items in enumerate((["a", "b"], ["b", "c"], ["a", "c", "d"])):

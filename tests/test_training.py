@@ -98,7 +98,7 @@ class TestAdam:
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
     def test_hand_recurrence_two_steps(self):
-        cfg = TrainConfig(learning_rate=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
+        cfg = TrainConfig(learning_rate=0.001)
         params = {"w": np.array([0.5])}
         state = init_adam(params)
         w, m, v = 0.5, 0.0, 0.0
@@ -111,7 +111,7 @@ class TestAdam:
 
     def test_default_learning_rate(self):
         assert TrainConfig().learning_rate == pytest.approx(0.001)
-        assert TrainConfig().beta1 == 0.9 and TrainConfig().beta2 == 0.999
+        assert training.ADAM_BETA1 == 0.9 and training.ADAM_BETA2 == 0.999
 
 
 def _toy_setup(small_corpus, encoder="pooled", dim=8, seed=0):
