@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .encoders import ENCODERS
 from .errors import ConfigError
@@ -75,6 +76,9 @@ def _coerce(key: str, raw: object) -> object:
             if str(raw).lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
+        if isinstance(raw, bool) or (isinstance(raw, (list, tuple))
+                                     and any(isinstance(v, bool) for v in raw)):
+            raise ValueError(f"not a number: {raw!r}")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
@@ -84,7 +88,7 @@ def _coerce(key: str, raw: object) -> object:
                 return [int(v) for v in raw]
             return [int(v) for v in str(raw).split(",") if v.strip()]
         return str(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
@@ -121,8 +125,16 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     return cfg
 
 
+def _finite_positive(x: float) -> bool:
+    """``x > 0`` that is false for nan and inf too."""
+    return 0.0 < x < math.inf
+
+
 def validate_config(cfg: dict) -> None:
-    """Cross-field checks the module constructors cannot see."""
+    """Cross-field checks the module constructors cannot see.
+
+    Each range check is written so that nan fails it.
+    """
     errors = []
     if cfg["corpus.k_core"] < 1:
         errors.append("corpus.k_core must be >= 1")
@@ -137,10 +149,10 @@ def validate_config(cfg: dict) -> None:
             errors.append(f"{key} must be >= 0")
     if not 0.0 < cfg["augment.a"] < cfg["augment.b"] < 1.0:
         errors.append("augment rates need 0 < a < b < 1")
-    if cfg["augment.alpha"] <= 0:
-        errors.append("augment.alpha must be > 0")
-    if cfg["simcand.ridge_penalty"] <= 0:
-        errors.append("simcand.ridge_penalty must be > 0")
+    if not _finite_positive(cfg["augment.alpha"]):
+        errors.append("augment.alpha must be finite and > 0")
+    if not _finite_positive(cfg["simcand.ridge_penalty"]):
+        errors.append("simcand.ridge_penalty must be finite and > 0")
     if not 0.0 <= cfg["simcand.diag_cap"] < 1.0:
         errors.append("simcand.diag_cap must be in [0, 1)")
     if cfg["simcand.k"] < 1:
@@ -153,8 +165,8 @@ def validate_config(cfg: dict) -> None:
         errors.append("model.dim must be >= 1")
     if cfg["train.batch_size"] < 1:
         errors.append("train.batch_size must be >= 1")
-    if cfg["train.learning_rate"] <= 0:
-        errors.append("train.learning_rate must be > 0")
+    if not _finite_positive(cfg["train.learning_rate"]):
+        errors.append("train.learning_rate must be finite and > 0")
     ks = cfg["eval.ks"]
     if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
         errors.append("eval.ks must be a non-empty list of distinct cutoffs >= 1")

@@ -10,8 +10,9 @@ D-vector out, exact analytic gradients back):
   final hidden state.
 
 Batches are left-padded with the reserved padding id 0 so every sequence
-ends at the last time step; padded steps are masked out and the padding
-embedding row stays exactly zero for the lifetime of a model.
+ends at the last time step; padded steps are masked out (the GRU never
+computes them) and the padding embedding row stays exactly zero for the
+lifetime of a model.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ from .rand import INIT, derive_rng
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def pad_batch(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +84,28 @@ class PooledEncoder:
         return {"pool_theta": np.array([dtheta], dtype=np.float64)}, demb
 
 
+def _gemm(a, b):
+    """``a @ b`` as a matrix-matrix product even when ``a`` has one row.
+
+    numpy sends a one-row product down a matrix-vector path that rounds
+    differently; going through the matrix path keeps a row's result
+    independent of how many rows share the product.
+    """
+    if len(a) > 1:
+        return a @ b
+    return (np.concatenate([a, a]) @ b)[:1]
+
+
 class GRUEncoder:
-    """Single-layer GRU; the sequence representation is the final state."""
+    """Single-layer GRU; the sequence representation is the final state.
+
+    This is the GRU4Rec encoder (Hidasi et al., ICLR 2016).  Rows are run
+    longest first, so with left padding the rows active at a step are a
+    leading slice and padded steps are never computed; each step does one
+    ``x @ [Wz|Wr|Wh]``, one ``h @ [Uz|Ur]`` and one sigmoid over the z/r
+    block.  A row's arithmetic is that of a masked step over the whole
+    batch, so its encoding does not depend on the other rows.
+    """
 
     name = "gru"
 
@@ -104,55 +122,63 @@ class GRUEncoder:
 
     def encode_batch(self, params, emb, mask):
         b, t, d = emb.shape
-        h = np.zeros((b, d), dtype=np.float64)
+        lengths = np.count_nonzero(mask, axis=1)
+        order = np.argsort(-lengths, kind="stable")
+        # active rows per step: those whose sequence has started by then
+        active = np.searchsorted(-lengths[order], np.arange(t) - t, side="right")
+        xs = np.take(emb.transpose(1, 0, 2), order, axis=1)  # time-major, sorted rows
+        w = np.hstack([params["gru_Wz"], params["gru_Wr"], params["gru_Wh"]])
+        u_zr = np.hstack([params["gru_Uz"], params["gru_Ur"]])
+        b_zr = np.concatenate([params["gru_bz"], params["gru_br"]])
+        u_h, b_h = params["gru_Uh"], params["gru_bh"]
+        h = np.zeros((0, d), dtype=np.float64)
         steps = []
         for step in range(t):
-            x = emb[:, step, :]
-            m = mask[:, step][:, np.newaxis]
-            z = sigmoid(x @ params["gru_Wz"] + h @ params["gru_Uz"] + params["gru_bz"])
-            r = sigmoid(x @ params["gru_Wr"] + h @ params["gru_Ur"] + params["gru_br"])
-            rh = r * h
-            c = np.tanh(x @ params["gru_Wh"] + rh @ params["gru_Uh"] + params["gru_bh"])
-            h_new = (1.0 - z) * h + z * c
-            steps.append({"x": x, "m": m, "z": z, "r": r, "c": c, "h_prev": h})
-            h = m * h_new + (1.0 - m) * h
-        return h, {"steps": steps, "dim": d}
+            k = active[step]
+            if k > len(h):  # rows starting now enter with a zero state
+                h = np.concatenate([h, np.zeros((k - len(h), d))])
+            x = xs[step, :k]
+            a = _gemm(x, w)
+            zr = sigmoid(a[:, :2 * d] + _gemm(h, u_zr) + b_zr)
+            z, r = zr[:, :d], zr[:, d:]
+            c = np.tanh(a[:, 2 * d:] + _gemm(r * h, u_h) + b_h)
+            steps.append((x, h, zr, c))
+            h = (1.0 - z) * h + z * c
+        out = np.empty_like(h)
+        out[order] = h
+        return out, {"steps": steps, "order": order, "w": w, "u_zr": u_zr, "t": t}
 
     def backward_batch(self, params, cache, dh):
-        grads = {k: np.zeros_like(v) for k, v in params.items() if k.startswith("gru_")}
-        steps = cache["steps"]
-        b = dh.shape[0]
-        t = len(steps)
-        demb = np.zeros((b, t, cache["dim"]), dtype=np.float64)
-        dh = dh.copy()
-        for step in range(t - 1, -1, -1):
-            s = steps[step]
-            m, z, r, c, h_prev, x = s["m"], s["z"], s["r"], s["c"], s["h_prev"], s["x"]
-            dh_new = dh * m
-            dh_skip = dh * (1.0 - m)
-            dz = dh_new * (c - h_prev)
-            dc = dh_new * z
-            dh_prev = dh_new * (1.0 - z)
-            dc_pre = dc * (1.0 - c * c)
-            drh = dc_pre @ params["gru_Uh"].T
-            dr = drh * h_prev
-            dh_prev = dh_prev + drh * r
-            dz_pre = dz * z * (1.0 - z)
-            dr_pre = dr * r * (1.0 - r)
-            grads["gru_Wh"] += x.T @ dc_pre
-            grads["gru_Uh"] += (r * h_prev).T @ dc_pre
-            grads["gru_bh"] += dc_pre.sum(axis=0)
-            grads["gru_Wz"] += x.T @ dz_pre
-            grads["gru_Uz"] += h_prev.T @ dz_pre
-            grads["gru_bz"] += dz_pre.sum(axis=0)
-            grads["gru_Wr"] += x.T @ dr_pre
-            grads["gru_Ur"] += h_prev.T @ dr_pre
-            grads["gru_br"] += dr_pre.sum(axis=0)
-            demb[:, step, :] = (dz_pre @ params["gru_Wz"].T
-                                + dr_pre @ params["gru_Wr"].T
-                                + dc_pre @ params["gru_Wh"].T)
-            dh = (dh_prev + dz_pre @ params["gru_Uz"].T + dr_pre @ params["gru_Ur"].T
-                  + dh_skip)
+        steps, order, w, u_zr = cache["steps"], cache["order"], cache["w"], cache["u_zr"]
+        b, d = dh.shape
+        u_h = params["gru_Uh"]
+        dw, du_zr = np.zeros_like(w), np.zeros_like(u_zr)
+        du_h, db = np.zeros_like(u_h), np.zeros(3 * d)
+        demb = np.zeros((b, cache["t"], d), dtype=np.float64)
+        dh = dh[order]
+        for step in range(len(steps) - 1, -1, -1):
+            x, h_prev, zr, c = steps[step]
+            k = len(x)
+            dh = dh[:k]  # rows not started yet carry no gradient further back
+            z, r = zr[:, :d], zr[:, d:]
+            dpre = np.empty((k, 3 * d))  # d/d of the [z | r | candidate] pre-activations
+            dpre[:, 2 * d:] = dh * z * (1.0 - c * c)
+            drh = dpre[:, 2 * d:] @ u_h.T
+            dpre[:, :d] = dh * (c - h_prev)
+            dpre[:, d:2 * d] = drh * h_prev
+            dpre[:, :2 * d] *= zr * (1.0 - zr)
+            dw += x.T @ dpre
+            du_zr += h_prev.T @ dpre[:, :2 * d]
+            du_h += (r * h_prev).T @ dpre[:, 2 * d:]
+            db += dpre.sum(axis=0)
+            demb[order[:k], step] = dpre @ w.T
+            dh = dh * (1.0 - z) + drh * r + dpre[:, :2 * d] @ u_zr.T
+        grads = {}
+        for i, g in enumerate(self._GATES):
+            grads[f"gru_W{g}"] = dw[:, i * d:(i + 1) * d]
+            grads[f"gru_b{g}"] = db[i * d:(i + 1) * d]
+        grads["gru_Uz"], grads["gru_Ur"] = du_zr[:, :d], du_zr[:, d:]
+        grads["gru_Uh"] = du_h
         return grads, demb
 
 
@@ -230,8 +256,9 @@ def backward_batch(model: ModelState, cache, dh) -> dict[str, np.ndarray]:
     """Gradients of a batch encode; embedding grads are scatter-added and
     the padding row is zeroed."""
     enc_grads, demb = model.encoder.backward_batch(model.params, cache["enc"], dh)
+    real = cache["mask"] > 0
     demb_table = np.zeros_like(model.embeddings)
-    np.add.at(demb_table, cache["ids"], demb)
+    np.add.at(demb_table, cache["ids"][real], demb[real])
     demb_table[0] = 0.0
     grads = {"item_embeddings": demb_table}
     grads.update(enc_grads)

@@ -15,6 +15,7 @@ from the items absent from the user's training prefix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .simcand import CandidateSets
 
 CHECKPOINT_SCHEMA = "tailaug.checkpoint.v1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+NEGATIVE_BLOCK = 8  # uniform negative proposals per user and epoch
 
 
 @dataclass
@@ -48,8 +50,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         # zero is legal (no-op steps, useful in tests); negative is not
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             raise ValueError("epoch counts must be >= 0")
 
@@ -72,10 +74,8 @@ def bce_loss_batch(h, e_pos, e_neg):
     x_pos = np.sum(h * e_pos, axis=-1)
     x_neg = np.sum(h * e_neg, axis=-1)
     losses = softplus(-x_pos) + softplus(x_neg)
-    g_pos = sigmoid(np.atleast_1d(x_pos)) - 1.0
-    g_neg = sigmoid(np.atleast_1d(x_neg))
-    g_pos = g_pos.reshape(x_pos.shape)[..., np.newaxis]
-    g_neg = g_neg.reshape(x_neg.shape)[..., np.newaxis]
+    g_pos = (sigmoid(x_pos) - 1.0)[..., np.newaxis]
+    g_neg = sigmoid(x_neg)[..., np.newaxis]
     dh = g_pos * e_pos + g_neg * e_neg
     de_pos = g_pos * h
     de_neg = g_neg * h
@@ -137,22 +137,38 @@ class Batch:
         return len(self.users)
 
 
-def _epoch_batches(store: SequenceStore, eligible: np.ndarray, train_sets: list[set],
-                   seed: int, epoch: int, batch_size: int):
+def _owned_keys(trains: list[np.ndarray], n_items: int) -> np.ndarray:
+    """Sorted ``user * (n_items + 1) + item`` keys of every training interaction."""
+    users = np.repeat(np.arange(len(trains)), [len(t) for t in trains])
+    return np.unique(users * (n_items + 1) + np.concatenate(trains))
+
+
+def _epoch_batches(trains: list[np.ndarray], owned: np.ndarray, eligible: np.ndarray,
+                   n_items: int, seed: int, epoch: int, batch_size: int):
+    """One epoch's batches; every per-user draw is indexed by user, not by batch.
+
+    Each user's prefix end comes from one array draw per epoch, and its
+    negative is the first of ``NEGATIVE_BLOCK`` uniform proposals that it
+    does not own.  That is uniform over the items it does not own; when it
+    owns the whole block, the negative comes from its own stream instead.
+    """
+    n_users = len(trains)
+    highs = np.maximum([len(t) for t in trains], 2)
+    ends = derive_rng(seed, PREFIX, epoch).integers(1, highs).tolist()
+    proposals = derive_rng(seed, NEGATIVE, epoch).integers(
+        1, n_items + 1, size=(n_users, NEGATIVE_BLOCK))
+    keys = np.arange(n_users)[:, np.newaxis] * (n_items + 1) + proposals
+    free = owned[np.minimum(np.searchsorted(owned, keys), len(owned) - 1)] != keys
+    negatives = proposals[np.arange(n_users), free.argmax(axis=1)]
+    for u in eligible[~free[eligible].any(axis=1)].tolist():
+        negatives[u] = sample_negative(trains[u], n_items, derive_rng(seed, NEGATIVE, epoch, u))
     order = eligible[derive_rng(seed, SHUFFLE, epoch).permutation(len(eligible))]
     for start in range(0, len(order), batch_size):
         users = order[start:start + batch_size]
-        prefixes, targets, negatives = [], [], []
-        for u in users:
-            train = store.train_prefix(int(u))
-            k = int(derive_rng(seed, PREFIX, epoch, int(u)).integers(1, len(train)))
-            prefixes.append(train[:k])
-            targets.append(int(train[k]))
-            neg_rng = derive_rng(seed, NEGATIVE, epoch, int(u))
-            negatives.append(sample_negative(train_sets[int(u)], store.n_items, neg_rng))
-        yield Batch(users=users, prefixes=prefixes,
-                    targets=np.asarray(targets, dtype=np.int64),
-                    negatives=np.asarray(negatives, dtype=np.int64))
+        prefixes = [trains[u][:ends[u]] for u in users.tolist()]
+        targets = np.asarray([trains[u][ends[u]] for u in users.tolist()], dtype=np.int64)
+        yield Batch(users=users, prefixes=prefixes, targets=targets,
+                    negatives=negatives[users])
 
 
 def batch_loss(model: ModelState, batch: Batch, *,
@@ -245,16 +261,15 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig, *,
     store._require_split()
     if op_config is not None and (segmentation is None or candidates is None):
         raise ValueError("augmentation losses need segmentation and candidates")
-    eligible = np.asarray([u for u in range(store.n_users)
-                           if len(store.train_prefix(u)) >= 2], dtype=np.int64)
+    trains = [store.train_prefix(u) for u in range(store.n_users)]
+    eligible = np.flatnonzero([len(t) >= 2 for t in trains])
     if len(eligible) == 0:
         raise DataError("no user has a training prefix of length >= 2")
-    train_sets = [set(store.train_prefix(u).tolist()) for u in range(store.n_users)]
+    owned = _owned_keys(trains, store.n_items)
     classes_by_user = {}
     if op_config is not None and config.enable_cross_loss:
-        classes_by_user = {u: classify_sequence(store.train_prefix(u), segmentation)
-                           for u in range(store.n_users)
-                           if len(store.train_prefix(u)) >= 1}
+        classes_by_user = {u: classify_sequence(t, segmentation)
+                           for u, t in enumerate(trains) if len(t) >= 1}
 
     if adam is None:
         adam = init_adam(model.params)
@@ -263,7 +278,7 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig, *,
     for e in range(epoch_offset, epoch_offset + epochs):
         sums = {"main": 0.0, "operator": 0.0, "cross": 0.0, "total": 0.0}
         count = 0
-        for step, batch in enumerate(_epoch_batches(store, eligible, train_sets,
+        for step, batch in enumerate(_epoch_batches(trains, owned, eligible, store.n_items,
                                                     config.seed, e, config.batch_size)):
             samples = op_lams = plan = None
             if op_config is not None:

@@ -59,10 +59,29 @@ class TestPrepare:
         (["train", "--encoder", "lstm"], "model.encoder"),
         (["prepare", "--input", "missing.csv", "--delimiter", ""], "corpus.delimiter"),
         (["evaluate", "--ks", "10,10,5"], "eval.ks"),
+        (["candidates", "--ridge-penalty", "nan"], "simcand.ridge_penalty"),
+        (["train", "--alpha", "nan"], "augment.alpha"),
+        (["train", "--learning-rate", "nan"], "train.learning_rate"),
+        (["train", "--learning-rate", "inf"], "train.learning_rate"),
     ])
     def test_negative_count_fails_before_io(self, tmp_path, capsys, argv, key):
         # neither the input nor the prepared artifacts exist
         code = main([*argv, "--out-dir", str(tmp_path / "none")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("key, value", [("corpus.k_core", True),
+                                            ("simcand.diag_cap", False),
+                                            ("corpus.k_core", float("inf"))],
+                             ids=["bool-int", "bool-float", "inf-int"])
+    def test_non_numeric_config_value_fails_before_io(self, tmp_path, capsys, key, value):
+        # JSON true/false would otherwise read as 1/0, and Infinity overflows int
+        section, name = key.split(".")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({section: {name: value}}))
+        code = main(["prepare", "--input", str(tmp_path / "missing.csv"),
+                     "--out-dir", str(tmp_path / "none"), "--config", str(config)])
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "none").exists()

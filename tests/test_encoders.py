@@ -132,6 +132,50 @@ class TestGRUEncoder:
                                 lambda: float(np.sum(w * encode_batch(model, seqs)[0])),
                                 rng)
 
+    # out of length order, with tied lengths and length-1 rows
+    RAGGED = [[4, 2], [7], [1, 5, 8, 3, 6], [2, 2, 9], [3], [6, 1], [8, 4, 4, 1, 2],
+              [5, 9, 7], [9]]
+
+    @staticmethod
+    def _masked_reference(model, seqs):
+        """The plain GRU step over the whole left-padded batch, padded rows masked."""
+        p = model.params
+        ids, mask = pad_batch([np.asarray(s) for s in seqs])
+        emb = model.embeddings[ids]
+        h = np.zeros((len(seqs), model.dim))
+        for step in range(ids.shape[1]):
+            x, m = emb[:, step, :], mask[:, step][:, np.newaxis]
+            z = sigmoid(x @ p["gru_Wz"] + h @ p["gru_Uz"] + p["gru_bz"])
+            r = sigmoid(x @ p["gru_Wr"] + h @ p["gru_Ur"] + p["gru_br"])
+            c = np.tanh(x @ p["gru_Wh"] + (r * h) @ p["gru_Uh"] + p["gru_bh"])
+            h = m * ((1.0 - z) * h + z * c) + (1.0 - m) * h
+        return h
+
+    def test_ragged_batch_rows_are_exact(self):
+        model = init_model(9, 6, seed=8, encoder="gru")
+        seqs = [np.array(s) for s in self.RAGGED]
+        batched, _ = encode_batch(model, seqs)
+        np.testing.assert_array_equal(batched, self._masked_reference(model, seqs))
+        by_length = {}
+        for i, s in enumerate(seqs):
+            by_length.setdefault(len(s), []).append(i)
+        for rows in by_length.values():  # equal lengths: no padding at all
+            unpadded, _ = encode_batch(model, [seqs[i] for i in rows])
+            np.testing.assert_array_equal(batched[rows], unpadded)
+        for i, s in enumerate(seqs):
+            np.testing.assert_array_equal(batched[i], encode(model, s))
+
+    def test_ragged_batch_gradients(self):
+        rng = np.random.default_rng(2)
+        model = init_model(9, 6, seed=8, encoder="gru")
+        seqs = [np.array(s) for s in self.RAGGED]
+        w = rng.normal(size=(len(seqs), 6))
+        h, cache = encode_batch(model, seqs)
+        grads = backward_batch(model, cache, w)
+        finite_difference_check(model, seqs, grads, w,
+                                lambda: float(np.sum(w * encode_batch(model, seqs)[0])),
+                                rng)
+
     def test_left_padding_is_inert(self):
         # the same sequence must encode identically regardless of batch width
         model = init_model(9, 4, seed=5, encoder="gru")
@@ -174,3 +218,19 @@ class TestContract:
     def test_sigmoid_stability(self):
         s = sigmoid(np.array([-100.0, 0.0, 100.0]))
         assert s[0] >= 0.0 and s[2] <= 1.0 and s[1] == 0.5
+
+    def test_sigmoid_matches_two_branch_form_bit_for_bit(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.concatenate([
+            [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 745.0, -745.0, 800.0, -800.0,
+             np.inf, -np.inf],
+            np.linspace(-50.0, 50.0, 2001),
+            np.random.default_rng(3).normal(scale=20.0, size=5000),
+        ])
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        out = sigmoid(x)
+        assert out.tobytes() == ref.tobytes()

@@ -9,13 +9,13 @@ from tailaug.augment import (CrossPlan, OperatorConfig, augment_sequence,
 from tailaug.corpus import classify_sequence
 from tailaug.encoders import encode_batch, init_model, lookup
 from tailaug.errors import DataError, NumericError
-from tailaug.rand import AUGMENT, CROSS, derive_rng
+from tailaug.rand import AUGMENT, CROSS, NEGATIVE, derive_rng
 from tailaug.training import (Batch, TrainConfig, adam_step,
                               batch_loss, bce_loss_batch, init_adam,
                               load_checkpoint, sample_negative, save_checkpoint,
                               train_stage1, train_stage2)
 
-from conftest import users_with_train_len
+from conftest import store_from_sequences, users_with_train_len
 
 
 class TestBCE:
@@ -362,6 +362,86 @@ class TestOperatorMixup:
         assert np.all((0.0 <= lams) & (lams <= 1.0))
         lo, hi = np.minimum(h1, h2), np.maximum(h1, h2)
         assert np.all(mixed >= lo - 1e-12) and np.all(mixed <= hi + 1e-12)
+
+
+def _epoch_draws(small_corpus, monkeypatch, batch_size, stage2=False):
+    """Per-user draws of one epoch, read off every batch that ``batch_loss`` gets.
+
+    Each user maps to its (prefix, target, negative) and, in stage 2, its
+    augmented sample and mix weight.  The loss itself is not computed.
+    """
+    store, seg, cands, model = _toy_setup(small_corpus)
+    draws = {}
+
+    def record(model, batch, *, samples=None, op_lams=None, plan=None):
+        for i, u in enumerate(batch.users.tolist()):
+            assert u not in draws
+            draws[u] = (batch.prefixes[i].tolist(), int(batch.targets[i]),
+                        int(batch.negatives[i]))
+            if samples is not None:
+                draws[u] += (samples[i].trace_line(mix_weight=op_lams[i]),)
+        zeros = {k: np.zeros_like(v) for k, v in model.params.items()}
+        return {"main": 0.0, "operator": 0.0, "cross": 0.0, "total": 0.0}, zeros
+
+    monkeypatch.setattr(training, "batch_loss", record)
+    cfg = TrainConfig(batch_size=batch_size, seed=9, patience=None)
+    if stage2:
+        train_stage2(store, model, cands, seg, cfg, OperatorConfig(), epochs=1,
+                     epoch_offset=3)
+    else:
+        train_stage1(store, model, cfg, epochs=1, epoch_offset=3)
+    return draws
+
+
+class TestScheduleIndependence:
+    """Per-user draws are keyed on (seed, purpose, epoch, user), not on the batch."""
+
+    @pytest.mark.parametrize("stage2", [False, True], ids=["stage1", "stage2"])
+    def test_draws_do_not_depend_on_batch_size(self, small_corpus, monkeypatch, stage2):
+        store = small_corpus[0]
+        runs = [_epoch_draws(small_corpus, monkeypatch, bs, stage2) for bs in (7, 16, 256)]
+        eligible = [u for u in range(store.n_users) if len(store.train_prefix(u)) >= 2]
+        assert sorted(runs[0]) == eligible
+        assert runs[0] == runs[1] == runs[2]
+        for u, (prefix, target, negative, *_) in runs[0].items():
+            train = store.train_prefix(u)
+            assert 1 <= len(prefix) < len(train) and target == train[len(prefix)]
+            assert 1 <= negative <= store.n_items and negative not in set(train.tolist())
+
+    def test_owned_block_falls_back_to_the_user_stream(self, monkeypatch):
+        # every user owns 6 of the 8 items, so a one-proposal block is mostly owned
+        store = store_from_sequences({u: [(u + j) % 8 + 1 for j in range(8)]
+                                      for u in range(40)})
+        monkeypatch.setattr(training, "NEGATIVE_BLOCK", 1)
+        fallbacks = []
+
+        def spy(seed, *tags):
+            if tags[0] == NEGATIVE and len(tags) == 3:
+                fallbacks.append(tags[2])
+            return derive_rng(seed, *tags)
+
+        monkeypatch.setattr(training, "derive_rng", spy)
+        draws = _epoch_draws((store, None, None, None), monkeypatch, 16)
+        assert 0 < len(fallbacks) < store.n_users
+        for u, (_, _, negative) in draws.items():
+            train = store.train_prefix(u).tolist()
+            assert negative in set(range(1, 9)) - set(train)
+            if u in fallbacks:
+                assert negative == sample_negative(train, 8, derive_rng(9, NEGATIVE, 3, u))
+
+    @pytest.mark.parametrize("block", [1, 8])
+    def test_negatives_are_uniform_over_unowned_items(self, monkeypatch, block):
+        # user 0 owns items 1..10 of 30; with a one-proposal block a third are fallbacks
+        store = store_from_sequences({0: list(range(1, 13)), 1: list(range(11, 31))})
+        trains = [store.train_prefix(u) for u in range(2)]
+        owned = training._owned_keys(trains, 30)
+        monkeypatch.setattr(training, "NEGATIVE_BLOCK", block)
+        draws = [int(next(training._epoch_batches(trains, owned, np.array([0]), 30, 1, e, 1))
+                     .negatives[0]) for e in range(4000)]
+        counts = np.bincount(draws, minlength=31)
+        assert counts[:11].sum() == 0
+        chi2 = np.sum((counts[11:] - 200) ** 2 / 200)
+        assert chi2 < 43.8  # 99.9th percentile of chi-square with 19 dof
 
 
 class TestEarlyStopping:
