@@ -161,7 +161,7 @@ class GRUEncoder:
             k = len(x)
             dh = dh[:k]  # rows not started yet carry no gradient further back
             z, r = zr[:, :d], zr[:, d:]
-            dpre = np.empty((k, 3 * d))  # d/d of the [z | r | candidate] pre-activations
+            dpre = np.empty((k, 3 * d))  # gradient of the [z | r | candidate] pre-activations
             dpre[:, 2 * d:] = dh * z * (1.0 - c * c)
             drh = dpre[:, 2 * d:] @ u_h.T
             dpre[:, :d] = dh * (c - h_prev)
