@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PreferenceClass, Segmentation
+from .errors import finite_positive
 from .simcand import CandidateSets
 
 SUBSTITUTE = "substitute"
@@ -45,8 +46,8 @@ class OperatorConfig:
     def __post_init__(self):
         if not 0.0 < self.a < self.b < 1.0:
             raise ValueError(f"need 0 < a < b < 1, got a={self.a}, b={self.b}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not finite_positive(self.alpha):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 @dataclass

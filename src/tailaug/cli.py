@@ -128,8 +128,8 @@ def cmd_candidates(args) -> int:
 
     if store.n_items > WARN_ITEMS:
         print(f"warning: {store.n_items} items exceed {WARN_ITEMS}; the dense solve "
-              f"needs ~{40 * store.n_items ** 2 / 1e9:.1f} GB (five n x n float64 arrays "
-              "at its peak). Consider preparing with corpus.sample_users at desk scale.",
+              f"needs ~{16 * store.n_items ** 2 / 1e9:.1f} GB (about two n x n float64 "
+              "arrays at its peak). Consider preparing with corpus.sample_users at desk scale.",
               file=sys.stderr)
 
     solver_cfg = simcand.SolverConfig(ridge_penalty=cfg["simcand.ridge_penalty"],

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 
 from .encoders import ENCODERS
-from .errors import ConfigError
+from .errors import ConfigError, finite_positive
 
 DEFAULTS: dict[str, object] = {
     "seed": 0,
@@ -65,6 +64,13 @@ def _flatten(obj: dict, prefix: str = "") -> dict:
     return flat
 
 
+def _int(raw: object) -> int:
+    """``int(raw)`` that refuses to truncate a non-integral float."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 def _coerce(key: str, raw: object) -> object:
     default = DEFAULTS[key]
     try:
@@ -80,12 +86,12 @@ def _coerce(key: str, raw: object) -> object:
                                      and any(isinstance(v, bool) for v in raw)):
             raise ValueError(f"not a number: {raw!r}")
         if isinstance(default, int):
-            return int(raw)
+            return _int(raw)
         if isinstance(default, float):
             return float(raw)
         if isinstance(default, list):
             if isinstance(raw, (list, tuple)):
-                return [int(v) for v in raw]
+                return [_int(v) for v in raw]
             return [int(v) for v in str(raw).split(",") if v.strip()]
         return str(raw)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -125,11 +131,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def _finite_positive(x: float) -> bool:
-    """``x > 0`` that is false for nan and inf too."""
-    return 0.0 < x < math.inf
-
-
 def validate_config(cfg: dict) -> None:
     """Cross-field checks the module constructors cannot see.
 
@@ -149,9 +150,9 @@ def validate_config(cfg: dict) -> None:
             errors.append(f"{key} must be >= 0")
     if not 0.0 < cfg["augment.a"] < cfg["augment.b"] < 1.0:
         errors.append("augment rates need 0 < a < b < 1")
-    if not _finite_positive(cfg["augment.alpha"]):
+    if not finite_positive(cfg["augment.alpha"]):
         errors.append("augment.alpha must be finite and > 0")
-    if not _finite_positive(cfg["simcand.ridge_penalty"]):
+    if not finite_positive(cfg["simcand.ridge_penalty"]):
         errors.append("simcand.ridge_penalty must be finite and > 0")
     if not 0.0 <= cfg["simcand.diag_cap"] < 1.0:
         errors.append("simcand.diag_cap must be in [0, 1)")
@@ -165,7 +166,7 @@ def validate_config(cfg: dict) -> None:
         errors.append("model.dim must be >= 1")
     if cfg["train.batch_size"] < 1:
         errors.append("train.batch_size must be >= 1")
-    if not _finite_positive(cfg["train.learning_rate"]):
+    if not finite_positive(cfg["train.learning_rate"]):
         errors.append("train.learning_rate must be finite and > 0")
     ks = cfg["eval.ks"]
     if not ks or min(ks) < 1 or len(set(ks)) < len(ks):

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all tailaug modules.
+"""Exception hierarchy shared by all tailaug modules, and the range check
+that the config and the library constructors share.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 DataError -> 3, NumericError -> 4.
 """
+
+import math
 
 
 class TailaugError(Exception):
@@ -19,3 +22,8 @@ class DataError(TailaugError):
 
 class NumericError(TailaugError):
     """Numerical failure: factorization breakdown, non-finite values, divergence."""
+
+
+def finite_positive(x: float) -> bool:
+    """``x > 0`` that is false for nan and inf too."""
+    return 0.0 < x < math.inf

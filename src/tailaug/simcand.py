@@ -3,7 +3,8 @@
 The similarity model is a ridge-regularized linear autoencoder over the
 binary user-item training matrix, with the diagonal of the learned
 item-item matrix constrained to be at most ``diag_cap``.  The constrained
-problem has a closed-form solution obtained from a single SPD solve:
+problem has a closed-form solution obtained from a single SPD inverse
+(EASE, Steck, WWW 2019; the diagonal cap follows Steck, NeurIPS 2020):
 
     P = (X^T X + ridge * I)^-1
     gamma_j = ridge            if 1 - ridge * P_jj <= diag_cap
@@ -13,6 +14,11 @@ problem has a closed-form solution obtained from a single SPD solve:
 Items whose gamma takes the second branch have their self-similarity
 pinned exactly at ``diag_cap`` (active constraint); the first branch means
 the unconstrained ridge optimum already satisfies the cap.
+
+The inverse is computed in place in the Gram buffer (LAPACK ``potrf`` then
+``potri``), its other triangle is mirrored and the gamma scaling applied in
+place, so the solve peaks at about two ``n x n`` float64 arrays: the dense
+Gram matrix and the sparse product it is densified from.
 
 Candidate sets per item are the union of the top-K most similar items
 (correlation) and first-order neighbours from training sequences
@@ -24,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from scipy.linalg import lapack
 
 from .corpus import Segmentation, SequenceStore
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, finite_positive
 
 CANDIDATES_SCHEMA = "tailaug.candidate_sets.v1"
 
@@ -39,10 +45,34 @@ class SolverConfig:
     diag_cap: float = 0.2
 
     def __post_init__(self):
-        if not self.ridge_penalty > 0:
-            raise ValueError(f"ridge_penalty must be > 0, got {self.ridge_penalty}")
+        if not finite_positive(self.ridge_penalty):
+            raise ValueError(f"ridge_penalty must be finite and > 0, got {self.ridge_penalty}")
         if not 0.0 <= self.diag_cap < 1.0:
             raise ValueError(f"diag_cap must be in [0, 1), got {self.diag_cap}")
+
+
+def _concat(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The id arrays concatenated in order, as int64, and their lengths."""
+    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    flat = np.concatenate(arrays) if arrays else np.empty(0)
+    return flat.astype(np.int64, copy=False), lengths
+
+
+def _pair_keys(owner: np.ndarray, member: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key per (item, member) pair of ids in ``0..n``, ordered by item."""
+    return owner * (n + 1) + member
+
+
+def _split_by_owner(owner: np.ndarray, member: np.ndarray, n: int) -> list[np.ndarray]:
+    """Per item ``1..n``, its members in array order; ``owner`` is sorted."""
+    counts = np.bincount(owner, minlength=n + 1)[1:]
+    return np.split(member, np.cumsum(counts)[:-1])
+
+
+def _train_prefixes(store: SequenceStore) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's training prefix concatenated in user order, and their lengths."""
+    store._require_split()
+    return _concat([store.train_prefix(u) for u in range(store.n_users)])
 
 
 def build_interaction_matrix(store: SequenceStore) -> scipy.sparse.csr_matrix:
@@ -51,16 +81,13 @@ def build_interaction_matrix(store: SequenceStore) -> scipy.sparse.csr_matrix:
     Column ``j`` corresponds to internal item id ``j + 1``; the padding id
     has no column.
     """
-    store._require_split()
-    rows, cols = [], []
-    for u in range(store.n_users):
-        items = np.unique(store.train_prefix(u))
-        rows.extend([u] * len(items))
-        cols.extend((items - 1).tolist())
-    data = np.ones(len(rows), dtype=np.float64)
-    return scipy.sparse.csr_matrix(
-        (data, (rows, cols)), shape=(store.n_users, store.n_items)
-    )
+    items, lengths = _train_prefixes(store)
+    rows = np.repeat(np.arange(store.n_users), lengths)
+    X = scipy.sparse.csr_matrix((np.ones(len(items)), (rows, items - 1)),
+                                shape=(store.n_users, store.n_items))
+    X.sum_duplicates()
+    X.data[:] = 1.0
+    return X
 
 
 @dataclass
@@ -87,37 +114,62 @@ class SimilarityMatrix:
         return {"capped": capped, "uncapped": int(self.capped.size - capped)}
 
 
+def _gram(X: scipy.sparse.csr_matrix, ridge: float) -> np.ndarray:
+    """``X^T X + ridge * I`` as a dense C-ordered array."""
+    # the product is CSC: densified in F order it needs no sparse copy, and
+    # its transpose view is the same symmetric matrix in C order
+    X = X.astype(np.float64, copy=False)
+    gram = (X.T @ X).toarray(order="F").T
+    gram[np.diag_indices_from(gram)] += ridge
+    return gram
+
+
+_BLOCK = 256  # rows per step of the in-place mirror and of top-K: bounds their temporaries
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the upper triangle of square ``a`` onto its lower one, in place."""
+    for i in range(0, a.shape[0], _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        a[rows, :i] = a[:i, rows].T
+        diag = a[rows, rows]
+        lower = np.tril_indices(diag.shape[0], -1)
+        diag[lower] = diag.T[lower]
+
+
 def solve_similarity(X: scipy.sparse.csr_matrix, config: SolverConfig) -> SimilarityMatrix:
     """Closed-form solve of the diagonal-constrained ridge system.
 
-    Uses a Cholesky factorization of the Gram matrix plus ridge (SPD for
-    any positive ridge).  Raises NumericError on factorization failure or
-    non-finite output.
+    Inverts the Gram matrix plus ridge (SPD for any positive ridge) in
+    place through its Cholesky factor.  Raises NumericError on
+    factorization or inversion failure and on non-finite output.
     """
     n_items = X.shape[1]
     if n_items < 1:
         raise DataError("interaction matrix has no items")
-    gram = np.asarray((X.T @ X).todense(), dtype=np.float64)
-    gram[np.diag_indices_from(gram)] += config.ridge_penalty
-    try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        eigs = np.linalg.eigvalsh(gram)
+    # LAPACK reads the C-ordered symmetric Gram buffer as its F-ordered
+    # transpose, so the lower triangle it writes is the upper triangle of P
+    factor, info = lapack.dpotrf(_gram(X, config.ridge_penalty).T,
+                                 lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        eigs = np.linalg.eigvalsh(_gram(X, config.ridge_penalty))  # the buffer is overwritten
         raise NumericError(
             "SPD factorization of the Gram system failed "
-            f"(eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]): {exc}"
-        ) from exc
-    P = scipy.linalg.cho_solve(factor, np.eye(n_items), check_finite=False)
-    P = (P + P.T) / 2.0  # enforce symmetry lost to rounding
+            f"(eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]): LAPACK dpotrf info {info}")
+    inverse, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericError(f"inverse of the Gram system failed: LAPACK dpotri info {info}")
+    P = inverse.T
+    _mirror_upper(P)
 
     p_diag = np.diag(P).copy()
     capped = (1.0 - config.ridge_penalty * p_diag) > config.diag_cap
     gamma = np.where(capped, (1.0 - config.diag_cap) / p_diag, config.ridge_penalty)
-    values = -P * gamma[np.newaxis, :]
-    values[np.diag_indices_from(values)] += 1.0
-    if not np.all(np.isfinite(values)):
+    P *= -gamma  # S = I - P diagMat(gamma), in place
+    P[np.diag_indices_from(P)] += 1.0
+    if not np.all(np.isfinite(P)):
         raise NumericError("similarity solve produced non-finite entries")
-    return SimilarityMatrix(values=values, gamma=gamma, capped=capped, config=config)
+    return SimilarityMatrix(values=P, gamma=gamma, capped=capped, config=config)
 
 
 def top_k_correlation(sim: SimilarityMatrix, k: int, read: str = "column") -> list[np.ndarray]:
@@ -134,14 +186,24 @@ def top_k_correlation(sim: SimilarityMatrix, k: int, read: str = "column") -> li
         raise ValueError(f"read must be 'column' or 'row', got {read!r}")
     scores = sim.values if read == "row" else sim.values.T
     n = sim.n_items
-    ids = np.arange(1, n + 1, dtype=np.int64)
+    take = min(k, n - 1)
+    if take == 0:
+        return [np.empty(0, dtype=np.int64) for _ in range(n)]
     out = []
-    for j in range(n):
-        s = scores[j].copy()
-        s[j] = -np.inf  # exclude self
-        order = np.lexsort((ids, -s))
-        take = min(k, n - 1)
-        out.append(ids[order[:take]].copy())
+    for start in range(0, n, _BLOCK):
+        # ascending -score, self last: the k-slice holds the top scores
+        neg = np.negative(scores[start:start + _BLOCK], order="C")
+        rows = np.arange(len(neg))
+        neg[rows, start + rows] = np.inf
+        part = np.argpartition(neg, take - 1, axis=1)[:, :take]
+        part_neg = np.take_along_axis(neg, part, axis=1)
+        top = np.take_along_axis(part, np.lexsort((part, part_neg), axis=-1), axis=1) + 1
+        # more entries tied at the k-th score than the slice holds: the slice
+        # may have dropped a lower id, so sort the whole row
+        kth = part_neg.max(axis=1, keepdims=True)
+        for r in np.flatnonzero(np.count_nonzero(neg <= kth, axis=1) > take):
+            top[r] = np.lexsort((np.arange(n), neg[r]))[:take] + 1
+        out.extend(top)
     return out
 
 
@@ -153,22 +215,19 @@ def build_cooccurrence(store: SequenceStore, segmentation: Segmentation) -> list
     are the behaviours that lead to the tail item).  Returned in ascending
     id order, indexed by internal id - 1.
     """
-    store._require_split()
+    items, lengths = _train_prefixes(store)
+    user = np.repeat(np.arange(store.n_users), lengths)
+    inside = user[:-1] == user[1:]
+    a, b = items[:-1][inside], items[1:][inside]  # adjacent pairs within a prefix
     head = segmentation.item_head_mask
-    sets: list[set[int]] = [set() for _ in range(store.n_items)]
-    for u in range(store.n_users):
-        prefix = store.train_prefix(u)
-        for i in range(len(prefix)):
-            v = int(prefix[i])
-            if head[v]:
-                for nb in (prefix[i - 1] if i > 0 else None,
-                           prefix[i + 1] if i + 1 < len(prefix) else None):
-                    if nb is not None and not head[int(nb)]:
-                        sets[v - 1].add(int(nb))
-            else:
-                if i > 0:
-                    sets[v - 1].add(int(prefix[i - 1]))
-    return [np.asarray(sorted(s), dtype=np.int64) for s in sets]
+    # b gains its predecessor a unless both are head items (a tail b takes
+    # any predecessor, itself included); a head a gains a tail successor b
+    back = ~(head[a] & head[b])
+    ahead = head[a] & ~head[b]
+    n = store.n_items
+    keys = np.unique(np.concatenate([_pair_keys(b[back], a[back], n),
+                                     _pair_keys(a[ahead], b[ahead], n)]))
+    return _split_by_owner(keys // (n + 1), keys % (n + 1), n)
 
 
 @dataclass
@@ -204,19 +263,36 @@ class CandidateSets:
 
 
 def union_candidates(cr: list[np.ndarray], cc: list[np.ndarray], k: int) -> CandidateSets:
+    """Per item, its ``cr`` in order, then the ``cc``-only members by ascending id.
+
+    Members are internal ids in ``1..len(cr)``; the item itself and
+    repeated members are dropped.
+    """
     if len(cr) != len(cc):
         raise ValueError("cr and cc must cover the same item universe")
-    union = []
-    for j, (a, b) in enumerate(zip(cr, cc)):
-        self_id = j + 1
-        seen = set()
-        merged = []
-        for v in list(a) + sorted(set(b.tolist()) - set(a.tolist())):
-            v = int(v)
-            if v != self_id and v not in seen:
-                seen.add(v)
-                merged.append(v)
-        union.append(np.asarray(merged, dtype=np.int64))
+    n = len(cr)
+    ids = np.arange(1, n + 1)
+    cr_member, cr_len = _concat(cr)
+    cc_member, cc_len = _concat(cc)
+    for members in (cr_member, cc_member):
+        if np.any((members < 1) | (members > n)):
+            raise ValueError(f"candidate ids must be internal item ids in 1..{n}")
+    cr_owner = np.repeat(ids, cr_len)
+    cr_keys = _pair_keys(cr_owner, cr_member, n)
+    # the first occurrence of each cr member, self excluded, in cr order
+    keep = np.zeros(len(cr_keys), dtype=bool)
+    keep[np.unique(cr_keys, return_index=True)[1]] = True
+    keep &= cr_member != cr_owner
+    # cc members that are neither in cr nor the item itself, ascending
+    cc_keys = np.unique(_pair_keys(np.repeat(ids, cc_len), cc_member, n))
+    cc_keys = cc_keys[~np.isin(cc_keys, cr_keys)]
+    cc_owner, cc_member = cc_keys // (n + 1), cc_keys % (n + 1)
+    cc_new = cc_member != cc_owner
+    owner = np.concatenate([cr_owner[keep], cc_owner[cc_new]])
+    member = np.concatenate([cr_member[keep], cc_member[cc_new]])
+    # a stable sort keeps each item's cr members ahead of its cc-only ones
+    order = np.argsort(owner, kind="stable")
+    union = _split_by_owner(owner[order], member[order], n)
     return CandidateSets(k=k, cr=[a.copy() for a in cr], cc=[b.copy() for b in cc], c=union)
 
 

@@ -15,7 +15,6 @@ from the items absent from the user's training prefix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .augment import (CrossPlan, OperatorConfig, apply_cross_mixup,
 from .corpus import Segmentation, SequenceStore, classify_sequence
 from .encoders import (ModelState, backward_batch, encode_batch, init_model,
                        lookup, sigmoid)
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, finite_positive
 from .rand import AUGMENT, CROSS, NEGATIVE, PREFIX, SHUFFLE, derive_rng
 from .simcand import CandidateSets
 
@@ -50,7 +49,7 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         # zero is legal (no-op steps, useful in tests); negative is not
-        if not 0.0 <= self.learning_rate < math.inf:
+        if not (self.learning_rate == 0 or finite_positive(self.learning_rate)):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             raise ValueError("epoch counts must be >= 0")

@@ -66,8 +66,9 @@ class TestSampleRate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OperatorConfig(a=0.5, b=0.5)
-        with pytest.raises(ValueError):
-            OperatorConfig(alpha=0.0)
+        for alpha in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                OperatorConfig(alpha=alpha)
 
 
 class TestSelectOperator:

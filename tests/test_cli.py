@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from tailaug import cli, evaluation, serialize, synth
+from tailaug import cli, evaluation, serialize, simcand, synth
 from tailaug.cli import main
 from tailaug.config import DEFAULTS, config_hash, load_config
 from tailaug.errors import ConfigError
@@ -73,10 +73,14 @@ class TestPrepare:
 
     @pytest.mark.parametrize("key, value", [("corpus.k_core", True),
                                             ("simcand.diag_cap", False),
-                                            ("corpus.k_core", float("inf"))],
-                             ids=["bool-int", "bool-float", "inf-int"])
+                                            ("corpus.k_core", float("inf")),
+                                            ("corpus.k_core", 2.7),
+                                            ("eval.ks", [5, 10.5])],
+                             ids=["bool-int", "bool-float", "inf-int", "float-int",
+                                  "float-int-list"])
     def test_non_numeric_config_value_fails_before_io(self, tmp_path, capsys, key, value):
-        # JSON true/false would otherwise read as 1/0, and Infinity overflows int
+        # JSON true/false would otherwise read as 1/0, Infinity overflows int,
+        # and int() would truncate 2.7 to 2
         section, name = key.split(".")
         config = tmp_path / "run.json"
         config.write_text(json.dumps({section: {name: value}}))
@@ -111,6 +115,15 @@ class TestCandidates:
 
     def test_default_k_from_config(self):
         assert DEFAULTS["simcand.k"] == 10
+
+    def test_failed_factorization_is_numeric_failure(self, tmp_path, csv_path,
+                                                     monkeypatch, capsys):
+        _prepare(tmp_path, csv_path)
+        monkeypatch.setattr(simcand.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+        assert main(["candidates", "--out-dir", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "eigenvalue range" in err
+        assert not (tmp_path / "candidates.json").exists()
 
 
 class TestTrainEvaluate:
@@ -287,9 +300,12 @@ class TestConfigFile:
 
     def test_nested_json_file(self, tmp_path):
         p = tmp_path / "run.json"
-        p.write_text(json.dumps({"corpus": {"k_core": 4}, "eval": {"ks": [5, 10]}}))
+        # an integral float is an integer: 16.0 loads as 16
+        p.write_text(json.dumps({"corpus": {"k_core": 4}, "eval": {"ks": [5, 10.0]},
+                                 "train": {"batch_size": 16.0}}))
         cfg = load_config(p)
         assert cfg["corpus.k_core"] == 4 and cfg["eval.ks"] == [5, 10]
+        assert cfg["train.batch_size"] == 16 and type(cfg["train.batch_size"]) is int
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
 
-from tailaug import corpus, serialize
-from tailaug.errors import DataError
+from tailaug import corpus, serialize, simcand
+from tailaug.errors import DataError, NumericError
 from tailaug.simcand import (CANDIDATES_SCHEMA, CandidateSets,
                              SimilarityMatrix, SolverConfig, build_candidates,
                              build_cooccurrence, build_interaction_matrix,
@@ -43,6 +45,62 @@ def projected_gradient_minimizer(X, lam, cap, iters=20000):
     return B
 
 
+def reference_interaction_matrix(store):
+    X = np.zeros((store.n_users, store.n_items))
+    for u in range(store.n_users):
+        X[u, store.train_prefix(u) - 1] = 1.0
+    return X
+
+
+def reference_top_k(values, k, read):
+    """One full lexsort per item: by descending score, then ascending id."""
+    scores = values if read == "row" else values.T
+    n = len(values)
+    ids = np.arange(1, n + 1)
+    out = []
+    for j in range(n):
+        s = scores[j].copy()
+        s[j] = -np.inf
+        out.append(ids[np.lexsort((ids, -s))[:min(k, n - 1)]])
+    return out
+
+
+def reference_cooccurrence(store, seg):
+    head = seg.item_head_mask
+    sets = [set() for _ in range(store.n_items)]
+    for u in range(store.n_users):
+        p = store.train_prefix(u).tolist()
+        for i, v in enumerate(p):
+            if head[v]:
+                for j in (i - 1, i + 1):
+                    if 0 <= j < len(p) and not head[p[j]]:
+                        sets[v - 1].add(p[j])
+            elif i > 0:
+                sets[v - 1].add(p[i - 1])
+    return [sorted(s) for s in sets]
+
+
+def reference_union(cr, cc):
+    union = []
+    for j, (a, b) in enumerate(zip(cr, cc)):
+        merged = []
+        for v in list(a) + sorted(set(b.tolist()) - set(a.tolist())):
+            if v != j + 1 and v not in merged:
+                merged.append(int(v))
+        union.append(merged)
+    return union
+
+
+def random_store(rng, n_users=80, n_items=12):
+    """Split store whose sequences of 2 to 9 items give empty, one-item and
+    longer training prefixes, with repeated (often adjacent) items."""
+    seqs = [rng.integers(1, n_items + 1, size=int(rng.integers(2, 10)))
+            for _ in range(n_users)]
+    return corpus.SequenceStore(
+        max_len=10, user_ids=[f"u{u}" for u in range(n_users)],
+        item_ids=[f"i{v}" for v in range(n_items)], sequences=seqs, split=True)
+
+
 class TestInteractionMatrix:
     def test_repeats_collapse_to_one(self):
         store = store_from_sequences({"u": ["a", "a", "b", "c", "d"]})
@@ -73,6 +131,14 @@ class TestInteractionMatrix:
             for it in items:
                 expected[u, idx[it]] = 1
         np.testing.assert_array_equal(mat, expected)
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            store = random_store(rng)
+            X = build_interaction_matrix(store)
+            assert X.has_canonical_format and set(X.data.tolist()) <= {1.0}
+            np.testing.assert_array_equal(X.toarray(), reference_interaction_matrix(store))
 
 
 class TestSolver:
@@ -143,14 +209,49 @@ class TestSolver:
         np.testing.assert_allclose(permuted, base[np.ix_(perm, perm)], atol=1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(ridge_penalty=0.0)
+        for ridge in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                SolverConfig(ridge_penalty=ridge)
         with pytest.raises(ValueError):
             SolverConfig(diag_cap=1.0)
 
     def test_no_items_is_data_error(self):
         with pytest.raises(DataError):
             solve_similarity(as_matrix(np.zeros((3, 0))), SolverConfig())
+
+    def test_matches_explicit_inverse(self):
+        # 300 items: the in-place mirror of the inverse spans two blocks
+        rng = np.random.default_rng(6)
+        X = (rng.random((40, 300)) < 0.1).astype(float)
+        cfg = SolverConfig(ridge_penalty=2.0, diag_cap=0.2)
+        sim = solve_similarity(as_matrix(X), cfg)
+        P = np.linalg.inv(X.T @ X + cfg.ridge_penalty * np.eye(300))
+        expected = np.eye(300) - P * sim.gamma
+        assert sim.values.flags.c_contiguous
+        np.testing.assert_allclose(sim.values, expected, rtol=0, atol=1e-12)
+
+    def test_peak_memory_about_two_dense_arrays(self):
+        n = 800
+        rng = np.random.default_rng(9)
+        X = as_matrix(rng.random((1500, n)) < 0.0125)  # ~10 items per user
+        tracemalloc.start()
+        try:
+            solve_similarity(X, SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n
+
+    @pytest.mark.parametrize("routine", ["dpotrf", "dpotri"])
+    def test_lapack_failure_is_numeric_error(self, routine, monkeypatch):
+        monkeypatch.setattr(simcand.lapack, routine, lambda a, **kwargs: (a, 3))
+        rng = np.random.default_rng(10)
+        X = as_matrix(rng.random((12, 6)) < 0.4)
+        with pytest.raises(NumericError, match=f"{routine} info 3") as err:
+            solve_similarity(X, SolverConfig(ridge_penalty=10.0))
+        if routine == "dpotrf":  # the range of the intact Gram matrix, not the buffer
+            eigs = np.linalg.eigvalsh(X.T @ X + 10.0 * np.eye(6))
+            assert f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]" in str(err.value)
 
 
 class TestTopK:
@@ -197,6 +298,38 @@ class TestTopK:
                                capped=np.zeros(2, bool), config=SolverConfig())
         assert [len(c) for c in top_k_correlation(sim, 10)] == [1, 1]
 
+    @pytest.mark.parametrize("read", ["column", "row"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 40, 300])
+    def test_matches_lexsort_reference_with_ties(self, n, read):
+        k = 10
+        rng = np.random.default_rng(n)
+        # few levels, all <= 0.5, so most rows tie across the k-th score;
+        # -0.0 and 0.0 must tie as well
+        values = rng.integers(-4, 2, size=(n, n)) * 0.5
+        values[(values == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+        sim = SimilarityMatrix(values=values, gamma=np.zeros(n),
+                               capped=np.zeros(n, bool), config=SolverConfig())
+        got = top_k_correlation(sim, k, read=read)
+        expected = reference_top_k(values, k, read)
+        assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+        assert all(a.dtype == np.int64 for a in got)
+        if n > k + 1:  # the boundary ties the fallback exists for do occur
+            scores = values if read == "row" else values.T
+            kth = [scores[j][expected[j][-1] - 1] for j in range(n)]
+            assert any(np.count_nonzero(np.delete(scores[j], j) == kth[j]) > 1
+                       for j in range(n))
+
+    @pytest.mark.parametrize("read", ["column", "row"])
+    def test_matches_lexsort_reference_negative_scores(self, read):
+        rng = np.random.default_rng(13)
+        values = rng.normal(-5.0, 1.0, size=(270, 270))
+        sim = SimilarityMatrix(values=values, gamma=np.zeros(270),
+                               capped=np.zeros(270, bool), config=SolverConfig())
+        for k in (1, 7, 269, 400):
+            got = top_k_correlation(sim, k, read=read)
+            assert [a.tolist() for a in got] == \
+                [a.tolist() for a in reference_top_k(values, k, read)]
+
 
 class TestCooccurrence:
     def test_head_tail_adjacency(self):
@@ -236,6 +369,21 @@ class TestCooccurrence:
                     expect[v - 1].add(p[i - 1])
         assert [set(a.tolist()) for a in cc] == expect
 
+    def test_matches_loop_reference_on_ragged_prefixes(self):
+        rng = np.random.default_rng(14)
+        self_listed = 0
+        for _ in range(10):
+            store = random_store(rng)
+            heads = set(rng.choice(np.arange(1, 13), size=int(rng.integers(0, 13)),
+                                   replace=False).tolist())
+            seg = segmentation_with_heads(store, head_items=heads)
+            cc = build_cooccurrence(store, seg)
+            assert [a.tolist() for a in cc] == reference_cooccurrence(store, seg)
+            assert all(a.dtype == np.int64 for a in cc)
+            self_listed += sum(v in cc[v - 1] for v in range(1, 13))
+        # a tail item repeated back to back lists itself
+        assert self_listed > 0
+
     def test_tail_cc_members_precede_somewhere(self, small_corpus):
         store, seg, cands, _ = small_corpus
         cc = build_cooccurrence(store, seg)
@@ -269,6 +417,25 @@ class TestUnion:
         cc = [np.array([], dtype=np.int64)] * 2
         sets = union_candidates(cr, cc, k=2)
         assert sets.candidates_for(1).tolist() == [2]
+
+    def test_matches_loop_reference_with_self_and_duplicates(self):
+        rng = np.random.default_rng(15)
+        n = 15
+        draw = lambda: [rng.integers(1, n + 1, size=int(rng.integers(0, 7)))
+                        for _ in range(n)]
+        for _ in range(20):
+            cr, cc = draw(), draw()
+            sets = union_candidates(cr, cc, k=3)
+            assert [a.tolist() for a in sets.c] == reference_union(cr, cc)
+            assert all(np.array_equal(x, y) for x, y in zip(sets.cr, cr))
+            assert all(np.array_equal(x, y) for x, y in zip(sets.cc, cc))
+
+    def test_ids_outside_the_universe_rejected(self):
+        empty = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError):
+            union_candidates([np.array([3])] * 2, [empty] * 2, k=1)
+        with pytest.raises(ValueError):
+            union_candidates([empty] * 2, [np.array([0])] * 2, k=1)
 
     def test_cardinality_bound_end_to_end(self, small_corpus):
         store, seg, cands, _ = small_corpus

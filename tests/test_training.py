@@ -113,6 +113,12 @@ class TestAdam:
         assert TrainConfig().learning_rate == pytest.approx(0.001)
         assert training.ADAM_BETA1 == 0.9 and training.ADAM_BETA2 == 0.999
 
+    def test_learning_rate_is_zero_or_finite_positive(self):
+        assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
+        for lr in (-0.001, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                TrainConfig(learning_rate=lr)
+
 
 def _toy_setup(small_corpus, encoder="pooled", dim=8, seed=0):
     store, seg, cands, _ = small_corpus
