@@ -14,7 +14,7 @@ from tailaug import corpus, synth
 # items, many rarely-seen ones, short per-user histories.
 log = synth.generate_interactions(n_users=800, n_items=300, n_topics=8, seed=3)
 print(f"raw log: {len(log)} interactions "
-      f"({len({r.user_id for r in log})} users, {len({r.item_id for r in log})} items)")
+      f"({len(log.user_ids)} users, {len(log.item_ids)} items)")
 
 # ---------------------------------------------------------------------
 # 5-core filtering: iteratively drop users/items with fewer than five

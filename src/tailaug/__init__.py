@@ -10,7 +10,7 @@ evaluation.
 from .augment import (AugmentedSample, CrossPlan, OperatorConfig,
                       apply_cross_mixup, augment_sequence, plan_cross_batch,
                       sample_rate, select_operator, t_insert, t_substitute)
-from .corpus import (DatasetStats, Interaction, PreferenceClass, Segmentation,
+from .corpus import (DatasetStats, InteractionLog, PreferenceClass, Segmentation,
                      SequenceStore, build_sequences, classify_sequence,
                      dataset_stats, k_core_filter, leave_one_out_split,
                      load_interactions, segment)

@@ -69,13 +69,13 @@ def cmd_prepare(args) -> int:
     log = corpus.k_core_filter(log, cfg["corpus.k_core"])
     n_sample = cfg["corpus.sample_users"]
     if n_sample:
-        users = sorted({r.user_id for r in log})
+        # user codes in lexicographic order of their raw ids
+        users = sorted(np.unique(log.users).tolist(), key=log.user_ids.__getitem__)
         if n_sample < len(users):
             rng = derive_rng(cfg["seed"], SUBSAMPLE)
-            keep = set(np.asarray(users, dtype=object)[
-                rng.permutation(len(users))[:n_sample]])
-            log = [r for r in log if r.user_id in keep]
-            log = corpus.k_core_filter(log, cfg["corpus.k_core"])
+            keep = np.zeros(len(log.user_ids), dtype=bool)
+            keep[np.asarray(users, dtype=np.int64)[rng.permutation(len(users))[:n_sample]]] = True
+            log = corpus.k_core_filter(log.select(keep[log.users]), cfg["corpus.k_core"])
     if not log:
         raise DataError(
             f"k-core filtering with k={cfg['corpus.k_core']} removed every "

@@ -106,7 +106,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         stripped = text.lstrip()
         if stripped.startswith("{"):

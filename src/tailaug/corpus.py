@@ -1,25 +1,26 @@
 """Interaction-log ingestion and corpus preparation.
 
 Pipeline: ``load_interactions`` -> ``k_core_filter`` -> ``build_sequences``
--> ``leave_one_out_split`` -> ``segment``.  The result is an immutable
-:class:`SequenceStore` (per-user chronological item sequences with split
-markers) plus a :class:`Segmentation` (head/tail membership for users and
-items).  All steps are deterministic: identical input and config produce
-byte-identical persisted artifacts.
+-> ``leave_one_out_split`` -> ``segment``.  The first three steps pass one
+columnar :class:`InteractionLog`: int64 user and item codes and int64
+timestamps in file row order, plus the raw-id vocabularies the codes index.
+The result is an immutable :class:`SequenceStore` (per-user chronological
+item sequences with split markers) plus a :class:`Segmentation` (head/tail
+membership for users and items).  All steps are deterministic: identical
+input and config produce byte-identical persisted artifacts.
 
 Identifiers are opaque strings.  Wherever an ordering over raw ids is
 needed (tie-breaks, head-quota fills, internal id assignment) the ids are
 ordered numerically when every id in the universe parses as an integer,
-lexicographically otherwise.
+lexicographically otherwise; numerically equal ids (``7``, ``07``) are
+ordered by their raw strings.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,63 +35,96 @@ STATS_SCHEMA = "tailaug.dataset_stats.v1"
 PADDING_ID = 0  # internal item id 0 is reserved, never a real item
 
 
-@dataclass(frozen=True)
-class Interaction:
-    user_id: str
-    item_id: str
-    timestamp: int
-
-
 class PreferenceClass(Enum):
     HEAD_PREFERRING = "head"
     TAIL_PREFERRING = "tail"
 
 
-def _id_order(ids: Iterable[str]):
-    """Sort key over raw ids: numeric when the whole universe is numeric."""
-    ids = list(ids)
+def _code(raw: list[str]) -> tuple[np.ndarray, list[str]]:
+    index = dict(zip(dict.fromkeys(raw), range(len(raw))))
+    return np.fromiter(map(index.__getitem__, raw), np.int64, len(raw)), list(index)
+
+
+@dataclass(frozen=True, eq=False)
+class InteractionLog:
+    """Interactions as columns, one entry per row in file order.
+
+    ``users`` and ``items`` are int64 codes into the raw-id vocabularies
+    ``user_ids`` and ``item_ids``, which filtering keeps whole.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+    timestamps: np.ndarray
+    user_ids: list[str]
+    item_ids: list[str]
+
+    @classmethod
+    def from_columns(cls, users: list[str], items: list[str], stamps: list[int]) -> "InteractionLog":
+        """Code raw-id columns, numbering ids by first appearance."""
+        (ucodes, uvocab), (icodes, ivocab) = _code(users), _code(items)
+        return cls(ucodes, icodes, np.array(stamps, dtype=np.int64), uvocab, ivocab)
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def select(self, rows) -> "InteractionLog":
+        """The rows picked by a boolean mask or index array, in log order."""
+        return InteractionLog(self.users[rows], self.items[rows], self.timestamps[rows],
+                              self.user_ids, self.item_ids)
+
+
+def _id_order(vocab: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The raw ids that ``codes`` use, in id order, and each code's rank among them."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(vocab)))
+    ids = [vocab[c] for c in used.tolist()]
     try:
-        numeric = {i: int(i) for i in ids}
+        keys = [(int(i), i) for i in ids]
     except ValueError:
-        return lambda i: i
-    return lambda i: numeric[i]
+        keys = ids
+    order = sorted(range(len(ids)), key=keys.__getitem__)
+    rank = np.zeros(len(vocab), dtype=np.int64)
+    rank[used[order]] = np.arange(len(order))
+    return [ids[j] for j in order], rank
 
 
-def load_interactions(path, delimiter: str = ",", header: bool = False) -> list[Interaction]:
+def load_interactions(path, delimiter: str = ",", header: bool = False) -> InteractionLog:
     """Read one interaction per line: user_id, item_id, timestamp.
 
-    Malformed rows are errors (reported with their line number), never
-    silently skipped.  Duplicate rows are retained.
+    The file must be UTF-8 and timestamps must fit in int64.  Malformed
+    rows are errors (reported with their line number), never silently
+    skipped.  Duplicate rows are retained.
     """
-    out: list[Interaction] = []
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read interaction file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(delimiter)]
-            if len(parts) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 fields (user, item, timestamp), got {len(parts)}"
-                )
-            user, item, ts = parts
-            if not user or not item:
-                raise DataError(f"{path}:{lineno}: empty user or item id")
-            try:
-                timestamp = int(ts)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: timestamp {ts!r} is not an integer") from None
-            out.append(Interaction(user, item, timestamp))
-    return out
+    users, items, stamps = [], [], []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or (header and lineno == 1):
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 fields (user, item, timestamp), "
+                            f"got {len(parts)}")
+        user, item, ts = parts[0].strip(), parts[1].strip(), parts[2].strip()
+        if not user or not item:
+            raise DataError(f"{path}:{lineno}: empty user or item id")
+        try:
+            timestamp = int(ts)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: timestamp {ts!r} is not an integer") from None
+        if not -2 ** 63 <= timestamp < 2 ** 63:
+            raise DataError(f"{path}:{lineno}: timestamp {ts} does not fit in int64")
+        users.append(user)
+        items.append(item)
+        stamps.append(timestamp)
+    return InteractionLog.from_columns(users, items, stamps)
 
 
-def k_core_filter(log: Sequence[Interaction], k: int) -> list[Interaction]:
+def k_core_filter(log: InteractionLog, k: int) -> InteractionLog:
     """Largest subset of the log where every user and item has >= k interactions.
 
     Prunes under-represented users and items alternately until a fixed
@@ -99,17 +133,14 @@ def k_core_filter(log: Sequence[Interaction], k: int) -> list[Interaction]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rows = list(log)
+    rows = np.arange(len(log))
+    users, items = log.users, log.items
     while True:
-        user_counts = Counter(r.user_id for r in rows)
-        item_counts = Counter(r.item_id for r in rows)
-        keep = [
-            r for r in rows
-            if user_counts[r.user_id] >= k and item_counts[r.item_id] >= k
-        ]
-        if len(keep) == len(rows):
-            return keep
-        rows = keep
+        keep = ((np.bincount(users, minlength=len(log.user_ids)) >= k)[users]
+                & (np.bincount(items, minlength=len(log.item_ids)) >= k)[items])
+        if keep.all():
+            return log.select(rows)
+        rows, users, items = rows[keep], users[keep], items[keep]
 
 
 @dataclass
@@ -136,9 +167,6 @@ class SequenceStore:
     @property
     def n_items(self) -> int:
         return len(self.item_ids)
-
-    def full_sequence(self, u: int) -> np.ndarray:
-        return self.sequences[u]
 
     def _require_split(self):
         if not self.split:
@@ -176,7 +204,7 @@ class SequenceStore:
         )
 
 
-def build_sequences(log: Sequence[Interaction], max_len: int) -> SequenceStore:
+def build_sequences(log: InteractionLog, max_len: int) -> SequenceStore:
     """Group interactions per user in chronological order.
 
     Timestamp ties are broken by ascending item id, then by input order,
@@ -185,22 +213,15 @@ def build_sequences(log: Sequence[Interaction], max_len: int) -> SequenceStore:
     """
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3, got {max_len}")
-    item_key = _id_order({r.item_id for r in log})
-    user_key = _id_order({r.user_id for r in log})
-
-    per_user: dict[str, list[tuple]] = defaultdict(list)
-    for pos, r in enumerate(log):
-        per_user[r.user_id].append((r.timestamp, item_key(r.item_id), pos, r.item_id))
-
-    user_ids = sorted(per_user, key=user_key)
-    item_ids = sorted({r.item_id for r in log}, key=item_key)
-    item_index = {raw: i + 1 for i, raw in enumerate(item_ids)}
-
-    sequences = []
-    for u in user_ids:
-        rows = sorted(per_user[u])
-        items = [item_index[raw] for (_, _, _, raw) in rows][-max_len:]
-        sequences.append(np.asarray(items, dtype=np.int64))
+    user_ids, user_rank = _id_order(log.user_ids, log.users)
+    item_ids, item_rank = _id_order(log.item_ids, log.items)
+    users = user_rank[log.users]
+    # lexsort is stable: rows equal in every key keep their input order
+    order = np.lexsort((item_rank[log.items], log.timestamps, users))
+    items = item_rank[log.items[order]] + 1
+    counts = np.bincount(users, minlength=len(user_ids))
+    ends, lengths = np.cumsum(counts), np.minimum(counts, max_len)
+    sequences = [items[end - n:end] for end, n in zip(ends.tolist(), lengths.tolist())]
     return SequenceStore(max_len=max_len, user_ids=user_ids, item_ids=item_ids,
                          sequences=sequences)
 
@@ -213,9 +234,7 @@ def leave_one_out_split(store: SequenceStore) -> SequenceStore:
                 f"user {store.user_ids[u]!r} has only {len(seq)} interactions; "
                 "need >= 3 for a leave-one-out split"
             )
-    return SequenceStore(max_len=store.max_len, user_ids=store.user_ids,
-                         item_ids=store.item_ids, sequences=store.sequences,
-                         split=True)
+    return replace(store, split=True)
 
 
 @dataclass
@@ -270,9 +289,10 @@ class Segmentation:
         )
 
 
-def _head_cut(ranked: list[int], n_total: int) -> frozenset[int]:
-    quota = math.ceil(HEAD_FRACTION * n_total)
-    return frozenset(ranked[:quota])
+def _head_cut(counts: np.ndarray) -> frozenset[int]:
+    """Positions of the ceil(20%) largest counts, ties to the lower position."""
+    quota = math.ceil(HEAD_FRACTION * len(counts))
+    return frozenset(np.argsort(-counts, kind="stable")[:quota].tolist())
 
 
 def segment(store: SequenceStore, beta: float = 0.5) -> Segmentation:
@@ -287,16 +307,13 @@ def segment(store: SequenceStore, beta: float = 0.5) -> Segmentation:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
 
-    user_len = np.array([len(store.train_prefix(u)) for u in range(store.n_users)])
-    item_count = np.zeros(store.n_items + 1, dtype=np.int64)
-    for u in range(store.n_users):
-        np.add.at(item_count, store.train_prefix(u), 1)
+    prefixes = [s[:-2] for s in store.sequences]
+    user_len = np.fromiter(map(len, prefixes), np.int64, store.n_users)
+    item_count = np.bincount(np.concatenate([np.zeros(0, np.int64), *prefixes]),
+                             minlength=store.n_items + 1)
 
-    users_ranked = sorted(range(store.n_users), key=lambda u: (-user_len[u], u))
-    items_ranked = sorted(range(1, store.n_items + 1), key=lambda v: (-item_count[v], v))
-
-    head_users = _head_cut(users_ranked, store.n_users)
-    head_items = _head_cut(items_ranked, store.n_items)
+    head_users = _head_cut(user_len)
+    head_items = frozenset(v + 1 for v in _head_cut(item_count[1:]))
     return Segmentation(
         head_users=head_users,
         tail_users=frozenset(range(store.n_users)) - head_users,

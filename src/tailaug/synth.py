@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import serialize
-from .corpus import Interaction
+from .corpus import InteractionLog
 from .rand import derive_rng
 
 
@@ -28,7 +28,7 @@ def generate_interactions(n_users: int = 3500, n_items: int = 1200,
                           zipf_exponent: float = 1.05,
                           follow_prob: float = 0.55,
                           topic_prob: float = 0.85,
-                          n_followers: int = 3) -> list[Interaction]:
+                          n_followers: int = 3) -> InteractionLog:
     """Draw a full interaction log; deterministic per seed."""
     rng = derive_rng(seed, 0)
 
@@ -50,7 +50,7 @@ def generate_interactions(n_users: int = 3500, n_items: int = 1200,
         pool = topic_items[topics[v]]
         followers[v] = pool[rng.integers(len(pool), size=n_followers)]
 
-    log: list[Interaction] = []
+    users, items, steps = [], [], []
     for u in range(n_users):
         urng = derive_rng(seed, 1, u)
         topic = int(urng.integers(n_topics))
@@ -65,12 +65,15 @@ def generate_interactions(n_users: int = 3500, n_items: int = 1200,
                 v = int(urng.choice(pool, p=topic_weights[topic]))
             else:
                 v = int(urng.choice(n_items, p=weight))
-            log.append(Interaction(f"u{u:05d}", f"i{v:05d}", step))
+            users.append(f"u{u:05d}")
+            items.append(f"i{v:05d}")
+            steps.append(step)
             prev = v
-    return log
+    return InteractionLog.from_columns(users, items, steps)
 
 
-def write_csv(path, interactions: list[Interaction], delimiter: str = ",") -> None:
-    """Write ``user,item,timestamp`` lines atomically."""
+def write_csv(path, log: InteractionLog, delimiter: str = ",") -> None:
+    """Write ``user,item,timestamp`` lines atomically, in log order."""
     serialize.write_text(path, "".join(
-        f"{r.user_id}{delimiter}{r.item_id}{delimiter}{r.timestamp}\n" for r in interactions))
+        f"{log.user_ids[u]}{delimiter}{log.item_ids[v]}{delimiter}{t}\n" for u, v, t in
+        zip(log.users.tolist(), log.items.tolist(), log.timestamps.tolist())))

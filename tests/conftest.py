@@ -1,9 +1,30 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from tailaug import corpus, simcand, synth
-from tailaug.corpus import Interaction
 from tailaug.encoders import encode_batch
+
+
+@dataclass(frozen=True)
+class Interaction:
+    """One log row, for building small logs by hand."""
+    user_id: str
+    item_id: str
+    timestamp: int
+
+
+def log_from_rows(rows) -> corpus.InteractionLog:
+    return corpus.InteractionLog.from_columns([r.user_id for r in rows],
+                                              [r.item_id for r in rows],
+                                              [r.timestamp for r in rows])
+
+
+def log_rows(log) -> list:
+    """An ``InteractionLog`` read back as its ``Interaction`` rows, in log order."""
+    return [Interaction(log.user_ids[u], log.item_ids[v], t) for u, v, t in
+            zip(log.users.tolist(), log.items.tolist(), log.timestamps.tolist())]
 
 
 def store_from_sequences(user_items: dict, max_len: int = 50, split: bool = True):
@@ -12,7 +33,7 @@ def store_from_sequences(user_items: dict, max_len: int = 50, split: bool = True
     for user, items in user_items.items():
         for t, item in enumerate(items):
             log.append(Interaction(str(user), str(item), t))
-    store = corpus.build_sequences(log, max_len)
+    store = corpus.build_sequences(log_from_rows(log), max_len)
     return corpus.leave_one_out_split(store) if split else store
 
 

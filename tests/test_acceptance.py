@@ -29,7 +29,7 @@ from tailaug.training import Batch, batch_loss, bce_loss_batch
 
 import scipy.sparse
 
-from conftest import users_with_train_len
+from conftest import Interaction, log_from_rows, log_rows, users_with_train_len
 
 
 @contextmanager
@@ -399,19 +399,19 @@ def test_criterion_9_corpus_invariants():
         fixtures = []
         rng = np.random.default_rng(7)
         for fid in range(6):
-            rows = [corpus.Interaction(f"u{rng.integers(25)}", f"i{rng.integers(15)}",
-                                       int(rng.integers(100)))
+            rows = [Interaction(f"u{rng.integers(25)}", f"i{rng.integers(15)}",
+                                int(rng.integers(100)))
                     for _ in range(rng.integers(40, 220))]
-            fixtures.append(rows)
+            fixtures.append(log_from_rows(rows))
         fixtures.append(synth.generate_interactions(150, 60, 6, seed=8))
 
         for rows in fixtures:
             for k in (1, 2, 3, 5):
                 core = corpus.k_core_filter(rows, k)
-                assert corpus.k_core_filter(core, k) == core  # fixed point
+                assert log_rows(corpus.k_core_filter(core, k)) == log_rows(core)  # fixed point
                 from collections import Counter
-                uc = Counter(r.user_id for r in core)
-                ic = Counter(r.item_id for r in core)
+                uc = Counter(r.user_id for r in log_rows(core))
+                ic = Counter(r.item_id for r in log_rows(core))
                 assert all(c >= k for c in uc.values())
                 assert all(c >= k for c in ic.values())
 
@@ -423,7 +423,7 @@ def test_criterion_9_corpus_invariants():
                 continue
             store = corpus.leave_one_out_split(store)
             for u in range(store.n_users):
-                full = store.full_sequence(u)
+                full = store.sequences[u]
                 assert store.test_item(u) == full[-1]
                 assert store.valid_item(u) == full[-2]
                 assert len(store.train_prefix(u)) == len(full) - 2

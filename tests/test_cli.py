@@ -1,6 +1,12 @@
+import hashlib
+import itertools
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +106,36 @@ class TestPrepare:
         _prepare(tmp_path, csv_path, extra=["--sample-users", "40"])
         stats = json.loads((tmp_path / "stats.json").read_text())
         assert stats["n_users"] <= 40
+
+    @pytest.mark.parametrize("extra, digests", [
+        (["--sample-users", "40"],
+         ("9663aab8cffedff3", "d6d82d68484a5719", "6fb42456e097514d")),
+        (["--sample-users", "40", "--seed", "5"],
+         ("14a58ec8ee05c7e8", "0e7635be2e2a9515", "c2900fb345f8ad97")),
+    ])
+    def test_sample_users_artifacts_are_pinned(self, tmp_path, csv_path, extra, digests):
+        # sha256 prefixes of the artifacts the row-wise prepare wrote for this
+        # log; the columnar prepare must reproduce them byte for byte
+        assert _prepare(tmp_path, csv_path, extra=extra) == 0
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+                     for name in ("store.json", "segmentation.json", "stats.json")) == digests
+
+    def test_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # numerically equal ids once took their order from set iteration
+        ids = ["7", "07", "007", "8", "08", "9"]
+        csv = tmp_path / "log.csv"
+        csv.write_text("".join(f"{u},{v},0\n" for u, v in itertools.product(ids, ids)))
+        src = Path(cli.__file__).resolve().parents[1]
+        outputs = set()
+        for seed in ("1", "2", "3", "4"):
+            out = tmp_path / seed
+            subprocess.run([sys.executable, "-m", "tailaug.cli", "prepare", "--input",
+                            str(csv), "--out-dir", str(out), "--k-core", "1"],
+                           env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+                           check=True, capture_output=True, timeout=120)
+            outputs.add(tuple((out / name).read_bytes()
+                              for name in ("store.json", "segmentation.json", "stats.json")))
+        assert len(outputs) == 1
 
 
 class TestCandidates:
@@ -468,6 +504,23 @@ class TestFaultInjection:
         assert main(_command(artifact, out)) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, content, code, prefix", [
+        ("--input", b"u1,i1,1\nu2,i1,2\nu3,\xff\xfe,3\n", 3, "data error:"),
+        ("--input", b"u1,i1,1\nu1,i2,2\nu1,i3,99999999999999999999\n", 3, "data error:"),
+        ("--config", b"corpus.k_core = 3\n# \xff\xfe\n", 2, "config error:"),
+    ], ids=["non-utf8-log", "int64-overflow-log", "non-utf8-config"])
+    def test_bad_prepare_input_is_refused(self, flag, content, code, prefix, csv_path,
+                                          tmp_path, capsys):
+        bad = tmp_path / "bad_input"
+        bad.write_bytes(content)
+        argv = {"--input": str(csv_path), "--k-core": "1", flag: str(bad)}
+        capsys.readouterr()
+        assert main(["prepare", "--out-dir", str(tmp_path / "out"),
+                     *itertools.chain(*argv.items())]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and "bad_input" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "store.json").exists()
 
     @pytest.mark.parametrize("artifact", ["candidates.json", CHECKPOINT])
     def test_missing_lineage_passes_with_force(self, artifact, pipeline_dir, tmp_path):

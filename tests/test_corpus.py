@@ -7,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailaug import corpus, serialize
-from tailaug.corpus import (Interaction, PreferenceClass, build_sequences,
-                            classify_sequence, dataset_stats, k_core_filter,
-                            leave_one_out_split, load_interactions, segment)
+from tailaug.corpus import (PreferenceClass, build_sequences, classify_sequence,
+                            dataset_stats, k_core_filter, leave_one_out_split,
+                            load_interactions, segment)
 from tailaug.errors import DataError
 
-from conftest import segmentation_with_heads, store_from_sequences
+from conftest import (Interaction, log_from_rows, log_rows, segmentation_with_heads,
+                      store_from_sequences)
 
 
 class TestLoadInteractions:
     def test_well_formed_rows(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_text("u1,i1,10\nu2,i2,20\nu1,i3,30\n")
-        rows = load_interactions(p)
+        rows = log_rows(load_interactions(p))
         assert rows == [Interaction("u1", "i1", 10), Interaction("u2", "i2", 20),
                         Interaction("u1", "i3", 30)]
 
@@ -39,7 +40,7 @@ class TestLoadInteractions:
         # round-trip count oracle: rows in == rows out, duplicates included
         p = tmp_path / "log.csv"
         p.write_text("u1,i1,10\nu1,i1,10\nu1,i1,10\n")
-        rows = load_interactions(p)
+        rows = log_rows(load_interactions(p))
         assert len(rows) == 3
         assert Counter(rows) == Counter({Interaction("u1", "i1", 10): 3})
 
@@ -50,7 +51,7 @@ class TestLoadInteractions:
     def test_header_and_delimiter(self, tmp_path):
         p = tmp_path / "log.tsv"
         p.write_text("user\titem\tts\nu1\ti1\t5\n")
-        rows = load_interactions(p, delimiter="\t", header=True)
+        rows = log_rows(load_interactions(p, delimiter="\t", header=True))
         assert rows == [Interaction("u1", "i1", 5)]
 
 
@@ -74,12 +75,12 @@ def _kcore_bruteforce(rows, k):
 class TestKCore:
     def test_k1_keeps_everything(self):
         rows = [Interaction("u1", "i1", 0), Interaction("u2", "i1", 1)]
-        assert k_core_filter(rows, 1) == rows
+        assert log_rows(k_core_filter(log_from_rows(rows), 1)) == rows
 
     def test_single_interaction_user_removed(self):
         rows = [Interaction(u, "x", t) for t, u in enumerate(["a", "a", "b", "b", "c", "c"])]
         rows.append(Interaction("d", "x", 9))  # d has only one interaction
-        out = k_core_filter(rows, 2)
+        out = log_rows(k_core_filter(log_from_rows(rows), 2))
         assert {r.user_id for r in out} == {"a", "b", "c"}
         assert _kcore_ok(out, 2)
 
@@ -90,36 +91,36 @@ class TestKCore:
             Interaction("v", "a", 0), Interaction("v", "b", 1),
             Interaction("w", "q", 0), Interaction("w", "a", 1),
         ]
-        out = k_core_filter(rows, 2)
+        out = log_rows(k_core_filter(log_from_rows(rows), 2))
         assert Counter(out) == Counter(_kcore_bruteforce(rows, 2))
         assert {r.user_id for r in out} == {"u", "v"}
 
     def test_empty_result_allowed(self):
         rows = [Interaction("u", "i", 0)]
-        assert k_core_filter(rows, 5) == []
+        assert log_rows(k_core_filter(log_from_rows(rows), 5)) == []
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30),
            st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_fixed_point_and_feasibility(self, pairs, k):
         rows = [Interaction(f"u{u}", f"i{i}", t) for t, (u, i) in enumerate(pairs)]
-        once = k_core_filter(rows, k)
-        assert _kcore_ok(once, k)
-        assert k_core_filter(once, k) == once
+        once = k_core_filter(log_from_rows(rows), k)
+        assert _kcore_ok(log_rows(once), k)
+        assert log_rows(k_core_filter(once, k)) == log_rows(once)
 
 
 class TestBuildSequences:
     def test_chronological_ordering(self):
         rows = [Interaction("u", "c", 30), Interaction("u", "a", 10),
                 Interaction("u", "b", 20)]
-        store = build_sequences(rows, 50)
+        store = build_sequences(log_from_rows(rows), 50)
         raw = [store.item_ids[v - 1] for v in store.sequences[0]]
         assert raw == ["a", "b", "c"]
 
     def test_truncation_keeps_most_recent(self):
         items = [f"i{j:03d}" for j in range(60)]
         rows = [Interaction("u", it, t) for t, it in enumerate(items)]
-        store = leave_one_out_split(build_sequences(rows, 50))
+        store = leave_one_out_split(build_sequences(log_from_rows(rows), 50))
         assert len(store.sequences[0]) == 50
         # train prefix = most recent 48 of the first 58; valid/test are the last two
         assert len(store.train_prefix(0)) == 48
@@ -130,13 +131,13 @@ class TestBuildSequences:
 
     def test_timestamp_ties_break_by_item_id(self):
         rows = [Interaction("u", "zz", 5), Interaction("u", "aa", 5)]
-        store = build_sequences(rows, 50)
+        store = build_sequences(log_from_rows(rows), 50)
         raw = [store.item_ids[v - 1] for v in store.sequences[0]]
         assert raw == ["aa", "zz"]
 
     def test_numeric_ids_order_numerically(self):
         rows = [Interaction("u", "10", 5), Interaction("u", "9", 5)]
-        store = build_sequences(rows, 50)
+        store = build_sequences(log_from_rows(rows), 50)
         raw = [store.item_ids[v - 1] for v in store.sequences[0]]
         assert raw == ["9", "10"]
 
@@ -159,7 +160,7 @@ class TestLeaveOneOut:
         rng = np.random.default_rng(3)
         rows = [Interaction(f"u{rng.integers(12)}", f"i{rng.integers(8)}", t)
                 for t in range(400)]
-        filtered = corpus.k_core_filter(rows, 5)
+        filtered = corpus.k_core_filter(log_from_rows(rows), 5)
         store = build_sequences(filtered, 50)
         assert all(len(s) >= 5 for s in store.sequences)
         leave_one_out_split(store)  # must not raise
@@ -256,13 +257,13 @@ class TestDatasetStats:
     def test_hand_counted(self):
         rows = [Interaction("u1", "a", 0), Interaction("u1", "b", 1),
                 Interaction("u2", "a", 0)]
-        stats = dataset_stats(build_sequences(rows, 50))
+        stats = dataset_stats(build_sequences(log_from_rows(rows), 50))
         assert (stats.n_users, stats.n_items, stats.n_interactions) == (2, 2, 3)
         assert stats.avg_length == pytest.approx(1.5)
         assert stats.sparsity == pytest.approx(0.25)
 
     def test_empty_store_is_zeros(self):
-        stats = dataset_stats(build_sequences([], 50))
+        stats = dataset_stats(build_sequences(log_from_rows([]), 50))
         assert (stats.n_users, stats.n_items, stats.n_interactions) == (0, 0, 0)
         assert stats.avg_length == 0.0 and stats.sparsity == 0.0
 
@@ -306,3 +307,144 @@ class TestPersistence:
             serialize.save(seg_out, corpus.SEGMENTATION_SCHEMA, seg.to_fields())
             outs.append((out.read_bytes(), seg_out.read_bytes()))
         assert outs[0] == outs[1]
+
+
+# ----------------------------------------------------- row-wise references
+#
+# The row-wise k-core, sequence building and segmentation that the columnar
+# code replaced, kept as references.  ``_ref_id_key`` breaks ties between
+# numerically equal ids (``7``, ``07``) by the raw string.
+
+def _ref_id_key(ids):
+    ids = list(ids)
+    try:
+        numeric = {i: (int(i), i) for i in ids}
+    except ValueError:
+        return lambda i: i
+    return lambda i: numeric[i]
+
+
+def _ref_k_core(rows, k):
+    rows = list(rows)
+    while True:
+        user_counts = Counter(r.user_id for r in rows)
+        item_counts = Counter(r.item_id for r in rows)
+        keep = [r for r in rows
+                if user_counts[r.user_id] >= k and item_counts[r.item_id] >= k]
+        if len(keep) == len(rows):
+            return keep
+        rows = keep
+
+
+def _ref_build_sequences(rows, max_len):
+    item_key = _ref_id_key({r.item_id for r in rows})
+    user_key = _ref_id_key({r.user_id for r in rows})
+    per_user = {}
+    for pos, r in enumerate(rows):
+        per_user.setdefault(r.user_id, []).append(
+            (r.timestamp, item_key(r.item_id), pos, r.item_id))
+    user_ids = sorted(per_user, key=user_key)
+    item_ids = sorted({r.item_id for r in rows}, key=item_key)
+    item_index = {raw: i + 1 for i, raw in enumerate(item_ids)}
+    sequences = [np.asarray([item_index[raw] for *_, raw in sorted(per_user[u])][-max_len:],
+                            dtype=np.int64) for u in user_ids]
+    return corpus.SequenceStore(max_len=max_len, user_ids=user_ids, item_ids=item_ids,
+                                sequences=sequences)
+
+
+def _ref_segment(store, beta=0.5):
+    user_len = [len(store.train_prefix(u)) for u in range(store.n_users)]
+    item_count = np.zeros(store.n_items + 1, dtype=np.int64)
+    for u in range(store.n_users):
+        np.add.at(item_count, store.train_prefix(u), 1)
+    users = sorted(range(store.n_users), key=lambda u: (-user_len[u], u))
+    items = sorted(range(1, store.n_items + 1), key=lambda v: (-item_count[v], v))
+    head_users = frozenset(users[:int(np.ceil(corpus.HEAD_FRACTION * store.n_users))])
+    head_items = frozenset(items[:int(np.ceil(corpus.HEAD_FRACTION * store.n_items))])
+    return corpus.Segmentation(
+        head_users=head_users, tail_users=frozenset(range(store.n_users)) - head_users,
+        head_items=head_items,
+        tail_items=frozenset(range(1, store.n_items + 1)) - head_items,
+        beta=beta, n_users=store.n_users, n_items=store.n_items)
+
+
+# id pools: all numeric (with numerically equal ids), or mixed with ids that
+# differ only by a trailing NUL or by case
+NUMERIC_IDS = ["7", "07", "007", "9", "10", "-3", "0", "+5", "5"]
+MIXED_IDS = ["a", "a\x00", "A", "b", "ä", "10", "9", "07"]
+
+rows_strategy = st.sampled_from([NUMERIC_IDS, MIXED_IDS]).flatmap(
+    lambda pool: st.lists(st.builds(Interaction, st.sampled_from(pool),
+                                    st.sampled_from(pool), st.integers(-2, 3)),
+                          max_size=60))
+
+
+class TestColumnarMatchesRowwise:
+    @given(rows_strategy, st.integers(1, 3), st.integers(3, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_prepare_steps_match(self, rows, k, max_len):
+        core = k_core_filter(log_from_rows(rows), k)
+        ref_core = _ref_k_core(rows, k)
+        assert log_rows(core) == ref_core
+
+        store = build_sequences(core, max_len)
+        ref = _ref_build_sequences(ref_core, max_len)
+        assert store.to_fields() == ref.to_fields()
+        if all(len(seq) >= 3 for seq in ref.sequences):
+            assert segment(leave_one_out_split(store)).to_fields() == \
+                _ref_segment(leave_one_out_split(ref)).to_fields()
+
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=9),
+                    min_size=1, max_size=12),
+           st.floats(0.05, 0.95))
+    @settings(max_examples=100, deadline=None)
+    def test_segment_matches(self, seqs, beta):
+        store = store_from_sequences({f"u{u}": [f"i{v}" for v in seq]
+                                      for u, seq in enumerate(seqs)})
+        assert segment(store, beta) == _ref_segment(store, beta)
+
+    def test_cascade_and_truncation(self):
+        # the k-core drops "q", which drops "w"; "u" keeps its last 4 of 6
+        rows = [Interaction("u", it, t) for t, it in enumerate("abcabc")]
+        rows += [Interaction("v", it, t) for t, it in enumerate("abcab")]
+        rows += [Interaction("w", "q", 0), Interaction("w", "a", 1)]
+        core = k_core_filter(log_from_rows(rows), 2)
+        assert log_rows(core) == _ref_k_core(rows, 2)
+        assert build_sequences(core, 4).to_fields() == \
+            _ref_build_sequences(_ref_k_core(rows, 2), 4).to_fields()
+
+    def test_emptylog_from_rows(self):
+        assert log_rows(k_core_filter(log_from_rows([]), 3)) == []
+        assert build_sequences(log_from_rows([]), 5).to_fields() == \
+            _ref_build_sequences([], 5).to_fields()
+
+
+class TestRawIds:
+    def test_numerically_equal_ids_order_by_raw_string(self):
+        rows = [Interaction("1", "7", 5), Interaction("1", "007", 5),
+                Interaction("01", "07", 1), Interaction("1", "07", 5)]
+        store = build_sequences(log_from_rows(rows), 50)
+        assert store.user_ids == ["01", "1"]
+        assert store.item_ids == ["007", "07", "7"]
+        assert [store.item_ids[v - 1] for v in store.sequences[1]] == ["007", "07", "7"]
+
+    def test_ids_differing_by_nul_stay_distinct(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text("a,i1,1\na\x00,i1,2\na,i2,3\n", encoding="utf-8")
+        store = build_sequences(load_interactions(p), 50)
+        assert store.user_ids == ["a", "a\x00"]
+        assert [len(s) for s in store.sequences] == [2, 1]
+
+    def test_int64_timestamps_bounds(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text(f"u,i,{2 ** 63 - 1}\nu,j,{-2 ** 63}\n")
+        assert load_interactions(p).timestamps.tolist() == [2 ** 63 - 1, -2 ** 63]
+        p.write_text(f"u,i,1\nu,j,{2 ** 63}\n")
+        with pytest.raises(DataError, match=r"log\.csv:2: .*int64"):
+            load_interactions(p)
+
+    def test_non_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_bytes(b"u1,i1,1\nu2,i1,2\nu3,\xff\xfe,3\n")
+        with pytest.raises(DataError, match=r"log\.csv.*utf-8"):
+            load_interactions(p)
