@@ -140,9 +140,14 @@ def cmd_candidates(args) -> int:
                          {"prepare": store_id or ""})
     serialize.save(_artifact(out_dir, "candidates.json"), simcand.CANDIDATES_SCHEMA,
                    cands.to_fields(), {"id": cand_id, "prepare": store_id})
-    sizes = [len(c) for c in cands.c]
+    sizes = np.array([len(c) for c in cands.c])
+    # the tail share of tail items' sets, then of head items', pooled over members
+    owner_head = np.repeat(seg.item_head_mask[1:], sizes)
+    share = (np.bincount(owner_head, ~seg.item_head_mask[np.concatenate(cands.c)], minlength=2)
+             / np.maximum(np.bincount(owner_head, minlength=2), 1))
     print(f"candidates for {store.n_items} items: mean |c_v|={np.mean(sizes):.1f} "
-          f"min={min(sizes)} max={max(sizes)}; solver branches={sim.branch_counts}; "
+          f"min={min(sizes)} max={max(sizes)}; tail share of head/tail items' sets="
+          f"{share[1]:.3f}/{share[0]:.3f}; solver branches={sim.branch_counts}; "
           f"lineage={cand_id}")
     return 0
 

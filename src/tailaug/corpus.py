@@ -91,12 +91,12 @@ def _id_order(vocab: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarra
 def load_interactions(path, delimiter: str = ",", header: bool = False) -> InteractionLog:
     """Read one interaction per line: user_id, item_id, timestamp.
 
-    The file must be UTF-8 and timestamps must fit in int64.  Malformed
-    rows are errors (reported with their line number), never silently
-    skipped.  Duplicate rows are retained.
+    The file must be UTF-8 (a leading byte-order mark is dropped) and
+    timestamps must fit in int64.  Malformed rows are errors (reported with
+    their line number), never silently skipped.  Duplicate rows are retained.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read interaction file {path}: {exc}") from exc

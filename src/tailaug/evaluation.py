@@ -21,6 +21,7 @@ import numpy as np
 from .corpus import Segmentation, SequenceStore
 from .encoders import ModelState, encode_batch
 from .errors import DataError, NumericError
+from .simcand import smallest_k
 
 REPORT_SCHEMA = "tailaug.metric_report.v1"
 
@@ -70,6 +71,7 @@ def _score_blocks(model: ModelState, store: SequenceStore, users, phase: str,
     """
     users = list(users)
     item_emb = model.embeddings[1:]  # padding row excluded from ranking
+    take = min(depth, len(item_emb))
     for start in range(0, len(users), _EVAL_BATCH):
         chunk = users[start:start + _EVAL_BATCH]
         seqs = [_phase_input(store, u, phase) for u in chunk]
@@ -84,7 +86,7 @@ def _score_blocks(model: ModelState, store: SequenceStore, users, phase: str,
         ranks = rank_of_target(scores, targets)
         results = [RankingResult(user=u, target=int(t), rank=int(r))
                    for u, t, r in zip(chunk, targets, ranks)]
-        top = np.argsort(-scores, axis=-1, kind="stable")[:, :depth] + 1 if depth else None
+        top = smallest_k(np.negative(scores, out=scores), take) + 1 if take else None
         yield results, top
 
 

@@ -172,6 +172,18 @@ def solve_similarity(X: scipy.sparse.csr_matrix, config: SolverConfig) -> Simila
     return SimilarityMatrix(values=P, gamma=gamma, capped=capped, config=config)
 
 
+def smallest_k(keys: np.ndarray, take: int) -> np.ndarray:
+    """Per row, the columns of the ``take`` smallest keys, in stable-argsort order."""
+    part = np.argpartition(keys, take - 1, axis=1)[:, :take]
+    part_keys = np.take_along_axis(keys, part, axis=1)
+    top = np.take_along_axis(part, np.lexsort((part, part_keys), axis=-1), axis=1)
+    # rows tied at the k-th key beyond the slice may have lost a lower index
+    kth = part_keys.max(axis=1, keepdims=True)
+    for r in np.flatnonzero(np.count_nonzero(keys <= kth, axis=1) > take):
+        top[r] = np.lexsort((np.arange(keys.shape[1]), keys[r]))[:take]
+    return top
+
+
 def top_k_correlation(sim: SimilarityMatrix, k: int, read: str = "column") -> list[np.ndarray]:
     """Per item, the k most similar other items by score, ties by ascending id.
 
@@ -193,17 +205,8 @@ def top_k_correlation(sim: SimilarityMatrix, k: int, read: str = "column") -> li
     for start in range(0, n, _BLOCK):
         # ascending -score, self last: the k-slice holds the top scores
         neg = np.negative(scores[start:start + _BLOCK], order="C")
-        rows = np.arange(len(neg))
-        neg[rows, start + rows] = np.inf
-        part = np.argpartition(neg, take - 1, axis=1)[:, :take]
-        part_neg = np.take_along_axis(neg, part, axis=1)
-        top = np.take_along_axis(part, np.lexsort((part, part_neg), axis=-1), axis=1) + 1
-        # more entries tied at the k-th score than the slice holds: the slice
-        # may have dropped a lower id, so sort the whole row
-        kth = part_neg.max(axis=1, keepdims=True)
-        for r in np.flatnonzero(np.count_nonzero(neg <= kth, axis=1) > take):
-            top[r] = np.lexsort((np.arange(n), neg[r]))[:take] + 1
-        out.extend(top)
+        np.fill_diagonal(neg[:, start:], np.inf)
+        out.extend(smallest_k(neg, take) + 1)
     return out
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -148,6 +149,29 @@ class TestCandidates:
         _prepare(tmp_path, csv_path)
         assert main(["candidates", "--out-dir", str(tmp_path), "--k", "5"]) == 0
         assert (tmp_path / "candidates.json").exists()
+
+    def test_stdout_line_reports_tail_shares(self, tmp_path, csv_path, capsys):
+        _prepare(tmp_path, csv_path)
+        capsys.readouterr()
+        assert main(["candidates", "--out-dir", str(tmp_path), "--k", "5"]) == 0
+        line = capsys.readouterr().out.strip()
+        match = re.fullmatch(
+            r"candidates for (\d+) items: mean \|c_v\|=\d+\.\d min=\d+ max=\d+; "
+            r"tail share of head/tail items' sets=(\d\.\d{3})/(\d\.\d{3}); "
+            r"solver branches=\{'capped': \d+, 'uncapped': \d+\}; lineage=\S+", line)
+        assert match, line
+        # per owner segment: tail members over all members, pooled over its sets
+        store, seg, _ = cli._load_prepared(tmp_path)
+        cands, _ = serialize.load(tmp_path / "candidates.json", simcand.CANDIDATES_SCHEMA,
+                                  simcand.CandidateSets.from_fields)
+        pooled = {True: [0, 0], False: [0, 0]}
+        for v, members in enumerate(cands.c, start=1):
+            for m in members:
+                pooled[v in seg.head_items][0] += m in seg.tail_items
+                pooled[v in seg.head_items][1] += 1
+        assert int(match[1]) == store.n_items
+        assert match[2] == f"{pooled[True][0] / pooled[True][1]:.3f}"
+        assert match[3] == f"{pooled[False][0] / pooled[False][1]:.3f}"
 
     def test_default_k_from_config(self):
         assert DEFAULTS["simcand.k"] == 10

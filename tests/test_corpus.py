@@ -54,6 +54,20 @@ class TestLoadInteractions:
         rows = log_rows(load_interactions(p, delimiter="\t", header=True))
         assert rows == [Interaction("u1", "i1", 5)]
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # some spreadsheet exports start the file with a UTF-8 BOM
+        p = tmp_path / "log.csv"
+        p.write_bytes(b"\xef\xbb\xbfu1,i1,1\nu1,i2,2\nu1,i3,3\n")
+        log = load_interactions(p)
+        assert log.user_ids == ["u1"]
+        assert log_rows(log) == [Interaction("u1", f"i{t}", t) for t in (1, 2, 3)]
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_bytes(b"\xef\xbb\xbfuser,item,ts\nu1,i1,5\n")
+        rows = log_rows(load_interactions(p, header=True))
+        assert rows == [Interaction("u1", "i1", 5)]
+
 
 def _kcore_ok(rows, k):
     uc = Counter(r.user_id for r in rows)

@@ -10,6 +10,7 @@ from tailaug.evaluation import (REPORT_SCHEMA, MetricReport, RankingResult,
                                 evaluate_model, format_table, hit_at_k, mean_report,
                                 ndcg_at_k, rank_of_target, rank_users,
                                 segmented_report, validation_score)
+from tailaug.simcand import smallest_k
 
 from conftest import (bruteforce_tail_coverage, segmentation_with_heads,
                       store_from_sequences)
@@ -41,6 +42,49 @@ class TestRankOfTarget:
         scores = np.asarray(raw, dtype=float)
         target = 1
         assert rank_of_target(scores, target) == rank_of_target(scores + shift, target)
+
+
+def _stable_top(scores, take):
+    """Reference top lists: a full stable sort of every row, by score descending."""
+    return np.argsort(-scores, axis=-1, kind="stable")[:, :take]
+
+
+class TestSmallestK:
+    """The shared top-K kernel equals a full stable sort, cut at ``take``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 301])
+    def test_random_scores_every_take(self, n):
+        rng = np.random.default_rng(n)
+        scores = rng.normal(size=(23, n))
+        for take in sorted({1, min(2, n), n // 2 or 1, n - 1 or 1, n}):
+            assert np.array_equal(smallest_k(-scores, take), _stable_top(scores, take))
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 5])
+    def test_heavy_ties(self, levels):
+        rng = np.random.default_rng(levels)
+        scores = rng.integers(0, levels, size=(64, 50)).astype(float)
+        for take in (1, 3, 10, 25, 49, 50):
+            assert np.array_equal(smallest_k(-scores, take), _stable_top(scores, take))
+
+    def test_seen_filtered_entries(self):
+        # -inf scores (seen-filtered items) rank last, by ascending index
+        rng = np.random.default_rng(7)
+        scores = rng.integers(0, 4, size=(64, 30)).astype(float)
+        scores[rng.random(scores.shape) < 0.6] = -np.inf
+        scores[0] = -np.inf
+        for take in (1, 5, 12, 29, 30):
+            assert np.array_equal(smallest_k(-scores, take), _stable_top(scores, take))
+
+    def test_ties_straddling_kth_position(self):
+        # the third-best key 5 occurs at 0, 2, 3 and 5: index 0 must win
+        keys = np.array([[5.0, 1.0, 5.0, 5.0, 0.0, 5.0],
+                         [5.0, 5.0, 5.0, 5.0, 5.0, 5.0]])
+        assert smallest_k(keys, 3).tolist() == [[4, 1, 0], [0, 1, 2]]
+        assert smallest_k(keys, 4).tolist() == [[4, 1, 0, 2], [0, 1, 2, 3]]
+
+    def test_single_column(self):
+        assert smallest_k(np.array([[3.0], [-np.inf], [np.inf]]), 1).tolist() == \
+            [[0], [0], [0]]
 
 
 class TestFullRank:
@@ -198,6 +242,14 @@ class TestTailCoverage:
         tcov = evaluate_model(model, store, seg, ks=ks).tcov
         vals = [tcov[k] for k in ks]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_cutoff_beyond_catalog(self):
+        # a cutoff above |V| lists every item: the selection is clamped to |V|
+        store, seg, model = self._setup(head_items={1, 2, 3})
+        k = store.n_items + 3
+        report = evaluate_model(model, store, seg, ks=(k,))
+        assert report.tcov[k] == bruteforce_tail_coverage(model, store, seg, k) == 1.0
+        assert report.segments["overall"][f"hit@{k}"] == 1.0
 
     def test_filter_seen_drops_seen_items_from_lists(self, monkeypatch):
         # "top" is seen by every user and never a target; "head" is only
