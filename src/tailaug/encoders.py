@@ -1,7 +1,7 @@
 """Item embedding table and sequence encoders with hand-written gradients.
 
-Two reference encoders honor the same contract (embedded sequence in, one
-D-vector out, exact analytic gradients back):
+Two reference encoders honor the same contract (item ids in, one D-vector
+per sequence out, exact analytic gradients back):
 
 * ``pooled``  — recency-decayed pooling: a geometric weight per position
   with a single learnable decay scalar, normalized to a convex
@@ -9,10 +9,13 @@ D-vector out, exact analytic gradients back):
 * ``gru``     — a single-layer gated recurrent unit; the output is the
   final hidden state.
 
-Batches are left-padded with the reserved padding id 0 so every sequence
-ends at the last time step; padded steps are masked out (the GRU never
-computes them) and the padding embedding row stays exactly zero for the
-lifetime of a model.
+A batch is ragged: ``encode_batch(params, ids, lengths)`` receives the real
+item ids concatenated row by row and the per-row lengths, and
+``backward_batch`` returns one embedding-gradient row per entry of ``ids``,
+in the same order.  Nothing is padded inside the GRU; the pooled encoder
+left-pads internally with the reserved padding id 0, so every sequence ends
+at the last time step.  Id 0 is never a real position, and the padding
+embedding row stays exactly zero for the lifetime of a model.
 """
 
 from __future__ import annotations
@@ -24,22 +27,24 @@ import numpy as np
 from .rand import INIT, derive_rng
 
 
+def _sigmoid_(x, scratch):
+    """Logistic function of ``x`` in place, with a ``scratch`` buffer of its shape.
+
+    exp only sees min(x, -x) = -|x|, so nothing overflows; the numerator
+    ``max(e, x >= 0)`` is 1 for x >= 0 and e otherwise, without a branch.
+    """
+    positive = x >= 0
+    np.minimum(x, np.negative(x, out=scratch), out=x)
+    np.exp(x, out=x)
+    np.add(x, 1.0, out=scratch)
+    np.maximum(x, positive, out=x)
+    return np.divide(x, scratch, out=x)
+
+
 def sigmoid(x):
-    """Logistic function without overflow: exp only ever sees -|x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def pad_batch(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Left-pad variable-length id sequences into (ids, mask) arrays."""
-    t = max(len(s) for s in seqs)
-    ids = np.zeros((len(seqs), t), dtype=np.int64)
-    mask = np.zeros((len(seqs), t), dtype=np.float64)
-    for i, s in enumerate(seqs):
-        if len(s) > 0:
-            ids[i, t - len(s):] = s
-            mask[i, t - len(s):] = 1.0
-    return ids, mask
+    """Logistic function without overflow; a new array."""
+    x = np.array(x, dtype=np.float64)
+    return _sigmoid_(x, np.empty_like(x))
 
 
 class PooledEncoder:
@@ -55,8 +60,13 @@ class PooledEncoder:
     def init_params(self, dim: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
         return {"pool_theta": np.zeros(1, dtype=np.float64)}
 
-    def encode_batch(self, params, emb, mask):
-        b, t, d = emb.shape
+    def encode_batch(self, params, ids, lengths):
+        b, t = len(lengths), int(lengths.max())
+        real = np.arange(t) >= (t - lengths)[:, np.newaxis]  # left-padded layout
+        padded = np.zeros((b, t), dtype=np.int64)
+        padded[real] = ids
+        emb = params["item_embeddings"][padded]
+        mask = real.astype(np.float64)
         rho = float(sigmoid(params["pool_theta"])[0])
         exponents = (t - 1) - np.arange(t, dtype=np.float64)  # last step -> 0
         w = rho ** exponents
@@ -81,30 +91,33 @@ class PooledEncoder:
         dw_drho = np.where(exps == 0.0, 0.0, exps * rho ** np.maximum(exps - 1.0, 0.0))
         drho = float(np.sum(dw * dw_drho))
         dtheta = drho * rho * (1.0 - rho)
-        return {"pool_theta": np.array([dtheta], dtype=np.float64)}, demb
+        return {"pool_theta": np.array([dtheta], dtype=np.float64)}, demb[mask > 0]
 
 
-def _gemm(a, b):
-    """``a @ b`` as a matrix-matrix product even when ``a`` has one row.
+def _gemm(a, b, out):
+    """``a @ b`` into ``out`` as a matrix-matrix product even when ``a`` has one row.
 
     numpy sends a one-row product down a matrix-vector path that rounds
     differently; going through the matrix path keeps a row's result
     independent of how many rows share the product.
     """
     if len(a) > 1:
-        return a @ b
-    return (np.concatenate([a, a]) @ b)[:1]
+        return np.matmul(a, b, out=out)
+    out[...] = (np.concatenate([a, a]) @ b)[:1]
+    return out
 
 
 class GRUEncoder:
     """Single-layer GRU; the sequence representation is the final state.
 
     This is the GRU4Rec encoder (Hidasi et al., ICLR 2016).  Rows are run
-    longest first, so with left padding the rows active at a step are a
-    leading slice and padded steps are never computed; each step does one
-    ``x @ [Wz|Wr|Wh]``, one ``h @ [Uz|Ur]`` and one sigmoid over the z/r
-    block.  A row's arithmetic is that of a masked step over the whole
-    batch, so its encoding does not depend on the other rows.
+    longest first and aligned at their last item, so the rows active at a
+    step are a leading slice.  Nothing is padded: the real positions are
+    laid out step-major (step ``s`` owns rows ``offsets[s]:offsets[s + 1]``)
+    in buffers allocated once per call, and every step op writes its
+    contiguous slice in place.  A row's arithmetic is that of a masked step
+    over the whole left-padded batch, so its encoding does not depend on
+    the other rows.
     """
 
     name = "gru"
@@ -120,59 +133,86 @@ class GRUEncoder:
             params[f"gru_b{g}"] = np.zeros(dim, dtype=np.float64)
         return params
 
-    def encode_batch(self, params, emb, mask):
-        b, t, d = emb.shape
-        lengths = np.count_nonzero(mask, axis=1)
+    def encode_batch(self, params, ids, lengths):
+        b, t, d = len(lengths), int(lengths.max()), len(params["gru_bz"])
         order = np.argsort(-lengths, kind="stable")
         # active rows per step: those whose sequence has started by then
         active = np.searchsorted(-lengths[order], np.arange(t) - t, side="right")
-        xs = np.take(emb.transpose(1, 0, 2), order, axis=1)  # time-major, sorted rows
-        w = np.hstack([params["gru_Wz"], params["gru_Wr"], params["gru_Wh"]])
-        u_zr = np.hstack([params["gru_Uz"], params["gru_Ur"]])
-        b_zr = np.concatenate([params["gru_bz"], params["gru_br"]])
-        u_h, b_h = params["gru_Uh"], params["gru_bh"]
-        h = np.zeros((0, d), dtype=np.float64)
-        steps = []
+        offsets = np.concatenate([[0], np.cumsum(active)])
+        n = offsets[-1]
+        step_of = np.repeat(np.arange(t), active)
+        # entry of ids at (step, sorted row): the row's end, moved back from the last step
+        gather = np.cumsum(lengths)[order][np.arange(n) - offsets[step_of]] + step_of - t
+        xs = params["item_embeddings"][ids[gather]]
+        w_zr, u_zr = (params["gru_Wz"], params["gru_Wr"]), (params["gru_Uz"], params["gru_Ur"])
+        w_h, u_h, b_h = params["gru_Wh"], params["gru_Uh"], params["gru_bh"]
+        b_zr = np.stack([params["gru_bz"], params["gru_br"]])[:, np.newaxis]
+        # states[offsets[s]:offsets[s + 1]] enter step s (a row starting there
+        # enters with zeros), and the last step's states go to states[n:];
+        # gates[2 * offsets[s]:2 * offsets[s + 1]] holds step s's z rows, then its r rows
+        states, gates, cand = np.zeros((n + b, d)), np.empty((2 * n, d)), np.empty((n, d))
+        rh, tmp = np.empty((b, d)), np.empty((2 * b, d))
         for step in range(t):
-            k = active[step]
-            if k > len(h):  # rows starting now enter with a zero state
-                h = np.concatenate([h, np.zeros((k - len(h), d))])
-            x = xs[step, :k]
-            a = _gemm(x, w)
-            zr = sigmoid(a[:, :2 * d] + _gemm(h, u_zr) + b_zr)
-            z, r = zr[:, :d], zr[:, d:]
-            c = np.tanh(a[:, 2 * d:] + _gemm(r * h, u_h) + b_h)
-            steps.append((x, h, zr, c))
-            h = (1.0 - z) * h + z * c
-        out = np.empty_like(h)
-        out[order] = h
-        return out, {"steps": steps, "order": order, "w": w, "u_zr": u_zr, "t": t}
+            lo, hi, k = offsets[step], offsets[step + 1], active[step]
+            x, h, c = xs[lo:hi], states[lo:hi], cand[lo:hi]
+            zr = gates[2 * lo:2 * hi].reshape(2, k, d)
+            z, r = zr
+            for gate, w_g, u_g in zip(zr, w_zr, u_zr):
+                _gemm(x, w_g, gate)
+                gate += _gemm(h, u_g, rh[:k])
+            zr += b_zr
+            _sigmoid_(zr, tmp[:2 * k].reshape(2, k, d))
+            _gemm(x, w_h, c)
+            c += _gemm(np.multiply(r, h, out=rh[:k]), u_h, tmp[:k])
+            c += b_h
+            np.tanh(c, out=c)
+            h_new = np.subtract(1.0, z, out=states[hi:hi + k])
+            h_new *= h
+            h_new += np.multiply(z, c, out=rh[:k])
+        out = np.empty((b, d))
+        out[order] = states[n:]
+        cache = {"xs": xs, "states": states, "gates": gates, "cand": cand,
+                 "offsets": offsets, "active": active, "order": order, "gather": gather}
+        return out, cache
 
     def backward_batch(self, params, cache, dh):
-        steps, order, w, u_zr = cache["steps"], cache["order"], cache["w"], cache["u_zr"]
+        xs, states, gates, cand = cache["xs"], cache["states"], cache["gates"], cache["cand"]
+        offsets, active = cache["offsets"], cache["active"]
         b, d = dh.shape
+        w = np.hstack([params["gru_Wz"], params["gru_Wr"], params["gru_Wh"]])
+        u_zr = np.hstack([params["gru_Uz"], params["gru_Ur"]])
         u_h = params["gru_Uh"]
         dw, du_zr = np.zeros_like(w), np.zeros_like(u_zr)
         du_h, db = np.zeros_like(u_h), np.zeros(3 * d)
-        demb = np.zeros((b, cache["t"], d), dtype=np.float64)
-        dh = dh[order]
-        for step in range(len(steps) - 1, -1, -1):
-            x, h_prev, zr, c = steps[step]
-            k = len(x)
-            dh = dh[:k]  # rows not started yet carry no gradient further back
-            z, r = zr[:, :d], zr[:, d:]
-            dpre = np.empty((k, 3 * d))  # gradient of the [z | r | candidate] pre-activations
-            dpre[:, 2 * d:] = dh * z * (1.0 - c * c)
-            drh = dpre[:, 2 * d:] @ u_h.T
-            dpre[:, :d] = dh * (c - h_prev)
-            dpre[:, d:2 * d] = drh * h_prev
-            dpre[:, :2 * d] *= zr * (1.0 - zr)
-            dw += x.T @ dpre
-            du_zr += h_prev.T @ dpre[:, :2 * d]
-            du_h += (r * h_prev).T @ dpre[:, 2 * d:]
-            db += dpre.sum(axis=0)
-            demb[order[:k], step] = dpre @ w.T
-            dh = dh * (1.0 - z) + drh * r + dpre[:, :2 * d] @ u_zr.T
+        dxs = np.empty_like(xs)  # step-major, like xs
+        dh = dh[cache["order"]]
+        # dpre: per row, the gradient of the [z | r | candidate] pre-activations
+        dpre, dzr = np.empty((b, 3 * d)), np.empty((2 * b, d))
+        drh, t1, t2 = np.empty((b, d)), np.empty((b, d)), np.empty((b, d))
+        for step in range(len(active) - 1, -1, -1):
+            lo, hi, k = offsets[step], offsets[step + 1], active[step]
+            g = dh[:k]  # rows not started yet carry no gradient further back
+            h_prev, c, p = states[lo:hi], cand[lo:hi], dpre[:k]
+            zr = gates[2 * lo:2 * hi].reshape(2, k, d)
+            z, r = zr
+            np.subtract(1.0, np.multiply(c, c, out=t1[:k]), out=t1[:k])
+            np.multiply(np.multiply(g, z, out=t2[:k]), t1[:k], out=p[:, 2 * d:])
+            np.matmul(p[:, 2 * d:], u_h.T, out=drh[:k])
+            s = dzr[:2 * k].reshape(2, k, d)
+            np.multiply(zr, np.subtract(1.0, zr, out=s), out=s)
+            np.multiply(np.multiply(g, np.subtract(c, h_prev, out=t1[:k]), out=t1[:k]), s[0],
+                        out=p[:, :d])
+            np.multiply(np.multiply(drh[:k], h_prev, out=t1[:k]), s[1], out=p[:, d:2 * d])
+            dw += xs[lo:hi].T @ p
+            du_zr += h_prev.T @ p[:, :2 * d]
+            du_h += np.multiply(r, h_prev, out=t1[:k]).T @ p[:, 2 * d:]
+            db += p.sum(axis=0)
+            np.matmul(p, w.T, out=dxs[lo:hi])
+            g *= np.subtract(1.0, z, out=t1[:k])
+            g += np.multiply(drh[:k], r, out=t1[:k])
+            g += np.matmul(p[:, :2 * d], u_zr.T, out=t1[:k])
+        demb = np.empty_like(dxs)
+        demb[cache["gather"]] = dxs  # back to the row-major order of ids
         grads = {}
         for i, g in enumerate(self._GATES):
             grads[f"gru_W{g}"] = dw[:, i * d:(i + 1) * d]
@@ -228,22 +268,25 @@ def init_model(n_items: int, dim: int, seed: int, encoder: str = "gru") -> Model
 
 
 def lookup(model: ModelState, ids: np.ndarray) -> np.ndarray:
+    return model.embeddings[_checked_ids(model, ids)]
+
+
+def _checked_ids(model: ModelState, ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() > model.n_items):
         bad = ids[(ids < 0) | (ids > model.n_items)][0]
         raise ValueError(f"item id {bad} outside [0, {model.n_items}]")
-    return model.embeddings[ids]
+    return ids
 
 
 def encode_batch(model: ModelState, seqs: list[np.ndarray]):
     """Encode a list of id sequences; returns (H, cache) for backward."""
-    for s in seqs:
-        if len(s) == 0:
-            raise ValueError("cannot encode an empty sequence")
-    ids, mask = pad_batch([np.asarray(s, dtype=np.int64) for s in seqs])
-    emb = lookup(model, ids)
-    h, enc_cache = model.encoder.encode_batch(model.params, emb, mask)
-    return h, {"ids": ids, "mask": mask, "enc": enc_cache}
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    if not lengths.all():
+        raise ValueError("cannot encode an empty sequence")
+    ids = _checked_ids(model, np.concatenate(seqs))
+    h, enc_cache = model.encoder.encode_batch(model.params, ids, lengths)
+    return h, {"ids": ids, "enc": enc_cache}
 
 
 def encode(model: ModelState, seq) -> np.ndarray:
@@ -256,9 +299,10 @@ def backward_batch(model: ModelState, cache, dh) -> dict[str, np.ndarray]:
     """Gradients of a batch encode; embedding grads are scatter-added and
     the padding row is zeroed."""
     enc_grads, demb = model.encoder.backward_batch(model.params, cache["enc"], dh)
-    real = cache["mask"] > 0
-    demb_table = np.zeros_like(model.embeddings)
-    np.add.at(demb_table, cache["ids"][real], demb[real])
+    rows, d = model.embeddings.shape
+    # bincount adds each (id, column) cell's rows in order from zero, as np.add.at would
+    cells = (cache["ids"][:, np.newaxis] * d + np.arange(d)).ravel()
+    demb_table = np.bincount(cells, weights=demb.ravel(), minlength=rows * d).reshape(rows, d)
     demb_table[0] = 0.0
     grads = {"item_embeddings": demb_table}
     grads.update(enc_grads)

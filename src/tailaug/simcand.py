@@ -260,9 +260,15 @@ class CandidateSets:
 
     @classmethod
     def from_fields(cls, d: dict) -> "CandidateSets":
-        as_arrays = lambda lists: [np.asarray(a, dtype=np.int64) for a in lists]
-        return cls(k=int(d["k"]), cr=as_arrays(d["cr"]), cc=as_arrays(d["cc"]),
-                   c=as_arrays(d["c"]))
+        """Decode and check: three lists over one universe of ``len(c)`` items."""
+        lists = {name: [np.asarray(a, dtype=np.int64) for a in d[name]]
+                 for name in ("cr", "cc", "c")}
+        n = len(lists["c"])
+        for name, arrays in lists.items():
+            members = _concat(arrays)[0]
+            if len(arrays) != n or np.any((members < 1) | (members > n)):
+                raise ValueError(f"{name} must hold {n} lists of item ids in 1..{n}")
+        return cls(k=int(d["k"]), **lists)
 
 
 def union_candidates(cr: list[np.ndarray], cc: list[np.ndarray], k: int) -> CandidateSets:

@@ -583,6 +583,24 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["c"][0].append(0),
+        lambda doc: doc["c"][0].append(len(doc["c"]) + 7),
+        lambda doc: doc["c"][0].append(-3),
+        lambda doc: doc["cr"][0].append(len(doc["c"]) + 1),
+        lambda doc: doc["cc"].pop(),
+    ], ids=["padding-id-in-c", "id-past-catalog-in-c", "negative-id-in-c",
+            "id-past-catalog-in-cr", "short-cc"])
+    def test_out_of_range_candidate_is_data_error(self, edit, pipeline_dir, tmp_path,
+                                                  capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        _edit_envelope(out / "candidates.json", edit)
+        capsys.readouterr()
+        assert main(_command("candidates.json", out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
     def test_nan_embedding_is_refused_not_scored(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)

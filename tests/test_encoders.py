@@ -1,8 +1,86 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tailaug.encoders import (backward_batch, encode, encode_batch,
-                              get_encoder, init_model, pad_batch, sigmoid)
+from tailaug.encoders import (_gemm, _sigmoid_, backward_batch, encode, encode_batch,
+                              get_encoder, init_model, sigmoid)
+
+
+def pad_batch(seqs):
+    """Left-pad variable-length id sequences into (ids, mask) arrays."""
+    t = max(len(s) for s in seqs)
+    ids = np.zeros((len(seqs), t), dtype=np.int64)
+    mask = np.zeros((len(seqs), t), dtype=np.float64)
+    for i, s in enumerate(seqs):
+        if len(s) > 0:
+            ids[i, t - len(s):] = s
+            mask[i, t - len(s):] = 1.0
+    return ids, mask
+
+
+def dense_reference_grads(model, seqs, dh):
+    """The GRU gradients as a padded encode and a dense ``(b, t, d)`` backward give them.
+
+    The forward runs the rows longest first over the left-padded batch;
+    the backward fills a dense embedding gradient, and only its real
+    positions are scatter-added into the table.
+    """
+    p, d = model.params, model.dim
+    gemm = lambda a, b: _gemm(a, b, np.empty((len(a), b.shape[1])))
+    ids, mask = pad_batch([np.asarray(s) for s in seqs])
+    b, t = ids.shape
+    lengths = np.count_nonzero(mask, axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    active = np.searchsorted(-lengths[order], np.arange(t) - t, side="right")
+    xs = np.take(model.embeddings[ids].transpose(1, 0, 2), order, axis=1)
+    w = np.hstack([p["gru_Wz"], p["gru_Wr"], p["gru_Wh"]])
+    u_zr = np.hstack([p["gru_Uz"], p["gru_Ur"]])
+    b_zr = np.concatenate([p["gru_bz"], p["gru_br"]])
+    u_h, b_h = p["gru_Uh"], p["gru_bh"]
+    h, steps = np.zeros((0, d)), []
+    for step in range(t):
+        k = active[step]
+        if k > len(h):
+            h = np.concatenate([h, np.zeros((k - len(h), d))])
+        x = xs[step, :k]
+        a = gemm(x, w)
+        zr = sigmoid(a[:, :2 * d] + gemm(h, u_zr) + b_zr)
+        z, r = zr[:, :d], zr[:, d:]
+        c = np.tanh(a[:, 2 * d:] + gemm(r * h, u_h) + b_h)
+        steps.append((x, h, zr, c))
+        h = (1.0 - z) * h + z * c
+    dw, du_zr = np.zeros_like(w), np.zeros_like(u_zr)
+    du_h, db = np.zeros_like(u_h), np.zeros(3 * d)
+    demb = np.zeros((b, t, d))
+    dh = dh[order]
+    for step in range(t - 1, -1, -1):
+        x, h_prev, zr, c = steps[step]
+        k = len(x)
+        dh = dh[:k]
+        z, r = zr[:, :d], zr[:, d:]
+        dpre = np.empty((k, 3 * d))
+        dpre[:, 2 * d:] = dh * z * (1.0 - c * c)
+        drh = dpre[:, 2 * d:] @ u_h.T
+        dpre[:, :d] = dh * (c - h_prev)
+        dpre[:, d:2 * d] = drh * h_prev
+        dpre[:, :2 * d] *= zr * (1.0 - zr)
+        dw += x.T @ dpre
+        du_zr += h_prev.T @ dpre[:, :2 * d]
+        du_h += (r * h_prev).T @ dpre[:, 2 * d:]
+        db += dpre.sum(axis=0)
+        demb[order[:k], step] = dpre @ w.T
+        dh = dh * (1.0 - z) + drh * r + dpre[:, :2 * d] @ u_zr.T
+    real = mask > 0
+    table = np.zeros_like(model.embeddings)
+    np.add.at(table, ids[real], demb[real])
+    table[0] = 0.0
+    grads = {"item_embeddings": table, "gru_Uz": du_zr[:, :d], "gru_Ur": du_zr[:, d:],
+             "gru_Uh": du_h}
+    for i, g in enumerate(("z", "r", "h")):
+        grads[f"gru_W{g}"] = dw[:, i * d:(i + 1) * d]
+        grads[f"gru_b{g}"] = db[i * d:(i + 1) * d]
+    return grads
 
 
 def finite_difference_check(model, seqs, grads, w, loss_fn, rng, n_checks=20,
@@ -138,7 +216,13 @@ class TestGRUEncoder:
 
     @staticmethod
     def _masked_reference(model, seqs):
-        """The plain GRU step over the whole left-padded batch, padded rows masked."""
+        """The plain GRU step over the whole left-padded batch, padded rows masked.
+
+        A one-row batch is run as two copies of its row: the encoder takes
+        one-row products through the matrix path too.
+        """
+        if len(seqs) == 1:
+            return TestGRUEncoder._masked_reference(model, list(seqs) * 2)[:1]
         p = model.params
         ids, mask = pad_batch([np.asarray(s) for s in seqs])
         emb = model.embeddings[ids]
@@ -175,6 +259,31 @@ class TestGRUEncoder:
         finite_difference_check(model, seqs, grads, w,
                                 lambda: float(np.sum(w * encode_batch(model, seqs)[0])),
                                 rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ragged_batches_match_the_references_bit_for_bit(self, data):
+        dim = data.draw(st.integers(1, 8), label="dim")
+        rows = data.draw(st.integers(1, 40), label="rows")
+        if data.draw(st.booleans(), label="equal lengths"):
+            lengths = [data.draw(st.integers(1, 12), label="length")] * rows
+        else:
+            lengths = data.draw(st.lists(st.integers(1, 12), min_size=rows, max_size=rows),
+                                label="lengths")
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        rng = np.random.default_rng(seed)
+        model = init_model(15, dim, seed=seed, encoder="gru")
+        seqs = [rng.integers(1, 16, size=n) for n in lengths]
+        h, cache = encode_batch(model, seqs)
+        np.testing.assert_array_equal(h, self._masked_reference(model, seqs))
+        for i, s in enumerate(seqs):
+            np.testing.assert_array_equal(h[i], encode(model, s))
+        dh = rng.normal(size=h.shape)
+        grads = backward_batch(model, cache, dh)
+        reference = dense_reference_grads(model, seqs, dh)
+        assert set(grads) == set(reference)
+        for name, g in grads.items():
+            assert g.tobytes() == reference[name].tobytes(), name
 
     def test_left_padding_is_inert(self):
         # the same sequence must encode identically regardless of batch width
@@ -223,7 +332,7 @@ class TestContract:
         tiny = np.finfo(np.float64).smallest_subnormal
         x = np.concatenate([
             [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 745.0, -745.0, 800.0, -800.0,
-             np.inf, -np.inf],
+             np.inf, -np.inf, np.nan, -np.nan],
             np.linspace(-50.0, 50.0, 2001),
             np.random.default_rng(3).normal(scale=20.0, size=5000),
         ])
@@ -234,3 +343,6 @@ class TestContract:
         ref[~pos] = ex / (1.0 + ex)
         out = sigmoid(x)
         assert out.tobytes() == ref.tobytes()
+        in_place = x.copy()
+        _sigmoid_(in_place, np.empty_like(x))
+        assert in_place.tobytes() == out.tobytes()
