@@ -14,7 +14,7 @@ from .corpus import (DatasetStats, InteractionLog, PreferenceClass, Segmentation
                      SequenceStore, build_sequences, classify_sequence,
                      dataset_stats, k_core_filter, leave_one_out_split,
                      load_interactions, segment)
-from .encoders import ModelState, encode, encode_batch, init_model
+from .encoders import ModelState, encode_batch, init_model
 from .errors import ConfigError, DataError, NumericError, TailaugError
 from .evaluation import (MetricReport, RankingResult, evaluate_model,
                          format_table, hit_at_k, mean_report,
@@ -25,7 +25,7 @@ from .simcand import (CandidateSets, SimilarityMatrix, SolverConfig,
                       build_interaction_matrix, solve_similarity,
                       top_k_correlation, union_candidates)
 from .training import (AdamState, TrainConfig, adam_step, batch_loss,
-                       init_adam, load_checkpoint, sample_negative,
-                       save_checkpoint, train_stage1, train_stage2)
+                       init_adam, load_checkpoint, save_checkpoint,
+                       train_stage1, train_stage2)
 
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ class OperatorConfig:
 
     def __post_init__(self):
         if not 0.0 < self.a < self.b < 1.0:
-            raise ValueError(f"need 0 < a < b < 1, got a={self.a}, b={self.b}")
+            raise ValueError(f"a and b need 0 < a < b < 1, got a={self.a}, b={self.b}")
         if not finite_positive(self.alpha):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
@@ -191,12 +191,6 @@ class CrossPlan:
     pairing: np.ndarray
     lams: np.ndarray
     classes: list[PreferenceClass]
-
-    @classmethod
-    def identity(cls, classes: Sequence[PreferenceClass], lam: float = 1.0) -> "CrossPlan":
-        n = len(classes)
-        return cls(pairing=np.arange(n, dtype=np.int64),
-                   lams=np.full(n, lam, dtype=np.float64), classes=list(classes))
 
 
 def plan_cross_batch(classes: Sequence[PreferenceClass], alpha: float,

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, evaluation, serialize, simcand, synth, training
-from .augment import OperatorConfig
-from .config import DEFAULTS, config_hash, lineage_id, load_config, section_keys
+from .config import (DEFAULTS, config_hash, lineage_id, load_config, operator_config,
+                     section_keys, solver_config, train_config)
 from .encoders import init_model
 from .errors import ConfigError, DataError, NumericError, TailaugError
 from .rand import SUBSAMPLE, derive_rng
@@ -116,6 +116,9 @@ def _load_prepared(out_dir):
                                       corpus.Segmentation.from_fields)
     store_id = store_lineage.get("id")
     _check_lineage(store_id, seg_lineage.get("id"), "segmentation vs store", False)
+    if (seg.n_users, seg.n_items) != (store.n_users, store.n_items):
+        raise DataError(f"{seg_path} covers {seg.n_users} users and {seg.n_items} items, "
+                        f"the prepared store {store.n_users} and {store.n_items}")
     return store, seg, store_id
 
 
@@ -132,10 +135,7 @@ def cmd_candidates(args) -> int:
               "arrays at its peak). Consider preparing with corpus.sample_users at desk scale.",
               file=sys.stderr)
 
-    solver_cfg = simcand.SolverConfig(ridge_penalty=cfg["simcand.ridge_penalty"],
-                                      diag_cap=cfg["simcand.diag_cap"])
-    cands, sim = simcand.build_candidates(store, seg, solver_cfg,
-                                          cfg["simcand.k"], read=cfg["simcand.read"])
+    cands, sim = simcand.build_candidates(store, seg, solver_config(cfg), cfg["simcand.k"])
     cand_id = lineage_id("candidates", config_hash(cfg, section_keys("candidates")),
                          {"prepare": store_id or ""})
     serialize.save(_artifact(out_dir, "candidates.json"), simcand.CANDIDATES_SCHEMA,
@@ -155,20 +155,9 @@ def cmd_candidates(args) -> int:
 # ------------------------------------------------------------------ train
 
 def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
-                    out_dir, trace_path, quiet=False):
+                    out_dir, trace_path):
     t0 = time.perf_counter()
-    tcfg = training.TrainConfig(
-        batch_size=cfg["train.batch_size"],
-        stage1_epochs=cfg["train.stage1_epochs"],
-        stage2_epochs=cfg["train.stage2_epochs"],
-        learning_rate=cfg["train.learning_rate"],
-        seed=seed,
-        enable_operator_loss=cfg["train.operator_loss"],
-        enable_cross_loss=cfg["train.cross_loss"],
-        patience=cfg["train.patience"] if cfg["train.patience"] >= 0 else None,
-    )
-    op_cfg = OperatorConfig(a=cfg["augment.a"], b=cfg["augment.b"],
-                            alpha=cfg["augment.alpha"])
+    tcfg = train_config(cfg, seed)
     model = init_model(store.n_items, cfg["model.dim"], seed,
                        encoder=cfg["model.encoder"])
     validator = None
@@ -185,7 +174,8 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
                                               validator=validator)
         trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
         try:
-            h2, adam = training.train_stage2(store, model, cands, seg, tcfg, op_cfg,
+            h2, adam = training.train_stage2(store, model, cands, seg, tcfg,
+                                             operator_config(cfg),
                                              adam=adam, validator=validator,
                                              trace=trace)
         finally:
@@ -202,16 +192,18 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
         metrics={"final_loss": history[-1]["loss_total"] if history else None},
         lineage={"prepare": store_id, "candidates": cand_id})
     serialize.write_jsonl(_artifact(out_dir, f"losses_{mode}_seed{seed}.jsonl"), history)
-    if not quiet:
-        last = history[-1] if history else {}
-        print(f"mode={mode} seed={seed} epochs={len(history)} "
-              f"final_loss={last.get('loss_total', float('nan')):.4f} "
-              f"({time.perf_counter() - t0:.1f}s) -> {ckpt_path.name}")
+    last = history[-1] if history else {}
+    print(f"mode={mode} seed={seed} epochs={len(history)} "
+          f"final_loss={last.get('loss_total', float('nan')):.4f} "
+          f"({time.perf_counter() - t0:.1f}s) -> {ckpt_path.name}")
     return ckpt_path
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, _overrides(args))
+    seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
+    if args.trace and len(seeds) > 1:
+        raise ConfigError("--trace records one seed's samples; give a single seed")
     out_dir = Path(args.out_dir)
     store, seg, store_id = _load_prepared(out_dir)
 
@@ -228,7 +220,6 @@ def cmd_train(args) -> int:
                        "candidates vs store", args.force)
         _check_items(len(cands.c), store, cand_path)
 
-    seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
     for seed in seeds:
         _train_one_seed(cfg, args.mode, seed, store, seg, cands, store_id,
                         cand_id, out_dir, args.trace)
@@ -365,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented")
     p.add_argument("--seeds", default=None, help="comma-separated seed sweep")
     p.add_argument("--trace", default=None,
-                   help="write one JSON line per augmented sample to this file")
+                   help="write one JSON line per augmented sample to this file "
+                        "(a single seed only)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="rank held-out targets and report metrics")

@@ -32,8 +32,6 @@ STORE_SCHEMA = "tailaug.sequence_store.v1"
 SEGMENTATION_SCHEMA = "tailaug.segmentation.v1"
 STATS_SCHEMA = "tailaug.dataset_stats.v1"
 
-PADDING_ID = 0  # internal item id 0 is reserved, never a real item
-
 
 class PreferenceClass(Enum):
     HEAD_PREFERRING = "head"
@@ -195,13 +193,24 @@ class SequenceStore:
 
     @classmethod
     def from_fields(cls, d: dict) -> "SequenceStore":
-        return cls(
+        """Decode and check: item ids in ``1..len(items)``, lengths within ``max_len``."""
+        store = cls(
             max_len=int(d["max_len"]),
             user_ids=list(d["users"]),
             item_ids=list(d["items"]),
             sequences=[np.asarray(s, dtype=np.int64) for s in d["sequences"]],
             split=bool(d["split"]),
         )
+        lengths = np.fromiter(map(len, store.sequences), np.int64, len(store.sequences))
+        ids = np.concatenate([np.zeros(0, np.int64), *store.sequences])
+        n = store.n_items
+        if np.any((ids < 1) | (ids > n)):
+            raise ValueError(f"sequences must hold item ids in 1..{n}")
+        if np.any(lengths > store.max_len):
+            raise ValueError(f"sequences must be at most max_len={store.max_len} long")
+        if store.split and np.any(lengths < 3):
+            raise ValueError("split sequences must be at least 3 long")
+        return store
 
 
 def build_sequences(log: InteractionLog, max_len: int) -> SequenceStore:
@@ -278,15 +287,16 @@ class Segmentation:
 
     @classmethod
     def from_fields(cls, d: dict) -> "Segmentation":
-        return cls(
-            head_users=frozenset(d["head_users"]),
-            tail_users=frozenset(d["tail_users"]),
-            head_items=frozenset(d["head_items"]),
-            tail_items=frozenset(d["tail_items"]),
-            beta=float(d["beta"]),
-            n_users=int(d["n_users"]),
-            n_items=int(d["n_items"]),
-        )
+        """Decode and check: head and tail partition the users and the items."""
+        sets = {name: frozenset(d[name])
+                for name in ("head_users", "tail_users", "head_items", "tail_items")}
+        n_users, n_items = int(d["n_users"]), int(d["n_items"])
+        for kind, universe in (("users", range(n_users)), ("items", range(1, n_items + 1))):
+            head, tail = sets[f"head_{kind}"], sets[f"tail_{kind}"]
+            if head & tail or head | tail != frozenset(universe):
+                raise ValueError(f"head and tail {kind} must partition the ids "
+                                 f"{universe.start}..{universe.stop - 1}")
+        return cls(**sets, beta=float(d["beta"]), n_users=n_users, n_items=n_items)
 
 
 def _head_cut(counts: np.ndarray) -> frozenset[int]:

@@ -289,12 +289,6 @@ def encode_batch(model: ModelState, seqs: list[np.ndarray]):
     return h, {"ids": ids, "enc": enc_cache}
 
 
-def encode(model: ModelState, seq) -> np.ndarray:
-    """Single-sequence convenience wrapper around the batched path."""
-    h, _ = encode_batch(model, [np.asarray(seq, dtype=np.int64)])
-    return h[0]
-
-
 def backward_batch(model: ModelState, cache, dh) -> dict[str, np.ndarray]:
     """Gradients of a batch encode; embedding grads are scatter-added and
     the padding row is zeroed."""

@@ -2,11 +2,11 @@
 
 Every stochastic site gets its own generator derived from (seed, purpose
 tag, *indices), so results are identical no matter how work is batched or
-parallelized.  Training draws the prefix ends and negative proposals of
-all users at once, from one ``(seed, PREFIX, epoch)`` and one
+parallelized.  Training draws the prefix ends and negatives of all
+users at once, from one ``(seed, PREFIX, epoch)`` and one
 ``(seed, NEGATIVE, epoch)`` stream, as arrays indexed by user id.
 Per-user ``(seed, purpose, epoch, user)`` streams remain for AUGMENT,
-whose draw order seeded traces replay, and for the negative fallback.
+whose draw order seeded traces replay.
 """
 
 from __future__ import annotations

@@ -184,19 +184,16 @@ def smallest_k(keys: np.ndarray, take: int) -> np.ndarray:
     return top
 
 
-def top_k_correlation(sim: SimilarityMatrix, k: int, read: str = "column") -> list[np.ndarray]:
+def top_k_correlation(sim: SimilarityMatrix, k: int) -> list[np.ndarray]:
     """Per item, the k most similar other items by score, ties by ascending id.
 
-    ``read="column"`` scores candidates for item v by ``values[:, v]``
-    (items that predict v); ``read="row"`` is the ablation alternative.
-    Negative scores stay eligible.  Returns internal item ids, indexed by
-    internal id - 1.
+    Candidates for item v are scored by ``values[:, v]``, the items that
+    predict v.  Negative scores stay eligible.  Returns internal item ids,
+    indexed by internal id - 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if read not in ("column", "row"):
-        raise ValueError(f"read must be 'column' or 'row', got {read!r}")
-    scores = sim.values if read == "row" else sim.values.T
+    scores = sim.values.T
     n = sim.n_items
     take = min(k, n - 1)
     if take == 0:
@@ -306,10 +303,9 @@ def union_candidates(cr: list[np.ndarray], cc: list[np.ndarray], k: int) -> Cand
 
 
 def build_candidates(store: SequenceStore, segmentation: Segmentation,
-                     config: SolverConfig, k: int, read: str = "column"
-                     ) -> tuple[CandidateSets, SimilarityMatrix]:
+                     config: SolverConfig, k: int) -> tuple[CandidateSets, SimilarityMatrix]:
     """End-to-end candidate construction: solve, top-K, co-occurrence, union."""
     sim = solve_similarity(build_interaction_matrix(store), config)
-    cr = top_k_correlation(sim, k, read=read)
+    cr = top_k_correlation(sim, k)
     cc = build_cooccurrence(store, segmentation)
     return union_candidates(cr, cc, k), sim

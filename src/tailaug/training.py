@@ -51,8 +51,9 @@ class TrainConfig:
         # zero is legal (no-op steps, useful in tests); negative is not
         if not (self.learning_rate == 0 or finite_positive(self.learning_rate)):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.stage1_epochs < 0 or self.stage2_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
+        for name in ("stage1_epochs", "stage2_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def softplus(x):
@@ -79,20 +80,6 @@ def bce_loss_batch(h, e_pos, e_neg):
     de_pos = g_pos * h
     de_neg = g_neg * h
     return losses, dh, de_pos, de_neg
-
-
-def sample_negative(user_train_items, n_items: int, rng: np.random.Generator) -> int:
-    """Uniform item id outside the user's training items; never the padding id."""
-    owned = user_train_items if isinstance(user_train_items, (set, frozenset)) \
-        else set(int(v) for v in user_train_items)
-    if len(owned) >= n_items:
-        raise DataError("user interacted with every item; no negative exists")
-    for _ in range(10_000):
-        v = int(rng.integers(1, n_items + 1))
-        if v not in owned:
-            return v
-    eligible = np.setdiff1d(np.arange(1, n_items + 1), np.fromiter(owned, dtype=np.int64))
-    return int(eligible[rng.integers(len(eligible))])
 
 
 @dataclass
@@ -148,19 +135,24 @@ def _epoch_batches(trains: list[np.ndarray], owned: np.ndarray, eligible: np.nda
 
     Each user's prefix end comes from one array draw per epoch, and its
     negative is the first of ``NEGATIVE_BLOCK`` uniform proposals that it
-    does not own.  That is uniform over the items it does not own; when it
-    owns the whole block, the negative comes from its own stream instead.
+    does not own.  That is uniform over the items it does not own.  A user
+    that owns its whole block instead takes a uniform pick of its unowned
+    items, drawn from the same stream after the block, in the order of
+    ``eligible`` (ascending user ids).
     """
     n_users = len(trains)
     highs = np.maximum([len(t) for t in trains], 2)
     ends = derive_rng(seed, PREFIX, epoch).integers(1, highs).tolist()
-    proposals = derive_rng(seed, NEGATIVE, epoch).integers(
-        1, n_items + 1, size=(n_users, NEGATIVE_BLOCK))
+    rng = derive_rng(seed, NEGATIVE, epoch)
+    proposals = rng.integers(1, n_items + 1, size=(n_users, NEGATIVE_BLOCK))
     keys = np.arange(n_users)[:, np.newaxis] * (n_items + 1) + proposals
     free = owned[np.minimum(np.searchsorted(owned, keys), len(owned) - 1)] != keys
     negatives = proposals[np.arange(n_users), free.argmax(axis=1)]
     for u in eligible[~free[eligible].any(axis=1)].tolist():
-        negatives[u] = sample_negative(trains[u], n_items, derive_rng(seed, NEGATIVE, epoch, u))
+        unowned = np.setdiff1d(np.arange(1, n_items + 1), trains[u])
+        if len(unowned) == 0:
+            raise DataError(f"user {u} interacted with every item; no negative exists")
+        negatives[u] = unowned[rng.integers(len(unowned))]
     order = eligible[derive_rng(seed, SHUFFLE, epoch).permutation(len(eligible))]
     for start in range(0, len(order), batch_size):
         users = order[start:start + batch_size]

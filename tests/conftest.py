@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tailaug import corpus, simcand, synth
+from tailaug.augment import CrossPlan
 from tailaug.encoders import encode_batch
 
 
@@ -47,6 +48,18 @@ def segmentation_with_heads(store, head_items, head_users=(), beta=0.5):
         head_items=head_items,
         tail_items=frozenset(range(1, store.n_items + 1)) - head_items,
         beta=beta, n_users=store.n_users, n_items=store.n_items)
+
+
+def encode_one(model, seq) -> np.ndarray:
+    """One sequence's encoding, through the batched path."""
+    return encode_batch(model, [np.asarray(seq, dtype=np.int64)])[0][0]
+
+
+def identity_plan(classes, lam: float = 1.0):
+    """A cross plan that pairs every position with itself, at weight ``lam``."""
+    n = len(classes)
+    return CrossPlan(pairing=np.arange(n, dtype=np.int64),
+                     lams=np.full(n, lam, dtype=np.float64), classes=list(classes))
 
 
 def bruteforce_tail_coverage(model, store, seg, k):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tailaug import corpus, synth
-from tailaug.augment import (CrossPlan, OperatorConfig, augment_sequence,
+from tailaug.augment import (OperatorConfig, augment_sequence,
                              plan_cross_batch, t_substitute)
 from tailaug.corpus import classify_sequence
 from tailaug.encoders import backward_batch, encode_batch, init_model
@@ -29,7 +29,8 @@ from tailaug.training import Batch, batch_loss, bce_loss_batch
 
 import scipy.sparse
 
-from conftest import Interaction, log_from_rows, log_rows, users_with_train_len
+from conftest import (Interaction, identity_plan, log_from_rows, log_rows,
+                      users_with_train_len)
 
 
 @contextmanager
@@ -310,7 +311,7 @@ def test_criterion_6_degenerate_mixing(small_corpus):
                                 derive_rng(5, 1, u))
                    for u, p in zip(users, prefixes)]
         classes = [classify_sequence(store.train_prefix(u), seg) for u in users]
-        plan = CrossPlan.identity(classes + classes, lam=1.0)
+        plan = identity_plan(classes + classes, lam=1.0)
         comp2, _ = batch_loss(model, batch, samples=samples,
                               op_lams=[1.0] * len(users), plan=plan)
         comp1, _ = batch_loss(model, batch)

@@ -8,7 +8,8 @@ from tailaug.augment import (INSERT, SUBSTITUTE, CrossPlan, OperatorConfig,
 from tailaug.corpus import PreferenceClass
 from tailaug.rand import derive_rng
 
-from conftest import candidate_sets, segmentation_with_heads, store_from_sequences
+from conftest import (candidate_sets, identity_plan, segmentation_with_heads,
+                      store_from_sequences)
 
 H = PreferenceClass.HEAD_PREFERRING
 T = PreferenceClass.TAIL_PREFERRING
@@ -256,7 +257,7 @@ class TestApplyCrossMixup:
     def test_identity_plan_is_noop(self):
         rng = derive_rng(17, 0)
         h, ep, en = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        plan = CrossPlan.identity([H, T, H, T], lam=1.0)
+        plan = identity_plan([H, T, H, T], lam=1.0)
         out = _cross_mixup(plan, h, ep, en)
         for got, want in zip(out, (h, ep, en)):
             np.testing.assert_array_equal(got, want)
@@ -289,7 +290,7 @@ class TestApplyCrossMixup:
             np.testing.assert_allclose(en_ac[i], lam * en[i] + (1 - lam) * en[j])
 
     def test_shape_mismatch(self):
-        plan = CrossPlan.identity([H, T])
+        plan = identity_plan([H, T])
         with pytest.raises(ValueError):
             apply_cross_mixup(plan, np.zeros((3, 6)))
 

@@ -70,6 +70,11 @@ class TestPrepare:
         (["train", "--alpha", "nan"], "augment.alpha"),
         (["train", "--learning-rate", "nan"], "train.learning_rate"),
         (["train", "--learning-rate", "inf"], "train.learning_rate"),
+        (["train", "--learning-rate", "0"], "train.learning_rate"),
+        (["train", "--batch-size", "0"], "train.batch_size"),
+        (["train", "--a", "0.9", "--b", "0.8"], "augment.a"),
+        (["candidates", "--diag-cap", "1.0"], "simcand.diag_cap"),
+        (["train", "--seeds", "1,2", "--trace", "trace.jsonl"], "--trace"),
     ])
     def test_negative_count_fails_before_io(self, tmp_path, capsys, argv, key):
         # neither the input nor the prepared artifacts exist
@@ -333,8 +338,7 @@ class TestReportCommand:
 
 COMMAND_OF_SECTION = {"corpus": "prepare", "simcand": "candidates", "model": "train",
                       "train": "train", "augment": "train", "eval": "evaluate"}
-OTHER_VALUE = {"corpus.delimiter": ";", "simcand.read": "row", "model.encoder": "pooled",
-               "eval.ks": [3, 7]}
+OTHER_VALUE = {"corpus.delimiter": ";", "model.encoder": "pooled", "eval.ks": [3, 7]}
 
 
 def _flag_for(key):
@@ -516,6 +520,19 @@ CORRUPTIONS = {"truncate": _truncate, "garbage-head": _garbage_head,
                "drop-field": _drop_field, "drop-lineage": _drop_lineage}
 
 
+def _item_in_both_users_in_neither(doc):
+    doc["tail_items"].append(doc["head_items"][0])
+    del doc["tail_users"][:5]
+
+
+def _one_item_fewer(doc):
+    """A partition of the items but the last, sized for one item fewer than the store."""
+    n = doc["n_items"]
+    for name in ("head_items", "tail_items"):
+        doc[name] = [v for v in doc[name] if v != n]
+    doc["n_items"] = n - 1
+
+
 class TestFaultInjection:
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
@@ -598,6 +615,35 @@ class TestFaultInjection:
         _edit_envelope(out / "candidates.json", edit)
         capsys.readouterr()
         assert main(_command("candidates.json", out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["sequences"][0].__setitem__(-1, 0),
+        lambda doc: doc["sequences"][0].__setitem__(-1, len(doc["items"]) + 7),
+        lambda doc: doc["sequences"][0].__setitem__(-1, -3),
+        lambda doc: doc["sequences"][0].extend([1] * doc["max_len"]),
+        lambda doc: doc["sequences"][0].__delitem__(slice(2, None)),
+    ], ids=["padding-id-target", "id-past-catalog", "negative-id", "longer-than-max-len",
+            "split-shorter-than-3"])
+    def test_out_of_range_store_is_data_error(self, edit, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        _edit_envelope(out / "store.json", edit)
+        capsys.readouterr()
+        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [_item_in_both_users_in_neither, _one_item_fewer],
+                             ids=["item-in-both-users-in-neither", "fewer-items-than-store"])
+    def test_segmentation_that_is_not_a_partition_is_data_error(
+            self, edit, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        _edit_envelope(out / "segmentation.json", edit)
+        capsys.readouterr()
+        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 

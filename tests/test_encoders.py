@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailaug.encoders import (_gemm, _sigmoid_, backward_batch, encode, encode_batch,
+from tailaug.encoders import (_gemm, _sigmoid_, backward_batch, encode_batch,
                               get_encoder, init_model, sigmoid)
+
+from conftest import encode_one
 
 
 def pad_batch(seqs):
@@ -146,20 +148,20 @@ class TestPooledEncoder:
     def test_decay_zero_collapses_to_last_item(self):
         model = init_model(10, 4, seed=2, encoder="pooled")
         model.params["pool_theta"][0] = -40.0  # rho -> 0
-        h = encode(model, [3, 7, 5])
+        h = encode_one(model, [3, 7, 5])
         np.testing.assert_allclose(h, model.embeddings[5], atol=1e-12)
 
     def test_decay_one_is_mean(self):
         model = init_model(10, 4, seed=2, encoder="pooled")
         model.params["pool_theta"][0] = 40.0  # rho -> 1
-        h = encode(model, [3, 7, 5])
+        h = encode_one(model, [3, 7, 5])
         np.testing.assert_allclose(h, model.embeddings[[3, 7, 5]].mean(axis=0),
                                    atol=1e-10)
 
     def test_geometric_weights_hand_computed(self):
         model = init_model(10, 4, seed=2, encoder="pooled")
         model.params["pool_theta"][0] = 0.0  # rho = 0.5
-        h = encode(model, [1, 2])
+        h = encode_one(model, [1, 2])
         e1, e2 = model.embeddings[1], model.embeddings[2]
         np.testing.assert_allclose(h, (0.5 * e1 + e2) / 1.5, atol=1e-12)
 
@@ -197,7 +199,7 @@ class TestGRUEncoder:
             r = sig(x @ p["gru_Wr"] + h * 0.2)
             c = np.tanh(x @ p["gru_Wh"] + (r * h) * 0.3)
             h = (1 - z) * h + z * c
-        np.testing.assert_allclose(encode(model, [1, 2, 3]), h, atol=1e-12)
+        np.testing.assert_allclose(encode_one(model, [1, 2, 3]), h, atol=1e-12)
 
     def test_gradients(self):
         rng = np.random.default_rng(1)
@@ -247,7 +249,7 @@ class TestGRUEncoder:
             unpadded, _ = encode_batch(model, [seqs[i] for i in rows])
             np.testing.assert_array_equal(batched[rows], unpadded)
         for i, s in enumerate(seqs):
-            np.testing.assert_array_equal(batched[i], encode(model, s))
+            np.testing.assert_array_equal(batched[i], encode_one(model, s))
 
     def test_ragged_batch_gradients(self):
         rng = np.random.default_rng(2)
@@ -277,7 +279,7 @@ class TestGRUEncoder:
         h, cache = encode_batch(model, seqs)
         np.testing.assert_array_equal(h, self._masked_reference(model, seqs))
         for i, s in enumerate(seqs):
-            np.testing.assert_array_equal(h[i], encode(model, s))
+            np.testing.assert_array_equal(h[i], encode_one(model, s))
         dh = rng.normal(size=h.shape)
         grads = backward_batch(model, cache, dh)
         reference = dense_reference_grads(model, seqs, dh)
@@ -302,13 +304,13 @@ class TestContract:
             seqs = [np.array([1, 2, 3]), np.array([4, 5])]
             batched, _ = encode_batch(model, seqs)
             for i, s in enumerate(seqs):
-                np.testing.assert_allclose(encode(model, s), batched[i],
+                np.testing.assert_allclose(encode_one(model, s), batched[i],
                                            rtol=0, atol=1e-12)
 
     def test_out_of_range_item(self):
         model = init_model(5, 4, seed=7)
         with pytest.raises(ValueError, match="outside"):
-            encode(model, [1, 6])
+            encode_one(model, [1, 6])
 
     def test_empty_sequence_rejected(self):
         model = init_model(5, 4, seed=7)

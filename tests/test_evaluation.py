@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailaug import evaluation, serialize
-from tailaug.encoders import encode, init_model
+from tailaug.encoders import init_model
 from tailaug.errors import DataError, NumericError
 from tailaug.evaluation import (REPORT_SCHEMA, MetricReport, RankingResult,
                                 evaluate_model, format_table, hit_at_k, mean_report,
@@ -12,7 +12,7 @@ from tailaug.evaluation import (REPORT_SCHEMA, MetricReport, RankingResult,
                                 segmented_report, validation_score)
 from tailaug.simcand import smallest_k
 
-from conftest import (bruteforce_tail_coverage, segmentation_with_heads,
+from conftest import (bruteforce_tail_coverage, encode_one, segmentation_with_heads,
                       store_from_sequences)
 
 
@@ -96,7 +96,7 @@ class TestFullRank:
         for u in range(store.n_users):
             res = rank_users(model, store, "test", users=[u])[0]
             seq = np.concatenate([store.train_prefix(u), [store.valid_item(u)]])
-            scores = model.embeddings[1:] @ encode(model, seq)
+            scores = model.embeddings[1:] @ encode_one(model, seq)
             expected = 1 + sum(1 for j in range(store.n_items)
                                if j + 1 != res.target and scores[j] >= scores[res.target - 1])
             assert res.rank == expected

@@ -52,9 +52,9 @@ def reference_interaction_matrix(store):
     return X
 
 
-def reference_top_k(values, k, read):
-    """One full lexsort per item: by descending score, then ascending id."""
-    scores = values if read == "row" else values.T
+def reference_top_k(values, k):
+    """One full lexsort per item of its column: by descending score, then ascending id."""
+    scores = values.T
     n = len(values)
     ids = np.arange(1, n + 1)
     out = []
@@ -281,54 +281,47 @@ class TestTopK:
                            key=lambda j: (-col[j - 1], j))
             assert cr[v - 1].tolist() == order[:3]
 
-    def test_row_read_switch(self):
-        values = np.array([[0.0, 9.0, 1.0],
-                           [2.0, 0.0, 8.0],
-                           [7.0, 3.0, 0.0]])
-        sim = SimilarityMatrix(values=values, gamma=np.zeros(3),
-                               capped=np.zeros(3, bool), config=SolverConfig())
-        by_col = top_k_correlation(sim, 1, read="column")
-        by_row = top_k_correlation(sim, 1, read="row")
-        assert by_col[0].tolist() == [3]  # column 0 reads values[:, 0]
-        assert by_row[0].tolist() == [2]  # row 0 reads values[0, :]
-        assert by_col[1].tolist() == [1] and by_row[1].tolist() == [3]
-
     def test_fewer_than_k(self):
         sim = SimilarityMatrix(values=np.zeros((2, 2)), gamma=np.zeros(2),
                                capped=np.zeros(2, bool), config=SolverConfig())
         assert [len(c) for c in top_k_correlation(sim, 10)] == [1, 1]
 
-    @pytest.mark.parametrize("read", ["column", "row"])
+    # each matrix is also read transposed: its rows tie in other patterns
+    @pytest.mark.parametrize("orient", ["column", "row"])
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 40, 300])
-    def test_matches_lexsort_reference_with_ties(self, n, read):
+    def test_matches_lexsort_reference_with_ties(self, n, orient):
         k = 10
         rng = np.random.default_rng(n)
         # few levels, all <= 0.5, so most rows tie across the k-th score;
         # -0.0 and 0.0 must tie as well
         values = rng.integers(-4, 2, size=(n, n)) * 0.5
         values[(values == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+        if orient == "row":
+            values = values.T
         sim = SimilarityMatrix(values=values, gamma=np.zeros(n),
                                capped=np.zeros(n, bool), config=SolverConfig())
-        got = top_k_correlation(sim, k, read=read)
-        expected = reference_top_k(values, k, read)
+        got = top_k_correlation(sim, k)
+        expected = reference_top_k(values, k)
         assert [a.tolist() for a in got] == [a.tolist() for a in expected]
         assert all(a.dtype == np.int64 for a in got)
         if n > k + 1:  # the boundary ties the fallback exists for do occur
-            scores = values if read == "row" else values.T
+            scores = values.T
             kth = [scores[j][expected[j][-1] - 1] for j in range(n)]
             assert any(np.count_nonzero(np.delete(scores[j], j) == kth[j]) > 1
                        for j in range(n))
 
-    @pytest.mark.parametrize("read", ["column", "row"])
-    def test_matches_lexsort_reference_negative_scores(self, read):
+    @pytest.mark.parametrize("orient", ["column", "row"])
+    def test_matches_lexsort_reference_negative_scores(self, orient):
         rng = np.random.default_rng(13)
         values = rng.normal(-5.0, 1.0, size=(270, 270))
+        if orient == "row":
+            values = values.T
         sim = SimilarityMatrix(values=values, gamma=np.zeros(270),
                                capped=np.zeros(270, bool), config=SolverConfig())
         for k in (1, 7, 269, 400):
-            got = top_k_correlation(sim, k, read=read)
+            got = top_k_correlation(sim, k)
             assert [a.tolist() for a in got] == \
-                [a.tolist() for a in reference_top_k(values, k, read)]
+                [a.tolist() for a in reference_top_k(values, k)]
 
 
 class TestCooccurrence:

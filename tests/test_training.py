@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from tailaug import training
-from tailaug.augment import (CrossPlan, OperatorConfig, augment_sequence,
-                             plan_cross_batch, t_substitute)
+from tailaug.augment import (OperatorConfig, augment_sequence, plan_cross_batch,
+                             t_substitute)
 from tailaug.corpus import classify_sequence
 from tailaug.encoders import encode_batch, init_model, lookup
 from tailaug.errors import DataError, NumericError
 from tailaug.rand import AUGMENT, CROSS, NEGATIVE, derive_rng
 from tailaug.training import (Batch, TrainConfig, adam_step,
                               batch_loss, bce_loss_batch, init_adam,
-                              load_checkpoint, sample_negative, save_checkpoint,
+                              load_checkpoint, save_checkpoint,
                               train_stage1, train_stage2)
 
-from conftest import store_from_sequences, users_with_train_len
+from conftest import identity_plan, store_from_sequences, users_with_train_len
 
 
 class TestBCE:
@@ -65,29 +65,42 @@ class TestBCE:
         assert np.all(np.abs(np.diff(vals)) < 1.0)  # continuous, no jumps
 
 
-class TestSampleNegative:
-    def test_two_item_universe(self):
-        rng = derive_rng(0, 0)
-        assert all(sample_negative({1}, 2, rng) == 2 for _ in range(20))
+def epoch_negatives(trains, n_items, seed=0, epoch=0):
+    """Each eligible user's negative in one epoch of ``_epoch_batches``, by user id."""
+    trains = [np.asarray(t, dtype=np.int64) for t in trains]
+    eligible = np.flatnonzero([len(t) >= 2 for t in trains])
+    batches = training._epoch_batches(trains, training._owned_keys(trains, n_items),
+                                      eligible, n_items, seed, epoch, len(trains))
+    return {u: v for b in batches for u, v in zip(b.users.tolist(), b.negatives.tolist())}
 
-    def test_uniform_over_eligible(self):
-        rng = derive_rng(1, 0)
-        owned = set(range(1, 11))  # items 1..10 of 100
-        draws = np.array([sample_negative(owned, 100, rng) for _ in range(10_000)])
-        assert not set(draws.tolist()) & owned
-        counts = np.bincount(draws, minlength=101)[11:]
+
+class TestSampleNegative:
+    """The negatives ``_epoch_batches`` draws: one unowned item per user and epoch."""
+
+    def test_two_item_universe(self):
+        draws = [epoch_negatives([[1, 1]], 2, epoch=e)[0] for e in range(200)]
+        assert set(draws) == {2}
+
+    def test_uniform_over_eligible(self, monkeypatch):
+        # 10,000 users own items 1..10 of 100; with a one-proposal block a
+        # tenth of them take the fallback pick
+        monkeypatch.setattr(training, "NEGATIVE_BLOCK", 1)
+        draws = np.array(list(epoch_negatives([list(range(1, 11))] * 10_000, 100,
+                                              seed=1).values()))
+        counts = np.bincount(draws, minlength=101)
+        assert counts[:11].sum() == 0
         expected = 10_000 / 90
-        chi2 = np.sum((counts - expected) ** 2 / expected)
+        chi2 = np.sum((counts[11:] - expected) ** 2 / expected)
         # chi-square with 89 dof: 99.9th percentile ~ 135
         assert chi2 < 135
 
     def test_padding_never_sampled(self):
-        rng = derive_rng(2, 0)
-        assert all(sample_negative(set(), 3, rng) in (1, 2, 3) for _ in range(200))
+        draws = epoch_negatives([[1, 1]] * 200, 3, seed=2).values()
+        assert set(draws) == {2, 3}
 
     def test_no_eligible_negative(self):
-        with pytest.raises(DataError):
-            sample_negative({1, 2, 3}, 3, derive_rng(3, 0))
+        with pytest.raises(DataError, match="every item"):
+            epoch_negatives([[1, 2], [1, 2, 3]], 3, seed=3)
 
 
 class TestAdam:
@@ -187,7 +200,7 @@ class TestStage2:
         samples = [t_substitute(p, seg, cands, OperatorConfig(), derive_rng(0, 50, u))
                    for u, p in zip(users, prefixes)]
         classes = [classify_sequence(store.train_prefix(u), seg) for u in users]
-        plan = CrossPlan.identity(classes + classes, lam=1.0)
+        plan = identity_plan(classes + classes, lam=1.0)
         comp2, _ = batch_loss(model, batch, samples=samples,
                               op_lams=[1.0] * len(users), plan=plan)
         comp1, _ = batch_loss(model, batch)
@@ -414,26 +427,34 @@ class TestScheduleIndependence:
             assert 1 <= len(prefix) < len(train) and target == train[len(prefix)]
             assert 1 <= negative <= store.n_items and negative not in set(train.tolist())
 
-    def test_owned_block_falls_back_to_the_user_stream(self, monkeypatch):
+    def test_owned_block_falls_back_in_user_id_order(self, monkeypatch):
         # every user owns 6 of the 8 items, so a one-proposal block is mostly owned
         store = store_from_sequences({u: [(u + j) % 8 + 1 for j in range(8)]
                                       for u in range(40)})
         monkeypatch.setattr(training, "NEGATIVE_BLOCK", 1)
-        fallbacks = []
+        negative_tags = []
 
         def spy(seed, *tags):
-            if tags[0] == NEGATIVE and len(tags) == 3:
-                fallbacks.append(tags[2])
+            if tags[0] == NEGATIVE:
+                negative_tags.append(tags)
             return derive_rng(seed, *tags)
 
         monkeypatch.setattr(training, "derive_rng", spy)
         draws = _epoch_draws((store, None, None, None), monkeypatch, 16)
-        assert 0 < len(fallbacks) < store.n_users
-        for u, (_, _, negative) in draws.items():
+        assert negative_tags == [(NEGATIVE, 3)]  # no per-user stream
+        # hand replay: the block, then one pick per owning user, by user id
+        rng = derive_rng(9, NEGATIVE, 3)
+        proposals = rng.integers(1, 9, size=(store.n_users, 1))[:, 0]
+        fallbacks = 0
+        for u in sorted(draws):
             train = store.train_prefix(u).tolist()
-            assert negative in set(range(1, 9)) - set(train)
-            if u in fallbacks:
-                assert negative == sample_negative(train, 8, derive_rng(9, NEGATIVE, 3, u))
+            expected = int(proposals[u])
+            if expected in train:
+                unowned = sorted(set(range(1, 9)) - set(train))
+                expected = unowned[rng.integers(len(unowned))]
+                fallbacks += 1
+            assert draws[u][2] == expected
+        assert 1 < fallbacks < store.n_users
 
     @pytest.mark.parametrize("block", [1, 8])
     def test_negatives_are_uniform_over_unowned_items(self, monkeypatch, block):
