@@ -3,7 +3,7 @@
 Two operators act on item sequences using per-item candidate sets:
 
 * substitution replaces head items (each selected independently with a
-  per-call uniform rate) by a random candidate of the replaced item;
+  per-sequence uniform rate) by a random candidate of the replaced item;
 * insertion places a random candidate immediately before each selected
   tail item and pairs the result with an extended copy of the original
   sequence in which every selected tail item is duplicated once, so both
@@ -15,10 +15,11 @@ original representations are then blended with a Beta-distributed weight,
 and a batch-level cross plan mixes representations of different sequences
 within the same head-/tail-preference class.
 
-Draw order inside an operator call is part of the contract (it makes
-seeded traces replayable): first the rate, then one selection draw per
-eligible position in sequence order, then — immediately after each
-selecting draw with a non-empty candidate set — the candidate pick.
+Both operators are one batch kernel, :func:`augment_batch`, whose uniforms
+(per row: operator and rate; per position: selection and pick) depend in
+number only on the batch's shape.  Training draws them per epoch, indexed
+by user and training-prefix position, so a seeded trace replays however
+users are batched.  ``augment_sequence`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -85,17 +86,63 @@ class AugmentedSample:
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
-def sample_rate(config: OperatorConfig, rng: np.random.Generator) -> float:
-    """Per-call selection probability, uniform on [a, b)."""
-    return float(rng.uniform(config.a, config.b))
+def draw_uniforms(rng, n_rows: int, n_positions: int, config: OperatorConfig):
+    """A rate in ``[a, b)`` per row, then a selection and a pick uniform per position."""
+    return (rng.uniform(config.a, config.b, n_rows), rng.random(n_positions),
+            rng.random(n_positions))
+
+
+def insert_rows(lengths, max_len: int, uniforms):
+    """Insertion where the operator uniform is below ``1 - length/max_len``."""
+    return uniforms < 1.0 - np.asarray(lengths) / max_len
 
 
 def select_operator(seq_len: int, max_len: int, rng: np.random.Generator) -> str:
     """Insertion with probability 1 - seq_len/max_len, substitution otherwise."""
     if not 1 <= seq_len <= max_len:
         raise ValueError(f"seq_len must be in [1, {max_len}], got {seq_len}")
-    p_insert = 1.0 - seq_len / max_len
-    return INSERT if rng.random() < p_insert else SUBSTITUTE
+    return INSERT if insert_rows(seq_len, max_len, rng.random()) else SUBSTITUTE
+
+
+def augment_batch(ids, lengths, segmentation: Segmentation, candidates: CandidateSets,
+                  max_len: int, *, insert, rates, select, pick) -> list[AugmentedSample]:
+    """One sample per row of ``ids`` (rows back to back); one uniform per entry.
+
+    Entry ``v`` acts when ``select`` is below its row's rate, ``v`` is head
+    (substitution) or tail (``insert``) and ``c_v`` is not empty.  Then
+    ``c_v[floor(pick * |c_v|)]`` replaces ``v`` or goes in front of it while
+    ``s_ext`` repeats ``v``.  Both outputs lose their oldest entries beyond ``max_len``.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if np.any(lengths < 1):
+        raise ValueError("cannot augment an empty sequence")
+    insert = np.asarray(insert, dtype=bool)
+    rates = np.asarray(rates, dtype=np.float64)
+    n = len(lengths)
+    row = np.repeat(np.arange(n), lengths)
+    offsets, members = candidates.flat_union
+    first, size = offsets[ids], offsets[ids + 1] - offsets[ids]
+    act = ((np.asarray(select) < rates[row]) & (segmentation.item_head_mask[ids] != insert[row])
+           & (size > 0))
+    at = np.flatnonzero(act)
+    # a product u * |c_v| with u < 1 never rounds up to |c_v|
+    chosen = members[first[at] + (np.asarray(pick)[at] * size[at]).astype(np.int64)]
+    grow = act & insert[row]
+    s_ext = np.repeat(ids, 1 + grow)
+    s_prime = s_ext.copy()
+    s_prime[at + np.cumsum(grow)[at] - grow[at]] = chosen
+    full = lengths + np.bincount(row[grow], minlength=n)
+    out = np.minimum(full, max_len)
+    keep = np.arange(len(s_ext)) >= np.repeat(np.cumsum(full) - out, full)
+    s_prime, s_ext = s_prime[keep], s_ext[keep]
+    indices = at - (np.cumsum(lengths) - lengths)[row[at]]
+    edits = np.bincount(row[at], minlength=n)
+    return [AugmentedSample(INSERT if grows else SUBSTITUTE, s_prime[end - m:end],
+                            s_ext[end - m:end], indices[cut - k:cut], chosen[cut - k:cut], rate)
+            for grows, rate, end, m, cut, k in zip(
+                insert.tolist(), rates.tolist(), np.cumsum(out).tolist(), out.tolist(),
+                np.cumsum(edits).tolist(), edits.tolist())]
 
 
 def t_substitute(seq, segmentation: Segmentation, candidates: CandidateSets,
@@ -105,30 +152,7 @@ def t_substitute(seq, segmentation: Segmentation, candidates: CandidateSets,
     with an empty candidate set keeps its item and is dropped from
     ``indices``.
     """
-    seq = np.asarray(seq, dtype=np.int64)
-    if seq.size == 0:
-        raise ValueError("cannot augment an empty sequence")
-    rate = sample_rate(config, rng)
-    out = seq.copy()
-    indices, chosen = [], []
-    head = segmentation.item_head_mask
-    for i, v in enumerate(seq):
-        if not head[v]:
-            continue
-        if rng.random() >= rate:
-            continue
-        cands = candidates.candidates_for(int(v))
-        if len(cands) == 0:
-            continue
-        pick = int(cands[rng.integers(len(cands))])
-        out[i] = pick
-        indices.append(i)
-        chosen.append(pick)
-    return AugmentedSample(
-        operator=SUBSTITUTE, s_prime=out, s_ext=seq.copy(),
-        indices=np.asarray(indices, dtype=np.int64),
-        chosen=np.asarray(chosen, dtype=np.int64), rate=rate,
-    )
+    return augment_sequence(seq, segmentation, candidates, config, len(seq), rng, insert=False)
 
 
 def t_insert(seq, segmentation: Segmentation, candidates: CandidateSets,
@@ -139,44 +163,22 @@ def t_insert(seq, segmentation: Segmentation, candidates: CandidateSets,
     length.  If that length exceeds ``max_len`` the oldest positions are
     dropped from both outputs equally.
     """
-    seq = np.asarray(seq, dtype=np.int64)
-    if seq.size == 0:
-        raise ValueError("cannot augment an empty sequence")
-    rate = sample_rate(config, rng)
-    head = segmentation.item_head_mask
-    prime, ext = [], []
-    indices, chosen = [], []
-    for i, v in enumerate(seq):
-        v = int(v)
-        if not head[v] and rng.random() < rate:
-            cands = candidates.candidates_for(v)
-            if len(cands) > 0:
-                pick = int(cands[rng.integers(len(cands))])
-                prime.append(pick)
-                ext.append(v)
-                indices.append(i)
-                chosen.append(pick)
-        prime.append(v)
-        ext.append(v)
-    overflow = max(0, len(prime) - max_len)
-    return AugmentedSample(
-        operator=INSERT,
-        s_prime=np.asarray(prime[overflow:], dtype=np.int64),
-        s_ext=np.asarray(ext[overflow:], dtype=np.int64),
-        indices=np.asarray(indices, dtype=np.int64),
-        chosen=np.asarray(chosen, dtype=np.int64), rate=rate,
-    )
+    return augment_sequence(seq, segmentation, candidates, config, max_len, rng, insert=True)
 
 
 def augment_sequence(seq, segmentation: Segmentation, candidates: CandidateSets,
-                     config: OperatorConfig, max_len: int,
-                     rng: np.random.Generator) -> AugmentedSample:
-    """Length-based operator choice followed by the chosen operator."""
+                     config: OperatorConfig, max_len: int, rng: np.random.Generator,
+                     insert: bool | None = None) -> AugmentedSample:
+    """Length-based operator choice (unless ``insert`` forces it), then the operator.
+
+    The one-row case of :func:`augment_batch`, its uniforms drawn from ``rng``.
+    """
     seq = np.asarray(seq, dtype=np.int64)
-    op = select_operator(len(seq), max_len, rng)
-    if op == SUBSTITUTE:
-        return t_substitute(seq, segmentation, candidates, config, rng)
-    return t_insert(seq, segmentation, candidates, config, max_len, rng)
+    if insert is None:
+        insert = select_operator(len(seq), max_len, rng) == INSERT
+    rate, select, pick = draw_uniforms(rng, 1, len(seq), config)
+    return augment_batch(seq, [len(seq)], segmentation, candidates, max_len,
+                         insert=[insert], rates=rate, select=select, pick=pick)[0]
 
 
 @dataclass
@@ -197,20 +199,19 @@ def plan_cross_batch(classes: Sequence[PreferenceClass], alpha: float,
                      rng: np.random.Generator) -> CrossPlan:
     """Group positions by preference class and shuffle each group.
 
-    Draw order: head-group permutation, tail-group permutation, then one
+    ``classes`` holds one :class:`PreferenceClass` per position.  Draw
+    order: head-group permutation, tail-group permutation, then one
     Beta(alpha, alpha) weight per batch position.  A singleton group pairs
     with itself.
     """
+    classes = np.asarray(classes, dtype=object)
     if len(classes) == 0:
         raise ValueError("cannot plan cross augmentation for an empty batch")
-    n = len(classes)
-    pairing = np.arange(n, dtype=np.int64)
+    pairing = np.arange(len(classes), dtype=np.int64)
     for cls_value in (PreferenceClass.HEAD_PREFERRING, PreferenceClass.TAIL_PREFERRING):
-        positions = np.asarray([i for i, c in enumerate(classes) if c == cls_value],
-                               dtype=np.int64)
-        if len(positions) > 0:
-            pairing[positions] = positions[rng.permutation(len(positions))]
-    lams = rng.beta(alpha, alpha, size=n).astype(np.float64)
+        positions = np.flatnonzero(classes == cls_value)
+        pairing[positions] = positions[rng.permutation(len(positions))]
+    lams = rng.beta(alpha, alpha, size=len(classes))
     return CrossPlan(pairing=pairing, lams=lams, classes=list(classes))
 
 

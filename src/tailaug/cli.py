@@ -202,8 +202,9 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
 def cmd_train(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
-    if args.trace and len(seeds) > 1:
-        raise ConfigError("--trace records one seed's samples; give a single seed")
+    if args.trace and (len(seeds) > 1 or args.mode == "baseline"):
+        raise ConfigError("--trace records one seed's augmented samples; give a single "
+                          "seed and --mode augmented")
     out_dir = Path(args.out_dir)
     store, seg, store_id = _load_prepared(out_dir)
 
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None, help="comma-separated seed sweep")
     p.add_argument("--trace", default=None,
                    help="write one JSON line per augmented sample to this file "
-                        "(a single seed only)")
+                        "(augmented mode, a single seed only)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="rank held-out targets and report metrics")

@@ -193,12 +193,12 @@ class SequenceStore:
 
     @classmethod
     def from_fields(cls, d: dict) -> "SequenceStore":
-        """Decode and check: item ids in ``1..len(items)``, lengths within ``max_len``."""
+        """Decode and check: integer item ids in ``1..len(items)``, lengths up to ``max_len``."""
         store = cls(
             max_len=int(d["max_len"]),
             user_ids=list(d["users"]),
             item_ids=list(d["items"]),
-            sequences=[np.asarray(s, dtype=np.int64) for s in d["sequences"]],
+            sequences=[integer_ids(s) for s in d["sequences"]],
             split=bool(d["split"]),
         )
         lengths = np.fromiter(map(len, store.sequences), np.int64, len(store.sequences))
@@ -211,6 +211,12 @@ class SequenceStore:
         if store.split and np.any(lengths < 3):
             raise ValueError("split sequences must be at least 3 long")
         return store
+
+
+def integer_ids(values) -> np.ndarray:
+    """``values`` as int64; a TypeError for non-integers, which int64 would truncate."""
+    ids = np.asarray(values)
+    return ids.astype(np.int64, casting="safe" if ids.size else "unsafe", copy=False)
 
 
 def build_sequences(log: InteractionLog, max_len: int) -> SequenceStore:
@@ -252,7 +258,7 @@ class Segmentation:
 
     Head = the ceil(20%) most active users / most popular items, counted
     on training prefixes only.  ``beta`` is the tail-ratio threshold used
-    by :func:`classify_sequence`.  Membership is over internal ids.
+    by :func:`preference_classes`.  Membership is over internal ids.
     """
 
     head_users: frozenset[int]
@@ -335,20 +341,23 @@ def segment(store: SequenceStore, beta: float = 0.5) -> Segmentation:
     )
 
 
-def classify_sequence(seq, segmentation: Segmentation, beta: float | None = None) -> PreferenceClass:
-    """Tail-preferring iff the tail-item fraction of ``seq`` strictly exceeds beta.
+def preference_classes(ids, lengths, segmentation: Segmentation,
+                       beta: float | None = None) -> np.ndarray:
+    """Per row of ``ids`` (rows back to back): tail-preferring iff its tail share > beta."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    tail = ~segmentation.item_head_mask[np.asarray(ids, dtype=np.int64)]
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    tail_ratio = np.bincount(rows, weights=tail, minlength=len(lengths)) / np.maximum(lengths, 1)
+    classes = np.array([PreferenceClass.HEAD_PREFERRING, PreferenceClass.TAIL_PREFERRING])
+    return classes[(tail_ratio > (segmentation.beta if beta is None else beta)).view(np.int8)]
 
-    Depends only on the multiset of items; order is irrelevant.
-    """
+
+def classify_sequence(seq, segmentation: Segmentation, beta: float | None = None) -> PreferenceClass:
+    """The :func:`preference_classes` of one sequence; item order is irrelevant."""
     seq = np.asarray(seq, dtype=np.int64)
     if seq.size == 0:
         raise DataError("cannot classify an empty sequence prefix")
-    if beta is None:
-        beta = segmentation.beta
-    tail_ratio = float(np.mean(~segmentation.item_head_mask[seq]))
-    if tail_ratio > beta:
-        return PreferenceClass.TAIL_PREFERRING
-    return PreferenceClass.HEAD_PREFERRING
+    return preference_classes(seq, [seq.size], segmentation, beta)[0]
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 Every stochastic site gets its own generator derived from (seed, purpose
 tag, *indices), so results are identical no matter how work is batched or
-parallelized.  Training draws the prefix ends and negatives of all
-users at once, from one ``(seed, PREFIX, epoch)`` and one
-``(seed, NEGATIVE, epoch)`` stream, as arrays indexed by user id.
-Per-user ``(seed, purpose, epoch, user)`` streams remain for AUGMENT,
-whose draw order seeded traces replay.
+parallelized.  Training draws the prefix ends, negatives and stage-2
+augmentation uniforms of all users at once, from one ``(seed, PREFIX,
+epoch)``, ``(seed, NEGATIVE, epoch)`` and ``(seed, AUGMENT, epoch)`` stream
+each, as arrays indexed by user id or training-prefix position.  Only the
+cross plan draws per batch, from ``(seed, CROSS, epoch, step)``.
 """
 
 from __future__ import annotations

@@ -28,12 +28,13 @@ Candidate sets per item are the union of the top-K most similar items
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 from scipy.linalg import lapack
 
-from .corpus import Segmentation, SequenceStore
+from .corpus import Segmentation, SequenceStore, integer_ids
 from .errors import DataError, NumericError, finite_positive
 
 CANDIDATES_SCHEMA = "tailaug.candidate_sets.v1"
@@ -247,6 +248,12 @@ class CandidateSets:
     def candidates_for(self, v: int) -> np.ndarray:
         return self.c[v - 1]
 
+    @cached_property
+    def flat_union(self) -> tuple[np.ndarray, np.ndarray]:
+        """``c`` as CSR: item ``v``'s union is ``members[offsets[v]:offsets[v + 1]]``."""
+        members, lengths = _concat(self.c)
+        return np.concatenate([[0, 0], np.cumsum(lengths)]), members
+
     def to_fields(self) -> dict:
         return {
             "k": self.k,
@@ -257,8 +264,8 @@ class CandidateSets:
 
     @classmethod
     def from_fields(cls, d: dict) -> "CandidateSets":
-        """Decode and check: three lists over one universe of ``len(c)`` items."""
-        lists = {name: [np.asarray(a, dtype=np.int64) for a in d[name]]
+        """Decode and check: three lists of integer ids in ``1..len(c)``."""
+        lists = {name: [integer_ids(a) for a in d[name]]
                  for name in ("cr", "cc", "c")}
         n = len(lists["c"])
         for name, arrays in lists.items():

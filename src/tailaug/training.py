@@ -21,8 +21,8 @@ import numpy as np
 
 from . import serialize
 from .augment import (CrossPlan, OperatorConfig, apply_cross_mixup,
-                      augment_sequence, plan_cross_batch)
-from .corpus import Segmentation, SequenceStore, classify_sequence
+                      augment_batch, draw_uniforms, insert_rows, plan_cross_batch)
+from .corpus import Segmentation, SequenceStore, preference_classes
 from .encoders import (ModelState, backward_batch, encode_batch, init_model,
                        lookup, sigmoid)
 from .errors import DataError, NumericError, finite_positive
@@ -218,25 +218,31 @@ def batch_loss(model: ModelState, batch: Batch, *,
     return components, grads
 
 
-def _draw_stage2_randomness(batch: Batch, store, segmentation, candidates,
-                            op_config: OperatorConfig, config: TrainConfig, epoch: int,
-                            step: int, classes_by_user, trace=None):
+def _stage2_inputs(batch, draws, classes, starts, store, segmentation, candidates,
+                   op_config, config, epoch, step, trace=None):
+    """The batch's samples, mix weights and cross plan.
+
+    Entry ``j`` of user ``u``'s prefix uses the per-position draws at ``starts[u] + j``.
+    """
     samples = op_lams = plan = None
-    if config.enable_operator_loss:
-        samples, op_lams = [], []
-        for u, prefix in zip(batch.users, batch.prefixes):
-            rng = derive_rng(config.seed, AUGMENT, epoch, int(u))
-            sample = augment_sequence(prefix, segmentation, candidates, op_config,
-                                      store.max_len, rng)
-            lam = float(rng.beta(op_config.alpha, op_config.alpha))
-            samples.append(sample)
-            op_lams.append(lam)
-            if trace is not None:
-                trace.write(sample.trace_line(user=int(u), mix_weight=lam) + "\n")
+    users = batch.users
+    if draws is not None:
+        op_u, rates, select, pick, lams = draws
+        lengths = np.fromiter(map(len, batch.prefixes), np.int64, len(users))
+        positions = np.arange(lengths.sum()) + np.repeat(
+            starts[users] - (np.cumsum(lengths) - lengths), lengths)
+        samples = augment_batch(
+            np.concatenate(batch.prefixes), lengths, segmentation, candidates, store.max_len,
+            insert=insert_rows(lengths, store.max_len, op_u[users]), rates=rates[users],
+            select=select[positions], pick=pick[positions])
+        op_lams = lams[users]
+        if trace is not None:
+            for sample, u, lam in zip(samples, users.tolist(), op_lams.tolist()):
+                trace.write(sample.trace_line(user=u, mix_weight=lam) + "\n")
     if config.enable_cross_loss:
-        classes = [classes_by_user[int(u)] for u in batch.users]
+        classes = classes[users]
         if config.enable_operator_loss:
-            classes = classes + classes  # operator rows inherit the original's class
+            classes = np.concatenate([classes, classes])  # operator rows inherit the class
         rng = derive_rng(config.seed, CROSS, epoch, step)
         plan = plan_cross_batch(classes, op_config.alpha, rng)
     return samples, op_lams, plan
@@ -257,10 +263,10 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig, *,
     if len(eligible) == 0:
         raise DataError("no user has a training prefix of length >= 2")
     owned = _owned_keys(trains, store.n_items)
-    classes_by_user = {}
-    if op_config is not None and config.enable_cross_loss:
-        classes_by_user = {u: classify_sequence(t, segmentation)
-                           for u, t in enumerate(trains) if len(t) >= 1}
+    lengths = np.fromiter(map(len, trains), np.int64, len(trains))
+    starts = np.cumsum(lengths) - lengths
+    if op_config is not None:
+        classes = preference_classes(np.concatenate(trains), lengths, segmentation)
 
     if adam is None:
         adam = init_adam(model.params)
@@ -269,13 +275,19 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig, *,
     for e in range(epoch_offset, epoch_offset + epochs):
         sums = {"main": 0.0, "operator": 0.0, "cross": 0.0, "total": 0.0}
         count = 0
+        draws = None
+        if op_config is not None and config.enable_operator_loss:
+            rng = derive_rng(config.seed, AUGMENT, e)
+            op_u = rng.random(len(trains))
+            draws = (op_u, *draw_uniforms(rng, len(trains), lengths.sum(), op_config),
+                     rng.beta(op_config.alpha, op_config.alpha, len(trains)))
         for step, batch in enumerate(_epoch_batches(trains, owned, eligible, store.n_items,
                                                     config.seed, e, config.batch_size)):
             samples = op_lams = plan = None
             if op_config is not None:
-                samples, op_lams, plan = _draw_stage2_randomness(
-                    batch, store, segmentation, candidates, op_config, config, e,
-                    step, classes_by_user, trace=trace)
+                samples, op_lams, plan = _stage2_inputs(
+                    batch, draws, classes, starts, store, segmentation, candidates,
+                    op_config, config, e, step, trace=trace)
             components, grads = batch_loss(model, batch, samples=samples,
                                            op_lams=op_lams, plan=plan)
             if not np.isfinite(components["total"]):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailaug.augment import (INSERT, SUBSTITUTE, CrossPlan, OperatorConfig,
-                             apply_cross_mixup, augment_sequence,
-                             plan_cross_batch, sample_rate, select_operator,
-                             t_insert, t_substitute)
+                             apply_cross_mixup, augment_batch, augment_sequence,
+                             draw_uniforms, insert_rows, plan_cross_batch,
+                             select_operator, t_insert, t_substitute)
 from tailaug.corpus import PreferenceClass
 from tailaug.rand import derive_rng
 
@@ -16,19 +18,21 @@ T = PreferenceClass.TAIL_PREFERRING
 
 
 class ForcedRng:
-    """Stand-in generator with scripted outputs for deterministic cases."""
+    """Stand-in generator: every uniform is ``random``, every rate ``uniform``.
 
-    def __init__(self, uniform=0.5, random=0.0, integer=0, beta=1.0):
-        self._uniform, self._random, self._integer, self._beta = uniform, random, integer, beta
+    ``random=0.0`` selects every eligible position and picks the first
+    candidate of each.
+    """
 
-    def uniform(self, a, b):
-        return self._uniform if self._uniform is not None else a
+    def __init__(self, uniform=0.5, random=0.0, beta=1.0):
+        self._uniform, self._random, self._beta = uniform, random, beta
 
-    def random(self):
-        return self._random
+    def uniform(self, a, b, size=None):
+        value = self._uniform if self._uniform is not None else a
+        return value if size is None else np.full(size, value)
 
-    def integers(self, *args, **kwargs):
-        return self._integer
+    def random(self, size=None):
+        return self._random if size is None else np.full(size, self._random)
 
     def beta(self, a, b, size=None):
         if size is None:
@@ -39,6 +43,26 @@ class ForcedRng:
         return np.arange(n)
 
 
+class ScriptedRng:
+    """Stand-in generator that returns the scripted draws in order, one per call."""
+
+    def __init__(self, *draws):
+        self._draws = [np.asarray(d, dtype=np.float64) for d in draws]
+
+    def _next(self, size):
+        draw = self._draws.pop(0)
+        assert draw.shape == (() if size is None else (size,))
+        return draw
+
+    def random(self, size=None):
+        return self._next(size)
+
+    def uniform(self, a, b, size=None):
+        draw = self._next(size)
+        assert np.all((a <= draw) & (draw < b))
+        return draw
+
+
 def _fixture(head_items, n_items=6, cands=None):
     store = store_from_sequences({"u": [f"i{j}" for j in range(n_items)]})
     seg = segmentation_with_heads(store, head_items=head_items)
@@ -47,22 +71,22 @@ def _fixture(head_items, n_items=6, cands=None):
 
 
 class TestSampleRate:
+    """The per-row rates of ``draw_uniforms``."""
+
     def test_draws_inside_interval(self):
-        cfg = OperatorConfig(a=0.2, b=0.8)
-        rng = derive_rng(1, 0)
-        draws = [sample_rate(cfg, rng) for _ in range(2000)]
-        assert all(0.2 <= p < 0.8 for p in draws)
+        rates, select, pick = draw_uniforms(derive_rng(1, 0), 2000, 7,
+                                            OperatorConfig(a=0.2, b=0.8))
+        assert rates.shape == (2000,) and select.shape == pick.shape == (7,)
+        assert np.all((0.2 <= rates) & (rates < 0.8))
 
     def test_degenerate_width(self):
         cfg = OperatorConfig(a=0.3, b=0.3 + 1e-9)
-        rng = derive_rng(2, 0)
-        assert sample_rate(cfg, rng) == pytest.approx(0.3, abs=1e-8)
+        rates = draw_uniforms(derive_rng(2, 0), 1, 0, cfg)[0]
+        assert rates[0] == pytest.approx(0.3, abs=1e-8)
 
     def test_law_of_large_numbers_mean(self):
-        cfg = OperatorConfig(a=0.2, b=0.8)
-        rng = derive_rng(3, 0)
-        mean = np.mean([sample_rate(cfg, rng) for _ in range(10_000)])
-        assert mean == pytest.approx(0.5, abs=0.01)
+        rates = draw_uniforms(derive_rng(3, 0), 10_000, 0, OperatorConfig(a=0.2, b=0.8))[0]
+        assert np.mean(rates) == pytest.approx(0.5, abs=0.01)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -117,7 +141,8 @@ class TestSubstitute:
         assert sample.indices.tolist() == [0]
 
     def test_scripted_trace_matches_hand_simulation(self):
-        # independent replay of the documented draw order on a mixed sequence
+        # independent replay of the documented draws on a mixed sequence: the
+        # rate, a selection uniform per position, then a pick uniform per position
         store, seg, cands = _fixture(
             head_items={1, 3, 5},
             cands={1: [2, 6], 3: [4], 5: [2, 4, 6], 2: [1], 4: [3]}, n_items=6)
@@ -127,21 +152,22 @@ class TestSubstitute:
 
         twin = derive_rng(42, 1, 2)
         rate = twin.uniform(0.3, 0.7)
+        select = [twin.random() for _ in seq]
+        pick = [twin.random() for _ in seq]
         expected = list(seq)
         exp_idx, exp_chosen = [], []
         for i, v in enumerate(seq):
-            if v not in (1, 3, 5):
-                continue
-            if twin.random() < rate:
-                pool = cands.candidates_for(v)
-                pick = int(pool[twin.integers(len(pool))])
-                expected[i] = pick
+            pool = cands.candidates_for(v).tolist()
+            if v in (1, 3, 5) and select[i] < rate and pool:
+                expected[i] = pool[int(pick[i] * len(pool))]
                 exp_idx.append(i)
-                exp_chosen.append(pick)
+                exp_chosen.append(expected[i])
         assert sample.rate == rate
         assert sample.s_prime.tolist() == expected
+        assert sample.s_ext.tolist() == seq
         assert sample.indices.tolist() == exp_idx
         assert sample.chosen.tolist() == exp_chosen
+        assert 0 < len(exp_idx) < 5
 
     def test_invariants_under_random_draws(self):
         store, seg, cands = _fixture(
@@ -208,6 +234,121 @@ class TestInsert:
 def _is_subsequence(needle, haystack):
     it = iter(haystack)
     return all(any(x == y for y in it) for x in needle)
+
+
+class TestAugmentBatch:
+    """The batch kernel, replayed by hand from scripted uniforms."""
+
+    @staticmethod
+    def _fixture():
+        # items 1..8; 1, 2 and 3 are head; item 3 and item 6 have no candidates
+        return _fixture(head_items={1, 2, 3}, n_items=8, cands={
+            1: [5, 6], 2: [7], 4: [1, 2, 3], 5: [2], 7: [8], 8: [1]})
+
+    def test_scripted_batch_matches_hand_replay(self):
+        store, seg, cands = self._fixture()
+        rows = [[1, 4, 2, 3, 1], [4, 1, 7, 6, 8], [5], [4]]
+        out = augment_batch(
+            np.concatenate(rows), [5, 5, 1, 1], seg, cands, 6,
+            insert=[False, True, True, True], rates=[0.5, 0.3, 0.2, 0.9],
+            select=[0.1, 0.1, 0.6, 0.2, 0.4] + [0.0, 0.0, 0.29, 0.1, 0.3] + [0.9]
+            + [0.0],
+            pick=[0.9, 0.0, 0.0, 0.5, 0.3] + [0.5, 0.0, 0.99, 0.0, 0.0] + [0.1]
+            + [np.nextafter(1.0, 0.0)])
+        # row 0, substitution: position 0 (item 1, select 0.1 < 0.5) takes
+        # c_1[floor(0.9 * 2)] = 6; position 1 is tail; position 2 misses its
+        # rate; position 3 (item 3) has no candidates; position 4 takes c_1[0] = 5.
+        # row 1, insertion: position 0 (item 4) gets c_4[floor(0.5 * 3)] = 2 in
+        # front; position 1 is head; position 2 (item 7) gets c_7[0] = 8;
+        # item 6 has no candidates and 0.3 is not below the rate 0.3.  Seven
+        # entries exceed max_len 6, so both outputs lose their oldest one.
+        # row 2 selects nothing; row 3's largest pick below 1 takes the last candidate.
+        assert [s.operator for s in out] == [SUBSTITUTE, INSERT, INSERT, INSERT]
+        assert [s.rate for s in out] == [0.5, 0.3, 0.2, 0.9]
+        assert [s.s_prime.tolist() for s in out] == [[6, 4, 2, 3, 5], [4, 1, 8, 7, 6, 8],
+                                                     [5], [3, 4]]
+        assert [s.s_ext.tolist() for s in out] == [[1, 4, 2, 3, 1], [4, 1, 7, 7, 6, 8],
+                                                   [5], [4, 4]]
+        assert [s.indices.tolist() for s in out] == [[0, 4], [0, 2], [], [0]]
+        assert [s.chosen.tolist() for s in out] == [[6, 5], [2, 8], [], [3]]
+        assert all(s.indices.dtype == s.chosen.dtype == np.int64 for s in out)
+
+    def test_rows_match_the_one_row_case(self, small_corpus):
+        store, seg, cands, _ = small_corpus
+        cfg = OperatorConfig()
+        rows = [store.train_prefix(u) for u in range(store.n_users)]
+        lengths = np.array([len(r) for r in rows])
+        rng = derive_rng(23, 0)
+        op = rng.random(len(rows))
+        rates, select, pick = draw_uniforms(rng, len(rows), lengths.sum(), cfg)
+        out = augment_batch(np.concatenate(rows), lengths, seg, cands, store.max_len,
+                            insert=insert_rows(lengths, store.max_len, op), rates=rates,
+                            select=select, pick=pick)
+        starts = np.cumsum(lengths) - lengths
+        operators = set()
+        for i, (row, got) in enumerate(zip(rows, out)):
+            at = slice(starts[i], starts[i] + lengths[i])
+            rng = ScriptedRng(op[i], rates[i:i + 1], select[at], pick[at])
+            want = augment_sequence(row, seg, cands, cfg, store.max_len, rng)
+            assert got.trace_line() == want.trace_line()
+            operators.add(got.operator)
+        assert operators == {SUBSTITUTE, INSERT}
+
+    def test_empty_row_rejected(self):
+        store, seg, cands = self._fixture()
+        with pytest.raises(ValueError):
+            augment_batch([1], [1, 0], seg, cands, 6, insert=[False, False],
+                          rates=[0.5, 0.5], select=[0.0], pick=[0.0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_operator_invariants(self, data):
+        n_items = data.draw(st.integers(3, 9), label="items")
+        ids = st.integers(1, n_items)
+        head = data.draw(st.sets(ids), label="head items")
+        members = {v: data.draw(st.lists(ids.filter(lambda w, v=v: w != v), unique=True,
+                                         max_size=4), label=f"c_{v}")
+                   for v in range(1, n_items + 1)}
+        _, seg, cands = _fixture(head_items=head, n_items=n_items, cands=members)
+        max_len = data.draw(st.integers(1, 8), label="max_len")
+        rows = data.draw(st.lists(st.lists(ids, min_size=1, max_size=max_len),
+                                  min_size=1, max_size=6), label="rows")
+        lengths = np.array([len(r) for r in rows])
+        unit = st.floats(0.0, 1.0, exclude_max=True)
+        total = int(lengths.sum())
+        uniforms = data.draw(st.lists(st.tuples(unit, unit), min_size=total, max_size=total),
+                             label="(select, pick)")
+        select, pick = np.array(uniforms, dtype=np.float64).reshape(-1, 2).T
+        insert = data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                    max_size=len(rows)), label="insert")
+        rates = data.draw(st.lists(unit, min_size=len(rows), max_size=len(rows)),
+                          label="rates")
+        out = augment_batch(np.concatenate(rows), lengths, seg, cands, max_len,
+                            insert=insert, rates=rates, select=select, pick=pick)
+        starts = np.cumsum(lengths) - lengths
+        for i, (row, s) in enumerate(zip(rows, out)):
+            row = np.array(row)
+            at = slice(starts[i], starts[i] + len(row))
+            eligible = np.array([(v in head) != insert[i] and len(members[v]) > 0
+                                 for v in row.tolist()], dtype=bool)
+            assert s.indices.tolist() == np.flatnonzero(
+                eligible & (select[at] < rates[i])).tolist()
+            for j, pick_id in zip(s.indices.tolist(), s.chosen.tolist()):
+                assert pick_id in members[row[j]]
+            assert len(s.s_prime) == len(s.s_ext)             # equal lengths
+            if insert[i]:
+                full = len(row) + len(s.indices)
+                assert len(s.s_ext) == min(full, max_len)
+                ext = np.repeat(row, 1 + np.isin(np.arange(len(row)), s.indices))
+                assert s.s_ext.tolist() == ext[full - len(s.s_ext):].tolist()
+                changed = s.s_prime != s.s_ext
+                assert np.all(np.isin(s.s_prime[changed], s.chosen))
+            else:
+                assert s.s_ext.tolist() == row.tolist()
+                assert s.s_prime[s.indices].tolist() == s.chosen.tolist()
+                kept = np.setdiff1d(np.arange(len(row)), s.indices)
+                assert s.s_prime[kept].tolist() == row[kept].tolist()
+                assert all(v in head for v in row[s.indices].tolist())  # head only
 
 
 class TestCrossPlan:

@@ -75,6 +75,7 @@ class TestPrepare:
         (["train", "--a", "0.9", "--b", "0.8"], "augment.a"),
         (["candidates", "--diag-cap", "1.0"], "simcand.diag_cap"),
         (["train", "--seeds", "1,2", "--trace", "trace.jsonl"], "--trace"),
+        (["train", "--mode", "baseline", "--trace", "trace.jsonl"], "--trace"),
     ])
     def test_negative_count_fails_before_io(self, tmp_path, capsys, argv, key):
         # neither the input nor the prepared artifacts exist
@@ -267,6 +268,17 @@ class TestTrainEvaluate:
                      "--seeds", "1,2"]) == 0
         assert (tmp_path / "report_augmented_mean_test.json").exists()
         assert "mean over 2 checkpoints" in capsys.readouterr().out
+
+    def test_trace_does_not_depend_on_batch_size(self, pipeline_dir, tmp_path):
+        traces = []
+        for batch_size in ("7", "256"):
+            out = tmp_path / f"bs{batch_size}"
+            shutil.copytree(pipeline_dir, out)
+            trace = out / "trace.jsonl"
+            assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN,
+                         "--batch-size", batch_size, "--trace", str(trace)]) == 0
+            traces.append(trace.read_bytes())
+        assert traces[0] == traces[1] and traces[0].count(b"\n") > 100
 
     def test_stage2_with_both_losses_off_is_baseline(self, pipeline_dir, tmp_path):
         out = tmp_path / "run"
@@ -606,8 +618,9 @@ class TestFaultInjection:
         lambda doc: doc["c"][0].append(-3),
         lambda doc: doc["cr"][0].append(len(doc["c"]) + 1),
         lambda doc: doc["cc"].pop(),
+        lambda doc: doc["c"][0].__setitem__(0, doc["c"][0][0] + 0.5),
     ], ids=["padding-id-in-c", "id-past-catalog-in-c", "negative-id-in-c",
-            "id-past-catalog-in-cr", "short-cc"])
+            "id-past-catalog-in-cr", "short-cc", "non-integral-id-in-c"])
     def test_out_of_range_candidate_is_data_error(self, edit, pipeline_dir, tmp_path,
                                                   capsys):
         out = tmp_path / "run"
@@ -624,8 +637,9 @@ class TestFaultInjection:
         lambda doc: doc["sequences"][0].__setitem__(-1, -3),
         lambda doc: doc["sequences"][0].extend([1] * doc["max_len"]),
         lambda doc: doc["sequences"][0].__delitem__(slice(2, None)),
+        lambda doc: doc["sequences"][0].__setitem__(-1, doc["sequences"][0][-1] + 0.5),
     ], ids=["padding-id-target", "id-past-catalog", "negative-id", "longer-than-max-len",
-            "split-shorter-than-3"])
+            "split-shorter-than-3", "non-integral-target"])
     def test_out_of_range_store_is_data_error(self, edit, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from tailaug import training
-from tailaug.augment import (OperatorConfig, augment_sequence, plan_cross_batch,
-                             t_substitute)
+from tailaug.augment import (OperatorConfig, augment_batch, augment_sequence,
+                             plan_cross_batch, t_substitute)
 from tailaug.corpus import classify_sequence
 from tailaug.encoders import encode_batch, init_model, lookup
 from tailaug.errors import DataError, NumericError
-from tailaug.rand import AUGMENT, CROSS, NEGATIVE, derive_rng
+from tailaug.rand import AUGMENT, CROSS, NEGATIVE, PREFIX, derive_rng
 from tailaug.training import (Batch, TrainConfig, adam_step,
                               batch_loss, bce_loss_batch, init_adam,
                               load_checkpoint, save_checkpoint,
@@ -281,6 +281,49 @@ class TestStage2:
         assert len(lines) > 0
         rec = json.loads(lines[0])
         assert {"operator", "indices", "rate", "chosen", "mix_weight"} <= set(rec)
+
+    def test_trace_replays_from_one_stream_per_epoch(self, small_corpus, tmp_path,
+                                                     monkeypatch):
+        # every traced sample, rebuilt from the documented epoch draws
+        import json
+        store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
+        op_cfg = OperatorConfig()
+        tags = []
+
+        def spy(seed, *t):
+            tags.append(t)
+            return derive_rng(seed, *t)
+
+        monkeypatch.setattr(training, "derive_rng", spy)
+        cfg = TrainConfig(batch_size=16, seed=7, patience=None)
+        trace_path = tmp_path / "trace.jsonl"
+        with open(trace_path, "w") as fh:
+            train_stage2(store, model, cands, seg, cfg, op_cfg, epochs=2,
+                         epoch_offset=5, trace=fh)
+        assert [t for t in tags if t[0] == AUGMENT] == [(AUGMENT, 5), (AUGMENT, 6)]
+        assert max(map(len, tags)) == 3  # (CROSS, epoch, step); nothing per user
+
+        trains = [store.train_prefix(u) for u in range(store.n_users)]
+        lengths = np.array([len(t) for t in trains])
+        starts = np.cumsum(lengths) - lengths
+        lines = trace_path.read_text().splitlines()
+        eligible = int(np.sum(lengths >= 2))
+        assert len(lines) == 2 * eligible
+        for e, epoch_lines in ((5, lines[:eligible]), (6, lines[eligible:])):
+            ends = derive_rng(7, PREFIX, e).integers(1, np.maximum(lengths, 2))
+            rng = derive_rng(7, AUGMENT, e)
+            op = rng.random(store.n_users)
+            rates = rng.uniform(op_cfg.a, op_cfg.b, store.n_users)
+            select, pick = rng.random(lengths.sum()), rng.random(lengths.sum())
+            lams = rng.beta(op_cfg.alpha, op_cfg.alpha, store.n_users)
+            for line in epoch_lines:
+                u = json.loads(line)["user"]
+                at = slice(starts[u], starts[u] + ends[u])
+                want = augment_batch(
+                    trains[u][:ends[u]], [ends[u]], seg, cands, store.max_len,
+                    insert=[op[u] < 1 - ends[u] / store.max_len], rates=rates[u:u + 1],
+                    select=select[at], pick=pick[at])[0]
+                assert line == want.trace_line(user=u, mix_weight=lams[u])
 
 
 def _stage2_inputs(small_corpus):
