@@ -289,13 +289,18 @@ def encode_batch(model: ModelState, seqs: list[np.ndarray]):
     return h, {"ids": ids, "enc": enc_cache}
 
 
-def backward_batch(model: ModelState, cache, dh) -> dict[str, np.ndarray]:
+def backward_batch(model: ModelState, cache, dh,
+                   item_ids=None, d_items=None) -> dict[str, np.ndarray]:
     """Gradients of a batch encode; embedding grads are scatter-added and
-    the padding row is zeroed."""
+    the padding row is zeroed.  Gradient rows ``d_items`` of embeddings used
+    outside the encoder, one per entry of ``item_ids``, add after the encoded rows."""
     enc_grads, demb = model.encoder.backward_batch(model.params, cache["enc"], dh)
+    ids = cache["ids"]
+    if item_ids is not None:
+        ids, demb = np.concatenate([ids, item_ids]), np.concatenate([demb, d_items])
     rows, d = model.embeddings.shape
     # bincount adds each (id, column) cell's rows in order from zero, as np.add.at would
-    cells = (cache["ids"][:, np.newaxis] * d + np.arange(d)).ravel()
+    cells = (ids[:, np.newaxis] * d + np.arange(d)).ravel()
     demb_table = np.bincount(cells, weights=demb.ravel(), minlength=rows * d).reshape(rows, d)
     demb_table[0] = 0.0
     grads = {"item_embeddings": demb_table}

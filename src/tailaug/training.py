@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .augment import (CrossPlan, OperatorConfig, apply_cross_mixup,
+from .augment import (INSERT, CrossPlan, OperatorConfig, apply_cross_mixup,
                       augment_batch, draw_uniforms, insert_rows, plan_cross_batch)
 from .corpus import Segmentation, SequenceStore, preference_classes
 from .encoders import (ModelState, backward_batch, encode_batch, init_model,
@@ -169,6 +169,8 @@ def batch_loss(model: ModelState, batch: Batch, *,
     The main term always runs.  The operator term runs when ``samples``
     and ``op_lams`` are given: each row's augmented representation blends
     the extended-original encoding with the augmented-sequence encoding.
+    Each distinct sequence is encoded once: a substitution's ``s_ext`` is
+    its prefix, and an unedited row's outputs both are.
     The cross term runs when ``plan`` is given: it pairs rows of the pool
     (originals followed by the operator-mixed rows, when present) within
     preference classes and mixes each row's representation, positive and
@@ -180,12 +182,18 @@ def batch_loss(model: ModelState, batch: Batch, *,
     n = len(batch)
     seqs = list(batch.prefixes)
     if samples is not None:
-        seqs += [s.s_ext for s in samples] + [s.s_prime for s in samples]
+        edited = np.array([len(s.indices) > 0 for s in samples], dtype=bool)
+        grown = edited & np.array([s.operator == INSERT for s in samples], dtype=bool)
+        seqs += [s.s_ext for s, g in zip(samples, grown) if g]
+        seqs += [s.s_prime for s, e in zip(samples, edited) if e]
+        # each row's s_ext / s_prime: its prefix, or its own new row (both maps injective)
+        ext_at = np.where(grown, n + np.cumsum(grown) - 1, np.arange(n))
+        prime_at = np.where(edited, n + grown.sum() + np.cumsum(edited) - 1, np.arange(n))
     h_all, cache = encode_batch(model, seqs)
     pool = h_all[:n]
     if samples is not None:
         lam_op = np.asarray(op_lams, dtype=np.float64)[:, np.newaxis]
-        h_ao = lam_op * h_all[n:2 * n] + (1.0 - lam_op) * h_all[2 * n:]
+        h_ao = lam_op * h_all[ext_at] + (1.0 - lam_op) * h_all[prime_at]
         pool = np.concatenate([pool, h_ao])
     # one row per pool entry: [h | e_pos | e_neg], operator rows share the original's items
     copies = len(pool) // n
@@ -205,16 +213,16 @@ def batch_loss(model: ModelState, batch: Batch, *,
         d_mixed = np.hstack(d_mixed) / len(rows)
         lam = plan.lams[:, np.newaxis]
         d_rows += lam * d_mixed
-        np.add.at(d_rows, plan.pairing, (1.0 - lam) * d_mixed)
+        d_rows[plan.pairing] += (1.0 - lam) * d_mixed  # exact: pairing is a permutation
     components["total"] = components["main"] + components["operator"] + components["cross"]
 
     dh, dpos, dneg = np.split(d_rows, 3, axis=1)
     if samples is not None:  # the blend's gradient splits between its two encodings
-        dh = np.concatenate([dh[:n], lam_op * dh[n:], (1.0 - lam_op) * dh[n:]])
-    grads = backward_batch(model, cache, dh)
-    np.add.at(grads["item_embeddings"], targets, dpos)
-    np.add.at(grads["item_embeddings"], negatives, dneg)
-    grads["item_embeddings"][0] = 0.0
+        d_ao, dh = dh[n:], np.concatenate([dh[:n], np.zeros((len(seqs) - n, model.dim))])
+        dh[ext_at] += lam_op * d_ao
+        dh[prime_at] += (1.0 - lam_op) * d_ao
+    grads = backward_batch(model, cache, dh, np.concatenate([targets, negatives]),
+                           np.concatenate([dpos, dneg]))
     return components, grads
 
 

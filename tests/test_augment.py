@@ -300,9 +300,13 @@ class TestAugmentBatch:
             augment_batch([1], [1, 0], seg, cands, 6, insert=[False, False],
                           rates=[0.5, 0.5], select=[0.0], pick=[0.0])
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_operator_invariants(self, data):
+    @staticmethod
+    def _draw_batch(data):
+        """Random catalog, candidate sets, rows of at most ``max_len`` and uniforms.
+
+        Returns the head items, the candidate lists, the rows, the draws and
+        the kernel's samples.
+        """
         n_items = data.draw(st.integers(3, 9), label="items")
         ids = st.integers(1, n_items)
         head = data.draw(st.sets(ids), label="head items")
@@ -325,6 +329,13 @@ class TestAugmentBatch:
                           label="rates")
         out = augment_batch(np.concatenate(rows), lengths, seg, cands, max_len,
                             insert=insert, rates=rates, select=select, pick=pick)
+        return head, members, rows, max_len, insert, rates, select, pick, out
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_operator_invariants(self, data):
+        head, members, rows, max_len, insert, rates, select, pick, out = self._draw_batch(data)
+        lengths = np.array([len(r) for r in rows])
         starts = np.cumsum(lengths) - lengths
         for i, (row, s) in enumerate(zip(rows, out)):
             row = np.array(row)
@@ -349,6 +360,17 @@ class TestAugmentBatch:
                 kept = np.setdiff1d(np.arange(len(row)), s.indices)
                 assert s.s_prime[kept].tolist() == row[kept].tolist()
                 assert all(v in head for v in row[s.indices].tolist())  # head only
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_rows_that_repeat_their_input(self, data):
+        # batch_loss encodes these outputs once, as the input row, from operator and indices
+        *_, rows, _, _, _, _, _, out = self._draw_batch(data)
+        for row, s in zip(rows, out):
+            if s.operator == SUBSTITUTE:
+                assert s.s_ext.tolist() == row
+            if len(s.indices) == 0:
+                assert s.s_prime.tolist() == s.s_ext.tolist() == row
 
 
 class TestCrossPlan:
@@ -387,6 +409,18 @@ class TestCrossPlan:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             plan_cross_batch([], 0.3, derive_rng(0, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([H, T]), min_size=1, max_size=40), st.integers(0, 2 ** 16))
+    def test_pairing_is_a_permutation(self, classes, seed):
+        # so a fancy-index += onto the pairing adds exactly what np.add.at adds
+        plan = plan_cross_batch(classes, 0.3, derive_rng(seed, 0))
+        assert sorted(plan.pairing.tolist()) == list(range(len(classes)))
+        base, extra = np.random.default_rng(seed).normal(size=(2, len(classes), 3))
+        want, got = base.copy(), base.copy()
+        np.add.at(want, plan.pairing, extra)
+        got[plan.pairing] += extra
+        assert got.tobytes() == want.tobytes()
 
 
 def _cross_mixup(plan, h, ep, en):

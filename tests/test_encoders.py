@@ -307,6 +307,26 @@ class TestContract:
                 np.testing.assert_allclose(encode_one(model, s), batched[i],
                                            rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["pooled", "gru"])
+    def test_item_rows_add_after_the_encoded_rows(self, name):
+        # byte for byte what the encoded rows' table, then one np.add.at per id array, give
+        rng = np.random.default_rng(4)
+        model = init_model(9, 5, seed=2, encoder=name)
+        seqs = [rng.integers(1, 10, size=n) for n in (3, 1, 5, 2)]
+        h, cache = encode_batch(model, seqs)
+        dh = rng.normal(size=h.shape)
+        targets, negatives = rng.integers(0, 10, size=(2, 12))
+        dpos, dneg = rng.normal(size=(2, 12, 5))
+        want = backward_batch(model, cache, dh)
+        np.add.at(want["item_embeddings"], targets, dpos)
+        np.add.at(want["item_embeddings"], negatives, dneg)
+        want["item_embeddings"][0] = 0.0
+        got = backward_batch(model, cache, dh, np.concatenate([targets, negatives]),
+                             np.concatenate([dpos, dneg]))
+        assert set(got) == set(want)
+        for key, g in got.items():
+            assert g.tobytes() == want[key].tobytes(), key
+
     def test_out_of_range_item(self):
         model = init_model(5, 4, seed=7)
         with pytest.raises(ValueError, match="outside"):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tailaug import training
-from tailaug.augment import (OperatorConfig, augment_batch, augment_sequence,
-                             plan_cross_batch, t_substitute)
+from tailaug.augment import (INSERT, SUBSTITUTE, OperatorConfig, apply_cross_mixup,
+                             augment_batch, augment_sequence, plan_cross_batch,
+                             t_substitute)
 from tailaug.corpus import classify_sequence
-from tailaug.encoders import encode_batch, init_model, lookup
+from tailaug.encoders import backward_batch, encode_batch, init_model, lookup
 from tailaug.errors import DataError, NumericError
 from tailaug.rand import AUGMENT, CROSS, NEGATIVE, PREFIX, derive_rng
 from tailaug.training import (Batch, TrainConfig, adam_step,
@@ -393,7 +394,7 @@ class TestOperatorMixup:
                       targets=np.full(n, 2), negatives=np.full(n, 3))
         h_all = np.vstack([np.zeros((n, dim)), h_ext, h_pr])
         monkeypatch.setattr(training, "encode_batch", lambda model, seqs: (h_all, None))
-        monkeypatch.setattr(training, "backward_batch", lambda model, cache, dh: {
+        monkeypatch.setattr(training, "backward_batch", lambda model, cache, dh, *items: {
             "item_embeddings": np.zeros_like(model.embeddings)})
         seen = []
 
@@ -402,7 +403,9 @@ class TestOperatorMixup:
             return bce_loss_batch(h, e_pos, e_neg)
 
         monkeypatch.setattr(training, "bce_loss_batch", record)
-        sample = SimpleNamespace(s_ext=np.array([1]), s_prime=np.array([1]))
+        # an insertion with one edit: prefixes, s_ext and s_prime are all rows of h_all
+        sample = SimpleNamespace(operator=INSERT, indices=np.array([0]),
+                                 s_ext=np.array([1]), s_prime=np.array([1]))
         batch_loss(model, batch, samples=[sample] * n, op_lams=lams)
         return seen[0][n:]  # the operator rows follow the originals
 
@@ -424,6 +427,133 @@ class TestOperatorMixup:
         assert np.all((0.0 <= lams) & (lams <= 1.0))
         lo, hi = np.minimum(h1, h2), np.maximum(h1, h2)
         assert np.all(mixed >= lo - 1e-12) and np.all(mixed <= hi + 1e-12)
+
+
+def _three_row_batch_loss(model, batch, *, samples=None, op_lams=None, plan=None):
+    """``batch_loss`` as it was: three encoded rows per user and ``np.add.at`` scatters."""
+    n = len(batch)
+    seqs = list(batch.prefixes)
+    if samples is not None:
+        seqs += [s.s_ext for s in samples] + [s.s_prime for s in samples]
+    h_all, cache = encode_batch(model, seqs)
+    pool = h_all[:n]
+    if samples is not None:
+        lam_op = np.asarray(op_lams, dtype=np.float64)[:, np.newaxis]
+        h_ao = lam_op * h_all[n:2 * n] + (1.0 - lam_op) * h_all[2 * n:]
+        pool = np.concatenate([pool, h_ao])
+    copies = len(pool) // n
+    targets = np.tile(batch.targets, copies)
+    negatives = np.tile(batch.negatives, copies)
+    rows = np.hstack([pool, lookup(model, targets), lookup(model, negatives)])
+    losses, *d_rows = bce_loss_batch(*np.split(rows, 3, axis=1))
+    d_rows = np.hstack(d_rows) / n
+    components = {"main": float(np.mean(losses[:n])),
+                  "operator": float(np.mean(losses[n:])) if copies > 1 else 0.0,
+                  "cross": 0.0}
+    if plan is not None:
+        mixed = apply_cross_mixup(plan, rows)
+        cr_losses, *d_mixed = bce_loss_batch(*np.split(mixed, 3, axis=1))
+        components["cross"] = float(np.mean(cr_losses))
+        d_mixed = np.hstack(d_mixed) / len(rows)
+        lam = plan.lams[:, np.newaxis]
+        d_rows += lam * d_mixed
+        np.add.at(d_rows, plan.pairing, (1.0 - lam) * d_mixed)
+    components["total"] = components["main"] + components["operator"] + components["cross"]
+    dh, dpos, dneg = np.split(d_rows, 3, axis=1)
+    if samples is not None:
+        dh = np.concatenate([dh[:n], lam_op * dh[n:], (1.0 - lam_op) * dh[n:]])
+    grads = backward_batch(model, cache, dh)
+    np.add.at(grads["item_embeddings"], targets, dpos)
+    np.add.at(grads["item_embeddings"], negatives, dneg)
+    grads["item_embeddings"][0] = 0.0
+    return components, grads
+
+
+def _three_kind_inputs(small_corpus, encoder):
+    """A batch of unedited, substituted and inserted rows, one insertion truncated.
+
+    Returns the model, batch, samples, mix weights and a cross plan over the pool.
+    """
+    store, seg, cands, model = _toy_setup(small_corpus, encoder=encoder, dim=6)
+    users = users_with_train_len(store, 8, 12)
+    prefixes = [store.train_prefix(u)[:-1] for u in users]
+    targets = np.array([int(store.train_prefix(u)[-1]) for u in users])
+    negs = np.array([(int(t) % store.n_items) + 1 for t in targets])
+    batch = Batch(users=np.array(users), prefixes=prefixes, targets=targets,
+                  negatives=negs)
+    lengths = np.array([len(p) for p in prefixes])
+    kind = np.arange(len(users)) % 3  # unedited, substitution, insertion
+    rng = np.random.default_rng(3)
+    # an unedited row selects nothing; the others select every eligible position
+    samples = augment_batch(
+        np.concatenate(prefixes), lengths, seg, cands, int(lengths.max()),
+        insert=(kind == 2) | ((kind == 0) & (np.arange(len(users)) % 2 == 0)),
+        rates=np.full(len(users), 0.5), select=np.repeat(np.where(kind == 0, 1.0, 0.0), lengths),
+        pick=rng.random(lengths.sum()))
+    lams = rng.beta(0.3, 0.3, len(users))
+    classes = [classify_sequence(store.train_prefix(u), seg) for u in users]
+    plan = plan_cross_batch(classes + classes, 0.3, rng)
+    return model, batch, samples, lams, plan
+
+
+class TestDistinctEncodes:
+    """Stage 2 encodes each distinct sequence once and scatters without ``np.add.at``."""
+
+    @staticmethod
+    def _kinds(samples):
+        edited = np.array([len(s.indices) > 0 for s in samples])
+        grown = edited & np.array([s.operator == INSERT for s in samples])
+        return edited, grown
+
+    def test_batch_has_all_three_kinds(self, small_corpus):
+        _, batch, samples, _, _ = _three_kind_inputs(small_corpus, "gru")
+        edited, grown = self._kinds(samples)
+        assert (~edited).any() and (edited & ~grown).any() and grown.any()
+        assert {s.operator for s, e in zip(samples, edited) if not e} == {SUBSTITUTE, INSERT}
+        assert any(len(s.s_ext) < len(p) + len(s.indices)  # an insertion lost its oldest
+                   for s, p, g in zip(samples, batch.prefixes, grown) if g)
+
+    @pytest.mark.parametrize("encoder", ["pooled", "gru"])
+    def test_matches_the_three_row_reference(self, small_corpus, monkeypatch, encoder):
+        model, batch, samples, lams, plan = _three_kind_inputs(small_corpus, encoder)
+        want_comp, want_grads = _three_row_batch_loss(model, batch, samples=samples,
+                                                      op_lams=lams, plan=plan)
+        rows = []
+
+        def spy(model, seqs):
+            rows.append(len(seqs))
+            return encode_batch(model, seqs)
+
+        monkeypatch.setattr(training, "encode_batch", spy)
+        comp, grads = batch_loss(model, batch, samples=samples, op_lams=lams, plan=plan)
+        edited, grown = self._kinds(samples)
+        assert rows == [len(batch) + grown.sum() + edited.sum()]
+        assert rows[0] < 3 * len(batch)
+        assert {k: np.float64(v).tobytes() for k, v in comp.items()} == {
+            k: np.float64(v).tobytes() for k, v in want_comp.items()}
+        assert set(grads) == set(want_grads)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, want_grads[name], rtol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("encoder", ["pooled", "gru"])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_without_samples_everything_is_byte_identical(self, small_corpus, encoder,
+                                                          cross):
+        # with no operator term nothing is deduplicated: the scatters alone must keep every byte
+        model, batch, _, _, _ = _three_kind_inputs(small_corpus, encoder)
+        classes = [classify_sequence(p, small_corpus[1]) for p in batch.prefixes]
+        plan = plan_cross_batch(classes, 0.3, derive_rng(0, CROSS, 0, 0)) if cross else None
+        want_comp, want_grads = _three_row_batch_loss(model, batch, plan=plan)
+        comp, grads = batch_loss(model, batch, plan=plan)
+        assert comp == want_comp
+        assert set(grads) == set(want_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
+
+    def test_composite_gru_gradient_finite_differences(self, small_corpus):
+        model, batch, samples, lams, plan = _three_kind_inputs(small_corpus, "gru")
+        _fd_check(model, lambda: batch_loss(model, batch, samples=samples,
+                                            op_lams=lams, plan=plan))
 
 
 def _epoch_draws(small_corpus, monkeypatch, batch_size, stage2=False):
