@@ -62,7 +62,10 @@ def _check_items(n_items: int, store, path):
 def cmd_prepare(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     log = corpus.load_interactions(args.input, delimiter=cfg["corpus.delimiter"],
                                    header=cfg["corpus.header"])
@@ -170,10 +173,14 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
             store, model, tcfg, epochs=tcfg.stage1_epochs + tcfg.stage2_epochs,
             adam=adam, validator=validator)
     else:
-        history, adam = training.train_stage1(store, model, tcfg, adam=adam,
-                                              validator=validator)
-        trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
+        # opened before stage 1, so an unwritable path fails before any training
         try:
+            trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
+        except OSError as exc:
+            raise DataError(f"cannot write trace {trace_path}: {exc}") from exc
+        try:
+            history, adam = training.train_stage1(store, model, tcfg, adam=adam,
+                                                  validator=validator)
             h2, adam = training.train_stage2(store, model, cands, seg, tcfg,
                                              operator_config(cfg),
                                              adam=adam, validator=validator,
@@ -232,14 +239,14 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     out_dir = Path(args.out_dir)
-    store, seg, store_id = _load_prepared(out_dir)
-
     if args.checkpoint:
         ckpt_paths = [Path(p) for p in args.checkpoint]
     else:
         seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
         ckpt_paths = [_artifact(out_dir, f"checkpoint_{args.mode}_seed{s}.bin")
                       for s in seeds]
+    store, seg, store_id = _load_prepared(out_dir)
+
     reports = []
     for path in ckpt_paths:
         if not path.exists():
@@ -293,6 +300,9 @@ def cmd_report(args) -> int:
 
 def cmd_synth(args) -> int:
     # test-fixture generator, handy for demos; not part of the core pipeline
+    if args.users < 1 or args.items < synth.N_TOPICS:
+        raise ConfigError(f"synth needs --users >= 1 and --items >= {synth.N_TOPICS} "
+                          f"(one per topic), got {args.users} and {args.items}")
     log = synth.generate_interactions(n_users=args.users, n_items=args.items,
                                       seed=args.seed)
     synth.write_csv(args.out, log, delimiter=",")
@@ -314,6 +324,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"--seeds expects comma-separated integers: {exc}") from exc
     if not seeds:
         raise ConfigError("--seeds is empty")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds repeats a seed: {text}")
     return seeds
 
 

@@ -23,6 +23,9 @@ Gram matrix and the sparse product it is densified from.
 Candidate sets per item are the union of the top-K most similar items
 (correlation) and first-order neighbours from training sequences
 (co-occurrence).
+
+scipy is imported inside the two functions that use it, so importing this
+module, and every CLI command but ``candidates``, leaves scipy unloaded.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg import lapack
 
 from .corpus import Segmentation, SequenceStore, integer_ids
 from .errors import DataError, NumericError, finite_positive
@@ -82,6 +83,8 @@ def build_interaction_matrix(store: SequenceStore) -> scipy.sparse.csr_matrix:
     Column ``j`` corresponds to internal item id ``j + 1``; the padding id
     has no column.
     """
+    import scipy.sparse
+
     items, lengths = _train_prefixes(store)
     rows = np.repeat(np.arange(store.n_users), lengths)
     X = scipy.sparse.csr_matrix((np.ones(len(items)), (rows, items - 1)),
@@ -145,6 +148,8 @@ def solve_similarity(X: scipy.sparse.csr_matrix, config: SolverConfig) -> Simila
     place through its Cholesky factor.  Raises NumericError on
     factorization or inversion failure and on non-finite output.
     """
+    from scipy.linalg import lapack
+
     n_items = X.shape[1]
     if n_items < 1:
         raise DataError("interaction matrix has no items")

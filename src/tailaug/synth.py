@@ -21,9 +21,11 @@ from . import serialize
 from .corpus import InteractionLog
 from .rand import derive_rng
 
+N_TOPICS = 12  # topics of the default log; a log needs at least one item per topic
+
 
 def generate_interactions(n_users: int = 3500, n_items: int = 1200,
-                          n_topics: int = 12, seed: int = 7,
+                          n_topics: int = N_TOPICS, seed: int = 7,
                           mean_extra_len: float = 5.0,
                           zipf_exponent: float = 1.05,
                           follow_prob: float = 0.55,

@@ -76,6 +76,8 @@ class TestPrepare:
         (["candidates", "--diag-cap", "1.0"], "simcand.diag_cap"),
         (["train", "--seeds", "1,2", "--trace", "trace.jsonl"], "--trace"),
         (["train", "--mode", "baseline", "--trace", "trace.jsonl"], "--trace"),
+        (["train", "--seeds", "1,1"], "--seeds repeats a seed"),
+        (["evaluate", "--seeds", "1,2,1"], "--seeds repeats a seed"),
     ])
     def test_negative_count_fails_before_io(self, tmp_path, capsys, argv, key):
         # neither the input nor the prepared artifacts exist
@@ -108,6 +110,13 @@ class TestPrepare:
                      str(tmp_path), "--k-core", "500"])
         assert code == 3
         assert "sparse" in capsys.readouterr().err
+
+    def test_out_dir_that_is_a_file_is_data_error(self, tmp_path, csv_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert _prepare(taken, csv_path) == 3
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
 
     def test_sample_users_shrinks_corpus(self, tmp_path, csv_path):
         _prepare(tmp_path, csv_path, extra=["--sample-users", "40"])
@@ -185,7 +194,7 @@ class TestCandidates:
     def test_failed_factorization_is_numeric_failure(self, tmp_path, csv_path,
                                                      monkeypatch, capsys):
         _prepare(tmp_path, csv_path)
-        monkeypatch.setattr(simcand.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", lambda a, **kwargs: (a, 1))
         assert main(["candidates", "--out-dir", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and "eigenvalue range" in err
@@ -269,6 +278,17 @@ class TestTrainEvaluate:
         assert (tmp_path / "report_augmented_mean_test.json").exists()
         assert "mean over 2 checkpoints" in capsys.readouterr().out
 
+    def test_unwritable_trace_fails_before_training(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        for trained in [*out.glob("checkpoint_*"), *out.glob("losses_*")]:
+            trained.unlink()
+        code = main(["train", "--out-dir", str(out), "--seeds", "1", *FAST_TRAIN,
+                     "--trace", str(tmp_path / "nodir" / "t.jsonl")])
+        assert code == 3
+        assert "cannot write trace" in capsys.readouterr().err
+        assert not list(out.glob("checkpoint_*")) and not list(out.glob("losses_*"))
+
     def test_trace_does_not_depend_on_batch_size(self, pipeline_dir, tmp_path):
         traces = []
         for batch_size in ("7", "256"):
@@ -313,6 +333,46 @@ class TestTrainEvaluate:
         stats = json.loads((tmp_path / "stats.json").read_text())
         chance = 10 / stats["n_items"]
         assert report["segments"]["overall"]["hit@10"] <= 5 * chance
+
+
+STARTUP_SCRIPT = """
+import json, sys
+from tailaug.cli import main
+
+out, fast_train = sys.argv[1], sys.argv[2:]
+loaded = {}
+
+def note(step):
+    loaded[step] = sorted(m for m in sys.modules if m.startswith("scipy"))
+
+note("import")
+for step, argv in [
+        ("synth", ["synth", "--out", f"{out}/log.csv", "--users", "120", "--items", "60"]),
+        ("prepare", ["prepare", "--input", f"{out}/log.csv", "--out-dir", out,
+                     "--k-core", "3", "--max-len", "20"]),
+        ("train", ["train", "--out-dir", out, "--mode", "baseline", "--seed", "1",
+                   *fast_train]),
+        ("evaluate", ["evaluate", "--out-dir", out, "--mode", "baseline", "--seed", "1"]),
+        ("report", ["report", f"{out}/checkpoint_baseline_seed1_report_test.json"])]:
+    assert main(argv) == 0, step
+    note(step)
+print(json.dumps(loaded))
+"""
+
+
+class TestStartup:
+    def test_only_candidates_loads_scipy(self, tmp_path):
+        # scipy costs about half of a fresh process's start-up; only the
+        # similarity solve of `candidates` may import it
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path),
+                               *FAST_TRAIN],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert list(loaded) == ["import", "synth", "prepare", "train", "evaluate", "report"]
+        assert loaded == {step: [] for step in loaded}
 
 
 class TestReportCommand:
@@ -456,6 +516,22 @@ class TestConfigFile:
         assert main(["synth", "--out", str(out), "--users", "30",
                      "--items", "20"]) == 0
         assert out.exists() and len(out.read_text().splitlines()) > 50
+
+    @pytest.mark.parametrize("users, items", [(-3, 20), (0, 20), (30, 0),
+                                              (30, synth.N_TOPICS - 1)])
+    def test_synth_sizes_out_of_range_are_config_errors(self, users, items, tmp_path,
+                                                         capsys):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--out", str(out), "--users", str(users),
+                     "--items", str(items)]) == 2
+        assert "synth needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_smallest_catalog(self, tmp_path):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--out", str(out), "--users", "1",
+                     "--items", str(synth.N_TOPICS)]) == 0
+        assert len(out.read_text().splitlines()) >= 3
 
 
 # ---------------------------------------------------------- fault injection

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from tailaug import corpus, serialize, simcand
+from tailaug import corpus, serialize
 from tailaug.errors import DataError, NumericError
 from tailaug.simcand import (CANDIDATES_SCHEMA, CandidateSets,
                              SimilarityMatrix, SolverConfig, build_candidates,
@@ -244,7 +244,7 @@ class TestSolver:
 
     @pytest.mark.parametrize("routine", ["dpotrf", "dpotri"])
     def test_lapack_failure_is_numeric_error(self, routine, monkeypatch):
-        monkeypatch.setattr(simcand.lapack, routine, lambda a, **kwargs: (a, 3))
+        monkeypatch.setattr(f"scipy.linalg.lapack.{routine}", lambda a, **kwargs: (a, 3))
         rng = np.random.default_rng(10)
         X = as_matrix(rng.random((12, 6)) < 0.4)
         with pytest.raises(NumericError, match=f"{routine} info 3") as err:
