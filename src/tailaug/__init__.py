@@ -18,7 +18,7 @@ from .encoders import ModelState, encode_batch, init_model
 from .errors import ConfigError, DataError, NumericError, TailaugError
 from .evaluation import (MetricReport, RankingResult, evaluate_model,
                          format_table, hit_at_k, mean_report,
-                         ndcg_at_k, rank_users, segmented_report,
+                         ndcg_at_k, segmented_report,
                          validation_score)
 from .simcand import (CandidateSets, SimilarityMatrix, SolverConfig,
                       build_candidates, build_cooccurrence,

@@ -192,7 +192,6 @@ class CrossPlan:
 
     pairing: np.ndarray
     lams: np.ndarray
-    classes: list[PreferenceClass]
 
 
 def plan_cross_batch(classes: Sequence[PreferenceClass], alpha: float,
@@ -212,7 +211,7 @@ def plan_cross_batch(classes: Sequence[PreferenceClass], alpha: float,
         positions = np.flatnonzero(classes == cls_value)
         pairing[positions] = positions[rng.permutation(len(positions))]
     lams = rng.beta(alpha, alpha, size=len(classes))
-    return CrossPlan(pairing=pairing, lams=lams, classes=list(classes))
+    return CrossPlan(pairing=pairing, lams=lams)
 
 
 def apply_cross_mixup(plan: CrossPlan, rows):

@@ -165,7 +165,7 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
                        encoder=cfg["model.encoder"])
     validator = None
     if tcfg.patience is not None:
-        validator = lambda m: evaluation.validation_score(m, store, k=10)
+        validator = lambda m: evaluation.validation_score(m, store)
 
     adam = training.init_adam(model.params)
     if mode == "baseline":
@@ -241,6 +241,8 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out_dir)
     if args.checkpoint:
         ckpt_paths = [Path(p) for p in args.checkpoint]
+        if len({p.resolve() for p in ckpt_paths}) < len(ckpt_paths):
+            raise ConfigError(f"--checkpoint repeats a file: {' '.join(args.checkpoint)}")
     else:
         seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
         ckpt_paths = [_artifact(out_dir, f"checkpoint_{args.mode}_seed{s}.bin")
@@ -300,12 +302,13 @@ def cmd_report(args) -> int:
 
 def cmd_synth(args) -> int:
     # test-fixture generator, handy for demos; not part of the core pipeline
-    if args.users < 1 or args.items < synth.N_TOPICS:
-        raise ConfigError(f"synth needs --users >= 1 and --items >= {synth.N_TOPICS} "
-                          f"(one per topic), got {args.users} and {args.items}")
+    if args.users < 1 or args.items < synth.N_TOPICS or args.seed < 0:
+        raise ConfigError(f"synth needs --users >= 1, --items >= {synth.N_TOPICS} "
+                          f"(one per topic) and --seed >= 0, got {args.users}, "
+                          f"{args.items} and {args.seed}")
     log = synth.generate_interactions(n_users=args.users, n_items=args.items,
                                       seed=args.seed)
-    synth.write_csv(args.out, log, delimiter=",")
+    synth.write_csv(args.out, log)
     print(f"wrote {len(log)} interactions ({args.users} users, {args.items} items) "
           f"to {args.out}")
     return 0
@@ -326,6 +329,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError("--seeds is empty")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"--seeds repeats a seed: {text}")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be >= 0: {text}")
     return seeds
 
 

@@ -164,6 +164,8 @@ def validate_config(cfg: dict) -> None:
     gives the key.
     """
     errors = []
+    if cfg["seed"] < 0:
+        errors.append("seed must be >= 0")
     if cfg["corpus.k_core"] < 1:
         errors.append("corpus.k_core must be >= 1")
     if cfg["corpus.max_len"] < 3:

@@ -193,7 +193,8 @@ class SequenceStore:
 
     @classmethod
     def from_fields(cls, d: dict) -> "SequenceStore":
-        """Decode and check: integer item ids in ``1..len(items)``, lengths up to ``max_len``."""
+        """Decode and check: one sequence per user, integer item ids in
+        ``1..len(items)``, lengths up to ``max_len``."""
         store = cls(
             max_len=int(d["max_len"]),
             user_ids=list(d["users"]),
@@ -201,6 +202,9 @@ class SequenceStore:
             sequences=[integer_ids(s) for s in d["sequences"]],
             split=bool(d["split"]),
         )
+        if store.n_users != len(store.sequences):
+            raise ValueError(f"store lists {store.n_users} users and "
+                             f"{len(store.sequences)} sequences")
         lengths = np.fromiter(map(len, store.sequences), np.int64, len(store.sequences))
         ids = np.concatenate([np.zeros(0, np.int64), *store.sequences])
         n = store.n_items
@@ -270,6 +274,8 @@ class Segmentation:
     n_items: int
 
     def __post_init__(self):
+        if not 0.0 < self.beta < 1.0:  # nan fails too
+            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         # item_head_mask[internal item id]; index 0 (padding) is always False
         mask = np.zeros(self.n_items + 1, dtype=bool)
         if self.head_items:
@@ -320,9 +326,6 @@ def segment(store: SequenceStore, beta: float = 0.5) -> Segmentation:
     admitted in ascending internal-id order.
     """
     store._require_split()
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-
     prefixes = [s[:-2] for s in store.sequences]
     user_len = np.fromiter(map(len, prefixes), np.int64, store.n_users)
     item_count = np.bincount(np.concatenate([np.zeros(0, np.int64), *prefixes]),
@@ -341,23 +344,22 @@ def segment(store: SequenceStore, beta: float = 0.5) -> Segmentation:
     )
 
 
-def preference_classes(ids, lengths, segmentation: Segmentation,
-                       beta: float | None = None) -> np.ndarray:
+def preference_classes(ids, lengths, segmentation: Segmentation) -> np.ndarray:
     """Per row of ``ids`` (rows back to back): tail-preferring iff its tail share > beta."""
     lengths = np.asarray(lengths, dtype=np.int64)
     tail = ~segmentation.item_head_mask[np.asarray(ids, dtype=np.int64)]
     rows = np.repeat(np.arange(len(lengths)), lengths)
     tail_ratio = np.bincount(rows, weights=tail, minlength=len(lengths)) / np.maximum(lengths, 1)
     classes = np.array([PreferenceClass.HEAD_PREFERRING, PreferenceClass.TAIL_PREFERRING])
-    return classes[(tail_ratio > (segmentation.beta if beta is None else beta)).view(np.int8)]
+    return classes[(tail_ratio > segmentation.beta).view(np.int8)]
 
 
-def classify_sequence(seq, segmentation: Segmentation, beta: float | None = None) -> PreferenceClass:
+def classify_sequence(seq, segmentation: Segmentation) -> PreferenceClass:
     """The :func:`preference_classes` of one sequence; item order is irrelevant."""
     seq = np.asarray(seq, dtype=np.int64)
     if seq.size == 0:
         raise DataError("cannot classify an empty sequence prefix")
-    return preference_classes(seq, [seq.size], segmentation, beta)[0]
+    return preference_classes(seq, [seq.size], segmentation)[0]
 
 
 @dataclass(frozen=True)

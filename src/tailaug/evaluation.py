@@ -28,6 +28,7 @@ REPORT_SCHEMA = "tailaug.metric_report.v1"
 SEGMENTS = ("overall", "head_item", "tail_item", "head_user", "tail_user")
 
 _EVAL_BATCH = 512
+VALID_K = 10  # early stopping compares NDCG at this cutoff
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def rank_of_target(scores: np.ndarray, target) -> np.ndarray:
     return np.count_nonzero(scores >= own, axis=-1)
 
 
-def _score_blocks(model: ModelState, store: SequenceStore, users, phase: str,
+def _score_blocks(model: ModelState, store: SequenceStore, phase: str,
                   filter_seen: bool, depth: int = 0):
     """Yield (ranking results, top-``depth`` item ids) per block of users.
 
@@ -69,11 +70,10 @@ def _score_blocks(model: ModelState, store: SequenceStore, users, phase: str,
     same (optionally seen-filtered) scores.  Top lists order by score
     descending, then id ascending on ties.
     """
-    users = list(users)
     item_emb = model.embeddings[1:]  # padding row excluded from ranking
     take = min(depth, len(item_emb))
-    for start in range(0, len(users), _EVAL_BATCH):
-        chunk = users[start:start + _EVAL_BATCH]
+    for start in range(0, store.n_users, _EVAL_BATCH):
+        chunk = range(start, min(start + _EVAL_BATCH, store.n_users))
         seqs = [_phase_input(store, u, phase) for u in chunk]
         targets = np.array([_phase_target(store, u, phase) for u in chunk])
         h, _ = encode_batch(model, seqs)
@@ -88,19 +88,6 @@ def _score_blocks(model: ModelState, store: SequenceStore, users, phase: str,
                    for u, t, r in zip(chunk, targets, ranks)]
         top = smallest_k(np.negative(scores, out=scores), take) + 1 if take else None
         yield results, top
-
-
-def rank_users(model: ModelState, store: SequenceStore, phase: str = "test",
-               users=None, filter_seen: bool = False) -> list[RankingResult]:
-    """Rank each user's held-out target over the whole item set.
-
-    ``filter_seen`` (off by default) drops the user's already-seen items
-    from the ranking, except the target itself when it reoccurs.
-    """
-    if users is None:
-        users = range(store.n_users)
-    return [r for block, _ in _score_blocks(model, store, users, phase, filter_seen)
-            for r in block]
 
 
 def hit_at_k(results, k: int) -> float:
@@ -125,6 +112,11 @@ def ndcg_at_k(results, k: int) -> float:
     return math.fsum(gains) / len(results)
 
 
+def _finite(value) -> bool:
+    """A finite JSON number; ``bool`` is not one."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 @dataclass
 class MetricReport:
     """Per-segment metrics; empty segments are absent rather than zero."""
@@ -144,6 +136,10 @@ class MetricReport:
 
     @classmethod
     def from_fields(cls, d: dict) -> "MetricReport":
+        """Decode and check: counts are non-negative integers, every other value
+        a finite number, and each segment has each cutoff's metrics."""
+        if not all(map(_finite, d["tcov"].values())):
+            raise ValueError(f"tcov values {list(d['tcov'].values())} are not all finite")
         report = cls(ks=[int(k) for k in d["ks"]],
                      segments=d["segments"],
                      tcov={int(k): float(v) for k, v in d["tcov"].items()},
@@ -152,6 +148,12 @@ class MetricReport:
         for name, row in report.segments.items():
             if not keys <= set(row):
                 raise ValueError(f"segment {name!r} lacks {sorted(keys - set(row))}")
+            count = row["count"]
+            if type(count) is not int or count < 0:
+                raise ValueError(f"segment {name!r} count {count!r} is not an integer >= 0")
+            bad = sorted(key for key, v in row.items() if key != "count" and not _finite(v))
+            if bad:
+                raise ValueError(f"segment {name!r} values {bad} are not finite numbers")
         if not set(report.tcov) <= set(report.ks):
             raise ValueError(f"tcov cutoffs {sorted(report.tcov)} outside ks {report.ks}")
         return report
@@ -188,13 +190,14 @@ def evaluate_model(model: ModelState, store: SequenceStore,
                    phase: str = "test", filter_seen: bool = False) -> MetricReport:
     """Score every user once: the segmented report plus tail coverage per cutoff.
 
-    TCov@K is the fraction of tail items in at least one user's top-K list;
-    ``filter_seen`` applies to those lists as it does to the ranks.
+    TCov@K is the fraction of tail items in at least one user's top-K list.
+    ``filter_seen`` drops each user's already-seen items, except the target
+    itself when it reoccurs, from the ranks and from those lists.
     """
     results = []
     listed = {int(k): np.zeros(store.n_items + 1, dtype=bool) for k in ks}
-    for block, top in _score_blocks(model, store, range(store.n_users), phase,
-                                    filter_seen, depth=max(listed, default=0)):
+    for block, top in _score_blocks(model, store, phase, filter_seen,
+                                    depth=max(listed, default=0)):
         results += block
         for k, covered in listed.items():
             covered[top[:, :k]] = True
@@ -205,10 +208,10 @@ def evaluate_model(model: ModelState, store: SequenceStore,
     return segmented_report(results, segmentation, ks, tcov=tcov, phase=phase)
 
 
-def validation_score(model: ModelState, store: SequenceStore, k: int = 10) -> float:
-    """NDCG@k on the validation targets (early-stopping criterion)."""
-    results = rank_users(model, store, phase="valid")
-    return ndcg_at_k(results, k)
+def validation_score(model: ModelState, store: SequenceStore) -> float:
+    """NDCG@``VALID_K`` on the validation targets (early-stopping criterion)."""
+    results = [r for block, _ in _score_blocks(model, store, "valid", False) for r in block]
+    return ndcg_at_k(results, VALID_K)
 
 
 _COLUMNS = (("overall", "Overall"), ("head_item", "Head Item"),

@@ -22,19 +22,19 @@ from .corpus import InteractionLog
 from .rand import derive_rng
 
 N_TOPICS = 12  # topics of the default log; a log needs at least one item per topic
+MEAN_EXTRA_LEN = 5.0  # a history is 3 + Poisson(MEAN_EXTRA_LEN) interactions long
+ZIPF_EXPONENT = 1.05  # item popularity falls as rank ** -ZIPF_EXPONENT
+FOLLOW_PROB = 0.55  # chance a step follows the previous item to one of its followers
+TOPIC_PROB = 0.85  # chance a step that does not follow draws from the user's topic
+N_FOLLOWERS = 3  # designated follower items per item
 
 
 def generate_interactions(n_users: int = 3500, n_items: int = 1200,
-                          n_topics: int = N_TOPICS, seed: int = 7,
-                          mean_extra_len: float = 5.0,
-                          zipf_exponent: float = 1.05,
-                          follow_prob: float = 0.55,
-                          topic_prob: float = 0.85,
-                          n_followers: int = 3) -> InteractionLog:
+                          n_topics: int = N_TOPICS, seed: int = 7) -> InteractionLog:
     """Draw a full interaction log; deterministic per seed."""
     rng = derive_rng(seed, 0)
 
-    popularity = 1.0 / np.arange(1, n_items + 1, dtype=np.float64) ** zipf_exponent
+    popularity = 1.0 / np.arange(1, n_items + 1, dtype=np.float64) ** ZIPF_EXPONENT
     # shuffle so popularity rank is independent of topic layout
     pop_rank = rng.permutation(n_items)
     weight = popularity[pop_rank]
@@ -47,22 +47,22 @@ def generate_interactions(n_users: int = 3500, n_items: int = 1200,
         w = weight[topic_items[t]]
         topic_weights.append(w / w.sum())
 
-    followers = np.zeros((n_items, n_followers), dtype=np.int64)
+    followers = np.zeros((n_items, N_FOLLOWERS), dtype=np.int64)
     for v in range(n_items):
         pool = topic_items[topics[v]]
-        followers[v] = pool[rng.integers(len(pool), size=n_followers)]
+        followers[v] = pool[rng.integers(len(pool), size=N_FOLLOWERS)]
 
     users, items, steps = [], [], []
     for u in range(n_users):
         urng = derive_rng(seed, 1, u)
         topic = int(urng.integers(n_topics))
-        length = 3 + int(urng.poisson(mean_extra_len))
+        length = 3 + int(urng.poisson(MEAN_EXTRA_LEN))
         prev = None
         for step in range(length):
             roll = urng.random()
-            if prev is not None and roll < follow_prob:
-                v = int(followers[prev][urng.integers(n_followers)])
-            elif roll < follow_prob + (1 - follow_prob) * topic_prob:
+            if prev is not None and roll < FOLLOW_PROB:
+                v = int(followers[prev][urng.integers(N_FOLLOWERS)])
+            elif roll < FOLLOW_PROB + (1 - FOLLOW_PROB) * TOPIC_PROB:
                 pool = topic_items[topic]
                 v = int(urng.choice(pool, p=topic_weights[topic]))
             else:
@@ -74,8 +74,8 @@ def generate_interactions(n_users: int = 3500, n_items: int = 1200,
     return InteractionLog.from_columns(users, items, steps)
 
 
-def write_csv(path, log: InteractionLog, delimiter: str = ",") -> None:
+def write_csv(path, log: InteractionLog) -> None:
     """Write ``user,item,timestamp`` lines atomically, in log order."""
     serialize.write_text(path, "".join(
-        f"{log.user_ids[u]}{delimiter}{log.item_ids[v]}{delimiter}{t}\n" for u, v, t in
+        f"{log.user_ids[u]},{log.item_ids[v]},{t}\n" for u, v, t in
         zip(log.users.tolist(), log.items.tolist(), log.timestamps.tolist())))

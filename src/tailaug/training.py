@@ -256,13 +256,12 @@ def _stage2_inputs(batch, draws, classes, starts, store, segmentation, candidate
     return samples, op_lams, plan
 
 
-def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig, *,
-                epochs: int, epoch_offset: int = 0,
-                segmentation: Segmentation | None = None,
+def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
+                epochs: range, *, segmentation: Segmentation | None = None,
                 candidates: CandidateSets | None = None,
                 op_config: OperatorConfig | None = None,
                 adam: AdamState | None = None, validator=None, trace=None):
-    """Train ``epochs`` epochs; stage 2 (augmentation) iff ``op_config`` is given."""
+    """Train the global epoch indices ``epochs``; stage 2 iff ``op_config`` is given."""
     store._require_split()
     if op_config is not None and (segmentation is None or candidates is None):
         raise ValueError("augmentation losses need segmentation and candidates")
@@ -280,7 +279,7 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig, *,
         adam = init_adam(model.params)
     history = []
     best_score, best_params, bad_epochs = -np.inf, None, 0
-    for e in range(epoch_offset, epoch_offset + epochs):
+    for e in epochs:
         sums = {"main": 0.0, "operator": 0.0, "cross": 0.0, "total": 0.0}
         count = 0
         draws = None
@@ -325,28 +324,25 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig, *,
 
 
 def train_stage1(store: SequenceStore, model: ModelState, config: TrainConfig, *,
-                 epochs: int | None = None, epoch_offset: int = 0,
-                 adam: AdamState | None = None, validator=None):
-    """Main-objective-only training (also the baseline arm)."""
+                 epochs: int | None = None, adam: AdamState | None = None, validator=None):
+    """Main-objective-only training from epoch 0 (also the baseline arm)."""
     return _run_epochs(store, model, config,
-                       epochs=config.stage1_epochs if epochs is None else epochs,
-                       epoch_offset=epoch_offset, adam=adam, validator=validator)
+                       range(config.stage1_epochs if epochs is None else epochs),
+                       adam=adam, validator=validator)
 
 
 def train_stage2(store: SequenceStore, model: ModelState,
                  candidates: CandidateSets, segmentation: Segmentation,
                  config: TrainConfig, op_config: OperatorConfig, *,
-                 epochs: int | None = None, epoch_offset: int | None = None,
                  adam: AdamState | None = None, validator=None, trace=None):
-    """Augmented training on top of a stage-1 model.
+    """Augmented training on top of a stage-1 model, ``config.stage2_epochs`` epochs.
 
     Epoch indices continue from stage 1 so that running stage 2 with both
     augmentation losses disabled is bit-identical to more stage-1 epochs.
     """
+    first = config.stage1_epochs
     return _run_epochs(
-        store, model, config,
-        epochs=config.stage2_epochs if epochs is None else epochs,
-        epoch_offset=config.stage1_epochs if epoch_offset is None else epoch_offset,
+        store, model, config, range(first, first + config.stage2_epochs),
         segmentation=segmentation, candidates=candidates, op_config=op_config,
         adam=adam, validator=validator, trace=trace)
 

@@ -59,7 +59,7 @@ def identity_plan(classes, lam: float = 1.0):
     """A cross plan that pairs every position with itself, at weight ``lam``."""
     n = len(classes)
     return CrossPlan(pairing=np.arange(n, dtype=np.int64),
-                     lams=np.full(n, lam, dtype=np.float64), classes=list(classes))
+                     lams=np.full(n, lam, dtype=np.float64))
 
 
 def bruteforce_tail_coverage(model, store, seg, k):

@@ -440,16 +440,14 @@ class TestApplyCrossMixup:
     def test_lam_one_noop_even_with_shuffle(self):
         rng = derive_rng(18, 0)
         h, ep, en = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        plan = CrossPlan(pairing=np.array([1, 0, 3, 2]), lams=np.ones(4),
-                         classes=[H, H, T, T])
+        plan = CrossPlan(pairing=np.array([1, 0, 3, 2]), lams=np.ones(4))
         out = _cross_mixup(plan, h, ep, en)
         for got, want in zip(out, (h, ep, en)):
             np.testing.assert_array_equal(got, want)
 
     def test_swap_half_averages(self):
         h = np.array([[2.0, 0.0], [0.0, 4.0]])
-        plan = CrossPlan(pairing=np.array([1, 0]), lams=np.array([0.5, 0.5]),
-                         classes=[T, T])
+        plan = CrossPlan(pairing=np.array([1, 0]), lams=np.array([0.5, 0.5]))
         mixed, _, _ = _cross_mixup(plan, h, h, h)
         np.testing.assert_allclose(mixed, [[1.0, 2.0], [1.0, 2.0]])
 

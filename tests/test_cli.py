@@ -78,6 +78,12 @@ class TestPrepare:
         (["train", "--mode", "baseline", "--trace", "trace.jsonl"], "--trace"),
         (["train", "--seeds", "1,1"], "--seeds repeats a seed"),
         (["evaluate", "--seeds", "1,2,1"], "--seeds repeats a seed"),
+        (["prepare", "--input", "missing.csv", "--seed", "-1", "--sample-users", "50"],
+         "seed must be >= 0"),
+        (["prepare", "--input", "missing.csv", "--seed", "-1"], "seed must be >= 0"),
+        (["train", "--seed", "-2"], "seed must be >= 0"),
+        (["train", "--seeds=-2"], "--seeds must be >= 0"),
+        (["evaluate", "--seeds=-2"], "--seeds must be >= 0"),
     ])
     def test_negative_count_fails_before_io(self, tmp_path, capsys, argv, key):
         # neither the input nor the prepared artifacts exist
@@ -277,6 +283,20 @@ class TestTrainEvaluate:
                      "--seeds", "1,2"]) == 0
         assert (tmp_path / "report_augmented_mean_test.json").exists()
         assert "mean over 2 checkpoints" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot"])
+    def test_repeated_checkpoint_is_config_error(self, spelling, pipeline_dir, tmp_path,
+                                                 capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / REPORT).unlink()
+        again = {"same": out, "dotdot": out / ".." / out.name}[spelling] / CHECKPOINT
+        code = main(["evaluate", "--out-dir", str(out),
+                     "--checkpoint", str(out / CHECKPOINT), str(again)])
+        assert code == 2
+        assert "--checkpoint repeats a file" in capsys.readouterr().err
+        assert not (out / REPORT).exists()
+        assert not (out / "report_augmented_mean_test.json").exists()
 
     def test_unwritable_trace_fails_before_training(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -527,6 +547,13 @@ class TestConfigFile:
         assert "synth needs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_synth_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--out", str(out), "--users", "30", "--items", "20",
+                     "--seed", "-1"]) == 2
+        assert "--seed >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synth_smallest_catalog(self, tmp_path):
         out = tmp_path / "synth.csv"
         assert main(["synth", "--out", str(out), "--users", "1",
@@ -674,8 +701,16 @@ class TestFaultInjection:
         (lambda doc: doc["tcov"].update({"7": 0.5}), "alone"),
         (lambda doc: doc["tcov"].pop("10"), "first"),
         (lambda doc: doc["tcov"].pop("10"), "second"),
+        (lambda doc: doc["segments"]["overall"].update({"hit@10": "high"}), "alone"),
+        (lambda doc: doc["segments"]["overall"].update({"ndcg@5": True}), "alone"),
+        (lambda doc: doc["segments"]["tail_item"].update({"hit@5": float("nan")}), "alone"),
+        (lambda doc: doc["segments"]["overall"].update({"count": 2.5}), "alone"),
+        (lambda doc: doc["segments"]["head_user"].update({"count": -1}), "second"),
+        (lambda doc: doc["tcov"].update({"10": float("inf")}), "alone"),
+        (lambda doc: doc["tcov"].update({"5": False}), "alone"),
     ], ids=["no-ndcg@10", "no-count", "tcov-outside-ks", "no-tcov@10-first",
-            "no-tcov@10-second"])
+            "no-tcov@10-second", "string-metric", "bool-metric", "nan-metric",
+            "fractional-count", "negative-count", "inf-tcov", "bool-tcov"])
     def test_malformed_report_is_data_error(self, edit, order, pipeline_dir, tmp_path,
                                             capsys):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -732,6 +767,34 @@ class TestFaultInjection:
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
         _edit_envelope(out / "segmentation.json", edit)
+        capsys.readouterr()
+        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("beta", [float("nan"), 7.0], ids=["nan", "above-one"])
+    def test_segmentation_beta_out_of_range_is_data_error(self, beta, pipeline_dir,
+                                                          tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        _edit_envelope(out / "segmentation.json", lambda doc: doc.update({"beta": beta}))
+        capsys.readouterr()
+        assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "beta" in err and "Traceback" not in err
+
+    def test_store_with_a_user_past_its_sequences_is_data_error(self, pipeline_dir,
+                                                                 tmp_path, capsys):
+        # the segmentation is edited to match, so only the store's own check can catch it
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        _edit_envelope(out / "store.json", lambda doc: doc["users"].append("u-extra"))
+
+        def one_more_user(doc):
+            doc["tail_users"].append(doc["n_users"])
+            doc["n_users"] += 1
+
+        _edit_envelope(out / "segmentation.json", one_more_user)
         capsys.readouterr()
         assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
         err = capsys.readouterr().err

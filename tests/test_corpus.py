@@ -233,38 +233,38 @@ class TestSegment:
 
 
 class TestClassifySequence:
-    def _seg(self, store, head_items):
-        return segmentation_with_heads(store, head_items)
+    def _seg(self, store, head_items, beta=0.5):
+        return segmentation_with_heads(store, head_items, beta=beta)
 
     def test_all_tail_is_tail_preferring(self):
         store = store_from_sequences({"u": ["a", "b", "c"]})
         seg = self._seg(store, head_items=set())
-        assert classify_sequence([1, 2, 3], seg, 0.5) is PreferenceClass.TAIL_PREFERRING
+        assert classify_sequence([1, 2, 3], seg) is PreferenceClass.TAIL_PREFERRING
 
     def test_all_head_is_head_preferring(self):
         store = store_from_sequences({"u": ["a", "b", "c"]})
         seg = self._seg(store, head_items={1, 2, 3})
-        assert classify_sequence([1, 2, 3], seg, 0.5) is PreferenceClass.HEAD_PREFERRING
+        assert classify_sequence([1, 2, 3], seg) is PreferenceClass.HEAD_PREFERRING
 
     def test_boundary_is_strict(self):
         # 2 tail of 5 with beta=0.4: 0.4 is not > 0.4 -> head-preferring
         store = store_from_sequences({"u": ["a", "b", "c", "d", "e"]})
-        seg = self._seg(store, head_items={1, 2, 3})
-        assert classify_sequence([1, 2, 3, 4, 5], seg, 0.4) is PreferenceClass.HEAD_PREFERRING
+        seg = self._seg(store, head_items={1, 2, 3}, beta=0.4)
+        assert classify_sequence([1, 2, 3, 4, 5], seg) is PreferenceClass.HEAD_PREFERRING
 
     def test_empty_prefix_errors(self):
         store = store_from_sequences({"u": ["a", "b", "c"]})
         seg = self._seg(store, head_items={1})
         with pytest.raises(DataError):
-            classify_sequence([], seg, 0.5)
+            classify_sequence([], seg)
 
     @given(st.permutations(list(range(1, 8))))
     @settings(max_examples=30, deadline=None)
     def test_order_invariance(self, perm):
         store = store_from_sequences({"u": [f"i{j}" for j in range(7)]})
         seg = self._seg(store, head_items={1, 2, 3})
-        assert classify_sequence(list(perm), seg, 0.5) == \
-            classify_sequence(sorted(perm), seg, 0.5)
+        assert classify_sequence(list(perm), seg) == \
+            classify_sequence(sorted(perm), seg)
 
 
 class TestDatasetStats:

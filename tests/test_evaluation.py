@@ -8,12 +8,18 @@ from tailaug.encoders import init_model
 from tailaug.errors import DataError, NumericError
 from tailaug.evaluation import (REPORT_SCHEMA, MetricReport, RankingResult,
                                 evaluate_model, format_table, hit_at_k, mean_report,
-                                ndcg_at_k, rank_of_target, rank_users,
-                                segmented_report, validation_score)
+                                ndcg_at_k, rank_of_target, segmented_report,
+                                validation_score)
 from tailaug.simcand import smallest_k
 
 from conftest import (bruteforce_tail_coverage, encode_one, segmentation_with_heads,
                       store_from_sequences)
+
+
+def rank_all(model, store, phase, filter_seen=False):
+    """Every user's ranking result, read off the scoring blocks."""
+    return [r for block, _ in evaluation._score_blocks(model, store, phase, filter_seen)
+            for r in block]
 
 
 class TestRankOfTarget:
@@ -93,8 +99,8 @@ class TestFullRank:
             {f"u{i}": [f"i{j:02d}" for j in np.random.default_rng(i).integers(0, 20, 6)]
              for i in range(8)})
         model = init_model(store.n_items, 8, seed=1)
-        for u in range(store.n_users):
-            res = rank_users(model, store, "test", users=[u])[0]
+        for u, res in enumerate(rank_all(model, store, "test")):
+            assert res.user == u
             seq = np.concatenate([store.train_prefix(u), [store.valid_item(u)]])
             scores = model.embeddings[1:] @ encode_one(model, seq)
             expected = 1 + sum(1 for j in range(store.n_items)
@@ -106,19 +112,19 @@ class TestFullRank:
         model = init_model(store.n_items, 4, seed=2)
         model.embeddings[2, 0] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
-            rank_users(model, store, "test")
+            rank_all(model, store, "test")
 
     def test_valid_phase_uses_prefix_only(self):
         store = store_from_sequences({"u": ["a", "b", "c", "d", "e"]})
         model = init_model(store.n_items, 4, seed=2)
-        res = rank_users(model, store, "valid", users=[0])[0]
+        res = rank_all(model, store, "valid")[0]
         assert res.target == store.valid_item(0)
 
     def test_filter_seen_improves_or_keeps_rank(self, small_corpus):
         store, seg, _, _ = small_corpus
         model = init_model(store.n_items, 8, seed=3)
-        plain = rank_users(model, store, "test")
-        filtered = rank_users(model, store, "test", filter_seen=True)
+        plain = rank_all(model, store, "test")
+        filtered = rank_all(model, store, "test", filter_seen=True)
         for a, b in zip(plain, filtered):
             assert b.rank <= a.rank
 
@@ -331,6 +337,6 @@ class TestEvaluateModel:
     def test_validation_score_uses_valid_phase(self, small_corpus):
         store, _, _, _ = small_corpus
         model = init_model(store.n_items, 8, seed=6)
-        results = rank_users(model, store, phase="valid")
-        assert validation_score(model, store, k=10) == pytest.approx(
+        results = rank_all(model, store, "valid")
+        assert validation_score(model, store) == pytest.approx(
             ndcg_at_k(results, 10))

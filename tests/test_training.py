@@ -276,8 +276,7 @@ class TestStage2:
                           patience=None)
         trace_path = tmp_path / "trace.jsonl"
         with open(trace_path, "w") as fh:
-            train_stage2(store, model, cands, seg, cfg, OperatorConfig(),
-                         epoch_offset=0, trace=fh)
+            train_stage2(store, model, cands, seg, cfg, OperatorConfig(), trace=fh)
         lines = trace_path.read_text().strip().splitlines()
         assert len(lines) > 0
         rec = json.loads(lines[0])
@@ -296,11 +295,11 @@ class TestStage2:
             return derive_rng(seed, *t)
 
         monkeypatch.setattr(training, "derive_rng", spy)
-        cfg = TrainConfig(batch_size=16, seed=7, patience=None)
+        cfg = TrainConfig(batch_size=16, seed=7, stage1_epochs=5, stage2_epochs=2,
+                          patience=None)
         trace_path = tmp_path / "trace.jsonl"
         with open(trace_path, "w") as fh:
-            train_stage2(store, model, cands, seg, cfg, op_cfg, epochs=2,
-                         epoch_offset=5, trace=fh)
+            train_stage2(store, model, cands, seg, cfg, op_cfg, trace=fh)
         assert [t for t in tags if t[0] == AUGMENT] == [(AUGMENT, 5), (AUGMENT, 6)]
         assert max(map(len, tags)) == 3  # (CROSS, epoch, step); nothing per user
 
@@ -576,12 +575,12 @@ def _epoch_draws(small_corpus, monkeypatch, batch_size, stage2=False):
         return {"main": 0.0, "operator": 0.0, "cross": 0.0, "total": 0.0}, zeros
 
     monkeypatch.setattr(training, "batch_loss", record)
-    cfg = TrainConfig(batch_size=batch_size, seed=9, patience=None)
-    if stage2:
-        train_stage2(store, model, cands, seg, cfg, OperatorConfig(), epochs=1,
-                     epoch_offset=3)
+    cfg = TrainConfig(batch_size=batch_size, seed=9, stage1_epochs=0, stage2_epochs=1,
+                      patience=None)
+    if stage2:  # either way, one epoch: epoch 0
+        train_stage2(store, model, cands, seg, cfg, OperatorConfig())
     else:
-        train_stage1(store, model, cfg, epochs=1, epoch_offset=3)
+        train_stage1(store, model, cfg, epochs=1)
     return draws
 
 
@@ -614,9 +613,9 @@ class TestScheduleIndependence:
 
         monkeypatch.setattr(training, "derive_rng", spy)
         draws = _epoch_draws((store, None, None, None), monkeypatch, 16)
-        assert negative_tags == [(NEGATIVE, 3)]  # no per-user stream
+        assert negative_tags == [(NEGATIVE, 0)]  # no per-user stream
         # hand replay: the block, then one pick per owning user, by user id
-        rng = derive_rng(9, NEGATIVE, 3)
+        rng = derive_rng(9, NEGATIVE, 0)
         proposals = rng.integers(1, 9, size=(store.n_users, 1))[:, 0]
         fallbacks = 0
         for u in sorted(draws):
