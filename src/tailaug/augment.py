@@ -219,10 +219,9 @@ def apply_cross_mixup(plan: CrossPlan, rows):
 
     Stacking ``[h | e_pos | e_neg]`` as one row mixes a representation and
     its positive and negative item embeddings with one shared weight and
-    pairing.
+    pairing.  ``rows`` is a 2-D float array; the result keeps its dtype.
     """
-    rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[0] != len(plan.pairing):
         raise ValueError(f"rows has {rows.shape[0]} rows, plan covers {len(plan.pairing)}")
-    lam = plan.lams[:, np.newaxis]
+    lam = plan.lams[:, np.newaxis].astype(rows.dtype, copy=False)
     return lam * rows + (1.0 - lam) * rows[plan.pairing]

@@ -162,7 +162,7 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
     t0 = time.perf_counter()
     tcfg = train_config(cfg, seed)
     model = init_model(store.n_items, cfg["model.dim"], seed,
-                       encoder=cfg["model.encoder"])
+                       encoder=cfg["model.encoder"], dtype=np.float32)
     validator = None
     if tcfg.patience is not None:
         validator = lambda m: evaluation.validation_score(m, store)
@@ -240,6 +240,9 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     out_dir = Path(args.out_dir)
     if args.checkpoint:
+        if args.seeds:
+            raise ConfigError("--seeds derives checkpoint paths; it cannot be combined "
+                              "with --checkpoint")
         ckpt_paths = [Path(p) for p in args.checkpoint]
         if len({p.resolve() for p in ckpt_paths}) < len(ckpt_paths):
             raise ConfigError(f"--checkpoint repeats a file: {' '.join(args.checkpoint)}")
@@ -249,7 +252,8 @@ def cmd_evaluate(args) -> int:
                       for s in seeds]
     store, seg, store_id = _load_prepared(out_dir)
 
-    reports = []
+    # every checkpoint is read and checked before any report is written
+    loaded = []
     for path in ckpt_paths:
         if not path.exists():
             raise DataError(f"missing checkpoint {path}; run `tailaug train` first")
@@ -257,6 +261,14 @@ def cmd_evaluate(args) -> int:
         _check_lineage(store_id, meta.get("lineage", {}).get("prepare"),
                        f"checkpoint {path.name} vs store", args.force)
         _check_items(model.n_items, store, path)
+        loaded.append((path, model, meta.get("config", {}).get("mode")))
+    modes = {mode for _, _, mode in loaded}
+    if len(loaded) > 1 and (len(modes) > 1 or None in modes):
+        raise ConfigError("averaged checkpoints must record one mode: " + ", ".join(
+            f"{path.name}={mode}" for path, _, mode in loaded))
+
+    reports = []
+    for path, model, _ in loaded:
         report = evaluation.evaluate_model(
             model, store, seg, ks=cfg["eval.ks"], phase=args.phase,
             filter_seen=cfg["eval.filter_seen"])
@@ -270,7 +282,7 @@ def cmd_evaluate(args) -> int:
         print(evaluation.format_table(report))
     if len(reports) > 1:
         mean = evaluation.mean_report(reports)
-        mean_path = _artifact(out_dir, f"report_{args.mode}_mean_{args.phase}.json")
+        mean_path = _artifact(out_dir, f"report_{modes.pop()}_mean_{args.phase}.json")
         serialize.save(mean_path, evaluation.REPORT_SCHEMA, mean.to_fields(),
                        {"prepare": store_id})
         serialize.write_text(mean_path.with_suffix(".txt"),
@@ -381,9 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="rank held-out targets and report metrics")
     _add_common(p, "evaluate")
     p.add_argument("--checkpoint", nargs="*", default=None,
-                   help="explicit checkpoint path(s); default derives from mode/seeds")
-    p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented")
-    p.add_argument("--seeds", default=None, help="comma-separated seed sweep")
+                   help="explicit checkpoint path(s), all of one recorded mode; "
+                        "default derives from mode/seeds")
+    p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented",
+                   help="mode of the derived checkpoint paths; --checkpoint reads it "
+                        "from the checkpoints")
+    p.add_argument("--seeds", default=None,
+                   help="comma-separated seed sweep (not with --checkpoint)")
     p.add_argument("--phase", choices=["valid", "test"], default="test")
     p.set_defaults(func=cmd_evaluate)
 

@@ -16,6 +16,11 @@ in the same order.  Nothing is padded inside the GRU; the pooled encoder
 left-pads internally with the reserved padding id 0, so every sequence ends
 at the last time step.  Id 0 is never a real position, and the padding
 embedding row stays exactly zero for the lifetime of a model.
+
+Every encode buffer, cache entry and gradient takes its dtype from the
+parameters, so a model initialized in float32 encodes and back-propagates
+in float32.  The one exception is the embedding table's scatter-add,
+which ``np.bincount`` sums in float64 before it is cast to the table's dtype.
 """
 
 from __future__ import annotations
@@ -42,8 +47,12 @@ def _sigmoid_(x, scratch):
 
 
 def sigmoid(x):
-    """Logistic function without overflow; a new array."""
-    x = np.array(x, dtype=np.float64)
+    """Logistic function without overflow; a new array.
+
+    A floating input keeps its dtype; anything else computes in float64.
+    """
+    x = np.asarray(x)
+    x = x.astype(x.dtype if x.dtype.kind == "f" else np.float64)
     return _sigmoid_(x, np.empty_like(x))
 
 
@@ -66,9 +75,9 @@ class PooledEncoder:
         padded = np.zeros((b, t), dtype=np.int64)
         padded[real] = ids
         emb = params["item_embeddings"][padded]
-        mask = real.astype(np.float64)
+        mask = real.astype(emb.dtype)
         rho = float(sigmoid(params["pool_theta"])[0])
-        exponents = (t - 1) - np.arange(t, dtype=np.float64)  # last step -> 0
+        exponents = (t - 1) - np.arange(t, dtype=emb.dtype)  # last step -> 0
         w = rho ** exponents
         wm = mask * w[np.newaxis, :]
         wsum = wm.sum(axis=1, keepdims=True)
@@ -91,7 +100,7 @@ class PooledEncoder:
         dw_drho = np.where(exps == 0.0, 0.0, exps * rho ** np.maximum(exps - 1.0, 0.0))
         drho = float(np.sum(dw * dw_drho))
         dtheta = drho * rho * (1.0 - rho)
-        return {"pool_theta": np.array([dtheta], dtype=np.float64)}, demb[mask > 0]
+        return {"pool_theta": np.array([dtheta], dtype=emb.dtype)}, demb[mask > 0]
 
 
 def _gemm(a, b, out):
@@ -150,8 +159,9 @@ class GRUEncoder:
         # states[offsets[s]:offsets[s + 1]] enter step s (a row starting there
         # enters with zeros), and the last step's states go to states[n:];
         # gates[2 * offsets[s]:2 * offsets[s + 1]] holds step s's z rows, then its r rows
-        states, gates, cand = np.zeros((n + b, d)), np.empty((2 * n, d)), np.empty((n, d))
-        rh, tmp = np.empty((b, d)), np.empty((2 * b, d))
+        dt = xs.dtype
+        states, gates = np.zeros((n + b, d), dt), np.empty((2 * n, d), dt)
+        cand, rh, tmp = np.empty((n, d), dt), np.empty((b, d), dt), np.empty((2 * b, d), dt)
         for step in range(t):
             lo, hi, k = offsets[step], offsets[step + 1], active[step]
             x, h, c = xs[lo:hi], states[lo:hi], cand[lo:hi]
@@ -169,7 +179,7 @@ class GRUEncoder:
             h_new = np.subtract(1.0, z, out=states[hi:hi + k])
             h_new *= h
             h_new += np.multiply(z, c, out=rh[:k])
-        out = np.empty((b, d))
+        out = np.empty((b, d), dt)
         out[order] = states[n:]
         cache = {"xs": xs, "states": states, "gates": gates, "cand": cand,
                  "offsets": offsets, "active": active, "order": order, "gather": gather}
@@ -179,16 +189,17 @@ class GRUEncoder:
         xs, states, gates, cand = cache["xs"], cache["states"], cache["gates"], cache["cand"]
         offsets, active = cache["offsets"], cache["active"]
         b, d = dh.shape
+        dt = xs.dtype
         w = np.hstack([params["gru_Wz"], params["gru_Wr"], params["gru_Wh"]])
         u_zr = np.hstack([params["gru_Uz"], params["gru_Ur"]])
         u_h = params["gru_Uh"]
         dw, du_zr = np.zeros_like(w), np.zeros_like(u_zr)
-        du_h, db = np.zeros_like(u_h), np.zeros(3 * d)
+        du_h, db = np.zeros_like(u_h), np.zeros(3 * d, dt)
         dxs = np.empty_like(xs)  # step-major, like xs
         dh = dh[cache["order"]]
         # dpre: per row, the gradient of the [z | r | candidate] pre-activations
-        dpre, dzr = np.empty((b, 3 * d)), np.empty((2 * b, d))
-        drh, t1, t2 = np.empty((b, d)), np.empty((b, d)), np.empty((b, d))
+        dpre, dzr = np.empty((b, 3 * d), dt), np.empty((2 * b, d), dt)
+        drh, t1, t2 = np.empty((b, d), dt), np.empty((b, d), dt), np.empty((b, d), dt)
         for step in range(len(active) - 1, -1, -1):
             lo, hi, k = offsets[step], offsets[step + 1], active[step]
             g = dh[:k]  # rows not started yet carry no gradient further back
@@ -254,8 +265,12 @@ class ModelState:
         return get_encoder(self.encoder_name)
 
 
-def init_model(n_items: int, dim: int, seed: int, encoder: str = "gru") -> ModelState:
-    """Embeddings ~ Normal(0, 1/sqrt(dim)); padding row zeroed; seeded."""
+def init_model(n_items: int, dim: int, seed: int, encoder: str = "gru",
+               dtype=np.float64) -> ModelState:
+    """Embeddings ~ Normal(0, 1/sqrt(dim)); padding row zeroed; seeded.
+
+    The draws do not depend on ``dtype``: they are made in float64 and cast.
+    """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = derive_rng(seed, INIT)
@@ -264,6 +279,7 @@ def init_model(n_items: int, dim: int, seed: int, encoder: str = "gru") -> Model
     enc = get_encoder(encoder)
     params = {"item_embeddings": emb}
     params.update(enc.init_params(dim, rng))
+    params = {k: v.astype(dtype, copy=False) for k, v in params.items()}
     return ModelState(n_items=n_items, dim=dim, encoder_name=encoder, params=params)
 
 
@@ -302,6 +318,7 @@ def backward_batch(model: ModelState, cache, dh,
     # bincount adds each (id, column) cell's rows in order from zero, as np.add.at would
     cells = (ids[:, np.newaxis] * d + np.arange(d)).ravel()
     demb_table = np.bincount(cells, weights=demb.ravel(), minlength=rows * d).reshape(rows, d)
+    demb_table = demb_table.astype(model.embeddings.dtype, copy=False)  # bincount sums in float64
     demb_table[0] = 0.0
     grads = {"item_embeddings": demb_table}
     grads.update(enc_grads)

@@ -76,7 +76,7 @@ def _score_blocks(model: ModelState, store: SequenceStore, phase: str,
         chunk = range(start, min(start + _EVAL_BATCH, store.n_users))
         seqs = [_phase_input(store, u, phase) for u in chunk]
         targets = np.array([_phase_target(store, u, phase) for u in chunk])
-        h, _ = encode_batch(model, seqs)
+        h = encode_batch(model, seqs)[0]  # unbound, the backward cache is freed here
         scores = h @ item_emb.T
         if not np.all(np.isfinite(scores)):
             raise NumericError(f"non-finite {phase} scores for users {chunk[0]}..{chunk[-1]}")

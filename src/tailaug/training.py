@@ -64,11 +64,9 @@ def bce_loss_batch(h, e_pos, e_neg):
     """Row-wise -[log sigma(h.e+) + log(1 - sigma(h.e-))], numerically stable.
 
     Returns (losses, dh, de_pos, de_neg); gradients are per row and
-    unscaled (callers apply their own reduction weights).
+    unscaled (callers apply their own reduction weights).  Everything is
+    computed in the inputs' dtype.
     """
-    h = np.asarray(h, dtype=np.float64)
-    e_pos = np.asarray(e_pos, dtype=np.float64)
-    e_neg = np.asarray(e_neg, dtype=np.float64)
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(e_pos)) and np.all(np.isfinite(e_neg))):
         raise NumericError("non-finite inputs to BCE loss")
     x_pos = np.sum(h * e_pos, axis=-1)
@@ -192,7 +190,7 @@ def batch_loss(model: ModelState, batch: Batch, *,
     h_all, cache = encode_batch(model, seqs)
     pool = h_all[:n]
     if samples is not None:
-        lam_op = np.asarray(op_lams, dtype=np.float64)[:, np.newaxis]
+        lam_op = np.asarray(op_lams, dtype=h_all.dtype)[:, np.newaxis]
         h_ao = lam_op * h_all[ext_at] + (1.0 - lam_op) * h_all[prime_at]
         pool = np.concatenate([pool, h_ao])
     # one row per pool entry: [h | e_pos | e_neg], operator rows share the original's items
@@ -211,14 +209,15 @@ def batch_loss(model: ModelState, batch: Batch, *,
         cr_losses, *d_mixed = bce_loss_batch(*np.split(mixed, 3, axis=1))
         components["cross"] = float(np.mean(cr_losses))
         d_mixed = np.hstack(d_mixed) / len(rows)
-        lam = plan.lams[:, np.newaxis]
+        lam = plan.lams[:, np.newaxis].astype(rows.dtype, copy=False)
         d_rows += lam * d_mixed
         d_rows[plan.pairing] += (1.0 - lam) * d_mixed  # exact: pairing is a permutation
     components["total"] = components["main"] + components["operator"] + components["cross"]
 
     dh, dpos, dneg = np.split(d_rows, 3, axis=1)
     if samples is not None:  # the blend's gradient splits between its two encodings
-        d_ao, dh = dh[n:], np.concatenate([dh[:n], np.zeros((len(seqs) - n, model.dim))])
+        d_ao, dh = dh[n:], np.concatenate([dh[:n], np.zeros((len(seqs) - n, model.dim),
+                                                            dh.dtype)])
         dh[ext_at] += lam_op * d_ao
         dh[prime_at] += (1.0 - lam_op) * d_ao
     grads = backward_batch(model, cache, dh, np.concatenate([targets, negatives]),
@@ -352,8 +351,9 @@ def save_checkpoint(path, model: ModelState, adam: AdamState | None, *,
                     lineage: dict | None = None) -> None:
     """Persist parameters (and optimizer moments) as named float32 sections.
 
-    The blob format quantizes to float32; loading restores exactly the
-    stored 32-bit values.
+    The CLI trains in float32, so its models and moments save without loss;
+    a float64 model is quantized to float32.  Loading restores exactly the
+    stored 32-bit values, upcast to float64.
     """
     sections = {f"param/{k}": v for k, v in model.params.items()}
     adam_step_count = 0

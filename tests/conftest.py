@@ -7,6 +7,8 @@ from tailaug import corpus, simcand, synth
 from tailaug.augment import CrossPlan
 from tailaug.encoders import encode_batch
 
+DTYPES = (np.float64, np.float32)  # the library default and the CLI's training dtype
+
 
 @dataclass(frozen=True)
 class Interaction:

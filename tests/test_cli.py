@@ -298,6 +298,47 @@ class TestTrainEvaluate:
         assert not (out / REPORT).exists()
         assert not (out / "report_augmented_mean_test.json").exists()
 
+    def test_seeds_with_checkpoint_is_config_error(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / REPORT).unlink()
+        for seeds in ("--seeds=1", "--seeds=-2"):
+            code = main(["evaluate", "--out-dir", str(out), "--checkpoint",
+                         str(out / CHECKPOINT), seeds])
+            assert code == 2
+            assert "--seeds" in capsys.readouterr().err
+            assert not (out / REPORT).exists()
+
+    def test_mixed_modes_are_config_error_before_any_report(self, pipeline_dir, tmp_path,
+                                                            capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        for report in out.glob("*report*"):
+            report.unlink()
+        assert main(["train", "--out-dir", str(out), "--mode", "baseline", "--seed", "2",
+                     *FAST_TRAIN]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--out-dir", str(out), "--checkpoint",
+                     str(out / "checkpoint_baseline_seed2.bin"), str(out / CHECKPOINT)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint_baseline_seed2.bin=baseline" in err
+        assert f"{CHECKPOINT}=augmented" in err
+        assert not list(out.glob("*report*"))
+
+    def test_mean_report_is_named_after_the_recorded_mode(self, pipeline_dir, tmp_path,
+                                                          capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        assert main(["train", "--out-dir", str(out), "--mode", "baseline", "--seeds", "2,3",
+                     *FAST_TRAIN]) == 0
+        # --mode keeps its default, augmented; the checkpoints record baseline
+        assert main(["evaluate", "--out-dir", str(out), "--checkpoint",
+                     *(str(out / f"checkpoint_baseline_seed{s}.bin") for s in (2, 3))]) == 0
+        assert "mean over 2 checkpoints" in capsys.readouterr().out
+        assert (out / "report_baseline_mean_test.json").exists()
+        assert not (out / "report_augmented_mean_test.json").exists()
+
     def test_unwritable_trace_fails_before_training(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tailaug.encoders import (_gemm, _sigmoid_, backward_batch, encode_batch,
                               get_encoder, init_model, sigmoid)
 
-from conftest import encode_one
+from conftest import DTYPES, encode_one
 
 
 def pad_batch(seqs):
@@ -228,7 +228,8 @@ class TestGRUEncoder:
         p = model.params
         ids, mask = pad_batch([np.asarray(s) for s in seqs])
         emb = model.embeddings[ids]
-        h = np.zeros((len(seqs), model.dim))
+        mask = mask.astype(emb.dtype)
+        h = np.zeros((len(seqs), model.dim), emb.dtype)
         for step in range(ids.shape[1]):
             x, m = emb[:, step, :], mask[:, step][:, np.newaxis]
             z = sigmoid(x @ p["gru_Wz"] + h @ p["gru_Uz"] + p["gru_bz"])
@@ -238,18 +239,20 @@ class TestGRUEncoder:
         return h
 
     def test_ragged_batch_rows_are_exact(self):
-        model = init_model(9, 6, seed=8, encoder="gru")
         seqs = [np.array(s) for s in self.RAGGED]
-        batched, _ = encode_batch(model, seqs)
-        np.testing.assert_array_equal(batched, self._masked_reference(model, seqs))
         by_length = {}
         for i, s in enumerate(seqs):
             by_length.setdefault(len(s), []).append(i)
-        for rows in by_length.values():  # equal lengths: no padding at all
-            unpadded, _ = encode_batch(model, [seqs[i] for i in rows])
-            np.testing.assert_array_equal(batched[rows], unpadded)
-        for i, s in enumerate(seqs):
-            np.testing.assert_array_equal(batched[i], encode_one(model, s))
+        for dtype in DTYPES:
+            model = init_model(9, 6, seed=8, encoder="gru", dtype=dtype)
+            batched, _ = encode_batch(model, seqs)
+            assert batched.dtype == dtype
+            np.testing.assert_array_equal(batched, self._masked_reference(model, seqs))
+            for rows in by_length.values():  # equal lengths: no padding at all
+                unpadded, _ = encode_batch(model, [seqs[i] for i in rows])
+                np.testing.assert_array_equal(batched[rows], unpadded)
+            for i, s in enumerate(seqs):
+                np.testing.assert_array_equal(batched[i], encode_one(model, s))
 
     def test_ragged_batch_gradients(self):
         rng = np.random.default_rng(2)
@@ -288,12 +291,15 @@ class TestGRUEncoder:
             assert g.tobytes() == reference[name].tobytes(), name
 
     def test_left_padding_is_inert(self):
-        # the same sequence must encode identically regardless of batch width
-        model = init_model(9, 4, seed=5, encoder="gru")
-        alone, _ = encode_batch(model, [np.array([2, 3])])
-        padded, _ = encode_batch(model, [np.array([2, 3]),
-                                         np.array([1, 4, 5, 6, 7])])
-        np.testing.assert_array_equal(alone[0], padded[0])
+        # the same sequence must encode identically regardless of batch width;
+        # alone, it takes the one-row product path
+        for dtype in DTYPES:
+            model = init_model(9, 4, seed=5, encoder="gru", dtype=dtype)
+            alone, _ = encode_batch(model, [np.array([2, 3])])
+            padded, _ = encode_batch(model, [np.array([2, 3]),
+                                             np.array([1, 4, 5, 6, 7])])
+            assert alone.dtype == dtype
+            np.testing.assert_array_equal(alone[0], padded[0])
 
 
 class TestContract:

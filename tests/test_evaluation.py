@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailaug import evaluation, serialize
-from tailaug.encoders import init_model
+from tailaug.encoders import encode_batch, init_model
 from tailaug.errors import DataError, NumericError
 from tailaug.evaluation import (REPORT_SCHEMA, MetricReport, RankingResult,
                                 evaluate_model, format_table, hit_at_k, mean_report,
@@ -119,6 +121,23 @@ class TestFullRank:
         model = init_model(store.n_items, 4, seed=2)
         res = rank_all(model, store, "valid")[0]
         assert res.target == store.valid_item(0)
+
+    def test_a_block_frees_its_encode_cache_before_the_next(self, small_corpus, monkeypatch):
+        # the backward cache is most of a block's memory, and scoring never uses it
+        store = small_corpus[0]
+        model = init_model(store.n_items, 8, seed=1)
+        monkeypatch.setattr(evaluation, "_EVAL_BATCH", 16)
+        caches = []
+
+        def spy(model, seqs):
+            assert all(ref() is None for ref in caches)
+            h, cache = encode_batch(model, seqs)
+            caches.append(weakref.ref(cache["enc"]["states"]))
+            return h, cache
+
+        monkeypatch.setattr(evaluation, "encode_batch", spy)
+        assert len(rank_all(model, store, "test")) == store.n_users
+        assert len(caches) == -(-store.n_users // 16) > 1
 
     def test_filter_seen_improves_or_keeps_rank(self, small_corpus):
         store, seg, _, _ = small_corpus

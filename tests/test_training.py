@@ -8,7 +8,7 @@ from tailaug.augment import (INSERT, SUBSTITUTE, OperatorConfig, apply_cross_mix
                              augment_batch, augment_sequence, plan_cross_batch,
                              t_substitute)
 from tailaug.corpus import classify_sequence
-from tailaug.encoders import backward_batch, encode_batch, init_model, lookup
+from tailaug.encoders import ModelState, backward_batch, encode_batch, init_model, lookup
 from tailaug.errors import DataError, NumericError
 from tailaug.rand import AUGMENT, CROSS, NEGATIVE, PREFIX, derive_rng
 from tailaug.training import (Batch, TrainConfig, adam_step,
@@ -16,7 +16,7 @@ from tailaug.training import (Batch, TrainConfig, adam_step,
                               load_checkpoint, save_checkpoint,
                               train_stage1, train_stage2)
 
-from conftest import identity_plan, store_from_sequences, users_with_train_len
+from conftest import DTYPES, identity_plan, store_from_sequences, users_with_train_len
 
 
 class TestBCE:
@@ -134,9 +134,9 @@ class TestAdam:
                 TrainConfig(learning_rate=lr)
 
 
-def _toy_setup(small_corpus, encoder="pooled", dim=8, seed=0):
+def _toy_setup(small_corpus, encoder="pooled", dim=8, seed=0, dtype=np.float64):
     store, seg, cands, _ = small_corpus
-    model = init_model(store.n_items, dim, seed=seed, encoder=encoder)
+    model = init_model(store.n_items, dim, seed=seed, encoder=encoder, dtype=dtype)
     return store, seg, cands, model
 
 
@@ -165,14 +165,16 @@ class TestStage1:
 
     def test_fixed_seed_bit_identical(self, small_corpus):
         store, seg, cands, _ = small_corpus
-        finals = []
-        for _ in range(2):
-            model = init_model(store.n_items, 8, seed=3, encoder="gru")
-            cfg = TrainConfig(batch_size=16, seed=3, patience=None)
-            history, _ = train_stage1(store, model, cfg, epochs=3)
-            finals.append((history[-1]["loss_main"], model.embeddings.copy()))
-        assert finals[0][0] == finals[1][0]
-        np.testing.assert_array_equal(finals[0][1], finals[1][1])
+        for dtype in DTYPES:
+            finals = []
+            for _ in range(2):
+                model = init_model(store.n_items, 8, seed=3, encoder="gru", dtype=dtype)
+                cfg = TrainConfig(batch_size=16, seed=3, patience=None)
+                history, _ = train_stage1(store, model, cfg, epochs=3)
+                finals.append((history[-1]["loss_main"], model.embeddings.copy()))
+            assert finals[0][1].dtype == dtype
+            assert finals[0][0] == finals[1][0]
+            np.testing.assert_array_equal(finals[0][1], finals[1][1])
 
     def test_divergence_raises_numeric_error(self, small_corpus):
         store, seg, cands, model = _toy_setup(small_corpus)
@@ -212,17 +214,19 @@ class TestStage2:
         cfg_a = TrainConfig(batch_size=16, seed=4, stage1_epochs=2, stage2_epochs=3,
                             enable_operator_loss=False, enable_cross_loss=False,
                             patience=None)
-        model_a = init_model(store.n_items, 8, seed=4, encoder="pooled")
-        adam_a = init_adam(model_a.params)
-        h1, adam_a = train_stage1(store, model_a, cfg_a, adam=adam_a)
-        h2, _ = train_stage2(store, model_a, cands, seg, cfg_a, OperatorConfig(),
-                             adam=adam_a)
+        for dtype in DTYPES:
+            model_a = init_model(store.n_items, 8, seed=4, encoder="pooled", dtype=dtype)
+            adam_a = init_adam(model_a.params)
+            h1, adam_a = train_stage1(store, model_a, cfg_a, adam=adam_a)
+            h2, _ = train_stage2(store, model_a, cands, seg, cfg_a, OperatorConfig(),
+                                 adam=adam_a)
 
-        model_b = init_model(store.n_items, 8, seed=4, encoder="pooled")
-        hb, _ = train_stage1(store, model_b, cfg_a, epochs=5)
-        for k in model_a.params:
-            np.testing.assert_array_equal(model_a.params[k], model_b.params[k])
-        assert [h["loss_main"] for h in h1 + h2] == [h["loss_main"] for h in hb]
+            model_b = init_model(store.n_items, 8, seed=4, encoder="pooled", dtype=dtype)
+            hb, _ = train_stage1(store, model_b, cfg_a, epochs=5)
+            assert model_a.embeddings.dtype == dtype
+            for k in model_a.params:
+                np.testing.assert_array_equal(model_a.params[k], model_b.params[k])
+            assert [h["loss_main"] for h in h1 + h2] == [h["loss_main"] for h in hb]
 
     def test_composite_gradient_finite_differences(self, small_corpus):
         model, batch, samples, lams, classes = _stage2_inputs(small_corpus)
@@ -468,12 +472,12 @@ def _three_row_batch_loss(model, batch, *, samples=None, op_lams=None, plan=None
     return components, grads
 
 
-def _three_kind_inputs(small_corpus, encoder):
+def _three_kind_inputs(small_corpus, encoder, dtype=np.float64):
     """A batch of unedited, substituted and inserted rows, one insertion truncated.
 
     Returns the model, batch, samples, mix weights and a cross plan over the pool.
     """
-    store, seg, cands, model = _toy_setup(small_corpus, encoder=encoder, dim=6)
+    store, seg, cands, model = _toy_setup(small_corpus, encoder=encoder, dim=6, dtype=dtype)
     users = users_with_train_len(store, 8, 12)
     prefixes = [store.train_prefix(u)[:-1] for u in users]
     targets = np.array([int(store.train_prefix(u)[-1]) for u in users])
@@ -555,13 +559,50 @@ class TestDistinctEncodes:
                                             op_lams=lams, plan=plan))
 
 
-def _epoch_draws(small_corpus, monkeypatch, batch_size, stage2=False):
+class TestFloat32Step:
+    """A float32 model trains in float32 from the encode to the Adam update."""
+
+    @pytest.mark.parametrize("encoder", ["pooled", "gru"])
+    def test_step_keeps_float32_and_matches_float64(self, small_corpus, monkeypatch,
+                                                     encoder):
+        model, batch, samples, lams, plan = _three_kind_inputs(small_corpus, encoder,
+                                                               np.float32)
+        double = ModelState(model.n_items, model.dim, encoder,
+                            {k: v.astype(np.float64) for k, v in model.params.items()})
+        want_comp, want_grads = batch_loss(double, batch, samples=samples, op_lams=lams,
+                                           plan=plan)
+        # the dtype of every float array into or out of the encode, losses and backward
+        seen = set()
+        for name in ("encode_batch", "bce_loss_batch", "backward_batch"):
+            def spy(*args, _real=getattr(training, name), _name=name):
+                out = _real(*args)
+                seen.update((_name, a.dtype) for a in (*args, *out)
+                            if isinstance(a, np.ndarray) and a.dtype.kind == "f")
+                return out
+            monkeypatch.setattr(training, name, spy)
+        comp, grads = batch_loss(model, batch, samples=samples, op_lams=lams, plan=plan)
+        adam = init_adam(model.params)
+        adam_step(model.params, grads, adam, TrainConfig())
+        assert seen == {(name, np.dtype(np.float32))
+                        for name in ("encode_batch", "bce_loss_batch", "backward_batch")}
+        single = {k: np.dtype(np.float32) for k in model.params}
+        for group in (grads, adam.m, adam.v, model.params):
+            assert {k: v.dtype for k, v in group.items()} == single
+        for name, g in grads.items():
+            want = want_grads[name]
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-5 * np.abs(want).max(),
+                                       err_msg=name)
+        for term, value in comp.items():
+            assert value == pytest.approx(want_comp[term], rel=1e-5), term
+
+
+def _epoch_draws(small_corpus, monkeypatch, batch_size, stage2=False, dtype=np.float64):
     """Per-user draws of one epoch, read off every batch that ``batch_loss`` gets.
 
     Each user maps to its (prefix, target, negative) and, in stage 2, its
     augmented sample and mix weight.  The loss itself is not computed.
     """
-    store, seg, cands, model = _toy_setup(small_corpus)
+    store, seg, cands, model = _toy_setup(small_corpus, dtype=dtype)
     draws = {}
 
     def record(model, batch, *, samples=None, op_lams=None, plan=None):
@@ -590,10 +631,11 @@ class TestScheduleIndependence:
     @pytest.mark.parametrize("stage2", [False, True], ids=["stage1", "stage2"])
     def test_draws_do_not_depend_on_batch_size(self, small_corpus, monkeypatch, stage2):
         store = small_corpus[0]
-        runs = [_epoch_draws(small_corpus, monkeypatch, bs, stage2) for bs in (7, 16, 256)]
+        runs = [_epoch_draws(small_corpus, monkeypatch, bs, stage2, dtype)
+                for dtype in DTYPES for bs in (7, 16, 256)]
         eligible = [u for u in range(store.n_users) if len(store.train_prefix(u)) >= 2]
         assert sorted(runs[0]) == eligible
-        assert runs[0] == runs[1] == runs[2]
+        assert all(run == runs[0] for run in runs[1:])
         for u, (prefix, target, negative, *_) in runs[0].items():
             train = store.train_prefix(u)
             assert 1 <= len(prefix) < len(train) and target == train[len(prefix)]
