@@ -3,9 +3,12 @@
 Each subcommand persists versioned artifacts into an output directory and
 embeds a lineage id (config hash chained through parents); downstream
 subcommands refuse inputs from a different lineage, or with none, unless
-``--force`` is given.  Each pipeline command has one flag per key of its
-config sections; flags override config-file keys.  Exit codes: 0 ok,
-2 config error, 3 data error, 4 numeric failure.
+``--force`` is given.  Only what the store does not determine is stored:
+``candidates``, ``train`` and ``evaluate`` recompute the head/tail
+segmentation from ``store.json`` with ``corpus.segment``.  Each pipeline
+command has one flag per key of its config sections; flags override
+config-file keys.  Exit codes: 0 ok, 2 config error, 3 data error,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -86,18 +89,13 @@ def cmd_prepare(args) -> int:
 
     store = corpus.leave_one_out_split(
         corpus.build_sequences(log, cfg["corpus.max_len"]))
-    seg = corpus.segment(store, beta=cfg["corpus.beta"])
+    seg = corpus.segment(store)
     stats = corpus.dataset_stats(store)
 
     prep_id = lineage_id("prepare", config_hash(cfg, ["seed", *section_keys("prepare")]),
                          {"input": _file_sha(args.input)})
-    lineage = {"id": prep_id}
     serialize.save(_artifact(out_dir, "store.json"), corpus.STORE_SCHEMA,
-                   store.to_fields(), lineage)
-    serialize.save(_artifact(out_dir, "segmentation.json"), corpus.SEGMENTATION_SCHEMA,
-                   seg.to_fields(), lineage)
-    serialize.save(_artifact(out_dir, "stats.json"), corpus.STATS_SCHEMA,
-                   stats.to_fields(), lineage)
+                   store.to_fields(), {"id": prep_id})
 
     print(f"users={stats.n_users} items={stats.n_items} "
           f"interactions={stats.n_interactions} avg_length={stats.avg_length:.2f} "
@@ -108,21 +106,14 @@ def cmd_prepare(args) -> int:
 
 
 def _load_prepared(out_dir):
-    store_path = _artifact(out_dir, "store.json")
-    seg_path = _artifact(out_dir, "segmentation.json")
-    for p in (store_path, seg_path):
-        if not p.exists():
-            raise DataError(f"missing artifact {p}; run `tailaug prepare` first")
-    store, store_lineage = serialize.load(store_path, corpus.STORE_SCHEMA,
-                                          corpus.SequenceStore.from_fields)
-    seg, seg_lineage = serialize.load(seg_path, corpus.SEGMENTATION_SCHEMA,
-                                      corpus.Segmentation.from_fields)
-    store_id = store_lineage.get("id")
-    _check_lineage(store_id, seg_lineage.get("id"), "segmentation vs store", False)
-    if (seg.n_users, seg.n_items) != (store.n_users, store.n_items):
-        raise DataError(f"{seg_path} covers {seg.n_users} users and {seg.n_items} items, "
-                        f"the prepared store {store.n_users} and {store.n_items}")
-    return store, seg, store_id
+    """The prepared store and its lineage id; a store without one is refused."""
+    path = _artifact(out_dir, "store.json")
+    if not path.exists():
+        raise DataError(f"missing artifact {path}; run `tailaug prepare` first")
+    store, lineage = serialize.load(path, corpus.STORE_SCHEMA, corpus.SequenceStore.from_fields)
+    if not lineage.get("id"):
+        raise DataError(f"{path}: missing lineage id; re-run `tailaug prepare`")
+    return store, lineage["id"]
 
 
 # ------------------------------------------------------------- candidates
@@ -130,7 +121,8 @@ def _load_prepared(out_dir):
 def cmd_candidates(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     out_dir = Path(args.out_dir)
-    store, seg, store_id = _load_prepared(out_dir)
+    store, store_id = _load_prepared(out_dir)
+    seg = corpus.segment(store)
 
     if store.n_items > WARN_ITEMS:
         print(f"warning: {store.n_items} items exceed {WARN_ITEMS}; the dense solve "
@@ -140,7 +132,7 @@ def cmd_candidates(args) -> int:
 
     cands, sim = simcand.build_candidates(store, seg, solver_config(cfg), cfg["simcand.k"])
     cand_id = lineage_id("candidates", config_hash(cfg, section_keys("candidates")),
-                         {"prepare": store_id or ""})
+                         {"prepare": store_id})
     serialize.save(_artifact(out_dir, "candidates.json"), simcand.CANDIDATES_SCHEMA,
                    cands.to_fields(), {"id": cand_id, "prepare": store_id})
     sizes = np.array([len(c) for c in cands.c])
@@ -213,7 +205,8 @@ def cmd_train(args) -> int:
         raise ConfigError("--trace records one seed's augmented samples; give a single "
                           "seed and --mode augmented")
     out_dir = Path(args.out_dir)
-    store, seg, store_id = _load_prepared(out_dir)
+    store, store_id = _load_prepared(out_dir)
+    seg = corpus.segment(store, beta=cfg["augment.beta"])
 
     cands, cand_id = None, None
     needs_candidates = args.mode == "augmented"
@@ -250,7 +243,8 @@ def cmd_evaluate(args) -> int:
         seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
         ckpt_paths = [_artifact(out_dir, f"checkpoint_{args.mode}_seed{s}.bin")
                       for s in seeds]
-    store, seg, store_id = _load_prepared(out_dir)
+    store, store_id = _load_prepared(out_dir)
+    seg = corpus.segment(store)
 
     # every checkpoint is read and checked before any report is written
     loaded = []
@@ -372,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Long-tail sequential recommendation with tail-aware augmentation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="ingest, filter, split, segment")
+    p = sub.add_parser("prepare", help="ingest, filter and split into store.json")
     _add_common(p, "prepare")
     p.add_argument("--input", required=True, help="interaction file (user,item,timestamp)")
     p.set_defaults(func=cmd_prepare)

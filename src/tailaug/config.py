@@ -24,7 +24,6 @@ DEFAULTS: dict[str, object] = {
     "corpus.max_len": 50,
     "corpus.delimiter": ",",
     "corpus.header": False,
-    "corpus.beta": 0.5,
     "corpus.sample_users": 0,          # 0 = keep all users
     "simcand.ridge_penalty": 10.0,
     "simcand.diag_cap": 0.2,
@@ -32,6 +31,7 @@ DEFAULTS: dict[str, object] = {
     "augment.a": 0.2,
     "augment.b": 0.8,
     "augment.alpha": 0.3,
+    "augment.beta": 0.5,               # tail-ratio threshold of the preference classes
     "model.dim": 64,
     "model.encoder": "gru",
     "train.batch_size": 256,
@@ -172,12 +172,12 @@ def validate_config(cfg: dict) -> None:
         errors.append("corpus.max_len must be >= 3")
     if not cfg["corpus.delimiter"]:
         errors.append("corpus.delimiter must not be empty")
-    if not 0.0 < cfg["corpus.beta"] < 1.0:
-        errors.append("corpus.beta must be in (0, 1)")
     if cfg["corpus.sample_users"] < 0:
         errors.append("corpus.sample_users must be >= 0")
     if cfg["simcand.k"] < 1:
         errors.append("simcand.k must be >= 1")
+    if not 0.0 < cfg["augment.beta"] < 1.0:
+        errors.append("augment.beta must be in (0, 1)")
     if cfg["model.encoder"] not in ENCODERS:
         errors.append(f"model.encoder must be one of {sorted(ENCODERS)}")
     if cfg["model.dim"] < 1:

@@ -4,10 +4,13 @@ Pipeline: ``load_interactions`` -> ``k_core_filter`` -> ``build_sequences``
 -> ``leave_one_out_split`` -> ``segment``.  The first three steps pass one
 columnar :class:`InteractionLog`: int64 user and item codes and int64
 timestamps in file row order, plus the raw-id vocabularies the codes index.
-The result is an immutable :class:`SequenceStore` (per-user chronological
-item sequences with split markers) plus a :class:`Segmentation` (head/tail
-membership for users and items).  All steps are deterministic: identical
-input and config produce byte-identical persisted artifacts.
+The result is a :class:`SequenceStore` (per-user chronological item
+sequences with split markers), the one persisted artifact of this module.
+:func:`segment` derives a :class:`Segmentation` (head/tail membership for
+users and items) from a split store; it is a pure function of the store,
+so every command that needs it recomputes it instead of reading it back.
+All steps are deterministic: identical input and config produce
+byte-identical stores.
 
 Identifiers are opaque strings.  Wherever an ordering over raw ids is
 needed (tie-breaks, head-quota fills, internal id assignment) the ids are
@@ -19,7 +22,7 @@ ordered by their raw strings.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -29,8 +32,6 @@ from .errors import DataError
 HEAD_FRACTION = 0.2
 
 STORE_SCHEMA = "tailaug.sequence_store.v1"
-SEGMENTATION_SCHEMA = "tailaug.segmentation.v1"
-STATS_SCHEMA = "tailaug.dataset_stats.v1"
 
 
 class PreferenceClass(Enum):
@@ -281,34 +282,6 @@ class Segmentation:
         if self.head_items:
             mask[np.fromiter(self.head_items, dtype=np.int64)] = True
         object.__setattr__(self, "item_head_mask", mask)
-        umask = np.zeros(self.n_users, dtype=bool)
-        if self.head_users:
-            umask[np.fromiter(self.head_users, dtype=np.int64)] = True
-        object.__setattr__(self, "user_head_mask", umask)
-
-    def to_fields(self) -> dict:
-        return {
-            "beta": self.beta,
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "head_users": sorted(self.head_users),
-            "tail_users": sorted(self.tail_users),
-            "head_items": sorted(self.head_items),
-            "tail_items": sorted(self.tail_items),
-        }
-
-    @classmethod
-    def from_fields(cls, d: dict) -> "Segmentation":
-        """Decode and check: head and tail partition the users and the items."""
-        sets = {name: frozenset(d[name])
-                for name in ("head_users", "tail_users", "head_items", "tail_items")}
-        n_users, n_items = int(d["n_users"]), int(d["n_items"])
-        for kind, universe in (("users", range(n_users)), ("items", range(1, n_items + 1))):
-            head, tail = sets[f"head_{kind}"], sets[f"tail_{kind}"]
-            if head & tail or head | tail != frozenset(universe):
-                raise ValueError(f"head and tail {kind} must partition the ids "
-                                 f"{universe.start}..{universe.stop - 1}")
-        return cls(**sets, beta=float(d["beta"]), n_users=n_users, n_items=n_items)
 
 
 def _head_cut(counts: np.ndarray) -> frozenset[int]:
@@ -323,7 +296,8 @@ def segment(store: SequenceStore, beta: float = 0.5) -> Segmentation:
     Users are ranked by training-prefix length, items by training
     interaction count (valid/test interactions are excluded so evaluation
     cannot leak into the segmentation).  Ties at the quota boundary are
-    admitted in ascending internal-id order.
+    admitted in ascending internal-id order.  ``beta`` does not move the
+    cut; it is only carried to :func:`preference_classes`.
     """
     store._require_split()
     prefixes = [s[:-2] for s in store.sequences]
@@ -369,9 +343,6 @@ class DatasetStats:
     n_interactions: int
     avg_length: float
     sparsity: float
-
-    def to_fields(self) -> dict:
-        return asdict(self)
 
 
 def dataset_stats(store: SequenceStore) -> DatasetStats:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailaug import cli, evaluation, serialize, simcand, synth
+from tailaug import cli, corpus, evaluation, serialize, simcand, synth
 from tailaug.cli import main
 from tailaug.config import DEFAULTS, config_hash, load_config
 from tailaug.errors import ConfigError
@@ -38,25 +38,24 @@ FAST_TRAIN = ["--dim", "8", "--encoder", "pooled", "--batch-size", "32",
 
 class TestPrepare:
     def test_writes_three_artifacts(self, tmp_path, csv_path, capsys):
+        # the store is the one artifact; segmentation and stats are derived from it
         assert _prepare(tmp_path, csv_path) == 0
-        for name in ("store.json", "segmentation.json", "stats.json"):
-            assert (tmp_path / name).exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
         out = capsys.readouterr().out
-        assert "users=" in out and "sparsity=" in out
+        assert "users=" in out and "sparsity=" in out and "head_items=" in out
 
     def test_rerun_is_byte_identical(self, tmp_path, csv_path):
         _prepare(tmp_path / "a", csv_path)
         _prepare(tmp_path / "b", csv_path)
-        for name in ("store.json", "segmentation.json", "stats.json"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
+        assert (tmp_path / "a" / "store.json").read_bytes() == \
+            (tmp_path / "b" / "store.json").read_bytes()
 
     def test_invalid_beta_fails_before_io(self, tmp_path, capsys):
-        # input path does not even exist; config must be rejected first
-        code = main(["prepare", "--input", str(tmp_path / "missing.csv"),
-                     "--out-dir", str(tmp_path), "--beta", "1.2"])
+        # no store exists; config must be rejected first
+        code = main(["train", "--out-dir", str(tmp_path / "none"), "--beta", "1.2"])
         assert code == 2
-        assert "beta" in capsys.readouterr().err
+        assert "augment.beta" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
 
     @pytest.mark.parametrize("argv, key", [
         (["prepare", "--input", "missing.csv", "--sample-users", "-5"],
@@ -126,21 +125,19 @@ class TestPrepare:
 
     def test_sample_users_shrinks_corpus(self, tmp_path, csv_path):
         _prepare(tmp_path, csv_path, extra=["--sample-users", "40"])
-        stats = json.loads((tmp_path / "stats.json").read_text())
-        assert stats["n_users"] <= 40
+        store = json.loads((tmp_path / "store.json").read_text())
+        assert len(store["users"]) <= 40
 
     @pytest.mark.parametrize("extra, digests", [
-        (["--sample-users", "40"],
-         ("9663aab8cffedff3", "d6d82d68484a5719", "6fb42456e097514d")),
-        (["--sample-users", "40", "--seed", "5"],
-         ("14a58ec8ee05c7e8", "0e7635be2e2a9515", "c2900fb345f8ad97")),
+        (["--sample-users", "40"], ("22985718421b140c",)),
+        (["--sample-users", "40", "--seed", "5"], ("350d9e6a73e981eb",)),
     ])
     def test_sample_users_artifacts_are_pinned(self, tmp_path, csv_path, extra, digests):
-        # sha256 prefixes of the artifacts the row-wise prepare wrote for this
-        # log; the columnar prepare must reproduce them byte for byte
+        # sha256 prefix of this log's store.json; but for its lineage id it is
+        # the store the row-wise prepare wrote, byte for byte
         assert _prepare(tmp_path, csv_path, extra=extra) == 0
-        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
-                     for name in ("store.json", "segmentation.json", "stats.json")) == digests
+        assert (hashlib.sha256((tmp_path / "store.json").read_bytes()).hexdigest()[:16],) \
+            == digests
 
     def test_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
         # numerically equal ids once took their order from set iteration
@@ -155,8 +152,7 @@ class TestPrepare:
                             str(csv), "--out-dir", str(out), "--k-core", "1"],
                            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
                            check=True, capture_output=True, timeout=120)
-            outputs.add(tuple((out / name).read_bytes()
-                              for name in ("store.json", "segmentation.json", "stats.json")))
+            outputs.add((out / "store.json").read_bytes())
         assert len(outputs) == 1
 
 
@@ -182,7 +178,8 @@ class TestCandidates:
             r"solver branches=\{'capped': \d+, 'uncapped': \d+\}; lineage=\S+", line)
         assert match, line
         # per owner segment: tail members over all members, pooled over its sets
-        store, seg, _ = cli._load_prepared(tmp_path)
+        store, _ = cli._load_prepared(tmp_path)
+        seg = corpus.segment(store)
         cands, _ = serialize.load(tmp_path / "candidates.json", simcand.CANDIDATES_SCHEMA,
                                   simcand.CandidateSets.from_fields)
         pooled = {True: [0, 0], False: [0, 0]}
@@ -261,9 +258,9 @@ class TestTrainEvaluate:
     def test_evaluate_refuses_foreign_checkpoint(self, tmp_path, csv_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         _prepare(a, csv_path)
-        # same corpus, different prepare config -> different lineage id but
+        # same corpus, different prepare seed -> different lineage id but
         # an identical item universe
-        _prepare(b, csv_path, extra=["--beta", "0.4"])
+        _prepare(b, csv_path, extra=["--seed", "3"])
         main(["candidates", "--out-dir", str(a), "--k", "5"])
         main(["train", "--out-dir", str(a), "--mode", "augmented", "--seed", "9",
               *FAST_TRAIN])
@@ -273,6 +270,21 @@ class TestTrainEvaluate:
         assert "lineage" in capsys.readouterr().err
         assert main(["evaluate", "--out-dir", str(b), "--checkpoint", str(ckpt),
                      "--force"]) == 0
+
+    def test_beta_sweep_reuses_prepare_and_candidates(self, pipeline_dir, tmp_path):
+        # beta is a train key: sweeping it leaves the store and candidates valid
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        upstream = {name: (out / name).read_bytes() for name in ("store.json", "candidates.json")}
+        params = []
+        for beta in ("0.05", "0.95"):
+            assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN,
+                         "--beta", beta]) == 0
+            sections, meta = serialize.read_blob(out / CHECKPOINT)
+            assert meta["config"]["augment.beta"] == float(beta)
+            params.append(sections)
+        assert {name: (out / name).read_bytes() for name in upstream} == upstream
+        assert any(not np.array_equal(params[0][k], params[1][k]) for k in params[0])
 
     def test_seed_sweep_writes_mean_report(self, tmp_path, csv_path, capsys):
         _prepare(tmp_path, csv_path)
@@ -391,8 +403,8 @@ class TestTrainEvaluate:
                      "--seed", "4"]) == 0
         report = json.loads(
             (tmp_path / "checkpoint_baseline_seed4_report_test.json").read_text())
-        stats = json.loads((tmp_path / "stats.json").read_text())
-        chance = 10 / stats["n_items"]
+        store = json.loads((tmp_path / "store.json").read_text())
+        chance = 10 / len(store["items"])
         assert report["segments"]["overall"]["hit@10"] <= 5 * chance
 
 
@@ -504,6 +516,16 @@ class TestConfigFile:
         assert cfg["corpus.k_core"] == 4 and cfg["eval.ks"] == [5, 10]
         assert cfg["train.batch_size"] == 16 and type(cfg["train.batch_size"]) is int
 
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    def test_old_corpus_beta_key_is_config_error(self, command, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("corpus.beta = 0.4\n")
+        extra = ["--input", "missing.csv"] if command == "prepare" else []
+        assert main([command, "--out-dir", str(tmp_path / "none"), "--config", str(config),
+                     *extra]) == 2
+        assert "'corpus.beta'" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("corpus.bogus = 1\n")
@@ -533,7 +555,7 @@ class TestConfigFile:
         assert 0.1 <= DEFAULTS["augment.a"] <= 0.3
         assert 0.5 <= DEFAULTS["augment.b"] <= 0.8
         assert 0.1 <= DEFAULTS["augment.alpha"] <= 0.5
-        assert 0.4 <= DEFAULTS["corpus.beta"] <= 0.6
+        assert 0.4 <= DEFAULTS["augment.beta"] <= 0.6
 
     @pytest.mark.parametrize("key", [k for k in DEFAULTS if k != "seed"])
     def test_every_key_has_a_flag(self, key, tmp_path, monkeypatch):
@@ -618,10 +640,16 @@ def pipeline_dir(tmp_path_factory, csv_path):
 CHECKPOINT = "checkpoint_augmented_seed1.bin"
 REPORT = "checkpoint_augmented_seed1_report_test.json"
 
+
+def test_pipeline_leaves_only_what_is_read_or_reported(pipeline_dir):
+    # an artifact that no command reads must not quietly come back
+    assert sorted(p.name for p in pipeline_dir.iterdir()) == sorted([
+        "store.json", "candidates.json", CHECKPOINT, "losses_augmented_seed1.jsonl",
+        REPORT, REPORT.replace(".json", ".txt")])
+
 # artifact -> (the command that reads it, a required JSON field or blob section)
 ARTIFACTS = {
     "store.json": (["candidates", "--k", "5"], "sequences"),
-    "segmentation.json": (["candidates", "--k", "5"], "head_items"),
     "candidates.json": (["train", "--seed", "1", *FAST_TRAIN], "cc"),
     CHECKPOINT: (["evaluate", "--seed", "1"], "param/item_embeddings"),
     REPORT: (["report"], "segments"),
@@ -674,19 +702,6 @@ def _drop_lineage(path, key):
 
 CORRUPTIONS = {"truncate": _truncate, "garbage-head": _garbage_head,
                "drop-field": _drop_field, "drop-lineage": _drop_lineage}
-
-
-def _item_in_both_users_in_neither(doc):
-    doc["tail_items"].append(doc["head_items"][0])
-    del doc["tail_users"][:5]
-
-
-def _one_item_fewer(doc):
-    """A partition of the items but the last, sized for one item fewer than the store."""
-    n = doc["n_items"]
-    for name in ("head_items", "tail_items"):
-        doc[name] = [v for v in doc[name] if v != n]
-    doc["n_items"] = n - 1
 
 
 class TestFaultInjection:
@@ -801,45 +816,40 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("edit", [_item_in_both_users_in_neither, _one_item_fewer],
-                             ids=["item-in-both-users-in-neither", "fewer-items-than-store"])
-    def test_segmentation_that_is_not_a_partition_is_data_error(
-            self, edit, pipeline_dir, tmp_path, capsys):
-        out = tmp_path / "run"
-        shutil.copytree(pipeline_dir, out)
-        _edit_envelope(out / "segmentation.json", edit)
-        capsys.readouterr()
-        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and "Traceback" not in err
-
-    @pytest.mark.parametrize("beta", [float("nan"), 7.0], ids=["nan", "above-one"])
-    def test_segmentation_beta_out_of_range_is_data_error(self, beta, pipeline_dir,
-                                                          tmp_path, capsys):
-        out = tmp_path / "run"
-        shutil.copytree(pipeline_dir, out)
-        _edit_envelope(out / "segmentation.json", lambda doc: doc.update({"beta": beta}))
-        capsys.readouterr()
-        assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and "beta" in err and "Traceback" not in err
-
     def test_store_with_a_user_past_its_sequences_is_data_error(self, pipeline_dir,
                                                                  tmp_path, capsys):
-        # the segmentation is edited to match, so only the store's own check can catch it
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
         _edit_envelope(out / "store.json", lambda doc: doc["users"].append("u-extra"))
-
-        def one_more_user(doc):
-            doc["tail_users"].append(doc["n_users"])
-            doc["n_users"] += 1
-
-        _edit_envelope(out / "segmentation.json", one_more_user)
         capsys.readouterr()
         assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_stale_segmentation_and_stats_are_ignored(self, pipeline_dir, tmp_path):
+        # an out-dir of an older version holds these two; an edited segmentation
+        # once steered train and evaluate
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        store, lineage = serialize.load(out / "store.json", corpus.STORE_SCHEMA,
+                                        corpus.SequenceStore.from_fields)
+        seg = corpus.segment(store)
+        moved = sorted(seg.head_items)[:10]
+        serialize.save(out / "segmentation.json", "tailaug.segmentation.v1", {
+            "beta": 0.5, "n_users": store.n_users, "n_items": store.n_items,
+            "head_users": sorted(seg.head_users), "tail_users": sorted(seg.tail_users),
+            "head_items": sorted(seg.head_items - set(moved)),
+            "tail_items": sorted(seg.tail_items | set(moved))}, lineage)
+        serialize.save(out / "stats.json", "tailaug.dataset_stats.v1",
+                       {"n_users": 1, "n_items": 1, "n_interactions": 1,
+                        "avg_length": 1.0, "sparsity": 0.0}, lineage)
+        for name in ("candidates.json", CHECKPOINT, REPORT):
+            (out / name).unlink()
+        assert main(["candidates", "--out-dir", str(out), "--k", "5"]) == 0
+        assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN]) == 0
+        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 0
+        for path in pipeline_dir.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_nan_embedding_is_refused_not_scored(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
