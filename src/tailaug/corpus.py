@@ -6,6 +6,10 @@ columnar :class:`InteractionLog`: int64 user and item codes and int64
 timestamps in file row order, plus the raw-id vocabularies the codes index.
 The result is a :class:`SequenceStore` (per-user chronological item
 sequences with split markers), the one persisted artifact of this module.
+The store is columnar as well: one int64 item array holds every sequence
+back to back, cut by row offsets, so the steps that read every user work
+on that array and one user's prefix or target is a slice or a lookup.
+Its ``store.json`` form is unchanged: one JSON list of item ids per user.
 :func:`segment` derives a :class:`Segmentation` (head/tail membership for
 users and items) from a split store; it is a pure function of the store,
 so every command that needs it recomputes it instead of reading it back.
@@ -148,15 +152,20 @@ class SequenceStore:
 
     Internal user index = position in ``user_ids``.  Internal item id =
     position in ``item_ids`` + 1; id 0 is reserved for padding and never
-    denotes a real item.  After ``leave_one_out_split`` the last item of
-    every sequence is the test target and the second-to-last the
-    validation target; everything before is the training prefix.
+    denotes a real item.  User ``u``'s sequence is the slice
+    ``items[offsets[u]:offsets[u + 1]]`` of one int64 array.  After
+    ``leave_one_out_split`` the last item of every sequence is the test
+    target and the second-to-last the validation target; everything
+    before is the training prefix.  ``sequences`` gives per-user views for
+    readers of one user at a time, such as the acceptance gate; on disk
+    (``to_fields``) each sequence is still its own JSON list.
     """
 
     max_len: int
     user_ids: list[str]
     item_ids: list[str]
-    sequences: list[np.ndarray]
+    items: np.ndarray
+    offsets: np.ndarray
     split: bool = False
 
     @property
@@ -167,21 +176,35 @@ class SequenceStore:
     def n_items(self) -> int:
         return len(self.item_ids)
 
+    @property
+    def sequences(self) -> list[np.ndarray]:
+        """Each user's sequence as a read-only view of ``items``."""
+        view = self.items.view()
+        view.flags.writeable = False
+        return id_rows(view, self.offsets)
+
     def _require_split(self):
         if not self.split:
             raise DataError("sequence store has no split markers; run leave_one_out_split first")
 
     def train_prefix(self, u: int) -> np.ndarray:
         self._require_split()
-        return self.sequences[u][:-2]
+        return self.items[self.offsets[u]:self.offsets[u + 1] - 2]
 
     def valid_item(self, u: int) -> int:
         self._require_split()
-        return int(self.sequences[u][-2])
+        return int(self.items[self.offsets[u + 1] - 2])
 
     def test_item(self, u: int) -> int:
         self._require_split()
-        return int(self.sequences[u][-1])
+        return int(self.items[self.offsets[u + 1] - 1])
+
+    def train_prefixes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every training prefix back to back in user order, and their lengths."""
+        self._require_split()
+        keep = np.ones(len(self.items), dtype=bool)
+        keep[self.offsets[1:] - 1] = keep[self.offsets[1:] - 2] = False
+        return self.items[keep], np.diff(self.offsets) - 2
 
     def to_fields(self) -> dict:
         return {
@@ -189,28 +212,25 @@ class SequenceStore:
             "split": self.split,
             "users": self.user_ids,
             "items": self.item_ids,
-            "sequences": [seq.tolist() for seq in self.sequences],
+            "sequences": id_rows(self.items.tolist(), self.offsets),
         }
 
     @classmethod
     def from_fields(cls, d: dict) -> "SequenceStore":
         """Decode and check: one sequence per user, integer item ids in
         ``1..len(items)``, lengths up to ``max_len``."""
+        items, offsets = ragged_ids(d["sequences"], len(d["items"]), "sequences")
         store = cls(
-            max_len=int(d["max_len"]),
+            max_len=json_value(d, "max_len", int),
             user_ids=list(d["users"]),
             item_ids=list(d["items"]),
-            sequences=[integer_ids(s) for s in d["sequences"]],
-            split=bool(d["split"]),
+            items=items, offsets=offsets,
+            split=json_value(d, "split", bool),
         )
-        if store.n_users != len(store.sequences):
+        if store.n_users != len(offsets) - 1:
             raise ValueError(f"store lists {store.n_users} users and "
-                             f"{len(store.sequences)} sequences")
-        lengths = np.fromiter(map(len, store.sequences), np.int64, len(store.sequences))
-        ids = np.concatenate([np.zeros(0, np.int64), *store.sequences])
-        n = store.n_items
-        if np.any((ids < 1) | (ids > n)):
-            raise ValueError(f"sequences must hold item ids in 1..{n}")
+                             f"{len(offsets) - 1} sequences")
+        lengths = np.diff(offsets)
         if np.any(lengths > store.max_len):
             raise ValueError(f"sequences must be at most max_len={store.max_len} long")
         if store.split and np.any(lengths < 3):
@@ -218,10 +238,30 @@ class SequenceStore:
         return store
 
 
-def integer_ids(values) -> np.ndarray:
-    """``values`` as int64; a TypeError for non-integers, which int64 would truncate."""
-    ids = np.asarray(values)
-    return ids.astype(np.int64, casting="safe" if ids.size else "unsafe", copy=False)
+def id_rows(flat, offsets: np.ndarray) -> list:
+    """``flat`` cut at ``offsets``: row ``r`` is ``flat[offsets[r]:offsets[r + 1]]``."""
+    return [flat[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+
+
+def json_value(d: dict, key: str, kind: type):
+    """``d[key]``, which must be a JSON value of type ``kind``; a boolean is no ``int``."""
+    if type(d[key]) is not kind:
+        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {d[key]!r}")
+    return d[key]
+
+
+def ragged_ids(rows, high: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """JSON lists of integer item ids in ``1..high`` as one int64 array and its row offsets."""
+    offsets = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+    flat = [v for row in rows for v in row]
+    kinds = set(map(type, flat)) - {int}
+    if kinds:
+        raise TypeError(f"{name} holds {sorted(k.__name__ for k in kinds)}, not only integers")
+    # a safe cast refuses the object or uint64 array of ints past int64
+    ids = np.asarray(flat).astype(np.int64, casting="safe" if flat else "unsafe")
+    if np.any((ids < 1) | (ids > high)):
+        raise ValueError(f"{name} must hold item ids in 1..{high}")
+    return ids, offsets
 
 
 def build_sequences(log: InteractionLog, max_len: int) -> SequenceStore:
@@ -238,22 +278,22 @@ def build_sequences(log: InteractionLog, max_len: int) -> SequenceStore:
     users = user_rank[log.users]
     # lexsort is stable: rows equal in every key keep their input order
     order = np.lexsort((item_rank[log.items], log.timestamps, users))
-    items = item_rank[log.items[order]] + 1
     counts = np.bincount(users, minlength=len(user_ids))
-    ends, lengths = np.cumsum(counts), np.minimum(counts, max_len)
-    sequences = [items[end - n:end] for end, n in zip(ends.tolist(), lengths.tolist())]
+    # each row's place counted back from its user's last row, which is 1
+    from_end = np.repeat(np.cumsum(counts), counts) - np.arange(len(order))
+    items = item_rank[log.items[order[from_end <= max_len]]] + 1
+    offsets = np.concatenate([[0], np.cumsum(np.minimum(counts, max_len))])
     return SequenceStore(max_len=max_len, user_ids=user_ids, item_ids=item_ids,
-                         sequences=sequences)
+                         items=items, offsets=offsets)
 
 
 def leave_one_out_split(store: SequenceStore) -> SequenceStore:
     """Mark the last item of each sequence as test, the one before as valid."""
-    for u, seq in enumerate(store.sequences):
-        if len(seq) < 3:
-            raise DataError(
-                f"user {store.user_ids[u]!r} has only {len(seq)} interactions; "
-                "need >= 3 for a leave-one-out split"
-            )
+    lengths = np.diff(store.offsets)
+    if np.any(lengths < 3):
+        u = int(np.argmax(lengths < 3))
+        raise DataError(f"user {store.user_ids[u]!r} has only {lengths[u]} interactions; "
+                        "need >= 3 for a leave-one-out split")
     return replace(store, split=True)
 
 
@@ -299,11 +339,8 @@ def segment(store: SequenceStore, beta: float = 0.5) -> Segmentation:
     admitted in ascending internal-id order.  ``beta`` does not move the
     cut; it is only carried to :func:`preference_classes`.
     """
-    store._require_split()
-    prefixes = [s[:-2] for s in store.sequences]
-    user_len = np.fromiter(map(len, prefixes), np.int64, store.n_users)
-    item_count = np.bincount(np.concatenate([np.zeros(0, np.int64), *prefixes]),
-                             minlength=store.n_items + 1)
+    items, user_len = store.train_prefixes()
+    item_count = np.bincount(items, minlength=store.n_items + 1)
 
     head_users = _head_cut(user_len)
     head_items = frozenset(v + 1 for v in _head_cut(item_count[1:]))
@@ -347,7 +384,7 @@ class DatasetStats:
 
 def dataset_stats(store: SequenceStore) -> DatasetStats:
     """Counts and sparsity over the full (pre-split) sequences."""
-    n_inter = int(sum(len(s) for s in store.sequences))
+    n_inter = len(store.items)
     n_u, n_v = store.n_users, store.n_items
     if n_u == 0 or n_v == 0:
         return DatasetStats(n_u, n_v, 0, 0.0, 0.0)

@@ -38,20 +38,6 @@ class RankingResult:
     rank: int
 
 
-def _phase_input(store: SequenceStore, u: int, phase: str) -> np.ndarray:
-    if phase == "valid":
-        seq = store.train_prefix(u)
-    elif phase == "test":
-        seq = np.concatenate([store.train_prefix(u), [store.valid_item(u)]])
-    else:
-        raise ValueError(f"phase must be 'valid' or 'test', got {phase!r}")
-    return seq[-store.max_len:]
-
-
-def _phase_target(store: SequenceStore, u: int, phase: str) -> int:
-    return store.valid_item(u) if phase == "valid" else store.test_item(u)
-
-
 def rank_of_target(scores: np.ndarray, target) -> np.ndarray:
     """1-based pessimistic rank along the last axis: the target sorts after equal scores.
 
@@ -70,12 +56,18 @@ def _score_blocks(model: ModelState, store: SequenceStore, phase: str,
     same (optionally seen-filtered) scores.  Top lists order by score
     descending, then id ascending on ties.
     """
+    if phase not in ("valid", "test"):
+        raise ValueError(f"phase must be 'valid' or 'test', got {phase!r}")
+    store._require_split()
+    # a user's input: every item before its target, at most max_len - 1 of them
+    ends = store.offsets[1:] - (2 if phase == "valid" else 1)
+    firsts, lasts = store.offsets[:-1].tolist(), ends.tolist()
     item_emb = model.embeddings[1:]  # padding row excluded from ranking
     take = min(depth, len(item_emb))
     for start in range(0, store.n_users, _EVAL_BATCH):
         chunk = range(start, min(start + _EVAL_BATCH, store.n_users))
-        seqs = [_phase_input(store, u, phase) for u in chunk]
-        targets = np.array([_phase_target(store, u, phase) for u in chunk])
+        seqs = [store.items[a:b] for a, b in zip(firsts[start:chunk.stop], lasts[start:chunk.stop])]
+        targets = store.items[ends[start:chunk.stop]]
         h = encode_batch(model, seqs)[0]  # unbound, the backward cache is freed here
         scores = h @ item_emb.T
         if not np.all(np.isfinite(scores)):

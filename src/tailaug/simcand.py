@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import Segmentation, SequenceStore, integer_ids
+from .corpus import Segmentation, SequenceStore, id_rows, json_value, ragged_ids
 from .errors import DataError, NumericError, finite_positive
 
 CANDIDATES_SCHEMA = "tailaug.candidate_sets.v1"
@@ -67,14 +67,7 @@ def _pair_keys(owner: np.ndarray, member: np.ndarray, n: int) -> np.ndarray:
 
 def _split_by_owner(owner: np.ndarray, member: np.ndarray, n: int) -> list[np.ndarray]:
     """Per item ``1..n``, its members in array order; ``owner`` is sorted."""
-    counts = np.bincount(owner, minlength=n + 1)[1:]
-    return np.split(member, np.cumsum(counts)[:-1])
-
-
-def _train_prefixes(store: SequenceStore) -> tuple[np.ndarray, np.ndarray]:
-    """Every user's training prefix concatenated in user order, and their lengths."""
-    store._require_split()
-    return _concat([store.train_prefix(u) for u in range(store.n_users)])
+    return id_rows(member, np.searchsorted(owner, np.arange(1, n + 2)))
 
 
 def build_interaction_matrix(store: SequenceStore) -> scipy.sparse.csr_matrix:
@@ -85,7 +78,7 @@ def build_interaction_matrix(store: SequenceStore) -> scipy.sparse.csr_matrix:
     """
     import scipy.sparse
 
-    items, lengths = _train_prefixes(store)
+    items, lengths = store.train_prefixes()
     rows = np.repeat(np.arange(store.n_users), lengths)
     X = scipy.sparse.csr_matrix((np.ones(len(items)), (rows, items - 1)),
                                 shape=(store.n_users, store.n_items))
@@ -221,7 +214,7 @@ def build_cooccurrence(store: SequenceStore, segmentation: Segmentation) -> list
     are the behaviours that lead to the tail item).  Returned in ascending
     id order, indexed by internal id - 1.
     """
-    items, lengths = _train_prefixes(store)
+    items, lengths = store.train_prefixes()
     user = np.repeat(np.arange(store.n_users), lengths)
     inside = user[:-1] == user[1:]
     a, b = items[:-1][inside], items[1:][inside]  # adjacent pairs within a prefix
@@ -270,14 +263,12 @@ class CandidateSets:
     @classmethod
     def from_fields(cls, d: dict) -> "CandidateSets":
         """Decode and check: three lists of integer ids in ``1..len(c)``."""
-        lists = {name: [integer_ids(a) for a in d[name]]
-                 for name in ("cr", "cc", "c")}
-        n = len(lists["c"])
-        for name, arrays in lists.items():
-            members = _concat(arrays)[0]
-            if len(arrays) != n or np.any((members < 1) | (members > n)):
-                raise ValueError(f"{name} must hold {n} lists of item ids in 1..{n}")
-        return cls(k=int(d["k"]), **lists)
+        n = len(d["c"])
+        lists = {name: ragged_ids(d[name], n, name) for name in ("cr", "cc", "c")}
+        if any(len(offsets) != n + 1 for _, offsets in lists.values()):
+            raise ValueError(f"cr, cc and c must each hold {n} lists")
+        return cls(k=json_value(d, "k", int),
+                   **{name: id_rows(*flat) for name, flat in lists.items()})
 
 
 def union_candidates(cr: list[np.ndarray], cc: list[np.ndarray], k: int) -> CandidateSets:

@@ -121,14 +121,14 @@ class Batch:
         return len(self.users)
 
 
-def _owned_keys(trains: list[np.ndarray], n_items: int) -> np.ndarray:
-    """Sorted ``user * (n_items + 1) + item`` keys of every training interaction."""
-    users = np.repeat(np.arange(len(trains)), [len(t) for t in trains])
-    return np.unique(users * (n_items + 1) + np.concatenate(trains))
+def _owned_keys(ids: np.ndarray, lengths: np.ndarray, n_items: int) -> np.ndarray:
+    """Sorted ``user * (n_items + 1) + item`` keys of the prefixes ``ids`` (back to back)."""
+    users = np.repeat(np.arange(len(lengths)), lengths)
+    return np.unique(users * (n_items + 1) + ids)
 
 
-def _epoch_batches(trains: list[np.ndarray], owned: np.ndarray, eligible: np.ndarray,
-                   n_items: int, seed: int, epoch: int, batch_size: int):
+def _epoch_batches(ids: np.ndarray, lengths: np.ndarray, owned: np.ndarray,
+                   eligible: np.ndarray, n_items: int, seed: int, epoch: int, batch_size: int):
     """One epoch's batches; every per-user draw is indexed by user, not by batch.
 
     Each user's prefix end comes from one array draw per epoch, and its
@@ -138,25 +138,24 @@ def _epoch_batches(trains: list[np.ndarray], owned: np.ndarray, eligible: np.nda
     items, drawn from the same stream after the block, in the order of
     ``eligible`` (ascending user ids).
     """
-    n_users = len(trains)
-    highs = np.maximum([len(t) for t in trains], 2)
-    ends = derive_rng(seed, PREFIX, epoch).integers(1, highs).tolist()
+    n_users = len(lengths)
+    starts = np.cumsum(lengths) - lengths
+    ends = starts + derive_rng(seed, PREFIX, epoch).integers(1, np.maximum(lengths, 2))
     rng = derive_rng(seed, NEGATIVE, epoch)
     proposals = rng.integers(1, n_items + 1, size=(n_users, NEGATIVE_BLOCK))
     keys = np.arange(n_users)[:, np.newaxis] * (n_items + 1) + proposals
     free = owned[np.minimum(np.searchsorted(owned, keys), len(owned) - 1)] != keys
     negatives = proposals[np.arange(n_users), free.argmax(axis=1)]
     for u in eligible[~free[eligible].any(axis=1)].tolist():
-        unowned = np.setdiff1d(np.arange(1, n_items + 1), trains[u])
+        unowned = np.setdiff1d(np.arange(1, n_items + 1), ids[starts[u]:starts[u] + lengths[u]])
         if len(unowned) == 0:
             raise DataError(f"user {u} interacted with every item; no negative exists")
         negatives[u] = unowned[rng.integers(len(unowned))]
     order = eligible[derive_rng(seed, SHUFFLE, epoch).permutation(len(eligible))]
     for start in range(0, len(order), batch_size):
         users = order[start:start + batch_size]
-        prefixes = [trains[u][:ends[u]] for u in users.tolist()]
-        targets = np.asarray([trains[u][ends[u]] for u in users.tolist()], dtype=np.int64)
-        yield Batch(users=users, prefixes=prefixes, targets=targets,
+        prefixes = [ids[a:b] for a, b in zip(starts[users].tolist(), ends[users].tolist())]
+        yield Batch(users=users, prefixes=prefixes, targets=ids[ends[users]],
                     negatives=negatives[users])
 
 
@@ -261,18 +260,16 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
                 op_config: OperatorConfig | None = None,
                 adam: AdamState | None = None, validator=None, trace=None):
     """Train the global epoch indices ``epochs``; stage 2 iff ``op_config`` is given."""
-    store._require_split()
+    ids, lengths = store.train_prefixes()
     if op_config is not None and (segmentation is None or candidates is None):
         raise ValueError("augmentation losses need segmentation and candidates")
-    trains = [store.train_prefix(u) for u in range(store.n_users)]
-    eligible = np.flatnonzero([len(t) >= 2 for t in trains])
+    eligible = np.flatnonzero(lengths >= 2)
     if len(eligible) == 0:
         raise DataError("no user has a training prefix of length >= 2")
-    owned = _owned_keys(trains, store.n_items)
-    lengths = np.fromiter(map(len, trains), np.int64, len(trains))
+    owned = _owned_keys(ids, lengths, store.n_items)
     starts = np.cumsum(lengths) - lengths
     if op_config is not None:
-        classes = preference_classes(np.concatenate(trains), lengths, segmentation)
+        classes = preference_classes(ids, lengths, segmentation)
 
     if adam is None:
         adam = init_adam(model.params)
@@ -284,10 +281,10 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
         draws = None
         if op_config is not None and config.enable_operator_loss:
             rng = derive_rng(config.seed, AUGMENT, e)
-            op_u = rng.random(len(trains))
-            draws = (op_u, *draw_uniforms(rng, len(trains), lengths.sum(), op_config),
-                     rng.beta(op_config.alpha, op_config.alpha, len(trains)))
-        for step, batch in enumerate(_epoch_batches(trains, owned, eligible, store.n_items,
+            op_u = rng.random(store.n_users)
+            draws = (op_u, *draw_uniforms(rng, store.n_users, lengths.sum(), op_config),
+                     rng.beta(op_config.alpha, op_config.alpha, store.n_users))
+        for step, batch in enumerate(_epoch_batches(ids, lengths, owned, eligible, store.n_items,
                                                     config.seed, e, config.batch_size)):
             samples = op_lams = plan = None
             if op_config is not None:

@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tailaug import corpus, simcand, synth
 from tailaug.augment import CrossPlan
@@ -38,6 +39,33 @@ def store_from_sequences(user_items: dict, max_len: int = 50, split: bool = True
             log.append(Interaction(str(user), str(item), t))
     store = corpus.build_sequences(log_from_rows(log), max_len)
     return corpus.leave_one_out_split(store) if split else store
+
+
+def store_from_rows(rows, *, max_len: int, user_ids, item_ids, split: bool):
+    """A store holding ``rows`` (lists of internal item ids), one row per user."""
+    lengths = [len(row) for row in rows]
+    items = np.concatenate([np.zeros(0, np.int64), *map(np.asarray, rows)]).astype(np.int64)
+    return corpus.SequenceStore(max_len=max_len, user_ids=list(user_ids),
+                                item_ids=list(item_ids), items=items,
+                                offsets=np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
+                                split=split)
+
+
+@st.composite
+def ragged_rows(draw, min_users: int = 0, min_items: int = 1):
+    """``(rows, n_items, max_len)``: up to 8 rows of 3 to ``max_len`` item ids each."""
+    n_items = draw(st.integers(min_items, 6))
+    max_len = draw(st.integers(3, 7))
+    rows = draw(st.lists(st.lists(st.integers(1, n_items), min_size=3, max_size=max_len),
+                         min_size=min_users, max_size=8))
+    return rows, n_items, max_len
+
+
+def decoded_store(rows, n_items: int, max_len: int):
+    """The split store of ``rows``, decoded from JSON fields as ``store.json`` is."""
+    return corpus.SequenceStore.from_fields({
+        "max_len": max_len, "split": True, "users": [f"u{u}" for u in range(len(rows))],
+        "items": [f"i{v}" for v in range(n_items)], "sequences": rows})
 
 
 def segmentation_with_heads(store, head_items, head_users=(), beta=0.5):

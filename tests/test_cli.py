@@ -786,8 +786,12 @@ class TestFaultInjection:
         lambda doc: doc["cr"][0].append(len(doc["c"]) + 1),
         lambda doc: doc["cc"].pop(),
         lambda doc: doc["c"][0].__setitem__(0, doc["c"][0][0] + 0.5),
+        lambda doc: doc["c"][1].append(True),
+        lambda doc: doc.update({"k": doc["k"] + 0.5}),
+        lambda doc: doc.update({"k": True}),
     ], ids=["padding-id-in-c", "id-past-catalog-in-c", "negative-id-in-c",
-            "id-past-catalog-in-cr", "short-cc", "non-integral-id-in-c"])
+            "id-past-catalog-in-cr", "short-cc", "non-integral-id-in-c", "bool-id",
+            "fractional-k", "bool-k"])
     def test_out_of_range_candidate_is_data_error(self, edit, pipeline_dir, tmp_path,
                                                   capsys):
         out = tmp_path / "run"
@@ -805,8 +809,13 @@ class TestFaultInjection:
         lambda doc: doc["sequences"][0].extend([1] * doc["max_len"]),
         lambda doc: doc["sequences"][0].__delitem__(slice(2, None)),
         lambda doc: doc["sequences"][0].__setitem__(-1, doc["sequences"][0][-1] + 0.5),
+        lambda doc: doc["sequences"][0].__setitem__(-1, True),
+        lambda doc: doc.update({"max_len": doc["max_len"] + 0.9}),
+        lambda doc: doc.update({"split": "false"}),
+        lambda doc: doc.update({"split": 1}),
     ], ids=["padding-id-target", "id-past-catalog", "negative-id", "longer-than-max-len",
-            "split-shorter-than-3", "non-integral-target"])
+            "split-shorter-than-3", "non-integral-target", "bool-id", "fractional-max-len",
+            "string-split", "integer-split"])
     def test_out_of_range_store_is_data_error(self, edit, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)

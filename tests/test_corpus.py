@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailaug import corpus, serialize
@@ -12,8 +12,8 @@ from tailaug.corpus import (PreferenceClass, build_sequences, classify_sequence,
                             load_interactions, segment)
 from tailaug.errors import DataError
 
-from conftest import (Interaction, log_from_rows, log_rows, segmentation_with_heads,
-                      store_from_sequences)
+from conftest import (Interaction, decoded_store, log_from_rows, log_rows, ragged_rows,
+                      segmentation_with_heads, store_from_rows, store_from_sequences)
 
 
 class TestLoadInteractions:
@@ -351,8 +351,8 @@ def _ref_build_sequences(rows, max_len):
     item_index = {raw: i + 1 for i, raw in enumerate(item_ids)}
     sequences = [np.asarray([item_index[raw] for *_, raw in sorted(per_user[u])][-max_len:],
                             dtype=np.int64) for u in user_ids]
-    return corpus.SequenceStore(max_len=max_len, user_ids=user_ids, item_ids=item_ids,
-                                sequences=sequences)
+    return store_from_rows(sequences, max_len=max_len, user_ids=user_ids, item_ids=item_ids,
+                           split=False)
 
 
 def _ref_segment(store, beta=0.5):
@@ -420,6 +420,60 @@ class TestColumnarMatchesRowwise:
         assert log_rows(k_core_filter(log_from_rows([]), 3)) == []
         assert build_sequences(log_from_rows([]), 5).to_fields() == \
             _ref_build_sequences([], 5).to_fields()
+
+
+class TestFlatStoreMatchesRowwise:
+    """The columnar store read back row by row, against the rows it was built from."""
+
+    @given(ragged_rows())
+    @example(([], 1, 3))
+    @example(([[1, 2, 3], [3, 1, 2, 2, 3]], 3, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_accessors(self, case):
+        rows, n_items, max_len = case
+        store = decoded_store(rows, n_items, max_len)
+        assert store.items.dtype == store.offsets.dtype == np.int64
+        assert [s.tolist() for s in store.sequences] == rows
+        assert not any(s.flags.writeable for s in store.sequences)
+        for u, row in enumerate(rows):
+            assert store.train_prefix(u).tolist() == row[:-2]
+            assert (store.valid_item(u), store.test_item(u)) == (row[-2], row[-1])
+        ids, lengths = store.train_prefixes()
+        assert ids.tolist() == [v for row in rows for v in row[:-2]]
+        assert lengths.tolist() == [len(row) - 2 for row in rows]
+        assert store.to_fields()["sequences"] == rows
+        n = sum(map(len, rows))
+        n_u = len(rows)
+        assert dataset_stats(store) == (corpus.DatasetStats(
+            n_u, n_items, n, n / n_u, 1.0 - n / (n_u * n_items)) if n_u else
+            corpus.DatasetStats(0, n_items, 0, 0.0, 0.0))
+        helper = store_from_rows(rows, max_len=max_len, user_ids=store.user_ids,
+                                 item_ids=store.item_ids, split=True)
+        assert helper.to_fields() == store.to_fields()
+
+    @given(ragged_rows())
+    @example(([], 1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_fields_roundtrip(self, case):
+        store = decoded_store(*case)
+        back = corpus.SequenceStore.from_fields(store.to_fields())
+        assert back.to_fields() == store.to_fields()
+        np.testing.assert_array_equal(back.items, store.items)
+        np.testing.assert_array_equal(back.offsets, store.offsets)
+        assert (back.max_len, back.split) == (store.max_len, store.split)
+
+    @given(st.lists(st.lists(st.integers(1, 4), max_size=5), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_split_names_the_first_short_user(self, rows):
+        store = store_from_rows(rows, max_len=5, user_ids=[f"u{u}" for u in range(len(rows))],
+                                item_ids=["a", "b", "c", "d"], split=False)
+        short = [u for u, row in enumerate(rows) if len(row) < 3]
+        if not short:
+            assert leave_one_out_split(store).split
+            return
+        with pytest.raises(DataError, match=f"user 'u{short[0]}' has only "
+                                            f"{len(rows[short[0]])} interactions"):
+            leave_one_out_split(store)
 
 
 class TestRawIds:

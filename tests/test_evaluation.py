@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailaug import evaluation, serialize
@@ -14,8 +14,10 @@ from tailaug.evaluation import (REPORT_SCHEMA, MetricReport, RankingResult,
                                 validation_score)
 from tailaug.simcand import smallest_k
 
-from conftest import (bruteforce_tail_coverage, encode_one, segmentation_with_heads,
-                      store_from_sequences)
+from tailaug.corpus import segment
+
+from conftest import (bruteforce_tail_coverage, decoded_store, encode_one, ragged_rows,
+                      segmentation_with_heads, store_from_sequences)
 
 
 def rank_all(model, store, phase, filter_seen=False):
@@ -359,3 +361,39 @@ class TestEvaluateModel:
         results = rank_all(model, store, "valid")
         assert validation_score(model, store) == pytest.approx(
             ndcg_at_k(results, 10))
+
+
+class TestSlicedInputsMatchRowwise:
+    """Evaluation slices its inputs out of the flat store; the reference builds
+    them row by row, as ``bruteforce_tail_coverage`` does."""
+
+    @given(ragged_rows(min_users=1, min_items=2), st.sampled_from(["pooled", "gru"]))
+    @example(([[1, 2, 1, 2, 1], [2, 1, 2]], 2, 5), "gru")  # one row of exactly max_len
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_model(self, case, encoder):
+        store = decoded_store(*case)
+        seg = segment(store)
+        model = init_model(store.n_items, 4, seed=3, encoder=encoder)
+        ks = (1, 3)
+        seqs = [np.concatenate([store.train_prefix(u), [store.valid_item(u)]])[-store.max_len:]
+                for u in range(store.n_users)]
+        targets = [store.test_item(u) for u in range(store.n_users)]
+        ranks = rank_of_target(encode_batch(model, seqs)[0] @ model.embeddings[1:].T, targets)
+        results = [RankingResult(user=u, target=t, rank=int(r))
+                   for u, (t, r) in enumerate(zip(targets, ranks))]
+        tcov = {k: bruteforce_tail_coverage(model, store, seg, k) for k in ks}
+        assert evaluate_model(model, store, seg, ks=ks).to_fields() == \
+            segmented_report(results, seg, ks, tcov=tcov).to_fields()
+
+    @given(ragged_rows(min_users=1), st.sampled_from(["pooled", "gru"]))
+    @example(([[1, 2, 1, 2, 1], [2, 1, 2]], 2, 5), "pooled")
+    @settings(max_examples=60, deadline=None)
+    def test_validation_score(self, case, encoder):
+        store = decoded_store(*case)
+        model = init_model(store.n_items, 4, seed=3, encoder=encoder)
+        seqs = [store.train_prefix(u)[-store.max_len:] for u in range(store.n_users)]
+        targets = [store.valid_item(u) for u in range(store.n_users)]
+        ranks = rank_of_target(encode_batch(model, seqs)[0] @ model.embeddings[1:].T, targets)
+        results = [RankingResult(user=u, target=t, rank=int(r))
+                   for u, (t, r) in enumerate(zip(targets, ranks))]
+        assert validation_score(model, store) == ndcg_at_k(results, 10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from tailaug import corpus, serialize
+from tailaug import serialize
 from tailaug.errors import DataError, NumericError
 from tailaug.simcand import (CANDIDATES_SCHEMA, CandidateSets,
                              SimilarityMatrix, SolverConfig, build_candidates,
@@ -12,7 +12,7 @@ from tailaug.simcand import (CANDIDATES_SCHEMA, CandidateSets,
                              solve_similarity, top_k_correlation,
                              union_candidates)
 
-from conftest import segmentation_with_heads, store_from_sequences
+from conftest import segmentation_with_heads, store_from_rows, store_from_sequences
 
 
 def dense(rows, n_users, n_items):
@@ -96,9 +96,8 @@ def random_store(rng, n_users=80, n_items=12):
     longer training prefixes, with repeated (often adjacent) items."""
     seqs = [rng.integers(1, n_items + 1, size=int(rng.integers(2, 10)))
             for _ in range(n_users)]
-    return corpus.SequenceStore(
-        max_len=10, user_ids=[f"u{u}" for u in range(n_users)],
-        item_ids=[f"i{v}" for v in range(n_items)], sequences=seqs, split=True)
+    return store_from_rows(seqs, max_len=10, user_ids=[f"u{u}" for u in range(n_users)],
+                           item_ids=[f"i{v}" for v in range(n_items)], split=True)
 
 
 class TestInteractionMatrix:
@@ -112,9 +111,8 @@ class TestInteractionMatrix:
         np.testing.assert_array_equal(mat, expected)
 
     def test_empty_prefix_gives_zero_row(self):
-        store = corpus.SequenceStore(
-            max_len=10, user_ids=["u"], item_ids=["a", "b"],
-            sequences=[np.array([1, 2], dtype=np.int64)], split=True)
+        store = store_from_rows([[1, 2]], max_len=10, user_ids=["u"], item_ids=["a", "b"],
+                                split=True)
         mat = build_interaction_matrix(store).toarray()
         np.testing.assert_array_equal(mat, np.zeros((1, 2)))
 

@@ -66,11 +66,17 @@ class TestBCE:
         assert np.all(np.abs(np.diff(vals)) < 1.0)  # continuous, no jumps
 
 
+def flat_prefixes(trains):
+    """Training prefixes back to back as int64, and their lengths."""
+    lengths = np.array([len(t) for t in trains], dtype=np.int64)
+    return np.concatenate([np.zeros(0, np.int64), *map(np.asarray, trains)]), lengths
+
+
 def epoch_negatives(trains, n_items, seed=0, epoch=0):
     """Each eligible user's negative in one epoch of ``_epoch_batches``, by user id."""
-    trains = [np.asarray(t, dtype=np.int64) for t in trains]
-    eligible = np.flatnonzero([len(t) >= 2 for t in trains])
-    batches = training._epoch_batches(trains, training._owned_keys(trains, n_items),
+    ids, lengths = flat_prefixes(trains)
+    eligible = np.flatnonzero(lengths >= 2)
+    batches = training._epoch_batches(ids, lengths, training._owned_keys(ids, lengths, n_items),
                                       eligible, n_items, seed, epoch, len(trains))
     return {u: v for b in batches for u, v in zip(b.users.tolist(), b.negatives.tolist())}
 
@@ -674,10 +680,10 @@ class TestScheduleIndependence:
     def test_negatives_are_uniform_over_unowned_items(self, monkeypatch, block):
         # user 0 owns items 1..10 of 30; with a one-proposal block a third are fallbacks
         store = store_from_sequences({0: list(range(1, 13)), 1: list(range(11, 31))})
-        trains = [store.train_prefix(u) for u in range(2)]
-        owned = training._owned_keys(trains, 30)
+        ids, lengths = flat_prefixes([store.train_prefix(u) for u in range(2)])
+        owned = training._owned_keys(ids, lengths, 30)
         monkeypatch.setattr(training, "NEGATIVE_BLOCK", block)
-        draws = [int(next(training._epoch_batches(trains, owned, np.array([0]), 30, 1, e, 1))
+        draws = [int(next(training._epoch_batches(ids, lengths, owned, np.array([0]), 30, 1, e, 1))
                      .negatives[0]) for e in range(4000)]
         counts = np.bincount(draws, minlength=31)
         assert counts[:11].sum() == 0
