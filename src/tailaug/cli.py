@@ -126,8 +126,9 @@ def cmd_candidates(args) -> int:
 
     if store.n_items > WARN_ITEMS:
         print(f"warning: {store.n_items} items exceed {WARN_ITEMS}; the dense solve "
-              f"needs ~{16 * store.n_items ** 2 / 1e9:.1f} GB (about two n x n float64 "
-              "arrays at its peak). Consider preparing with corpus.sample_users at desk scale.",
+              f"needs ~{8 * store.n_items ** 2 / 1e9:.1f} GB (about two n x n float32 "
+              "arrays at its peak; twice that if the ridge forces the float64 solve). "
+              "Consider preparing with corpus.sample_users at desk scale.",
               file=sys.stderr)
 
     cands, sim = simcand.build_candidates(store, seg, solver_config(cfg), cfg["simcand.k"])
@@ -142,7 +143,8 @@ def cmd_candidates(args) -> int:
              / np.maximum(np.bincount(owner_head, minlength=2), 1))
     print(f"candidates for {store.n_items} items: mean |c_v|={np.mean(sizes):.1f} "
           f"min={min(sizes)} max={max(sizes)}; tail share of head/tail items' sets="
-          f"{share[1]:.3f}/{share[0]:.3f}; solver branches={sim.branch_counts}; "
+          f"{share[1]:.3f}/{share[0]:.3f}; solver branches={sim.branch_counts} "
+          f"precision={sim.values.dtype}; "
           f"lineage={cand_id}")
     return 0
 

@@ -17,8 +17,12 @@ the unconstrained ridge optimum already satisfies the cap.
 
 The inverse is computed in place in the Gram buffer (LAPACK ``potrf`` then
 ``potri``), its other triangle is mirrored and the gamma scaling applied in
-place, so the solve peaks at about two ``n x n`` float64 arrays: the dense
-Gram matrix and the sparse product it is densified from.
+place, so the solve peaks at about two ``n x n`` arrays of its dtype: the
+dense Gram matrix and the sparse product it is densified from.
+``build_candidates`` solves in float32 when the Gershgorin bound on the
+condition number of ``X^T X + ridge * I``, ``(max row sum + ridge) / ridge``,
+is below ``F32_COND_BOUND``, and in float64 otherwise; the gamma branch rule
+is evaluated in float64 either way.
 
 Candidate sets per item are the union of the top-K most similar items
 (correlation) and first-order neighbours from training sequences
@@ -39,6 +43,9 @@ from .corpus import Segmentation, SequenceStore, id_rows, json_value, ragged_ids
 from .errors import DataError, NumericError, finite_positive
 
 CANDIDATES_SCHEMA = "tailaug.candidate_sets.v1"
+# largest Gershgorin bound on cond(X^T X + ridge * I) that ``build_candidates``
+# solves in float32: up to ~1e5 the float32 solve stays within ~5e-6 of float64
+F32_COND_BOUND = 1e5
 
 
 @dataclass(frozen=True)
@@ -111,11 +118,11 @@ class SimilarityMatrix:
         return {"capped": capped, "uncapped": int(self.capped.size - capped)}
 
 
-def _gram(X: scipy.sparse.csr_matrix, ridge: float) -> np.ndarray:
-    """``X^T X + ridge * I`` as a dense C-ordered array."""
+def _gram(X: scipy.sparse.csr_matrix, ridge: float, dtype) -> np.ndarray:
+    """``X^T X + ridge * I`` as a dense C-ordered array of ``dtype``."""
     # the product is CSC: densified in F order it needs no sparse copy, and
     # its transpose view is the same symmetric matrix in C order
-    X = X.astype(np.float64, copy=False)
+    X = X.astype(dtype, copy=False)
     gram = (X.T @ X).toarray(order="F").T
     gram[np.diag_indices_from(gram)] += ridge
     return gram
@@ -134,37 +141,42 @@ def _mirror_upper(a: np.ndarray) -> None:
         diag[lower] = diag.T[lower]
 
 
-def solve_similarity(X: scipy.sparse.csr_matrix, config: SolverConfig) -> SimilarityMatrix:
+def solve_similarity(X: scipy.sparse.csr_matrix, config: SolverConfig,
+                     dtype=np.float64) -> SimilarityMatrix:
     """Closed-form solve of the diagonal-constrained ridge system.
 
     Inverts the Gram matrix plus ridge (SPD for any positive ridge) in
-    place through its Cholesky factor.  Raises NumericError on
-    factorization or inversion failure and on non-finite output.
+    place through its Cholesky factor, in ``dtype`` (float32 or float64).
+    Raises NumericError on factorization or inversion failure and on
+    non-finite output.
     """
     from scipy.linalg import lapack
 
     n_items = X.shape[1]
     if n_items < 1:
         raise DataError("interaction matrix has no items")
+    # looked up per call, so the error names the routine that ran
+    prefix = {"f": "s", "d": "d"}[np.dtype(dtype).char]
     # LAPACK reads the C-ordered symmetric Gram buffer as its F-ordered
     # transpose, so the lower triangle it writes is the upper triangle of P
-    factor, info = lapack.dpotrf(_gram(X, config.ridge_penalty).T,
-                                 lower=1, clean=0, overwrite_a=1)
+    factor, info = getattr(lapack, prefix + "potrf")(
+        _gram(X, config.ridge_penalty, dtype).T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
-        eigs = np.linalg.eigvalsh(_gram(X, config.ridge_penalty))  # the buffer is overwritten
+        # the buffer is overwritten; the Gram's entries are exact in float64
+        eigs = np.linalg.eigvalsh(_gram(X, config.ridge_penalty, np.float64))
         raise NumericError(
-            "SPD factorization of the Gram system failed "
-            f"(eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]): LAPACK dpotrf info {info}")
-    inverse, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
+            "SPD factorization of the Gram system failed (eigenvalue range "
+            f"[{eigs[0]:.3e}, {eigs[-1]:.3e}]): LAPACK {prefix}potrf info {info}")
+    inverse, info = getattr(lapack, prefix + "potri")(factor, lower=1, overwrite_c=1)
     if info != 0:
-        raise NumericError(f"inverse of the Gram system failed: LAPACK dpotri info {info}")
+        raise NumericError(f"inverse of the Gram system failed: LAPACK {prefix}potri info {info}")
     P = inverse.T
     _mirror_upper(P)
 
-    p_diag = np.diag(P).copy()
+    p_diag = np.diag(P).astype(np.float64)
     capped = (1.0 - config.ridge_penalty * p_diag) > config.diag_cap
     gamma = np.where(capped, (1.0 - config.diag_cap) / p_diag, config.ridge_penalty)
-    P *= -gamma  # S = I - P diagMat(gamma), in place
+    P *= (-gamma).astype(P.dtype)  # S = I - P diagMat(gamma), in place
     P[np.diag_indices_from(P)] += 1.0
     if not np.all(np.isfinite(P)):
         raise NumericError("similarity solve produced non-finite entries")
@@ -187,8 +199,9 @@ def top_k_correlation(sim: SimilarityMatrix, k: int) -> list[np.ndarray]:
     """Per item, the k most similar other items by score, ties by ascending id.
 
     Candidates for item v are scored by ``values[:, v]``, the items that
-    predict v.  Negative scores stay eligible.  Returns internal item ids,
-    indexed by internal id - 1.
+    predict v.  Negative scores stay eligible.  Items with identical
+    training columns tie only up to rounding, so their order follows the
+    solve's precision.  Returns internal item ids, indexed by internal id - 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -307,8 +320,14 @@ def union_candidates(cr: list[np.ndarray], cc: list[np.ndarray], k: int) -> Cand
 
 def build_candidates(store: SequenceStore, segmentation: Segmentation,
                      config: SolverConfig, k: int) -> tuple[CandidateSets, SimilarityMatrix]:
-    """End-to-end candidate construction: solve, top-K, co-occurrence, union."""
-    sim = solve_similarity(build_interaction_matrix(store), config)
+    """End-to-end candidate construction: solve, top-K, co-occurrence, union.
+
+    The solve runs in float32 when the conditioning bound allows it.
+    """
+    X = build_interaction_matrix(store)
+    gram_row_sums = X.T @ (X @ np.ones(X.shape[1]))
+    bound = (np.max(gram_row_sums, initial=0.0) + config.ridge_penalty) / config.ridge_penalty
+    sim = solve_similarity(X, config, np.float32 if bound < F32_COND_BOUND else np.float64)
     cr = top_k_correlation(sim, k)
     cc = build_cooccurrence(store, segmentation)
     return union_candidates(cr, cc, k), sim

@@ -175,7 +175,8 @@ class TestCandidates:
         match = re.fullmatch(
             r"candidates for (\d+) items: mean \|c_v\|=\d+\.\d min=\d+ max=\d+; "
             r"tail share of head/tail items' sets=(\d\.\d{3})/(\d\.\d{3}); "
-            r"solver branches=\{'capped': \d+, 'uncapped': \d+\}; lineage=\S+", line)
+            r"solver branches=\{'capped': \d+, 'uncapped': \d+\} precision=float32; "
+            r"lineage=\S+", line)
         assert match, line
         # per owner segment: tail members over all members, pooled over its sets
         store, _ = cli._load_prepared(tmp_path)
@@ -197,11 +198,19 @@ class TestCandidates:
     def test_failed_factorization_is_numeric_failure(self, tmp_path, csv_path,
                                                      monkeypatch, capsys):
         _prepare(tmp_path, csv_path)
-        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", lambda a, **kwargs: (a, 1))
+        # the default ridge is well conditioned, so the solve runs in float32
+        monkeypatch.setattr("scipy.linalg.lapack.spotrf", lambda a, **kwargs: (a, 1))
         assert main(["candidates", "--out-dir", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and "eigenvalue range" in err
+        assert "spotrf info 1" in err
         assert not (tmp_path / "candidates.json").exists()
+
+    def test_tiny_ridge_reports_float64_solve(self, tmp_path, csv_path, capsys):
+        _prepare(tmp_path, csv_path)
+        capsys.readouterr()
+        assert main(["candidates", "--out-dir", str(tmp_path), "--ridge-penalty", "1e-6"]) == 0
+        assert "precision=float64;" in capsys.readouterr().out
 
 
 class TestTrainEvaluate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from tailaug import serialize
+from tailaug import corpus, serialize, simcand, synth
 from tailaug.errors import DataError, NumericError
 from tailaug.simcand import (CANDIDATES_SCHEMA, CandidateSets,
                              SimilarityMatrix, SolverConfig, build_candidates,
@@ -232,24 +232,81 @@ class TestSolver:
         n = 800
         rng = np.random.default_rng(9)
         X = as_matrix(rng.random((1500, n)) < 0.0125)  # ~10 items per user
-        tracemalloc.start()
-        try:
-            solve_similarity(X, SolverConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * 8 * n * n
+        for dtype in (np.float64, np.float32):
+            tracemalloc.start()
+            try:
+                sim = solve_similarity(X, SolverConfig(), dtype)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sim.values.dtype == dtype
+            # a hidden float64 copy of the Gram or of P would exceed this in float32
+            assert peak <= 2.5 * np.dtype(dtype).itemsize * n * n
 
-    @pytest.mark.parametrize("routine", ["dpotrf", "dpotri"])
+    @pytest.mark.parametrize("routine", ["dpotrf", "dpotri", "spotrf", "spotri"])
     def test_lapack_failure_is_numeric_error(self, routine, monkeypatch):
+        dtype = {"d": np.float64, "s": np.float32}[routine[0]]
         monkeypatch.setattr(f"scipy.linalg.lapack.{routine}", lambda a, **kwargs: (a, 3))
         rng = np.random.default_rng(10)
         X = as_matrix(rng.random((12, 6)) < 0.4)
         with pytest.raises(NumericError, match=f"{routine} info 3") as err:
-            solve_similarity(X, SolverConfig(ridge_penalty=10.0))
-        if routine == "dpotrf":  # the range of the intact Gram matrix, not the buffer
+            solve_similarity(X, SolverConfig(ridge_penalty=10.0), dtype)
+        if routine.endswith("potrf"):  # the range of the intact Gram matrix, not the buffer
             eigs = np.linalg.eigvalsh(X.T @ X + 10.0 * np.eye(6))
             assert f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]" in str(err.value)
+
+
+def synth_store():
+    log = synth.generate_interactions(n_users=1500, n_items=600, n_topics=6, seed=5)
+    return corpus.leave_one_out_split(corpus.build_sequences(corpus.k_core_filter(log, 3), 20))
+
+
+def gershgorin_bound(X, ridge):
+    """``(max row sum + ridge) / ridge`` of the dense ``X^T X + ridge * I``."""
+    X = X.toarray()
+    return (np.max(np.abs(X.T @ X).sum(axis=1)) + ridge) / ridge
+
+
+class TestSinglePrecision:
+    def test_float32_solve_agrees_with_float64(self):
+        X = build_interaction_matrix(synth_store())
+        cfg = SolverConfig()
+        s64 = solve_similarity(X, cfg)
+        s32 = solve_similarity(X, cfg, np.float32)
+        assert s32.values.dtype == np.float32 and s32.gamma.dtype == np.float64
+        np.testing.assert_array_equal(s32.capped, s64.capped)
+        np.testing.assert_allclose(s32.gamma, s64.gamma, rtol=1e-5)
+        np.testing.assert_allclose(s32.values, s64.values, rtol=0,
+                                   atol=1e-5 * np.max(np.abs(s64.values)))
+        # items with identical training columns tie up to rounding, so their
+        # order may differ between precisions; nothing else may
+        columns = X.toarray().T
+        for a, b in zip(top_k_correlation(s32, 10), top_k_correlation(s64, 10)):
+            assert len(a) == len(b)
+            for i in np.flatnonzero(a != b):
+                np.testing.assert_array_equal(columns[a[i] - 1], columns[b[i] - 1])
+
+    def test_guard_picks_precision_by_conditioning_bound(self, monkeypatch):
+        store = synth_store()
+        seg = corpus.segment(store, beta=0.5)
+        cfg = SolverConfig()
+        bound = gershgorin_bound(build_interaction_matrix(store), cfg.ridge_penalty)
+        for constant, dtype in ((bound * (1 + 1e-9), np.float32),
+                                (bound * (1 - 1e-9), np.float64)):
+            monkeypatch.setattr(simcand, "F32_COND_BOUND", constant)
+            assert build_candidates(store, seg, cfg, 10)[1].values.dtype == dtype
+
+    def test_ill_conditioned_ridge_solves_in_float64(self):
+        store = synth_store()
+        seg = corpus.segment(store, beta=0.5)
+        cfg = SolverConfig(ridge_penalty=1e-3)
+        X = build_interaction_matrix(store)
+        assert gershgorin_bound(X, cfg.ridge_penalty) > simcand.F32_COND_BOUND
+        cands, sim = build_candidates(store, seg, cfg, 10)
+        assert sim.values.dtype == np.float64
+        expected = top_k_correlation(solve_similarity(X, cfg), 10)
+        assert [a.tolist() for a in cands.cr] == [a.tolist() for a in expected]
+        assert build_candidates(store, seg, SolverConfig(), 10)[1].values.dtype == np.float32
 
 
 class TestTopK:
