@@ -30,7 +30,9 @@ print(f"constraint active on {sim.branch_counts['capped']} items, "
 
 # ---------------------------------------------------------------------
 # Correlation candidates: the K most similar items per item, reading
-# column scores (how strongly other items predict this one).
+# column scores (how strongly other items predict this one).  Each
+# candidate family is one ragged id array: item v's list is
+# ids[offsets[v - 1]:offsets[v]].
 cr = simcand.top_k_correlation(sim, k=10)
 
 # Co-occurrence candidates: for a head item, adjacent tail items; for a
@@ -41,15 +43,16 @@ cands = simcand.union_candidates(cr, cc, k=10)
 
 head_example = sorted(seg.head_items)[0]
 tail_example = sorted(seg.tail_items)[0]
+(cr_ids, cr_offsets), (cc_ids, cc_offsets) = cands.cr, cands.cc
 for v, kind in ((head_example, "head"), (tail_example, "tail")):
     print(f"\nitem {v} ({kind}):")
-    print(f"  correlation: {cands.cr[v - 1].tolist()}")
-    print(f"  co-occur   : {cands.cc[v - 1].tolist()[:12]}")
+    print(f"  correlation: {cr_ids[cr_offsets[v - 1]:cr_offsets[v]].tolist()}")
+    print(f"  co-occur   : {cc_ids[cc_offsets[v - 1]:cc_offsets[v]].tolist()[:12]}")
     print(f"  union      : {cands.candidates_for(v).tolist()[:12]}")
 
-sizes = [len(c) for c in cands.c]
+sizes = np.diff(cands.c[1])
 print(f"\ncandidate set sizes: mean={np.mean(sizes):.1f} "
-      f"min={min(sizes)} max={max(sizes)}")
+      f"min={sizes.min()} max={sizes.max()}")
 
 # Tail items dominate the candidate pools of head items, which is what
 # lets substitution route training signal toward the tail:

@@ -121,8 +121,8 @@ def augment_batch(ids, lengths, segmentation: Segmentation, candidates: Candidat
     rates = np.asarray(rates, dtype=np.float64)
     n = len(lengths)
     row = np.repeat(np.arange(n), lengths)
-    offsets, members = candidates.flat_union
-    first, size = offsets[ids], offsets[ids + 1] - offsets[ids]
+    members, offsets = candidates.c
+    first, size = offsets[ids - 1], offsets[ids] - offsets[ids - 1]
     act = ((np.asarray(select) < rates[row]) & (segmentation.item_head_mask[ids] != insert[row])
            & (size > 0))
     at = np.flatnonzero(act)

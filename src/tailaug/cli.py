@@ -136,13 +136,13 @@ def cmd_candidates(args) -> int:
                          {"prepare": store_id})
     serialize.save(_artifact(out_dir, "candidates.json"), simcand.CANDIDATES_SCHEMA,
                    cands.to_fields(), {"id": cand_id, "prepare": store_id})
-    sizes = np.array([len(c) for c in cands.c])
+    sizes = np.diff(cands.c[1])
     # the tail share of tail items' sets, then of head items', pooled over members
     owner_head = np.repeat(seg.item_head_mask[1:], sizes)
-    share = (np.bincount(owner_head, ~seg.item_head_mask[np.concatenate(cands.c)], minlength=2)
+    share = (np.bincount(owner_head, ~seg.item_head_mask[cands.c[0]], minlength=2)
              / np.maximum(np.bincount(owner_head, minlength=2), 1))
     print(f"candidates for {store.n_items} items: mean |c_v|={np.mean(sizes):.1f} "
-          f"min={min(sizes)} max={max(sizes)}; tail share of head/tail items' sets="
+          f"min={sizes.min()} max={sizes.max()}; tail share of head/tail items' sets="
           f"{share[1]:.3f}/{share[0]:.3f}; solver branches={sim.branch_counts} "
           f"precision={sim.values.dtype}; "
           f"lineage={cand_id}")
@@ -221,7 +221,7 @@ def cmd_train(args) -> int:
         cand_id = cand_lineage.get("id")
         _check_lineage(store_id, cand_lineage.get("prepare"),
                        "candidates vs store", args.force)
-        _check_items(len(cands.c), store, cand_path)
+        _check_items(len(cands.c[1]) - 1, store, cand_path)
 
     for seed in seeds:
         _train_one_seed(cfg, args.mode, seed, store, seg, cands, store_id,
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="rank held-out targets and report metrics")
     _add_common(p, "evaluate")
-    p.add_argument("--checkpoint", nargs="*", default=None,
+    p.add_argument("--checkpoint", nargs="+", default=None,
                    help="explicit checkpoint path(s), all of one recorded mode; "
                         "default derives from mode/seeds")
     p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented",

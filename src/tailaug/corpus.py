@@ -217,13 +217,16 @@ class SequenceStore:
 
     @classmethod
     def from_fields(cls, d: dict) -> "SequenceStore":
-        """Decode and check: one sequence per user, integer item ids in
-        ``1..len(items)``, lengths up to ``max_len``."""
-        items, offsets = ragged_ids(d["sequences"], len(d["items"]), "sequences")
+        """Decode and check: distinct string user and item names, one sequence
+        per user, integer item ids in ``1..len(items)``, lengths up to ``max_len``."""
+        names = {key: json_value(d, key, list) for key in ("users", "items")}
+        if any(set(map(type, v)) - {str} or len(set(v)) < len(v) for v in names.values()):
+            raise ValueError("users and items must be lists of distinct strings")
+        items, offsets = ragged_ids(d["sequences"], len(names["items"]), "sequences")
         store = cls(
             max_len=json_value(d, "max_len", int),
-            user_ids=list(d["users"]),
-            item_ids=list(d["items"]),
+            user_ids=names["users"],
+            item_ids=names["items"],
             items=items, offsets=offsets,
             split=json_value(d, "split", bool),
         )

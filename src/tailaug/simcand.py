@@ -26,7 +26,9 @@ is evaluated in float64 either way.
 
 Candidate sets per item are the union of the top-K most similar items
 (correlation) and first-order neighbours from training sequences
-(co-occurrence).
+(co-occurrence).  Each family is one ``(ids, offsets)`` pair from the
+builders to augmentation (item ``v``'s list is ``ids[offsets[v - 1]:offsets[v]]``,
+as ``corpus.ragged_ids`` returns); the union is derived from the other two.
 
 scipy is imported inside the two functions that use it, so importing this
 module, and every CLI command but ``candidates``, leaves scipy unloaded.
@@ -35,7 +37,6 @@ module, and every CLI command but ``candidates``, leaves scipy unloaded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -60,21 +61,9 @@ class SolverConfig:
             raise ValueError(f"diag_cap must be in [0, 1), got {self.diag_cap}")
 
 
-def _concat(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The id arrays concatenated in order, as int64, and their lengths."""
-    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
-    flat = np.concatenate(arrays) if arrays else np.empty(0)
-    return flat.astype(np.int64, copy=False), lengths
-
-
 def _pair_keys(owner: np.ndarray, member: np.ndarray, n: int) -> np.ndarray:
     """One int64 key per (item, member) pair of ids in ``0..n``, ordered by item."""
     return owner * (n + 1) + member
-
-
-def _split_by_owner(owner: np.ndarray, member: np.ndarray, n: int) -> list[np.ndarray]:
-    """Per item ``1..n``, its members in array order; ``owner`` is sorted."""
-    return id_rows(member, np.searchsorted(owner, np.arange(1, n + 2)))
 
 
 def build_interaction_matrix(store: SequenceStore) -> scipy.sparse.csr_matrix:
@@ -195,37 +184,36 @@ def smallest_k(keys: np.ndarray, take: int) -> np.ndarray:
     return top
 
 
-def top_k_correlation(sim: SimilarityMatrix, k: int) -> list[np.ndarray]:
+def top_k_correlation(sim: SimilarityMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per item, the k most similar other items by score, ties by ascending id.
 
     Candidates for item v are scored by ``values[:, v]``, the items that
     predict v.  Negative scores stay eligible.  Items with identical
     training columns tie only up to rounding, so their order follows the
-    solve's precision.  Returns internal item ids, indexed by internal id - 1.
+    solve's precision.  Returns internal item ids as an ``(ids, offsets)`` pair.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = sim.values.T
     n = sim.n_items
     take = min(k, n - 1)
-    if take == 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(n)]
-    out = []
-    for start in range(0, n, _BLOCK):
+    blocks = [np.empty(0, dtype=np.int64)]
+    for start in range(0, n if take else 0, _BLOCK):
         # ascending -score, self last: the k-slice holds the top scores
         neg = np.negative(scores[start:start + _BLOCK], order="C")
         np.fill_diagonal(neg[:, start:], np.inf)
-        out.extend(smallest_k(neg, take) + 1)
-    return out
+        blocks.append(smallest_k(neg, take).ravel() + 1)
+    return np.concatenate(blocks), np.arange(n + 1, dtype=np.int64) * take
 
 
-def build_cooccurrence(store: SequenceStore, segmentation: Segmentation) -> list[np.ndarray]:
+def build_cooccurrence(store: SequenceStore,
+                       segmentation: Segmentation) -> tuple[np.ndarray, np.ndarray]:
     """First-order co-occurrence candidates from training prefixes.
 
     Head item: the tail items immediately before or after it anywhere in
     training data.  Tail item: every item immediately preceding it (these
-    are the behaviours that lead to the tail item).  Returned in ascending
-    id order, indexed by internal id - 1.
+    are the behaviours that lead to the tail item).  Returned as an
+    ``(ids, offsets)`` pair, each item's list in ascending id order.
     """
     items, lengths = store.train_prefixes()
     user = np.repeat(np.arange(store.n_users), lengths)
@@ -239,74 +227,69 @@ def build_cooccurrence(store: SequenceStore, segmentation: Segmentation) -> list
     n = store.n_items
     keys = np.unique(np.concatenate([_pair_keys(b[back], a[back], n),
                                      _pair_keys(a[ahead], b[ahead], n)]))
-    return _split_by_owner(keys // (n + 1), keys % (n + 1), n)
+    return keys % (n + 1), np.searchsorted(keys // (n + 1), np.arange(1, n + 2))
 
 
 @dataclass
 class CandidateSets:
     """Per-item augmentation candidates: correlation, co-occurrence, union.
 
-    Lists are indexed by internal item id - 1.  The union keeps the
-    correlation ordering first, then co-occurrence-only members by
-    ascending id; the item itself never appears in its own candidates.
+    Each is an int64 ``(ids, offsets)`` pair: item ``v``'s list is
+    ``ids[offsets[v - 1]:offsets[v]]``.  The union ``c`` keeps the correlation
+    ordering first, then co-occurrence-only members by ascending id; the item
+    itself never appears in its own candidates.  ``from_fields`` derives ``c``
+    from ``cr`` and ``cc`` and refuses a stored ``c`` that differs.
     """
 
     k: int
-    cr: list[np.ndarray]
-    cc: list[np.ndarray]
-    c: list[np.ndarray]
+    cr: tuple[np.ndarray, np.ndarray]
+    cc: tuple[np.ndarray, np.ndarray]
+    c: tuple[np.ndarray, np.ndarray]
 
     def candidates_for(self, v: int) -> np.ndarray:
-        return self.c[v - 1]
-
-    @cached_property
-    def flat_union(self) -> tuple[np.ndarray, np.ndarray]:
-        """``c`` as CSR: item ``v``'s union is ``members[offsets[v]:offsets[v + 1]]``."""
-        members, lengths = _concat(self.c)
-        return np.concatenate([[0, 0], np.cumsum(lengths)]), members
+        ids, offsets = self.c
+        return ids[offsets[v - 1]:offsets[v]]
 
     def to_fields(self) -> dict:
-        return {
-            "k": self.k,
-            "cr": [a.tolist() for a in self.cr],
-            "cc": [a.tolist() for a in self.cc],
-            "c": [a.tolist() for a in self.c],
-        }
+        fields = {name: id_rows(ids.tolist(), offsets)
+                  for name, (ids, offsets) in (("cr", self.cr), ("cc", self.cc), ("c", self.c))}
+        return {"k": self.k, **fields}
 
     @classmethod
     def from_fields(cls, d: dict) -> "CandidateSets":
-        """Decode and check: three lists of integer ids in ``1..len(c)``."""
-        n = len(d["c"])
-        lists = {name: ragged_ids(d[name], n, name) for name in ("cr", "cc", "c")}
-        if any(len(offsets) != n + 1 for _, offsets in lists.values()):
-            raise ValueError(f"cr, cc and c must each hold {n} lists")
-        return cls(k=json_value(d, "k", int),
-                   **{name: id_rows(*flat) for name, flat in lists.items()})
+        """Decode and check: id lists in ``1..len(cr)``, ``c`` the union of ``cr`` and ``cc``."""
+        n = len(d["cr"])
+        cr, cc, c = (ragged_ids(d[name], n, name) for name in ("cr", "cc", "c"))
+        sets = union_candidates(cr, cc, json_value(d, "k", int))
+        if not all(np.array_equal(a, b) for a, b in zip(sets.c, c)):
+            raise ValueError("c must be the union of cr and cc")
+        return sets
 
 
-def union_candidates(cr: list[np.ndarray], cc: list[np.ndarray], k: int) -> CandidateSets:
+def union_candidates(cr: tuple[np.ndarray, np.ndarray], cc: tuple[np.ndarray, np.ndarray],
+                     k: int) -> CandidateSets:
     """Per item, its ``cr`` in order, then the ``cc``-only members by ascending id.
 
-    Members are internal ids in ``1..len(cr)``; the item itself and
-    repeated members are dropped.
+    ``cr`` and ``cc`` are ``(ids, offsets)`` pairs over the same items, with
+    members internal ids in ``1..n``; the item itself and repeated members
+    are dropped.
     """
-    if len(cr) != len(cc):
+    (cr_member, cr_offsets), (cc_member, cc_offsets) = cr, cc
+    if len(cr_offsets) != len(cc_offsets):
         raise ValueError("cr and cc must cover the same item universe")
-    n = len(cr)
+    n = len(cr_offsets) - 1
     ids = np.arange(1, n + 1)
-    cr_member, cr_len = _concat(cr)
-    cc_member, cc_len = _concat(cc)
     for members in (cr_member, cc_member):
         if np.any((members < 1) | (members > n)):
             raise ValueError(f"candidate ids must be internal item ids in 1..{n}")
-    cr_owner = np.repeat(ids, cr_len)
+    cr_owner = np.repeat(ids, np.diff(cr_offsets))
     cr_keys = _pair_keys(cr_owner, cr_member, n)
     # the first occurrence of each cr member, self excluded, in cr order
     keep = np.zeros(len(cr_keys), dtype=bool)
     keep[np.unique(cr_keys, return_index=True)[1]] = True
     keep &= cr_member != cr_owner
     # cc members that are neither in cr nor the item itself, ascending
-    cc_keys = np.unique(_pair_keys(np.repeat(ids, cc_len), cc_member, n))
+    cc_keys = np.unique(_pair_keys(np.repeat(ids, np.diff(cc_offsets)), cc_member, n))
     cc_keys = cc_keys[~np.isin(cc_keys, cr_keys)]
     cc_owner, cc_member = cc_keys // (n + 1), cc_keys % (n + 1)
     cc_new = cc_member != cc_owner
@@ -314,8 +297,8 @@ def union_candidates(cr: list[np.ndarray], cc: list[np.ndarray], k: int) -> Cand
     member = np.concatenate([cr_member[keep], cc_member[cc_new]])
     # a stable sort keeps each item's cr members ahead of its cc-only ones
     order = np.argsort(owner, kind="stable")
-    union = _split_by_owner(owner[order], member[order], n)
-    return CandidateSets(k=k, cr=[a.copy() for a in cr], cc=[b.copy() for b in cc], c=union)
+    c = (member[order], np.searchsorted(owner[order], np.arange(1, n + 2)))
+    return CandidateSets(k=k, cr=cr, cc=cc, c=c)
 
 
 def build_candidates(store: SequenceStore, segmentation: Segmentation,

@@ -41,13 +41,18 @@ def store_from_sequences(user_items: dict, max_len: int = 50, split: bool = True
     return corpus.leave_one_out_split(store) if split else store
 
 
+def ragged_pair(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ids as one int64 ``(ids, offsets)`` pair: row ``r`` is
+    ``ids[offsets[r]:offsets[r + 1]]``."""
+    ids = np.concatenate([np.zeros(0, np.int64), *map(np.asarray, rows)]).astype(np.int64)
+    return ids, np.cumsum([0, *map(len, rows)], dtype=np.int64)
+
+
 def store_from_rows(rows, *, max_len: int, user_ids, item_ids, split: bool):
     """A store holding ``rows`` (lists of internal item ids), one row per user."""
-    lengths = [len(row) for row in rows]
-    items = np.concatenate([np.zeros(0, np.int64), *map(np.asarray, rows)]).astype(np.int64)
+    items, offsets = ragged_pair(rows)
     return corpus.SequenceStore(max_len=max_len, user_ids=list(user_ids),
-                                item_ids=list(item_ids), items=items,
-                                offsets=np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
+                                item_ids=list(item_ids), items=items, offsets=offsets,
                                 split=split)
 
 
@@ -112,9 +117,9 @@ def bruteforce_tail_coverage(model, store, seg, k):
 
 def candidate_sets(n_items, mapping: dict, k: int = 10):
     """CandidateSets with an explicit union list per internal item id."""
-    empty = np.array([], dtype=np.int64)
-    c = [np.asarray(mapping.get(v, []), dtype=np.int64) for v in range(1, n_items + 1)]
-    return simcand.CandidateSets(k=k, cr=[empty] * n_items, cc=[empty] * n_items, c=c)
+    empty = ragged_pair([[]] * n_items)
+    c = ragged_pair([mapping.get(v, []) for v in range(1, n_items + 1)])
+    return simcand.CandidateSets(k=k, cr=empty, cc=empty, c=c)
 
 
 @pytest.fixture(scope="session")

@@ -184,7 +184,7 @@ class TestCandidates:
         cands, _ = serialize.load(tmp_path / "candidates.json", simcand.CANDIDATES_SCHEMA,
                                   simcand.CandidateSets.from_fields)
         pooled = {True: [0, 0], False: [0, 0]}
-        for v, members in enumerate(cands.c, start=1):
+        for v, members in enumerate(corpus.id_rows(*cands.c), start=1):
             for m in members:
                 pooled[v in seg.head_items][0] += m in seg.tail_items
                 pooled[v in seg.head_items][1] += 1
@@ -329,6 +329,18 @@ class TestTrainEvaluate:
             assert code == 2
             assert "--seeds" in capsys.readouterr().err
             assert not (out / REPORT).exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--seeds", "1"]], ids=["alone", "with-seeds"])
+    def test_checkpoint_without_a_path_is_config_error(self, extra, pipeline_dir, tmp_path,
+                                                       capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / REPORT).unlink()
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--out-dir", str(out), "--checkpoint", *extra])
+        assert exc.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err
+        assert not (out / REPORT).exists()
 
     def test_mixed_modes_are_config_error_before_any_report(self, pipeline_dir, tmp_path,
                                                             capsys):
@@ -798,9 +810,15 @@ class TestFaultInjection:
         lambda doc: doc["c"][1].append(True),
         lambda doc: doc.update({"k": doc["k"] + 0.5}),
         lambda doc: doc.update({"k": True}),
+        # in range, but not the union of cr and cc
+        lambda doc: doc["c"][0].reverse(),
+        lambda doc: doc["c"][0].append(
+            next(v for v in range(2, len(doc["c"]) + 1) if v not in doc["c"][0])),
+        lambda doc: doc["c"][0].pop(),
     ], ids=["padding-id-in-c", "id-past-catalog-in-c", "negative-id-in-c",
             "id-past-catalog-in-cr", "short-cc", "non-integral-id-in-c", "bool-id",
-            "fractional-k", "bool-k"])
+            "fractional-k", "bool-k", "reversed-c", "extra-member-in-c",
+            "dropped-member-in-c"])
     def test_out_of_range_candidate_is_data_error(self, edit, pipeline_dir, tmp_path,
                                                   capsys):
         out = tmp_path / "run"
@@ -822,9 +840,14 @@ class TestFaultInjection:
         lambda doc: doc.update({"max_len": doc["max_len"] + 0.9}),
         lambda doc: doc.update({"split": "false"}),
         lambda doc: doc.update({"split": 1}),
+        lambda doc: doc.update({"users": ["u"] * len(doc["users"])}),
+        lambda doc: doc.update({"items": "x" * len(doc["items"])}),
+        lambda doc: doc["items"].__setitem__(1, doc["items"][0]),
+        lambda doc: doc["users"].__setitem__(0, 7),
     ], ids=["padding-id-target", "id-past-catalog", "negative-id", "longer-than-max-len",
             "split-shorter-than-3", "non-integral-target", "bool-id", "fractional-max-len",
-            "string-split", "integer-split"])
+            "string-split", "integer-split", "repeated-user-ids", "items-not-a-list",
+            "repeated-item-names", "integer-user-id"])
     def test_out_of_range_store_is_data_error(self, edit, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)

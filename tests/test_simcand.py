@@ -12,7 +12,8 @@ from tailaug.simcand import (CANDIDATES_SCHEMA, CandidateSets,
                              solve_similarity, top_k_correlation,
                              union_candidates)
 
-from conftest import segmentation_with_heads, store_from_rows, store_from_sequences
+from conftest import (ragged_pair, segmentation_with_heads, store_from_rows,
+                      store_from_sequences)
 
 
 def dense(rows, n_users, n_items):
@@ -281,7 +282,8 @@ class TestSinglePrecision:
         # items with identical training columns tie up to rounding, so their
         # order may differ between precisions; nothing else may
         columns = X.toarray().T
-        for a, b in zip(top_k_correlation(s32, 10), top_k_correlation(s64, 10)):
+        for a, b in zip(corpus.id_rows(*top_k_correlation(s32, 10)),
+                        corpus.id_rows(*top_k_correlation(s64, 10))):
             assert len(a) == len(b)
             for i in np.flatnonzero(a != b):
                 np.testing.assert_array_equal(columns[a[i] - 1], columns[b[i] - 1])
@@ -304,8 +306,9 @@ class TestSinglePrecision:
         assert gershgorin_bound(X, cfg.ridge_penalty) > simcand.F32_COND_BOUND
         cands, sim = build_candidates(store, seg, cfg, 10)
         assert sim.values.dtype == np.float64
-        expected = top_k_correlation(solve_similarity(X, cfg), 10)
-        assert [a.tolist() for a in cands.cr] == [a.tolist() for a in expected]
+        expected = corpus.id_rows(*top_k_correlation(solve_similarity(X, cfg), 10))
+        assert [a.tolist() for a in corpus.id_rows(*cands.cr)] == \
+            [a.tolist() for a in expected]
         assert build_candidates(store, seg, SolverConfig(), 10)[1].values.dtype == np.float32
 
 
@@ -314,13 +317,13 @@ class TestTopK:
         rng = np.random.default_rng(0)
         X = (rng.random((6, 2)) < 0.5).astype(float)
         sim = solve_similarity(as_matrix(X), SolverConfig())
-        cr = top_k_correlation(sim, 5)
+        cr = corpus.id_rows(*top_k_correlation(sim, 5))
         assert cr[0].tolist() == [2] and cr[1].tolist() == [1]
 
     def test_all_equal_scores_take_low_ids(self):
         sim = SimilarityMatrix(values=np.zeros((5, 5)), gamma=np.zeros(5),
                                capped=np.zeros(5, bool), config=SolverConfig())
-        cr = top_k_correlation(sim, 2)
+        cr = corpus.id_rows(*top_k_correlation(sim, 2))
         assert cr[0].tolist() == [2, 3]
         assert cr[4].tolist() == [1, 2]
 
@@ -329,7 +332,7 @@ class TestTopK:
         values = rng.normal(size=(6, 6))
         sim = SimilarityMatrix(values=values, gamma=np.zeros(6),
                                capped=np.zeros(6, bool), config=SolverConfig())
-        cr = top_k_correlation(sim, 3)
+        cr = corpus.id_rows(*top_k_correlation(sim, 3))
         for v in range(1, 7):
             col = values[:, v - 1]
             order = sorted((j for j in range(1, 7) if j != v),
@@ -339,7 +342,7 @@ class TestTopK:
     def test_fewer_than_k(self):
         sim = SimilarityMatrix(values=np.zeros((2, 2)), gamma=np.zeros(2),
                                capped=np.zeros(2, bool), config=SolverConfig())
-        assert [len(c) for c in top_k_correlation(sim, 10)] == [1, 1]
+        assert [len(c) for c in corpus.id_rows(*top_k_correlation(sim, 10))] == [1, 1]
 
     # each matrix is also read transposed: its rows tie in other patterns
     @pytest.mark.parametrize("orient", ["column", "row"])
@@ -355,7 +358,7 @@ class TestTopK:
             values = values.T
         sim = SimilarityMatrix(values=values, gamma=np.zeros(n),
                                capped=np.zeros(n, bool), config=SolverConfig())
-        got = top_k_correlation(sim, k)
+        got = corpus.id_rows(*top_k_correlation(sim, k))
         expected = reference_top_k(values, k)
         assert [a.tolist() for a in got] == [a.tolist() for a in expected]
         assert all(a.dtype == np.int64 for a in got)
@@ -374,7 +377,7 @@ class TestTopK:
         sim = SimilarityMatrix(values=values, gamma=np.zeros(270),
                                capped=np.zeros(270, bool), config=SolverConfig())
         for k in (1, 7, 269, 400):
-            got = top_k_correlation(sim, k)
+            got = corpus.id_rows(*top_k_correlation(sim, k))
             assert [a.tolist() for a in got] == \
                 [a.tolist() for a in reference_top_k(values, k)]
 
@@ -384,7 +387,7 @@ class TestCooccurrence:
         store = store_from_sequences({"u": ["h", "t", "x", "y"]})
         h, t = store.item_ids.index("h") + 1, store.item_ids.index("t") + 1
         seg = segmentation_with_heads(store, head_items={h})
-        cc = build_cooccurrence(store, seg)
+        cc = corpus.id_rows(*build_cooccurrence(store, seg))
         assert t in cc[h - 1]
         assert h in cc[t - 1]
 
@@ -392,7 +395,7 @@ class TestCooccurrence:
         store = store_from_sequences({"u": ["h1", "h2", "x", "y"]})
         h1, h2 = (store.item_ids.index(n) + 1 for n in ("h1", "h2"))
         seg = segmentation_with_heads(store, head_items={h1, h2})
-        cc = build_cooccurrence(store, seg)
+        cc = corpus.id_rows(*build_cooccurrence(store, seg))
         assert len(cc[h1 - 1]) == 0 and h1 not in cc[h2 - 1].tolist()
 
     def test_matches_bruteforce_scan(self):
@@ -403,7 +406,7 @@ class TestCooccurrence:
         store = store_from_sequences(seqs)
         heads = {store.item_ids.index("a") + 1, store.item_ids.index("x") + 1}
         seg = segmentation_with_heads(store, head_items=heads)
-        cc = build_cooccurrence(store, seg)
+        cc = corpus.id_rows(*build_cooccurrence(store, seg))
 
         expect = [set() for _ in range(store.n_items)]
         for u in range(store.n_users):
@@ -425,7 +428,7 @@ class TestCooccurrence:
             heads = set(rng.choice(np.arange(1, 13), size=int(rng.integers(0, 13)),
                                    replace=False).tolist())
             seg = segmentation_with_heads(store, head_items=heads)
-            cc = build_cooccurrence(store, seg)
+            cc = corpus.id_rows(*build_cooccurrence(store, seg))
             assert [a.tolist() for a in cc] == reference_cooccurrence(store, seg)
             assert all(a.dtype == np.int64 for a in cc)
             self_listed += sum(v in cc[v - 1] for v in range(1, 13))
@@ -434,7 +437,7 @@ class TestCooccurrence:
 
     def test_tail_cc_members_precede_somewhere(self, small_corpus):
         store, seg, cands, _ = small_corpus
-        cc = build_cooccurrence(store, seg)
+        cc = corpus.id_rows(*build_cooccurrence(store, seg))
         preceding = [set() for _ in range(store.n_items)]
         for u in range(store.n_users):
             p = store.train_prefix(u).tolist()
@@ -452,18 +455,18 @@ class TestUnion:
         cr = [np.array([], dtype=np.int64)] * 5
         cc = [np.array([], dtype=np.int64)] * 5
         cr[4], cc[4] = a, b
-        sets = union_candidates(cr, cc, k=2)
+        sets = union_candidates(ragged_pair(cr), ragged_pair(cc), k=2)
         assert sets.candidates_for(5).tolist() == [1, 2, 3]
 
     def test_both_empty(self):
-        empty = [np.array([], dtype=np.int64)]
+        empty = ragged_pair([np.array([], dtype=np.int64)])
         sets = union_candidates(empty, empty, k=1)
         assert sets.candidates_for(1).tolist() == []
 
     def test_self_removed(self):
         cr = [np.array([1, 2], dtype=np.int64), np.array([], dtype=np.int64)]
         cc = [np.array([], dtype=np.int64)] * 2
-        sets = union_candidates(cr, cc, k=2)
+        sets = union_candidates(ragged_pair(cr), ragged_pair(cc), k=2)
         assert sets.candidates_for(1).tolist() == [2]
 
     def test_matches_loop_reference_with_self_and_duplicates(self):
@@ -473,24 +476,25 @@ class TestUnion:
                         for _ in range(n)]
         for _ in range(20):
             cr, cc = draw(), draw()
-            sets = union_candidates(cr, cc, k=3)
-            assert [a.tolist() for a in sets.c] == reference_union(cr, cc)
-            assert all(np.array_equal(x, y) for x, y in zip(sets.cr, cr))
-            assert all(np.array_equal(x, y) for x, y in zip(sets.cc, cc))
+            sets = union_candidates(ragged_pair(cr), ragged_pair(cc), k=3)
+            assert [a.tolist() for a in corpus.id_rows(*sets.c)] == reference_union(cr, cc)
+            assert all(np.array_equal(x, y) for x, y in zip(corpus.id_rows(*sets.cr), cr))
+            assert all(np.array_equal(x, y) for x, y in zip(corpus.id_rows(*sets.cc), cc))
 
     def test_ids_outside_the_universe_rejected(self):
         empty = np.array([], dtype=np.int64)
         with pytest.raises(ValueError):
-            union_candidates([np.array([3])] * 2, [empty] * 2, k=1)
+            union_candidates(ragged_pair([np.array([3])] * 2), ragged_pair([empty] * 2), k=1)
         with pytest.raises(ValueError):
-            union_candidates([empty] * 2, [np.array([0])] * 2, k=1)
+            union_candidates(ragged_pair([empty] * 2), ragged_pair([np.array([0])] * 2), k=1)
 
     def test_cardinality_bound_end_to_end(self, small_corpus):
         store, seg, cands, _ = small_corpus
+        c, cr, cc = (corpus.id_rows(*pair) for pair in (cands.c, cands.cr, cands.cc))
         for v in range(1, store.n_items + 1):
-            assert len(cands.c[v - 1]) <= len(cands.cr[v - 1]) + len(cands.cc[v - 1])
-            assert v not in cands.c[v - 1]
-            assert len(set(cands.c[v - 1].tolist())) == len(cands.c[v - 1])
+            assert len(c[v - 1]) <= len(cr[v - 1]) + len(cc[v - 1])
+            assert v not in c[v - 1]
+            assert len(set(c[v - 1].tolist())) == len(c[v - 1])
 
     def test_json_roundtrip(self, small_corpus, tmp_path):
         _, _, cands, _ = small_corpus
