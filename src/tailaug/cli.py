@@ -1,4 +1,4 @@
-"""Command-line pipeline: prepare -> candidates -> train -> evaluate -> report.
+"""Command-line pipeline: prepare -> candidates -> train -> evaluate.
 
 Each subcommand persists versioned artifacts into an output directory and
 embeds a lineage id (config hash chained through parents); downstream
@@ -288,24 +288,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# ----------------------------------------------------------------- report
-
-def cmd_report(args) -> int:
-    reports, prepare_id = [], None
-    for path in args.reports:
-        report, lineage = serialize.load(path, evaluation.REPORT_SCHEMA,
-                                         evaluation.MetricReport.from_fields)
-        prepare_id = prepare_id or lineage.get("prepare")
-        _check_lineage(prepare_id, lineage.get("prepare"), f"report {path}", False)
-        reports.append(report)
-    mean = evaluation.mean_report(reports) if len(reports) > 1 else reports[0]
-    if args.out:
-        serialize.save(args.out, evaluation.REPORT_SCHEMA, mean.to_fields(),
-                       {"prepare": prepare_id})
-    print(evaluation.format_table(mean))
-    return 0
-
-
 # ------------------------------------------------------------------ synth
 
 def cmd_synth(args) -> int:
@@ -347,7 +329,7 @@ def _add_common(p, command):
 
     The values stay strings; ``load_config`` coerces them to the keys' types.
     """
-    p.add_argument("--config", help="config file (JSON or key=value lines)")
+    p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-dir", default="artifacts", help="artifact directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", action="store_true",
@@ -398,11 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated seed sweep (not with --checkpoint)")
     p.add_argument("--phase", choices=["valid", "test"], default="test")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("report", help="aggregate one or more report files")
-    p.add_argument("reports", nargs="+", help="metric report JSON files")
-    p.add_argument("--out", default=None, help="write the (mean) report here")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic long-tail interaction log")
     p.add_argument("--out", required=True)

@@ -1,8 +1,8 @@
 """Run configuration: defaults, config-file parsing, overrides, hashing.
 
-Config files are either JSON (flat or nested by section) or plain
-``key=value`` lines; keys are dot-namespaced (``corpus.k_core``).  CLI
-flags override file keys.  ``DEFAULTS`` lists every key; a command's
+Config files are JSON objects, flat or nested by section; keys are
+dot-namespaced (``corpus.k_core``), and a key given twice is an error.
+CLI flags override file keys.  ``DEFAULTS`` lists every key; a command's
 ``SECTIONS`` give its flags and the keys hashed into its artifacts'
 lineage ids, chained through parent ids to refuse mismatched inputs.
 """
@@ -55,14 +55,17 @@ def section_keys(command: str) -> list[str]:
     return [k for s in SECTIONS[command] for k in DEFAULTS if k.startswith(s + ".")]
 
 
-def _flatten(obj: dict, prefix: str = "") -> dict:
+def _flat_object(pairs: list) -> dict:
+    """A ``json.loads`` hook: one object, its nested objects (already flat) as
+    dotted keys.  A key given twice, in one object or nested and dotted, is refused."""
     flat = {}
-    for key, value in obj.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten(value, f"{name}."))
-        else:
-            flat[name] = value
+    for name, value in pairs:
+        inner = ({f"{name}.{k}": v for k, v in value.items()} if isinstance(value, dict)
+                 else {name: value})
+        for key, v in inner.items():
+            if key in flat:
+                raise ConfigError(f"config key {key!r} is given twice")
+            flat[key] = v
     return flat
 
 
@@ -79,10 +82,6 @@ def _coerce(key: str, raw: object) -> object:
         if isinstance(default, bool):
             if isinstance(raw, bool):
                 return raw
-            if str(raw).lower() in ("1", "true", "yes", "on"):
-                return True
-            if str(raw).lower() in ("0", "false", "no", "off"):
-                return False
             raise ValueError(f"not a boolean: {raw!r}")
         if isinstance(raw, bool) or (isinstance(raw, (list, tuple))
                                      and any(isinstance(v, bool) for v in raw)):
@@ -110,21 +109,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            try:
-                raw = _flatten(json.loads(text))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        else:
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
+        try:
+            raw = json.loads(text, object_pairs_hook=_flat_object)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     for key, value in {**raw, **(overrides or {})}.items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")

@@ -104,11 +104,6 @@ def ndcg_at_k(results, k: int) -> float:
     return math.fsum(gains) / len(results)
 
 
-def _finite(value) -> bool:
-    """A finite JSON number; ``bool`` is not one."""
-    return type(value) in (int, float) and math.isfinite(value)
-
-
 @dataclass
 class MetricReport:
     """Per-segment metrics; empty segments are absent rather than zero."""
@@ -125,30 +120,6 @@ class MetricReport:
             "segments": self.segments,
             "tcov": {str(k): v for k, v in self.tcov.items()},
         }
-
-    @classmethod
-    def from_fields(cls, d: dict) -> "MetricReport":
-        """Decode and check: counts are non-negative integers, every other value
-        a finite number, and each segment has each cutoff's metrics."""
-        if not all(map(_finite, d["tcov"].values())):
-            raise ValueError(f"tcov values {list(d['tcov'].values())} are not all finite")
-        report = cls(ks=[int(k) for k in d["ks"]],
-                     segments=d["segments"],
-                     tcov={int(k): float(v) for k, v in d["tcov"].items()},
-                     phase=d.get("phase", "test"))
-        keys = {"count", *(f"{m}@{k}" for k in report.ks for m in ("hit", "ndcg"))}
-        for name, row in report.segments.items():
-            if not keys <= set(row):
-                raise ValueError(f"segment {name!r} lacks {sorted(keys - set(row))}")
-            count = row["count"]
-            if type(count) is not int or count < 0:
-                raise ValueError(f"segment {name!r} count {count!r} is not an integer >= 0")
-            bad = sorted(key for key, v in row.items() if key != "count" and not _finite(v))
-            if bad:
-                raise ValueError(f"segment {name!r} values {bad} are not finite numbers")
-        if not set(report.tcov) <= set(report.ks):
-            raise ValueError(f"tcov cutoffs {sorted(report.tcov)} outside ks {report.ks}")
-        return report
 
 
 def _segment_members(results, segmentation: Segmentation):

@@ -257,10 +257,13 @@ class CandidateSets:
 
     @classmethod
     def from_fields(cls, d: dict) -> "CandidateSets":
-        """Decode and check: id lists in ``1..len(cr)``, ``c`` the union of ``cr`` and ``cc``."""
-        n = len(d["cr"])
+        """Decode and check: id lists in ``1..len(cr)``, ``min(k, n - 1)`` ids in
+        each ``cr`` list, and ``c`` the union of ``cr`` and ``cc``."""
+        n, k = len(d["cr"]), json_value(d, "k", int)
         cr, cc, c = (ragged_ids(d[name], n, name) for name in ("cr", "cc", "c"))
-        sets = union_candidates(cr, cc, json_value(d, "k", int))
+        if k < 1 or np.any(np.diff(cr[1]) != min(k, n - 1)):
+            raise ValueError(f"k={k}: every cr list must hold min(k, n - 1) ids")
+        sets = union_candidates(cr, cc, k)
         if not all(np.array_equal(a, b) for a, b in zip(sets.c, c)):
             raise ValueError("c must be the union of cr and cc")
         return sets

@@ -321,7 +321,11 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
 
 def train_stage1(store: SequenceStore, model: ModelState, config: TrainConfig, *,
                  epochs: int | None = None, adam: AdamState | None = None, validator=None):
-    """Main-objective-only training from epoch 0 (also the baseline arm)."""
+    """Main-objective-only training from epoch 0 (also the baseline arm).
+
+    A ``validator`` stops it once more than ``config.patience`` epochs in a row
+    fail to beat the best score; the first epoch with the best score is restored.
+    """
     return _run_epochs(store, model, config,
                        range(config.stage1_epochs if epochs is None else epochs),
                        adam=adam, validator=validator)

@@ -399,6 +399,16 @@ class TestCrossPlan:
         assert plan.lams.shape == (3,)
         assert np.all((plan.lams >= 0) & (plan.lams <= 1))
 
+    def test_weights_follow_symmetric_beta(self):
+        # the mixing weight is Beta(alpha, alpha): mean 1/2, variance
+        # 1 / (4 (2 alpha + 1)), fourth central moment 3 var^2 (2 alpha + 1) / (2 alpha + 3)
+        alpha, n = 0.3, 200_000
+        lams = plan_cross_batch([H, T] * (n // 2), alpha, derive_rng(17, 0)).lams
+        var = 1 / (4 * (2 * alpha + 1))
+        mu4 = 3 * var ** 2 * (2 * alpha + 1) / (2 * alpha + 3)
+        assert abs(lams.mean() - 0.5) < 6 * np.sqrt(var / n)
+        assert abs(lams.var() - var) < 6 * np.sqrt((mu4 - var ** 2) / n)
+
     def test_seeded_replay(self):
         classes = [H, T, T, H, T, H, T, T]
         a = plan_cross_batch(classes, 0.3, derive_rng(16, 3, 7))

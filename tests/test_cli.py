@@ -446,8 +446,7 @@ for step, argv in [
                      "--k-core", "3", "--max-len", "20"]),
         ("train", ["train", "--out-dir", out, "--mode", "baseline", "--seed", "1",
                    *fast_train]),
-        ("evaluate", ["evaluate", "--out-dir", out, "--mode", "baseline", "--seed", "1"]),
-        ("report", ["report", f"{out}/checkpoint_baseline_seed1_report_test.json"])]:
+        ("evaluate", ["evaluate", "--out-dir", out, "--mode", "baseline", "--seed", "1"])]:
     assert main(argv) == 0, step
     note(step)
 print(json.dumps(loaded))
@@ -465,41 +464,8 @@ class TestStartup:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert list(loaded) == ["import", "synth", "prepare", "train", "evaluate", "report"]
+        assert list(loaded) == ["import", "synth", "prepare", "train", "evaluate"]
         assert loaded == {step: [] for step in loaded}
-
-
-class TestReportCommand:
-    def test_aggregates_mean(self, tmp_path, csv_path, capsys):
-        _prepare(tmp_path, csv_path)
-        main(["candidates", "--out-dir", str(tmp_path), "--k", "5"])
-        main(["train", "--out-dir", str(tmp_path), "--mode", "augmented",
-              "--seeds", "1,2", *FAST_TRAIN])
-        main(["evaluate", "--out-dir", str(tmp_path), "--mode", "augmented",
-              "--seeds", "1,2"])
-        r1 = tmp_path / "checkpoint_augmented_seed1_report_test.json"
-        r2 = tmp_path / "checkpoint_augmented_seed2_report_test.json"
-        out_path = tmp_path / "mean.json"
-        assert main(["report", str(r1), str(r2), "--out", str(out_path)]) == 0
-        merged = json.loads(out_path.read_text())
-        a = json.loads(r1.read_text())["segments"]["overall"]["hit@10"]
-        b = json.loads(r2.read_text())["segments"]["overall"]["hit@10"]
-        assert merged["segments"]["overall"]["hit@10"] == pytest.approx((a + b) / 2)
-        # mean reports carry the prepare lineage, so they are valid inputs
-        for mean in (out_path, tmp_path / "report_augmented_mean_test.json"):
-            assert main(["report", str(mean)]) == 0
-
-    def test_refuses_to_average_phases(self, pipeline_dir, tmp_path, capsys):
-        out = tmp_path / "run"
-        shutil.copytree(pipeline_dir, out)
-        assert main(["evaluate", "--out-dir", str(out), "--seed", "1",
-                     "--phase", "valid"]) == 0
-        valid = out / REPORT.replace("_test", "_valid")
-        capsys.readouterr()
-        assert main(["report", str(out / REPORT), str(valid),
-                     "--out", str(out / "m.json")]) == 3
-        assert "phase" in capsys.readouterr().err
-        assert not (out / "m.json").exists()
 
 
 COMMAND_OF_SECTION = {"corpus": "prepare", "simcand": "candidates", "model": "train",
@@ -523,8 +489,15 @@ def _flag_for(key):
 
 class TestConfigFile:
     def test_key_value_file(self, tmp_path):
+        # JSON is the one config syntax
         p = tmp_path / "run.cfg"
         p.write_text("corpus.k_core = 3\ntrain.batch_size = 16\n# comment\n")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(p)
+
+    def test_flat_json_file(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"corpus.k_core": 3, "train.batch_size": 16}))
         cfg = load_config(p)
         assert cfg["corpus.k_core"] == 3 and cfg["train.batch_size"] == 16
 
@@ -539,8 +512,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", ["prepare", "train"])
     def test_old_corpus_beta_key_is_config_error(self, command, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("corpus.beta = 0.4\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus.beta": 0.4}))
         extra = ["--input", "missing.csv"] if command == "prepare" else []
         assert main([command, "--out-dir", str(tmp_path / "none"), "--config", str(config),
                      *extra]) == 2
@@ -548,17 +521,49 @@ class TestConfigFile:
         assert not (tmp_path / "none").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("corpus.bogus = 1\n")
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"corpus.bogus": 1}))
         with pytest.raises(ConfigError, match="bogus"):
             load_config(p)
 
     def test_flag_overrides_file(self, tmp_path, csv_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("corpus.k_core = 2\n")
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"corpus.k_core": 2}))
         out = tmp_path / "out"
         assert main(["prepare", "--input", str(csv_path), "--out-dir", str(out),
                      "--config", str(p), "--k-core", "3", "--max-len", "20"]) == 0
+
+    @pytest.mark.parametrize("content, names", [
+        ("corpus.k_core = 3\n", ["not valid JSON"]),
+        ('[{"corpus.k_core": 3}]', ["expected a JSON object", "list"]),
+        ('"corpus.k_core"', ["expected a JSON object", "str"]),
+        ('{"eval.filter_seen": "yes"}', ["eval.filter_seen", "not a boolean"]),
+        ('{"eval": {"filter_seen": 1}}', ["eval.filter_seen", "not a boolean"]),
+        ('{"seed": 1, "seed": 2}', ["'seed' is given twice"]),
+        ('{"corpus": {"k_core": 3, "k_core": 4}}', ["'k_core' is given twice"]),
+        ('{"corpus": {"k_core": 3}, "corpus.k_core": 4}', ["'corpus.k_core' is given twice"]),
+        ('{"corpus.k_core": 4, "corpus": {"k_core": 3}}', ["'corpus.k_core' is given twice"]),
+    ], ids=["key-value-lines", "top-level-array", "top-level-string", "string-boolean",
+            "integer-boolean", "repeated-key", "repeated-nested-key", "nested-then-dotted",
+            "dotted-then-nested"])
+    def test_malformed_config_file_is_config_error(self, content, names, csv_path,
+                                                   tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(content)
+        capsys.readouterr()
+        assert main(["prepare", "--input", str(csv_path), "--out-dir", str(tmp_path / "out"),
+                     "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert all(name in err for name in names)
+        assert not (tmp_path / "out").exists()
+
+    def test_report_command_is_gone(self, capsys):
+        # `evaluate` writes the mean report; nothing re-averages saved ones
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "checkpoint_augmented_seed1_report_test.json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
 
     def test_config_hash_stable(self):
         cfg = dict(DEFAULTS)
@@ -673,14 +678,11 @@ ARTIFACTS = {
     "store.json": (["candidates", "--k", "5"], "sequences"),
     "candidates.json": (["train", "--seed", "1", *FAST_TRAIN], "cc"),
     CHECKPOINT: (["evaluate", "--seed", "1"], "param/item_embeddings"),
-    REPORT: (["report"], "segments"),
 }
 
 
 def _command(name, out):
     argv, _ = ARTIFACTS[name]
-    if argv == ["report"]:
-        return ["report", str(out / name)]
     return [argv[0], "--out-dir", str(out), *argv[1:]]
 
 
@@ -741,7 +743,7 @@ class TestFaultInjection:
     @pytest.mark.parametrize("flag, content, code, prefix", [
         ("--input", b"u1,i1,1\nu2,i1,2\nu3,\xff\xfe,3\n", 3, "data error:"),
         ("--input", b"u1,i1,1\nu1,i2,2\nu1,i3,99999999999999999999\n", 3, "data error:"),
-        ("--config", b"corpus.k_core = 3\n# \xff\xfe\n", 2, "config error:"),
+        ("--config", b'{"corpus.k_core": 3}\n\xff\xfe\n', 2, "config error:"),
     ], ids=["non-utf8-log", "int64-overflow-log", "non-utf8-config"])
     def test_bad_prepare_input_is_refused(self, flag, content, code, prefix, csv_path,
                                           tmp_path, capsys):
@@ -772,34 +774,6 @@ class TestFaultInjection:
             assert main(_command(name, out) + ["--force"]) == 3
             assert "items" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit, order", [
-        (lambda doc: doc["segments"]["overall"].pop("ndcg@10"), "alone"),
-        (lambda doc: doc["segments"]["tail_item"].pop("count"), "alone"),
-        (lambda doc: doc["tcov"].update({"7": 0.5}), "alone"),
-        (lambda doc: doc["tcov"].pop("10"), "first"),
-        (lambda doc: doc["tcov"].pop("10"), "second"),
-        (lambda doc: doc["segments"]["overall"].update({"hit@10": "high"}), "alone"),
-        (lambda doc: doc["segments"]["overall"].update({"ndcg@5": True}), "alone"),
-        (lambda doc: doc["segments"]["tail_item"].update({"hit@5": float("nan")}), "alone"),
-        (lambda doc: doc["segments"]["overall"].update({"count": 2.5}), "alone"),
-        (lambda doc: doc["segments"]["head_user"].update({"count": -1}), "second"),
-        (lambda doc: doc["tcov"].update({"10": float("inf")}), "alone"),
-        (lambda doc: doc["tcov"].update({"5": False}), "alone"),
-    ], ids=["no-ndcg@10", "no-count", "tcov-outside-ks", "no-tcov@10-first",
-            "no-tcov@10-second", "string-metric", "bool-metric", "nan-metric",
-            "fractional-count", "negative-count", "inf-tcov", "bool-tcov"])
-    def test_malformed_report_is_data_error(self, edit, order, pipeline_dir, tmp_path,
-                                            capsys):
-        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-        shutil.copy(pipeline_dir / REPORT, good)
-        shutil.copy(pipeline_dir / REPORT, bad)
-        _edit_envelope(bad, edit)
-        inputs = {"alone": [bad], "first": [bad, good], "second": [good, bad]}[order]
-        capsys.readouterr()
-        assert main(["report", *map(str, inputs)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and "Traceback" not in err
-
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["c"][0].append(0),
         lambda doc: doc["c"][0].append(len(doc["c"]) + 7),
@@ -815,10 +789,14 @@ class TestFaultInjection:
         lambda doc: doc["c"][0].append(
             next(v for v in range(2, len(doc["c"]) + 1) if v not in doc["c"][0])),
         lambda doc: doc["c"][0].pop(),
+        # every cr list holds min(k, n - 1) = 5 ids
+        lambda doc: doc.update({"k": 3}),
+        lambda doc: doc.update({"k": 0}),
+        lambda doc: doc.update({"k": 10 ** 6}),
     ], ids=["padding-id-in-c", "id-past-catalog-in-c", "negative-id-in-c",
             "id-past-catalog-in-cr", "short-cc", "non-integral-id-in-c", "bool-id",
             "fractional-k", "bool-k", "reversed-c", "extra-member-in-c",
-            "dropped-member-in-c"])
+            "dropped-member-in-c", "k-below-cr-lengths", "zero-k", "k-above-cr-lengths"])
     def test_out_of_range_candidate_is_data_error(self, edit, pipeline_dir, tmp_path,
                                                   capsys):
         out = tmp_path / "run"

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailaug import evaluation, serialize
+from tailaug import evaluation
 from tailaug.encoders import encode_batch, init_model
 from tailaug.errors import DataError, NumericError
-from tailaug.evaluation import (REPORT_SCHEMA, MetricReport, RankingResult,
-                                evaluate_model, format_table, hit_at_k, mean_report,
-                                ndcg_at_k, rank_of_target, segmented_report,
+from tailaug.evaluation import (RankingResult, evaluate_model, format_table, hit_at_k,
+                                mean_report, ndcg_at_k, rank_of_target, segmented_report,
                                 validation_score)
 from tailaug.simcand import smallest_k
 
@@ -298,16 +297,6 @@ class TestTailCoverage:
 
 
 class TestReportPlumbing:
-    def test_json_roundtrip(self, tmp_path):
-        report = segmented_report(_toy_results(), _toy_seg(), ks=[5, 10],
-                                  tcov={5: 0.25})
-        p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        serialize.save(p1, REPORT_SCHEMA, report.to_fields())
-        back, _ = serialize.load(p1, REPORT_SCHEMA, MetricReport.from_fields)
-        serialize.save(p2, REPORT_SCHEMA, back.to_fields())
-        assert p1.read_bytes() == p2.read_bytes()
-        assert back.tcov == {5: 0.25}
-
     def test_format_table_has_all_columns(self):
         report = segmented_report(_toy_results(), _toy_seg(), ks=[5],
                                   tcov={5: 0.5})

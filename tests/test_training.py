@@ -704,6 +704,24 @@ class TestEarlyStopping:
         assert len(history) == 4
         assert history[0]["valid_score"] == 0.5
 
+    def test_first_of_tied_best_epochs_wins(self, small_corpus):
+        store, seg, cands, _ = small_corpus
+        model = init_model(store.n_items, 8, seed=8, encoder="pooled")
+        scores = iter([0.5, 0.5, 0.4, 0.4, 0.4])
+        seen = []
+
+        def validator(m):
+            seen.append({k: v.copy() for k, v in m.params.items()})
+            return next(scores)
+
+        cfg = TrainConfig(batch_size=16, seed=8, patience=1)
+        history, _ = train_stage1(store, model, cfg, epochs=5, validator=validator)
+        # the tie at epoch 1 is not an improvement, so epoch 2 is the second bad one
+        assert len(history) == 3
+        assert any(not np.array_equal(seen[0][k], seen[1][k]) for k in seen[0])
+        for k, v in model.params.items():
+            np.testing.assert_array_equal(v, seen[0][k])
+
 
 class TestCheckpoint:
     def test_roundtrip_bytes_identical(self, small_corpus, tmp_path):
