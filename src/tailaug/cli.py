@@ -310,9 +310,13 @@ def _overrides(args) -> dict:
     return {k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None}
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
 def _parse_seeds(text: str) -> list[int]:
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
+        seeds = _int_list(text)
     except ValueError as exc:
         raise ConfigError(f"--seeds expects comma-separated integers: {exc}") from exc
     if not seeds:
@@ -327,7 +331,8 @@ def _parse_seeds(text: str) -> list[int]:
 def _add_common(p, command):
     """Shared flags, then one flag per key of ``command``'s sections.
 
-    The values stay strings; ``load_config`` coerces them to the keys' types.
+    A value flag parses to its key's JSON type, which ``load_config``
+    requires; argparse refuses malformed text (exit 2).
     """
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-dir", default="artifacts", help="artifact directory")
@@ -340,7 +345,8 @@ def _add_common(p, command):
             p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
                            help=f"{key} (default {DEFAULTS[key]})")
         else:
-            p.add_argument(flag, dest=key, metavar=key,
+            kind = _int_list if isinstance(DEFAULTS[key], list) else type(DEFAULTS[key])
+            p.add_argument(flag, dest=key, metavar=key, type=kind,
                            help=f"default {DEFAULTS[key]}")
 
 

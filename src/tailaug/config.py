@@ -69,38 +69,35 @@ def _flat_object(pairs: list) -> dict:
     return flat
 
 
-def _int(raw: object) -> int:
-    """``int(raw)`` that refuses to truncate a non-integral float."""
-    if isinstance(raw, float) and not raw.is_integer():
+def _number(raw: object, kind: type) -> int | float:
+    """A JSON number as ``kind`` (int or float); an int must be integral."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"not a number: {raw!r}")
+    if kind is int and isinstance(raw, float) and not raw.is_integer():
         raise ValueError(f"not an integer: {raw!r}")
-    return int(raw)
+    return kind(raw)
 
 
 def _coerce(key: str, raw: object) -> object:
-    default = DEFAULTS[key]
+    """``raw``, which must have the JSON type of ``key``'s default, as that type."""
+    kind = type(DEFAULTS[key])
     try:
-        if isinstance(default, bool):
-            if isinstance(raw, bool):
-                return raw
-            raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(raw, bool) or (isinstance(raw, (list, tuple))
-                                     and any(isinstance(v, bool) for v in raw)):
-            raise ValueError(f"not a number: {raw!r}")
-        if isinstance(default, int):
-            return _int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if isinstance(default, list):
-            if isinstance(raw, (list, tuple)):
-                return [_int(v) for v in raw]
-            return [int(v) for v in str(raw).split(",") if v.strip()]
-        return str(raw)
+        if kind in (int, float):
+            return _number(raw, kind)
+        if not isinstance(raw, kind):
+            name = {bool: "boolean", list: "list", str: "string"}[kind]
+            raise ValueError(f"not a {name}: {raw!r}")
+        return [_number(v, int) for v in raw] if kind is list else raw
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
-    """Defaults, then config file, then overrides; unknown keys are errors."""
+    """Defaults, then config file, then overrides; unknown keys are errors.
+
+    File values and overrides alike must have their key's JSON type: a
+    number, a list of integers, a boolean or a string.
+    """
     cfg = dict(DEFAULTS)
     raw: dict[str, object] = {}
     if path is not None:

@@ -9,6 +9,10 @@ Reports carry hit ratio and NDCG at each cutoff for five segments
 (overall, head/tail item by the *target's* membership, head/tail user by
 the user's membership) plus tail coverage: the fraction of tail items
 that appear in at least one user's top-K list.
+
+Scoring yields int64 rank arrays, and the report masks each segment out of
+the user, target and rank columns; ``hit_at_k`` and ``ndcg_at_k`` over
+per-user ``RankingResult`` lists compute through the same array formula.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from .errors import DataError, NumericError
 from .simcand import smallest_k
 
 REPORT_SCHEMA = "tailaug.metric_report.v1"
-
-SEGMENTS = ("overall", "head_item", "tail_item", "head_user", "tail_user")
 
 _EVAL_BATCH = 512
 VALID_K = 10  # early stopping compares NDCG at this cutoff
@@ -50,7 +52,7 @@ def rank_of_target(scores: np.ndarray, target) -> np.ndarray:
 
 def _score_blocks(model: ModelState, store: SequenceStore, phase: str,
                   filter_seen: bool, depth: int = 0):
-    """Yield (ranking results, top-``depth`` item ids) per block of users.
+    """Yield (targets, int64 target ranks, top-``depth`` item ids) per block of users.
 
     Each block is encoded and scored once; ranks and top lists read the
     same (optionally seen-filtered) scores.  Top lists order by score
@@ -65,43 +67,45 @@ def _score_blocks(model: ModelState, store: SequenceStore, phase: str,
     item_emb = model.embeddings[1:]  # padding row excluded from ranking
     take = min(depth, len(item_emb))
     for start in range(0, store.n_users, _EVAL_BATCH):
-        chunk = range(start, min(start + _EVAL_BATCH, store.n_users))
-        seqs = [store.items[a:b] for a, b in zip(firsts[start:chunk.stop], lasts[start:chunk.stop])]
-        targets = store.items[ends[start:chunk.stop]]
+        stop = min(start + _EVAL_BATCH, store.n_users)
+        seqs = [store.items[a:b] for a, b in zip(firsts[start:stop], lasts[start:stop])]
+        targets = store.items[ends[start:stop]]
         h = encode_batch(model, seqs)[0]  # unbound, the backward cache is freed here
         scores = h @ item_emb.T
         if not np.all(np.isfinite(scores)):
-            raise NumericError(f"non-finite {phase} scores for users {chunk[0]}..{chunk[-1]}")
+            raise NumericError(f"non-finite {phase} scores for users {start}..{stop - 1}")
         if filter_seen:  # the target itself stays ranked when it reoccurs
-            for row, seq, target in zip(scores, seqs, targets):
-                row[seq[seq != target] - 1] = -np.inf
+            rows = np.repeat(np.arange(stop - start), ends[start:stop] - store.offsets[start:stop])
+            seen = np.concatenate(seqs)
+            other = seen != targets[rows]
+            scores[rows[other], seen[other] - 1] = -np.inf
         ranks = rank_of_target(scores, targets)
-        results = [RankingResult(user=u, target=int(t), rank=int(r))
-                   for u, t, r in zip(chunk, targets, ranks)]
         top = smallest_k(np.negative(scores, out=scores), take) + 1 if take else None
-        yield results, top
+        yield targets, ranks, top
 
 
-def hit_at_k(results, k: int) -> float:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not results:
-        raise DataError("cannot compute metrics over zero ranking results")
-    return sum(r.rank <= k for r in results) / len(results)
+def _hit_ndcg(ranks: np.ndarray, k: int) -> tuple[float, float]:
+    """Hit ratio and single-target NDCG at ``k`` of a rank array: NDCG's gain
+    is 1/log2(rank+1) inside the cutoff, else 0.
 
-
-def ndcg_at_k(results, k: int) -> float:
-    """Single-target NDCG: gain 1/log2(rank+1) inside the cutoff, else 0.
-
-    Uses correctly-rounded summation so the value is reproducible to the
+    NDCG sums with correct rounding, so the value is reproducible to the
     last bit regardless of accumulation order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not results:
+    if not len(ranks):
         raise DataError("cannot compute metrics over zero ranking results")
-    gains = [1.0 / math.log2(r.rank + 1) if r.rank <= k else 0.0 for r in results]
-    return math.fsum(gains) / len(results)
+    inside = ranks[ranks <= k]
+    gain = [0.0] + [1.0 / math.log2(r + 1) for r in range(1, int(inside.max(initial=0)) + 1)]
+    return len(inside) / len(ranks), math.fsum(np.take(gain, inside).tolist()) / len(ranks)
+
+
+def hit_at_k(results, k: int) -> float:
+    return _hit_ndcg(np.array([r.rank for r in results]), k)[0]
+
+
+def ndcg_at_k(results, k: int) -> float:
+    return _hit_ndcg(np.array([r.rank for r in results]), k)[1]
 
 
 @dataclass
@@ -122,28 +126,25 @@ class MetricReport:
         }
 
 
-def _segment_members(results, segmentation: Segmentation):
-    yield "overall", results
-    yield "head_item", [r for r in results if r.target in segmentation.head_items]
-    yield "tail_item", [r for r in results if r.target in segmentation.tail_items]
-    yield "head_user", [r for r in results if r.user in segmentation.head_users]
-    yield "tail_user", [r for r in results if r.user in segmentation.tail_users]
-
-
-def segmented_report(results, segmentation: Segmentation, ks,
-                     tcov: dict[int, float] | None = None,
+def segmented_report(users: np.ndarray, targets: np.ndarray, ranks: np.ndarray,
+                     segmentation: Segmentation, ks, tcov: dict[int, float] | None = None,
                      phase: str = "test") -> MetricReport:
-    """Metrics per segment; item segments key on the held-out target."""
-    if not results:
+    """Metrics per segment of the aligned user, target and rank columns; item
+    segments key on the held-out target."""
+    if not len(ranks):
         raise DataError("cannot build a report from zero ranking results")
+    head_item = segmentation.item_head_mask[targets]
+    head_user = np.isin(users, np.fromiter(segmentation.head_users, dtype=np.int64))
     segments = {}
-    for name, members in _segment_members(results, segmentation):
-        if not members:
+    for name, mask in (("overall", slice(None)), ("head_item", head_item),
+                       ("tail_item", ~head_item), ("head_user", head_user),
+                       ("tail_user", ~head_user)):
+        members = ranks[mask]
+        if not len(members):
             continue
         row: dict[str, float] = {"count": len(members)}
         for k in ks:
-            row[f"hit@{k}"] = hit_at_k(members, k)
-            row[f"ndcg@{k}"] = ndcg_at_k(members, k)
+            row[f"hit@{k}"], row[f"ndcg@{k}"] = _hit_ndcg(members, k)
         segments[name] = row
     return MetricReport(ks=list(ks), segments=segments, tcov=tcov or {}, phase=phase)
 
@@ -157,24 +158,26 @@ def evaluate_model(model: ModelState, store: SequenceStore,
     ``filter_seen`` drops each user's already-seen items, except the target
     itself when it reoccurs, from the ranks and from those lists.
     """
-    results = []
+    targets, ranks = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     listed = {int(k): np.zeros(store.n_items + 1, dtype=bool) for k in ks}
-    for block, top in _score_blocks(model, store, phase, filter_seen,
-                                    depth=max(listed, default=0)):
-        results += block
+    for block_targets, block, top in _score_blocks(model, store, phase, filter_seen,
+                                                   depth=max(listed, default=0)):
+        targets.append(block_targets)
+        ranks.append(block)
         for k, covered in listed.items():
             covered[top[:, :k]] = True
     n_tail = len(segmentation.tail_items)
     tail = ~segmentation.item_head_mask
     tcov = {k: np.count_nonzero(covered & tail) / n_tail if n_tail else 0.0
             for k, covered in listed.items()}
-    return segmented_report(results, segmentation, ks, tcov=tcov, phase=phase)
+    return segmented_report(np.arange(store.n_users), np.concatenate(targets),
+                            np.concatenate(ranks), segmentation, ks, tcov=tcov, phase=phase)
 
 
 def validation_score(model: ModelState, store: SequenceStore) -> float:
     """NDCG@``VALID_K`` on the validation targets (early-stopping criterion)."""
-    results = [r for block, _ in _score_blocks(model, store, "valid", False) for r in block]
-    return ndcg_at_k(results, VALID_K)
+    ranks = [block for _, block, _ in _score_blocks(model, store, "valid", False)]
+    return _hit_ndcg(np.concatenate([np.empty(0, dtype=np.int64), *ranks]), VALID_K)[1]
 
 
 _COLUMNS = (("overall", "Overall"), ("head_item", "Head Item"),

@@ -173,14 +173,19 @@ def solve_similarity(X: scipy.sparse.csr_matrix, config: SolverConfig,
 
 
 def smallest_k(keys: np.ndarray, take: int) -> np.ndarray:
-    """Per row, the columns of the ``take`` smallest keys, in stable-argsort order."""
-    part = np.argpartition(keys, take - 1, axis=1)[:, :take]
-    part_keys = np.take_along_axis(keys, part, axis=1)
-    top = np.take_along_axis(part, np.lexsort((part, part_keys), axis=-1), axis=1)
-    # rows tied at the k-th key beyond the slice may have lost a lower index
-    kth = part_keys.max(axis=1, keepdims=True)
-    for r in np.flatnonzero(np.count_nonzero(keys <= kth, axis=1) > take):
-        top[r] = np.lexsort((np.arange(keys.shape[1]), keys[r]))[:take]
+    """Per row, the columns of the ``take`` smallest keys, in stable-argsort order.
+
+    Partitioned at ``take``, only a row whose key there ties the slice's
+    largest can hold a lower tied column outside it; it is sorted in full.
+    """
+    n = keys.shape[1]
+    part = np.argpartition(keys, min(take, n - 1), axis=1)
+    part_keys = np.take_along_axis(keys, part[:, :take + 1], axis=1)
+    top, top_keys = part[:, :take], part_keys[:, :take]
+    top = np.take_along_axis(top, np.lexsort((top, top_keys), axis=-1), axis=1)
+    if take < n:
+        for r in np.flatnonzero(part_keys[:, take] == top_keys.max(axis=1)):
+            top[r] = np.lexsort((np.arange(n), keys[r]))[:take]
     return top
 
 

@@ -91,6 +91,20 @@ class TestPrepare:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "none").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--dim", "16.5"], "--dim"),
+        (["evaluate", "--ks", "5,x"], "--ks"),
+        (["candidates", "--ridge-penalty", "ten"], "--ridge-penalty"),
+        (["prepare", "--input", "missing.csv", "--k-core", "3.0"], "--k-core"),
+    ])
+    def test_malformed_flag_value_exits_2(self, tmp_path, capsys, argv, flag):
+        # flags parse to their keys' JSON types, so argparse refuses bad text
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
     @pytest.mark.parametrize("key, value", [("corpus.k_core", True),
                                             ("simcand.diag_cap", False),
                                             ("corpus.k_core", float("inf")),
@@ -543,9 +557,15 @@ class TestConfigFile:
         ('{"corpus": {"k_core": 3, "k_core": 4}}', ["'k_core' is given twice"]),
         ('{"corpus": {"k_core": 3}, "corpus.k_core": 4}', ["'corpus.k_core' is given twice"]),
         ('{"corpus.k_core": 4, "corpus": {"k_core": 3}}', ["'corpus.k_core' is given twice"]),
+        ('{"corpus.k_core": "3"}', ["corpus.k_core", "not a number"]),
+        ('{"eval.ks": "5,10"}', ["eval.ks", "not a list"]),
+        ('{"model": {"dim": "16"}}', ["model.dim", "not a number"]),
+        ('{"eval.ks": [5, "10"]}', ["eval.ks", "not a number"]),
+        ('{"corpus": {"delimiter": 9}}', ["corpus.delimiter", "not a string"]),
     ], ids=["key-value-lines", "top-level-array", "top-level-string", "string-boolean",
             "integer-boolean", "repeated-key", "repeated-nested-key", "nested-then-dotted",
-            "dotted-then-nested"])
+            "dotted-then-nested", "string-integer", "string-list", "string-nested-integer",
+            "string-list-member", "number-string"])
     def test_malformed_config_file_is_config_error(self, content, names, csv_path,
                                                    tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -1,4 +1,6 @@
+import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +22,11 @@ from conftest import (bruteforce_tail_coverage, decoded_store, encode_one, ragge
 
 
 def rank_all(model, store, phase, filter_seen=False):
-    """Every user's ranking result, read off the scoring blocks."""
-    return [r for block, _ in evaluation._score_blocks(model, store, phase, filter_seen)
-            for r in block]
+    """Every user's (user, target, rank) row, read off the scoring blocks in user order."""
+    blocks = list(evaluation._score_blocks(model, store, phase, filter_seen))
+    targets = np.concatenate([t for t, _, _ in blocks]).tolist()
+    ranks = np.concatenate([r for _, r, _ in blocks]).tolist()
+    return list(zip(range(len(ranks)), targets, ranks))
 
 
 class TestRankOfTarget:
@@ -95,6 +99,62 @@ class TestSmallestK:
         assert smallest_k(np.array([[3.0], [-np.inf], [np.inf]]), 1).tolist() == \
             [[0], [0], [0]]
 
+    def test_tie_just_past_the_cut(self):
+        # take = 3: the two keys past the cut tie with each other, not with the slice
+        keys = np.array([[4.0, 2.0, 4.0, 0.0, 1.0, 9.0],
+                         [4.0, 2.0, 4.0, 0.0, 2.0, 9.0]])
+        assert smallest_k(keys, 3).tolist() == [[3, 4, 1], [3, 1, 4]]
+        # take = 2: the second-smallest key 2 straddles the cut, its lower column wins
+        assert smallest_k(keys, 2).tolist() == [[3, 4], [3, 1]]
+
+    def test_rows_entirely_filtered(self):
+        # a seen-filtered row is all +inf keys: columns in ascending order
+        keys = np.full((3, 6), np.inf)
+        keys[1, 4] = 0.5
+        for take in (1, 3, 5, 6):
+            assert np.array_equal(smallest_k(keys, take), _stable_top(-keys, take))
+        assert smallest_k(keys, 3).tolist() == [[0, 1, 2], [4, 0, 1], [0, 1, 2]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_whole_row_and_one_short(self, dtype):
+        rng = np.random.default_rng(11)
+        scores = rng.integers(0, 3, size=(40, 9)).astype(dtype)
+        scores[rng.random(scores.shape) < 0.2] = -np.inf
+        for take in (8, 9):
+            top = smallest_k(-scores, take)
+            assert top.shape == (40, take)
+            assert np.array_equal(top, _stable_top(scores, take))
+
+    def test_any_order_the_partition_allows(self, monkeypatch):
+        # argpartition leaves each side of its kth position in an undefined
+        # order; the kernel must be right for every such order, not numpy's
+        real, rng = np.argpartition, np.random.default_rng(5)
+
+        def shuffled(a, kth, axis):
+            part = real(a, kth, axis=axis)
+            for row in part:
+                rng.shuffle(row[:kth])
+                rng.shuffle(row[kth + 1:])
+            return part
+
+        monkeypatch.setattr(np, "argpartition", shuffled)
+        for levels in (2, 4, 8, 16):
+            scores = rng.integers(0, levels, size=(32, 30)).astype(float)
+            for take in range(1, 31):
+                assert np.array_equal(smallest_k(-scores, take), _stable_top(scores, take))
+
+    @given(st.integers(1, 30), st.integers(1, 12), st.data(),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stable_argsort(self, n, rows, data, dtype):
+        # few distinct keys, infinities included: ties straddle the cut often
+        levels = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf])
+        keys = np.array(data.draw(st.lists(st.lists(levels, min_size=n, max_size=n),
+                                           min_size=rows, max_size=rows)), dtype=dtype)
+        take = data.draw(st.integers(1, n))
+        assert np.array_equal(smallest_k(keys, take),
+                              np.argsort(keys, axis=1, kind="stable")[:, :take])
+
 
 class TestFullRank:
     def test_against_sort_oracle_on_toy_model(self):
@@ -102,13 +162,13 @@ class TestFullRank:
             {f"u{i}": [f"i{j:02d}" for j in np.random.default_rng(i).integers(0, 20, 6)]
              for i in range(8)})
         model = init_model(store.n_items, 8, seed=1)
-        for u, res in enumerate(rank_all(model, store, "test")):
-            assert res.user == u
+        for u, (user, target, rank) in enumerate(rank_all(model, store, "test")):
+            assert user == u
             seq = np.concatenate([store.train_prefix(u), [store.valid_item(u)]])
             scores = model.embeddings[1:] @ encode_one(model, seq)
             expected = 1 + sum(1 for j in range(store.n_items)
-                               if j + 1 != res.target and scores[j] >= scores[res.target - 1])
-            assert res.rank == expected
+                               if j + 1 != target and scores[j] >= scores[target - 1])
+            assert rank == expected
 
     def test_non_finite_scores_raise_not_rank(self):
         store = store_from_sequences({"u": ["a", "b", "c", "d", "e"]})
@@ -120,8 +180,8 @@ class TestFullRank:
     def test_valid_phase_uses_prefix_only(self):
         store = store_from_sequences({"u": ["a", "b", "c", "d", "e"]})
         model = init_model(store.n_items, 4, seed=2)
-        res = rank_all(model, store, "valid")[0]
-        assert res.target == store.valid_item(0)
+        _, target, _ = rank_all(model, store, "valid")[0]
+        assert target == store.valid_item(0)
 
     def test_a_block_frees_its_encode_cache_before_the_next(self, small_corpus, monkeypatch):
         # the backward cache is most of a block's memory, and scoring never uses it
@@ -145,8 +205,28 @@ class TestFullRank:
         model = init_model(store.n_items, 8, seed=3)
         plain = rank_all(model, store, "test")
         filtered = rank_all(model, store, "test", filter_seen=True)
-        for a, b in zip(plain, filtered):
-            assert b.rank <= a.rank
+        for (_, _, a), (_, _, b) in zip(plain, filtered):
+            assert b <= a
+
+    @pytest.mark.parametrize("phase", ["valid", "test"])
+    def test_filter_seen_keeps_a_reoccurring_target(self, phase, monkeypatch):
+        # every target also occurs earlier in its user's input; blocks of 2 users
+        store = store_from_sequences({"u0": ["a", "b", "a", "c", "a", "a"],
+                                      "u1": ["c", "b", "d", "b", "d", "b"],
+                                      "u2": ["e", "f", "g", "h", "e", "f"],
+                                      "u3": ["d", "a", "d", "c", "c", "d"],
+                                      "u4": ["f", "f", "g", "f", "g", "g"]})
+        model = init_model(store.n_items, 4, seed=7)
+        monkeypatch.setattr(evaluation, "_EVAL_BATCH", 2)
+        rows = rank_all(model, store, phase, filter_seen=True)
+        for u, (_, target, rank) in enumerate(rows):
+            seq = store.train_prefix(u) if phase == "valid" else \
+                np.concatenate([store.train_prefix(u), [store.valid_item(u)]])
+            assert target in seq
+            scores = model.embeddings[1:] @ encode_one(model, seq)
+            others = set(seq.tolist()) - {target}
+            scores[[v - 1 for v in others]] = -np.inf
+            assert rank == rank_of_target(scores, target) <= store.n_items - len(others)
 
 
 class TestHitNdcg:
@@ -177,16 +257,12 @@ class TestHitNdcg:
         assert ndcg_at_k(res, k) <= hit_at_k(res, k) + 1e-12
 
 
-def _toy_results():
+def _toy_columns():
     # 6 hand-built cases: users 0..5, targets alternate head(1)/tail(2)
-    return [
-        RankingResult(user=0, target=1, rank=1),
-        RankingResult(user=1, target=2, rank=3),
-        RankingResult(user=2, target=1, rank=12),
-        RankingResult(user=3, target=2, rank=2),
-        RankingResult(user=4, target=1, rank=5),
-        RankingResult(user=5, target=2, rank=40),
-    ]
+    users = np.arange(6)
+    targets = np.array([1, 2, 1, 2, 1, 2])
+    ranks = np.array([1, 3, 12, 2, 5, 40])
+    return users, targets, ranks
 
 
 def _toy_seg():
@@ -196,7 +272,7 @@ def _toy_seg():
 
 class TestSegmentedReport:
     def test_hand_computed_segments(self):
-        report = segmented_report(_toy_results(), _toy_seg(), ks=[5, 10])
+        report = segmented_report(*_toy_columns(), _toy_seg(), ks=[5, 10])
         seg = report.segments
         # head_item = users 0,2,4 with ranks 1,12,5 ; tail_item = 3,2,40
         assert seg["head_item"]["count"] == 3 and seg["tail_item"]["count"] == 3
@@ -208,13 +284,14 @@ class TestSegmentedReport:
         assert seg["head_user"]["count"] == 2 and seg["tail_user"]["count"] == 4
 
     def test_absent_segment_when_empty(self):
-        results = [r for r in _toy_results() if r.target == 1]
-        report = segmented_report(results, _toy_seg(), ks=[5])
+        users, targets, ranks = _toy_columns()
+        head = targets == 1
+        report = segmented_report(users[head], targets[head], ranks[head], _toy_seg(), ks=[5])
         assert "tail_item" not in report.segments
         assert "head_item" in report.segments
 
     def test_user_segments_partition_overall(self):
-        report = segmented_report(_toy_results(), _toy_seg(), ks=[5])
+        report = segmented_report(*_toy_columns(), _toy_seg(), ks=[5])
         seg = report.segments
         assert seg["head_user"]["count"] + seg["tail_user"]["count"] == \
             seg["overall"]["count"]
@@ -222,12 +299,65 @@ class TestSegmentedReport:
             seg["overall"]["count"]
 
     def test_overall_is_weighted_average_of_item_segments(self):
-        report = segmented_report(_toy_results(), _toy_seg(), ks=[10])
+        report = segmented_report(*_toy_columns(), _toy_seg(), ks=[10])
         seg = report.segments
         weighted = (seg["head_item"]["hit@10"] * seg["head_item"]["count"]
                     + seg["tail_item"]["hit@10"] * seg["tail_item"]["count"])
         assert seg["overall"]["hit@10"] == pytest.approx(
             weighted / seg["overall"]["count"])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_columns_equal_rowwise_reference(self, data):
+        n_users, n_items = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 12))
+        size = data.draw(st.integers(1, 40))
+        column = lambda lo, hi: np.array(data.draw(
+            st.lists(st.integers(lo, hi), min_size=size, max_size=size)))
+        users, targets, ranks = column(0, n_users - 1), column(1, n_items), column(1, n_items)
+        seg = segmentation_with_heads(
+            SimpleNamespace(n_users=n_users, n_items=n_items),
+            head_items=data.draw(st.sets(st.integers(1, n_items))),
+            head_users=data.draw(st.sets(st.integers(0, n_users - 1))))
+        # the last cutoff lies above every rank
+        ks = data.draw(st.lists(st.integers(1, n_items), max_size=3, unique=True)) + [n_items + 1]
+        results = [RankingResult(u, t, r) for u, t, r in
+                   zip(users.tolist(), targets.tolist(), ranks.tolist())]
+        assert segmented_report(users, targets, ranks, seg, ks).segments == \
+            _rowwise_segments(results, seg, ks)
+
+    def test_empty_user_and_item_segments(self):
+        # every item and no user is head: the tail-item and head-user segments are empty
+        seg = segmentation_with_heads(SimpleNamespace(n_users=3, n_items=4),
+                                      head_items=range(1, 5))
+        users, targets = np.array([0, 1, 2, 2]), np.array([1, 4, 2, 3])
+        ranks = targets.copy()
+        report = segmented_report(users, targets, ranks, seg, ks=[2, 5])
+        assert list(report.segments) == ["overall", "head_item", "tail_user"]
+        results = [RankingResult(*row) for row in zip(users, targets, ranks)]
+        assert report.segments == _rowwise_segments(results, seg, [2, 5])
+        assert report.segments["overall"]["hit@5"] == 1.0
+
+
+def _rowwise_segments(results, seg, ks):
+    """The per-result reference: members by set membership, metrics written out
+    term by term, and ``hit_at_k``/``ndcg_at_k`` equal to them."""
+    members = {"overall": results,
+               "head_item": [r for r in results if r.target in seg.head_items],
+               "tail_item": [r for r in results if r.target in seg.tail_items],
+               "head_user": [r for r in results if r.user in seg.head_users],
+               "tail_user": [r for r in results if r.user in seg.tail_users]}
+    segments = {}
+    for name, rows in members.items():
+        if not rows:
+            continue
+        segments[name] = {"count": len(rows)}
+        for k in ks:
+            hit = sum(r.rank <= k for r in rows) / len(rows)
+            ndcg = math.fsum(1.0 / math.log2(r.rank + 1) if r.rank <= k else 0.0
+                             for r in rows) / len(rows)
+            assert hit_at_k(rows, k) == hit and ndcg_at_k(rows, k) == ndcg
+            segments[name][f"hit@{k}"], segments[name][f"ndcg@{k}"] = hit, ndcg
+    return segments
 
 
 def _tcov(model, store, seg, k, filter_seen=False):
@@ -298,7 +428,7 @@ class TestTailCoverage:
 
 class TestReportPlumbing:
     def test_format_table_has_all_columns(self):
-        report = segmented_report(_toy_results(), _toy_seg(), ks=[5],
+        report = segmented_report(*_toy_columns(), _toy_seg(), ks=[5],
                                   tcov={5: 0.5})
         table = format_table(report)
         for label in ("Overall", "Head Item", "Tail Item", "Head User", "Tail User"):
@@ -306,17 +436,17 @@ class TestReportPlumbing:
         assert "tcov@5" in table
 
     def test_mean_report_averages(self):
-        r1 = segmented_report(_toy_results(), _toy_seg(), ks=[5], tcov={5: 0.2})
-        shifted = [RankingResult(r.user, r.target, r.rank + 1) for r in _toy_results()]
-        r2 = segmented_report(shifted, _toy_seg(), ks=[5], tcov={5: 0.4})
+        r1 = segmented_report(*_toy_columns(), _toy_seg(), ks=[5], tcov={5: 0.2})
+        users, targets, ranks = _toy_columns()
+        r2 = segmented_report(users, targets, ranks + 1, _toy_seg(), ks=[5], tcov={5: 0.4})
         mean = mean_report([r1, r2])
         assert mean.tcov[5] == pytest.approx(0.3)
         assert mean.segments["overall"]["hit@5"] == pytest.approx(
             (r1.segments["overall"]["hit@5"] + r2.segments["overall"]["hit@5"]) / 2)
 
     def test_mean_report_rejects_mismatched(self):
-        r1 = segmented_report(_toy_results(), _toy_seg(), ks=[5])
-        r2 = segmented_report(_toy_results(), _toy_seg(), ks=[10])
+        r1 = segmented_report(*_toy_columns(), _toy_seg(), ks=[5])
+        r2 = segmented_report(*_toy_columns(), _toy_seg(), ks=[10])
         with pytest.raises(DataError):
             mean_report([r1, r2])
 
@@ -347,7 +477,7 @@ class TestEvaluateModel:
     def test_validation_score_uses_valid_phase(self, small_corpus):
         store, _, _, _ = small_corpus
         model = init_model(store.n_items, 8, seed=6)
-        results = rank_all(model, store, "valid")
+        results = [RankingResult(*row) for row in rank_all(model, store, "valid")]
         assert validation_score(model, store) == pytest.approx(
             ndcg_at_k(results, 10))
 
@@ -368,11 +498,9 @@ class TestSlicedInputsMatchRowwise:
                 for u in range(store.n_users)]
         targets = [store.test_item(u) for u in range(store.n_users)]
         ranks = rank_of_target(encode_batch(model, seqs)[0] @ model.embeddings[1:].T, targets)
-        results = [RankingResult(user=u, target=t, rank=int(r))
-                   for u, (t, r) in enumerate(zip(targets, ranks))]
         tcov = {k: bruteforce_tail_coverage(model, store, seg, k) for k in ks}
-        assert evaluate_model(model, store, seg, ks=ks).to_fields() == \
-            segmented_report(results, seg, ks, tcov=tcov).to_fields()
+        assert evaluate_model(model, store, seg, ks=ks).to_fields() == segmented_report(
+            np.arange(store.n_users), np.array(targets), ranks, seg, ks, tcov=tcov).to_fields()
 
     @given(ragged_rows(min_users=1), st.sampled_from(["pooled", "gru"]))
     @example(([[1, 2, 1, 2, 1], [2, 1, 2]], 2, 5), "pooled")
