@@ -5,7 +5,10 @@ embeds a lineage id (config hash chained through parents); downstream
 subcommands refuse inputs from a different lineage, or with none, unless
 ``--force`` is given.  Only what the store does not determine is stored:
 ``candidates``, ``train`` and ``evaluate`` recompute the head/tail
-segmentation from ``store.json`` with ``corpus.segment``.  Each pipeline
+segmentation from ``store.json`` with ``corpus.segment``.  ``train`` writes
+``checkpoint_<mode>_seed<s>.bin`` per seed; ``evaluate`` scores the ones its
+``--mode`` and ``--seeds`` name, each of which must record that mode, and
+averages several into ``report_<mode>_mean_<phase>.json``.  Each pipeline
 command has one flag per key of its config sections; flags override
 config-file keys.  Exit codes: 0 ok, 2 config error, 3 data error,
 4 numeric failure.
@@ -41,6 +44,11 @@ def _file_sha(path) -> str:
 
 def _artifact(out_dir, name) -> Path:
     return Path(out_dir) / name
+
+
+def _checkpoint_path(out_dir, mode: str, seed: int) -> Path:
+    """Where ``train`` writes, and ``evaluate`` reads, one arm's checkpoint for one seed."""
+    return _artifact(out_dir, f"checkpoint_{mode}_seed{seed}.bin")
 
 
 def _check_lineage(expected: str | None, found: str | None, what: str, force: bool):
@@ -184,7 +192,7 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
                 trace.close()
         history = history + h2
 
-    ckpt_path = _artifact(out_dir, f"checkpoint_{mode}_seed{seed}.bin")
+    ckpt_path = _checkpoint_path(out_dir, mode, seed)
     config_meta = {k: cfg[k] for k in section_keys("train")}
     config_meta.update({"mode": mode, "seed": seed})
     training.save_checkpoint(
@@ -203,9 +211,10 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
 def cmd_train(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
-    if args.trace and (len(seeds) > 1 or args.mode == "baseline"):
+    if args.trace and (len(seeds) > 1 or args.mode == "baseline"
+                       or not cfg["train.operator_loss"] or cfg["train.stage2_epochs"] == 0):
         raise ConfigError("--trace records one seed's augmented samples; give a single "
-                          "seed and --mode augmented")
+                          "seed, --mode augmented, the operator loss and stage-2 epochs")
     out_dir = Path(args.out_dir)
     store, store_id = _load_prepared(out_dir)
     seg = corpus.segment(store, beta=cfg["augment.beta"])
@@ -234,37 +243,28 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     out_dir = Path(args.out_dir)
-    if args.checkpoint:
-        if args.seeds:
-            raise ConfigError("--seeds derives checkpoint paths; it cannot be combined "
-                              "with --checkpoint")
-        ckpt_paths = [Path(p) for p in args.checkpoint]
-        if len({p.resolve() for p in ckpt_paths}) < len(ckpt_paths):
-            raise ConfigError(f"--checkpoint repeats a file: {' '.join(args.checkpoint)}")
-    else:
-        seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
-        ckpt_paths = [_artifact(out_dir, f"checkpoint_{args.mode}_seed{s}.bin")
-                      for s in seeds]
+    seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
     store, store_id = _load_prepared(out_dir)
     seg = corpus.segment(store)
 
     # every checkpoint is read and checked before any report is written
     loaded = []
-    for path in ckpt_paths:
+    for seed in seeds:
+        path = _checkpoint_path(out_dir, args.mode, seed)
         if not path.exists():
             raise DataError(f"missing checkpoint {path}; run `tailaug train` first")
         model, _, meta = training.load_checkpoint(path)
         _check_lineage(store_id, meta.get("lineage", {}).get("prepare"),
                        f"checkpoint {path.name} vs store", args.force)
         _check_items(model.n_items, store, path)
-        loaded.append((path, model, meta.get("config", {}).get("mode")))
-    modes = {mode for _, _, mode in loaded}
-    if len(loaded) > 1 and (len(modes) > 1 or None in modes):
-        raise ConfigError("averaged checkpoints must record one mode: " + ", ".join(
-            f"{path.name}={mode}" for path, _, mode in loaded))
+        recorded = meta.get("config", {}).get("mode")
+        if recorded != args.mode:
+            raise DataError(f"checkpoint {path.name} records mode {recorded}, but its "
+                            f"name says {args.mode}; re-run `tailaug train --mode {args.mode}`")
+        loaded.append((path, model))
 
     reports = []
-    for path, model, _ in loaded:
+    for path, model in loaded:
         report = evaluation.evaluate_model(
             model, store, seg, ks=cfg["eval.ks"], phase=args.phase,
             filter_seen=cfg["eval.filter_seen"])
@@ -278,7 +278,7 @@ def cmd_evaluate(args) -> int:
         print(evaluation.format_table(report))
     if len(reports) > 1:
         mean = evaluation.mean_report(reports)
-        mean_path = _artifact(out_dir, f"report_{modes.pop()}_mean_{args.phase}.json")
+        mean_path = _artifact(out_dir, f"report_{args.mode}_mean_{args.phase}.json")
         serialize.save(mean_path, evaluation.REPORT_SCHEMA, mean.to_fields(),
                        {"prepare": store_id})
         serialize.write_text(mean_path.with_suffix(".txt"),
@@ -376,14 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="rank held-out targets and report metrics")
     _add_common(p, "evaluate")
-    p.add_argument("--checkpoint", nargs="+", default=None,
-                   help="explicit checkpoint path(s), all of one recorded mode; "
-                        "default derives from mode/seeds")
     p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented",
-                   help="mode of the derived checkpoint paths; --checkpoint reads it "
-                        "from the checkpoints")
-    p.add_argument("--seeds", default=None,
-                   help="comma-separated seed sweep (not with --checkpoint)")
+                   help="arm whose checkpoints are scored")
+    p.add_argument("--seeds", default=None, help="comma-separated seed sweep")
     p.add_argument("--phase", choices=["valid", "test"], default="test")
     p.set_defaults(func=cmd_evaluate)
 

@@ -208,15 +208,10 @@ def format_table(report: MetricReport) -> str:
 
 
 def mean_report(reports: list[MetricReport]) -> MetricReport:
-    """Average metrics across same-structure, same-phase reports (multi-seed runs)."""
+    """Average metrics across reports of one phase, cutoffs and segments (multi-seed runs)."""
     if not reports:
         raise DataError("no reports to aggregate")
     first = reports[0]
-    for other in reports[1:]:
-        if (other.ks, other.phase, set(other.segments), set(other.tcov)) != \
-                (first.ks, first.phase, set(first.segments), set(first.tcov)):
-            raise DataError("reports differ in cutoffs, phase, segments or tcov; "
-                            "cannot average")
     segments = {}
     for name, row in first.segments.items():
         out = {"count": row["count"]}

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -83,6 +84,8 @@ class TestPrepare:
         (["train", "--seed", "-2"], "seed must be >= 0"),
         (["train", "--seeds=-2"], "--seeds must be >= 0"),
         (["evaluate", "--seeds=-2"], "--seeds must be >= 0"),
+        (["train", "--no-operator-loss", "--trace", "trace.jsonl"], "--trace"),
+        (["train", "--stage2-epochs", "0", "--trace", "trace.jsonl"], "--trace"),
     ])
     def test_negative_count_fails_before_io(self, tmp_path, capsys, argv, key):
         # neither the input nor the prepared artifacts exist
@@ -287,12 +290,12 @@ class TestTrainEvaluate:
         main(["candidates", "--out-dir", str(a), "--k", "5"])
         main(["train", "--out-dir", str(a), "--mode", "augmented", "--seed", "9",
               *FAST_TRAIN])
-        ckpt = a / "checkpoint_augmented_seed9.bin"
-        code = main(["evaluate", "--out-dir", str(b), "--checkpoint", str(ckpt)])
+        name = "checkpoint_augmented_seed9.bin"
+        shutil.copyfile(a / name, b / name)
+        code = main(["evaluate", "--out-dir", str(b), "--seed", "9"])
         assert code == 3
         assert "lineage" in capsys.readouterr().err
-        assert main(["evaluate", "--out-dir", str(b), "--checkpoint", str(ckpt),
-                     "--force"]) == 0
+        assert main(["evaluate", "--out-dir", str(b), "--seed", "9", "--force"]) == 0
 
     def test_beta_sweep_reuses_prepare_and_candidates(self, pipeline_dir, tmp_path):
         # beta is a train key: sweeping it leaves the store and candidates valid
@@ -319,72 +322,23 @@ class TestTrainEvaluate:
         assert (tmp_path / "report_augmented_mean_test.json").exists()
         assert "mean over 2 checkpoints" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("spelling", ["same", "dotdot"])
-    def test_repeated_checkpoint_is_config_error(self, spelling, pipeline_dir, tmp_path,
-                                                 capsys):
-        out = tmp_path / "run"
-        shutil.copytree(pipeline_dir, out)
-        (out / REPORT).unlink()
-        again = {"same": out, "dotdot": out / ".." / out.name}[spelling] / CHECKPOINT
-        code = main(["evaluate", "--out-dir", str(out),
-                     "--checkpoint", str(out / CHECKPOINT), str(again)])
-        assert code == 2
-        assert "--checkpoint repeats a file" in capsys.readouterr().err
-        assert not (out / REPORT).exists()
-        assert not (out / "report_augmented_mean_test.json").exists()
-
-    def test_seeds_with_checkpoint_is_config_error(self, pipeline_dir, tmp_path, capsys):
-        out = tmp_path / "run"
-        shutil.copytree(pipeline_dir, out)
-        (out / REPORT).unlink()
-        for seeds in ("--seeds=1", "--seeds=-2"):
-            code = main(["evaluate", "--out-dir", str(out), "--checkpoint",
-                         str(out / CHECKPOINT), seeds])
-            assert code == 2
-            assert "--seeds" in capsys.readouterr().err
-            assert not (out / REPORT).exists()
-
-    @pytest.mark.parametrize("extra", [[], ["--seeds", "1"]], ids=["alone", "with-seeds"])
-    def test_checkpoint_without_a_path_is_config_error(self, extra, pipeline_dir, tmp_path,
-                                                       capsys):
-        out = tmp_path / "run"
-        shutil.copytree(pipeline_dir, out)
-        (out / REPORT).unlink()
-        with pytest.raises(SystemExit) as exc:
-            main(["evaluate", "--out-dir", str(out), "--checkpoint", *extra])
-        assert exc.value.code == 2
-        assert "--checkpoint" in capsys.readouterr().err
-        assert not (out / REPORT).exists()
-
     def test_mixed_modes_are_config_error_before_any_report(self, pipeline_dir, tmp_path,
                                                             capsys):
+        # a checkpoint whose recorded mode is not the one its name says exits 3
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
         for report in out.glob("*report*"):
             report.unlink()
         assert main(["train", "--out-dir", str(out), "--mode", "baseline", "--seed", "2",
                      *FAST_TRAIN]) == 0
+        shutil.copyfile(out / "checkpoint_baseline_seed2.bin",
+                        out / "checkpoint_augmented_seed2.bin")
         capsys.readouterr()
-        code = main(["evaluate", "--out-dir", str(out), "--checkpoint",
-                     str(out / "checkpoint_baseline_seed2.bin"), str(out / CHECKPOINT)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "checkpoint_baseline_seed2.bin=baseline" in err
-        assert f"{CHECKPOINT}=augmented" in err
-        assert not list(out.glob("*report*"))
-
-    def test_mean_report_is_named_after_the_recorded_mode(self, pipeline_dir, tmp_path,
-                                                          capsys):
-        out = tmp_path / "run"
-        shutil.copytree(pipeline_dir, out)
-        assert main(["train", "--out-dir", str(out), "--mode", "baseline", "--seeds", "2,3",
-                     *FAST_TRAIN]) == 0
-        # --mode keeps its default, augmented; the checkpoints record baseline
-        assert main(["evaluate", "--out-dir", str(out), "--checkpoint",
-                     *(str(out / f"checkpoint_baseline_seed{s}.bin") for s in (2, 3))]) == 0
-        assert "mean over 2 checkpoints" in capsys.readouterr().out
-        assert (out / "report_baseline_mean_test.json").exists()
-        assert not (out / "report_augmented_mean_test.json").exists()
+        for seeds in ("2", "1,2"):
+            assert main(["evaluate", "--out-dir", str(out), "--seeds", seeds]) == 3
+            err = capsys.readouterr().err
+            assert "checkpoint_augmented_seed2.bin records mode baseline" in err
+            assert not list(out.glob("*report*"))
 
     def test_unwritable_trace_fails_before_training(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -424,6 +378,23 @@ class TestTrainEvaluate:
             np.testing.assert_array_equal(off[name], base[name])
         assert (out / "losses_augmented_seed5.jsonl").read_bytes() == \
             (out / "losses_baseline_seed5.jsonl").read_bytes()
+
+    def test_seeded_pipeline_outcome_is_pinned(self, tmp_path):
+        # re-pin on purpose only, with the criteria 7/8 before/after in CHANGES.md
+        log = tmp_path / "log.csv"
+        assert main(["synth", "--out", str(log), "--users", "150", "--items", "60",
+                     "--seed", "5"]) == 0
+        assert _prepare(tmp_path, log) == 0
+        assert main(["candidates", "--out-dir", str(tmp_path), "--k", "5"]) == 0
+        assert main(["train", "--out-dir", str(tmp_path), "--mode", "augmented",
+                     "--seed", "1", "--dim", "8", "--encoder", "gru", "--batch-size", "32",
+                     "--stage1-epochs", "2", "--stage2-epochs", "2", "--patience", "-1"]) == 0
+        assert main(["evaluate", "--out-dir", str(tmp_path), "--seed", "1"]) == 0
+        losses = (tmp_path / "losses_augmented_seed1.jsonl").read_text().splitlines()
+        overall = json.loads((tmp_path / "checkpoint_augmented_seed1_report_test.json")
+                             .read_text())["segments"]["overall"]
+        got = (json.loads(losses[-1])["loss_total"], overall["hit@10"], overall["ndcg@10"])
+        assert got == pytest.approx((4.124332, 0.24, 0.1018860), rel=1e-6)
 
     def test_fresh_model_chance_level(self, tmp_path, csv_path):
         # evaluating an effectively untrained model lands near K/|V|
@@ -584,6 +555,23 @@ class TestConfigFile:
             main(["report", "checkpoint_augmented_seed1_report_test.json"])
         assert exc.value.code == 2
         assert "invalid choice: 'report'" in capsys.readouterr().err
+
+    def test_flags_beyond_the_config_keys_are_pinned(self):
+        # a new flag must be added here too; the per-key flags (dest a dotted
+        # key) are covered by test_every_key_has_a_flag
+        common = {"-h", "--help", "--config", "--out-dir", "--seed", "--force"}
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = {command: {s for a in p._actions if "." not in a.dest
+                           for s in a.option_strings}
+                 for command, p in subparsers.choices.items()}
+        assert flags == {
+            "prepare": common | {"--input"},
+            "candidates": common,
+            "train": common | {"--mode", "--seeds", "--trace"},
+            "evaluate": common | {"--mode", "--seeds", "--phase"},
+            "synth": {"-h", "--help", "--out", "--users", "--items", "--seed"},
+        }
 
     def test_config_hash_stable(self):
         cfg = dict(DEFAULTS)

@@ -444,12 +444,6 @@ class TestReportPlumbing:
         assert mean.segments["overall"]["hit@5"] == pytest.approx(
             (r1.segments["overall"]["hit@5"] + r2.segments["overall"]["hit@5"]) / 2)
 
-    def test_mean_report_rejects_mismatched(self):
-        r1 = segmented_report(*_toy_columns(), _toy_seg(), ks=[5])
-        r2 = segmented_report(*_toy_columns(), _toy_seg(), ks=[10])
-        with pytest.raises(DataError):
-            mean_report([r1, r2])
-
 
 class TestEvaluateModel:
     def test_end_to_end_report(self, small_corpus):
