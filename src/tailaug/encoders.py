@@ -9,18 +9,21 @@ per sequence out, exact analytic gradients back):
 * ``gru``     — a single-layer gated recurrent unit; the output is the
   final hidden state.
 
-A batch is ragged: ``encode_batch(params, ids, lengths)`` receives the real
-item ids concatenated row by row and the per-row lengths, and
+A batch is ragged: ``encode_batch(params, ids, lengths, history)`` receives
+the real item ids concatenated row by row and the per-row lengths, and
 ``backward_batch`` returns one embedding-gradient row per entry of ``ids``,
-in the same order.  Nothing is padded inside the GRU; the pooled encoder
-left-pads internally with the reserved padding id 0, so every sequence ends
-at the last time step.  Id 0 is never a real position, and the padding
-embedding row stays exactly zero for the lifetime of a model.
+in the same order.  Only an encode with ``history`` keeps the cache a
+backward needs; scoring encodes without it, to the same bits.  Nothing is
+padded inside the GRU; the pooled encoder left-pads internally with the
+reserved padding id 0, so every sequence ends at the last time step.  Id 0
+is never a real position, and the padding embedding row stays exactly zero
+for the lifetime of a model.
 
 Every encode buffer, cache entry and gradient takes its dtype from the
 parameters, so a model initialized in float32 encodes and back-propagates
 in float32.  The one exception is the embedding table's scatter-add,
-which ``np.bincount`` sums in float64 before it is cast to the table's dtype.
+which ``np.bincount`` sums in float64, one table column at a time, before
+each column is cast to the table's dtype.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class PooledEncoder:
     def init_params(self, dim: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
         return {"pool_theta": np.zeros(1, dtype=np.float64)}
 
-    def encode_batch(self, params, ids, lengths):
+    def encode_batch(self, params, ids, lengths, history):
         b, t = len(lengths), int(lengths.max())
         real = np.arange(t) >= (t - lengths)[:, np.newaxis]  # left-padded layout
         padded = np.zeros((b, t), dtype=np.int64)
@@ -82,6 +85,8 @@ class PooledEncoder:
         wm = mask * w[np.newaxis, :]
         wsum = wm.sum(axis=1, keepdims=True)
         h = np.einsum("bt,btd->bd", wm, emb) / wsum
+        if not history:
+            return h, None
         cache = {"emb": emb, "mask": mask, "w": w, "wm": wm, "wsum": wsum,
                  "h": h, "rho": rho, "exponents": exponents}
         return h, cache
@@ -142,7 +147,7 @@ class GRUEncoder:
             params[f"gru_b{g}"] = np.zeros(dim, dtype=np.float64)
         return params
 
-    def encode_batch(self, params, ids, lengths):
+    def encode_batch(self, params, ids, lengths, history):
         b, t, d = len(lengths), int(lengths.max()), len(params["gru_bz"])
         order = np.argsort(-lengths, kind="stable")
         # active rows per step: those whose sequence has started by then
@@ -156,16 +161,25 @@ class GRUEncoder:
         w_zr, u_zr = (params["gru_Wz"], params["gru_Wr"]), (params["gru_Uz"], params["gru_Ur"])
         w_h, u_h, b_h = params["gru_Wh"], params["gru_Uh"], params["gru_bh"]
         b_zr = np.stack([params["gru_bz"], params["gru_br"]])[:, np.newaxis]
-        # states[offsets[s]:offsets[s + 1]] enter step s (a row starting there
-        # enters with zeros), and the last step's states go to states[n:];
-        # gates[2 * offsets[s]:2 * offsets[s + 1]] holds step s's z rows, then its r rows
         dt = xs.dtype
-        states, gates = np.zeros((n + b, d), dt), np.empty((2 * n, d), dt)
-        cand, rh, tmp = np.empty((n, d), dt), np.empty((b, d), dt), np.empty((2 * b, d), dt)
+        if history:
+            # states[offsets[s]:offsets[s + 1]] enter step s (a row starting there
+            # enters with zeros), and the last step's states go to states[n:];
+            # gates[2 * offsets[s]:2 * offsets[s + 1]] holds step s's z rows, then its r rows
+            state_at, step_at, rows = offsets.tolist(), offsets.tolist(), n
+        else:
+            # two rolling state buffers: step s reads states[(s % 2) * b:] and writes
+            # the other; gates and candidate hold one step.  A buffer's rows are only
+            # written up to the active count, which never falls, so a row that starts
+            # at a step finds zeros
+            state_at, step_at, rows = [(s % 2) * b for s in range(t + 1)], [0] * t, b
+        states = np.zeros((rows + b, d), dt)
+        gates, cand = np.empty((2 * rows, d), dt), np.empty((rows, d), dt)
+        rh, tmp = np.empty((b, d), dt), np.empty((2 * b, d), dt)
         for step in range(t):
-            lo, hi, k = offsets[step], offsets[step + 1], active[step]
-            x, h, c = xs[lo:hi], states[lo:hi], cand[lo:hi]
-            zr = gates[2 * lo:2 * hi].reshape(2, k, d)
+            k, at, nxt, lo = active[step], state_at[step], state_at[step + 1], step_at[step]
+            x, h, c = xs[offsets[step]:offsets[step + 1]], states[at:at + k], cand[lo:lo + k]
+            zr = gates[2 * lo:2 * (lo + k)].reshape(2, k, d)
             z, r = zr
             for gate, w_g, u_g in zip(zr, w_zr, u_zr):
                 _gemm(x, w_g, gate)
@@ -176,16 +190,23 @@ class GRUEncoder:
             c += _gemm(np.multiply(r, h, out=rh[:k]), u_h, tmp[:k])
             c += b_h
             np.tanh(c, out=c)
-            h_new = np.subtract(1.0, z, out=states[hi:hi + k])
+            h_new = np.subtract(1.0, z, out=states[nxt:nxt + k])
             h_new *= h
             h_new += np.multiply(z, c, out=rh[:k])
         out = np.empty((b, d), dt)
-        out[order] = states[n:]
+        out[order] = states[state_at[t]:state_at[t] + b]
+        if not history:
+            return out, None
         cache = {"xs": xs, "states": states, "gates": gates, "cand": cand,
                  "offsets": offsets, "active": active, "order": order, "gather": gather}
         return out, cache
 
     def backward_batch(self, params, cache, dh):
+        """Gradients of the parameters, and one embedding-gradient row per id.
+
+        The cache is consumed: the input gradients overwrite its inputs, and
+        the returned rows are its candidate buffer, reordered.
+        """
         xs, states, gates, cand = cache["xs"], cache["states"], cache["gates"], cache["cand"]
         offsets, active = cache["offsets"], cache["active"]
         b, d = dh.shape
@@ -195,7 +216,6 @@ class GRUEncoder:
         u_h = params["gru_Uh"]
         dw, du_zr = np.zeros_like(w), np.zeros_like(u_zr)
         du_h, db = np.zeros_like(u_h), np.zeros(3 * d, dt)
-        dxs = np.empty_like(xs)  # step-major, like xs
         dh = dh[cache["order"]]
         # dpre: per row, the gradient of the [z | r | candidate] pre-activations
         dpre, dzr = np.empty((b, 3 * d), dt), np.empty((2 * b, d), dt)
@@ -214,16 +234,16 @@ class GRUEncoder:
             np.multiply(np.multiply(g, np.subtract(c, h_prev, out=t1[:k]), out=t1[:k]), s[0],
                         out=p[:, :d])
             np.multiply(np.multiply(drh[:k], h_prev, out=t1[:k]), s[1], out=p[:, d:2 * d])
-            dw += xs[lo:hi].T @ p
+            dw += xs[lo:hi].T @ p  # read before the step's input gradients overwrite them
             du_zr += h_prev.T @ p[:, :2 * d]
             du_h += np.multiply(r, h_prev, out=t1[:k]).T @ p[:, 2 * d:]
             db += p.sum(axis=0)
-            np.matmul(p, w.T, out=dxs[lo:hi])
+            np.matmul(p, w.T, out=xs[lo:hi])
             g *= np.subtract(1.0, z, out=t1[:k])
             g += np.multiply(drh[:k], r, out=t1[:k])
             g += np.matmul(p[:, :2 * d], u_zr.T, out=t1[:k])
-        demb = np.empty_like(dxs)
-        demb[cache["gather"]] = dxs  # back to the row-major order of ids
+        demb = cand  # dead after the loop; back to the row-major order of ids
+        demb[cache["gather"]] = xs
         grads = {}
         for i, g in enumerate(self._GATES):
             grads[f"gru_W{g}"] = dw[:, i * d:(i + 1) * d]
@@ -295,14 +315,18 @@ def _checked_ids(model: ModelState, ids) -> np.ndarray:
     return ids
 
 
-def encode_batch(model: ModelState, seqs: list[np.ndarray]):
-    """Encode a list of id sequences; returns (H, cache) for backward."""
+def encode_batch(model: ModelState, seqs: list[np.ndarray], history: bool = True):
+    """Encode a list of id sequences; returns (H, cache) for ``backward_batch``.
+
+    Without ``history`` the encoders keep no per-step state for a backward
+    and the cache is None; H is the same to the last bit.
+    """
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     if not lengths.all():
         raise ValueError("cannot encode an empty sequence")
     ids = _checked_ids(model, np.concatenate(seqs))
-    h, enc_cache = model.encoder.encode_batch(model.params, ids, lengths)
-    return h, {"ids": ids, "enc": enc_cache}
+    h, enc_cache = model.encoder.encode_batch(model.params, ids, lengths, history)
+    return h, ({"ids": ids, "enc": enc_cache} if history else None)
 
 
 def backward_batch(model: ModelState, cache, dh,
@@ -311,14 +335,19 @@ def backward_batch(model: ModelState, cache, dh,
     the padding row is zeroed.  Gradient rows ``d_items`` of embeddings used
     outside the encoder, one per entry of ``item_ids``, add after the encoded rows."""
     enc_grads, demb = model.encoder.backward_batch(model.params, cache["enc"], dh)
-    ids = cache["ids"]
+    ids, parts = cache["ids"], [demb]
     if item_ids is not None:
-        ids, demb = np.concatenate([ids, item_ids]), np.concatenate([demb, d_items])
+        ids, parts = np.concatenate([ids, item_ids]), [demb, d_items]
     rows, d = model.embeddings.shape
-    # bincount adds each (id, column) cell's rows in order from zero, as np.add.at would
-    cells = (ids[:, np.newaxis] * d + np.arange(d)).ravel()
-    demb_table = np.bincount(cells, weights=demb.ravel(), minlength=rows * d).reshape(rows, d)
-    demb_table = demb_table.astype(model.embeddings.dtype, copy=False)  # bincount sums in float64
+    # one column at a time, bincount adds each (id, column) cell's rows in order
+    # from zero in float64, as np.add.at would, then casts to the table's dtype;
+    # a (d, rows) buffer keeps each column's write contiguous
+    by_column = np.empty((d, rows), model.embeddings.dtype)
+    column = np.empty(len(ids))
+    for j in range(d):
+        np.concatenate([part[:, j] for part in parts], out=column)
+        by_column[j] = np.bincount(ids, weights=column, minlength=rows)
+    demb_table = np.ascontiguousarray(by_column.T)
     demb_table[0] = 0.0
     grads = {"item_embeddings": demb_table}
     grads.update(enc_grads)

@@ -10,9 +10,11 @@ Reports carry hit ratio and NDCG at each cutoff for five segments
 the user's membership) plus tail coverage: the fraction of tail items
 that appear in at least one user's top-K list.
 
-Scoring yields int64 rank arrays, and the report masks each segment out of
-the user, target and rank columns; ``hit_at_k`` and ``ndcg_at_k`` over
-per-user ``RankingResult`` lists compute through the same array formula.
+Scoring encodes each block of users without the per-step history a
+backward would need, and yields int64 rank arrays; the report masks each
+segment out of the user, target and rank columns.  ``hit_at_k`` and
+``ndcg_at_k`` over per-user ``RankingResult`` lists compute through the
+same array formula.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def _score_blocks(model: ModelState, store: SequenceStore, phase: str,
         stop = min(start + _EVAL_BATCH, store.n_users)
         seqs = [store.items[a:b] for a, b in zip(firsts[start:stop], lasts[start:stop])]
         targets = store.items[ends[start:stop]]
-        h = encode_batch(model, seqs)[0]  # unbound, the backward cache is freed here
+        h = encode_batch(model, seqs, history=False)[0]  # no backward: no per-step state
         scores = h @ item_emb.T
         if not np.all(np.isfinite(scores)):
             raise NumericError(f"non-finite {phase} scores for users {start}..{stop - 1}")

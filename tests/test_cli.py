@@ -893,7 +893,7 @@ class TestFaultInjection:
                                                    monkeypatch, capsys):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
-        monkeypatch.setattr(evaluation, "encode_batch", lambda model, seqs: (
+        monkeypatch.setattr(evaluation, "encode_batch", lambda model, seqs, history: (
             np.full((len(seqs), model.dim), np.nan), None))
         assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 4
         assert capsys.readouterr().err.startswith("numeric failure:")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,7 @@ class TestGRUEncoder:
         np.testing.assert_array_equal(h, self._masked_reference(model, seqs))
         for i, s in enumerate(seqs):
             np.testing.assert_array_equal(h[i], encode_one(model, s))
+        assert encode_batch(model, seqs, history=False)[0].tobytes() == h.tobytes()
         dh = rng.normal(size=h.shape)
         grads = backward_batch(model, cache, dh)
         reference = dense_reference_grads(model, seqs, dh)
@@ -300,6 +303,45 @@ class TestGRUEncoder:
                                              np.array([1, 4, 5, 6, 7])])
             assert alone.dtype == dtype
             np.testing.assert_array_equal(alone[0], padded[0])
+
+
+class TestNoHistory:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("name", ["pooled", "gru"])
+    def test_encodes_like_the_cached_encode_bit_for_bit(self, name, dtype):
+        rng = np.random.default_rng(11)
+        model = init_model(30, 8, seed=8, encoder=name, dtype=dtype)
+        # RAGGED's shorter rows start at later steps; the wide batch runs two
+        # state buffers through ~50 steps; one-row batches take _gemm's path
+        ragged = [np.array(s) for s in TestGRUEncoder.RAGGED]
+        wide = [rng.integers(1, 31, size=n) for n in rng.integers(1, 50, size=300)]
+        for seqs in (ragged, wide, ragged[2:3], ragged[1:2]):
+            cached, cache = encode_batch(model, seqs)
+            bare, none = encode_batch(model, seqs, history=False)
+            assert cache is not None and none is None
+            assert bare.dtype == dtype
+            assert bare.tobytes() == cached.tobytes()
+
+    def test_backward_allocates_less_than_one_float32_array_of_the_encoded_rows(self):
+        # the input gradients overwrite the forward's inputs, the per-id rows
+        # reuse its candidate buffer, and the table is scattered one column at a
+        # time: nothing the size of the n encoded rows x d is allocated
+        rng = np.random.default_rng(5)
+        model = init_model(40, 32, seed=3, encoder="gru", dtype=np.float32)
+        seqs = [rng.integers(1, 41, size=n) for n in rng.integers(20, 50, size=200)]
+        h, cache = encode_batch(model, seqs)
+        n, d = len(cache["ids"]), model.dim
+        dh = rng.normal(size=h.shape).astype(np.float32)
+        items = rng.integers(1, 41, size=400)
+        d_items = rng.normal(size=(400, d)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            grads = backward_batch(model, cache, dh, items, d_items)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads["item_embeddings"].dtype == np.float32
+        assert peak < n * d * 4
 
 
 class TestContract:
@@ -328,6 +370,7 @@ class TestContract:
         np.add.at(want["item_embeddings"], targets, dpos)
         np.add.at(want["item_embeddings"], negatives, dneg)
         want["item_embeddings"][0] = 0.0
+        _, cache = encode_batch(model, seqs)  # a backward consumes its cache
         got = backward_batch(model, cache, dh, np.concatenate([targets, negatives]),
                              np.concatenate([dpos, dneg]))
         assert set(got) == set(want)

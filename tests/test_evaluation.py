@@ -1,5 +1,5 @@
 import math
-import weakref
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +18,7 @@ from tailaug.simcand import smallest_k
 from tailaug.corpus import segment
 
 from conftest import (bruteforce_tail_coverage, decoded_store, encode_one, ragged_rows,
-                      segmentation_with_heads, store_from_sequences)
+                      segmentation_with_heads, store_from_rows, store_from_sequences)
 
 
 def rank_all(model, store, phase, filter_seen=False):
@@ -183,22 +183,44 @@ class TestFullRank:
         _, target, _ = rank_all(model, store, "valid")[0]
         assert target == store.valid_item(0)
 
-    def test_a_block_frees_its_encode_cache_before_the_next(self, small_corpus, monkeypatch):
-        # the backward cache is most of a block's memory, and scoring never uses it
+    def test_blocks_encode_without_history(self, small_corpus, monkeypatch):
+        # a backward's per-step history would be most of a block's memory, and
+        # scoring never reads it: every block asks for none and gets no cache
         store = small_corpus[0]
         model = init_model(store.n_items, 8, seed=1)
         monkeypatch.setattr(evaluation, "_EVAL_BATCH", 16)
         caches = []
 
-        def spy(model, seqs):
-            assert all(ref() is None for ref in caches)
-            h, cache = encode_batch(model, seqs)
-            caches.append(weakref.ref(cache["enc"]["states"]))
+        def spy(model, seqs, history=True):
+            assert history is False
+            h, cache = encode_batch(model, seqs, history)
+            caches.append(cache)
             return h, cache
 
         monkeypatch.setattr(evaluation, "encode_batch", spy)
         assert len(rank_all(model, store, "test")) == store.n_users
-        assert len(caches) == -(-store.n_users // 16) > 1
+        assert caches == [None] * -(-store.n_users // 16) and len(caches) > 1
+
+    def test_a_long_sequence_block_peaks_below_its_cached_history(self):
+        # a backward's history of one block (entering states, z/r gates and
+        # candidates: 4 n + b rows of d) never exists while scoring
+        rng = np.random.default_rng(7)
+        n_items, dim = 60, 16
+        rows = [rng.integers(1, n_items + 1, size=n).tolist()
+                for n in rng.integers(30, 51, size=64)]
+        store = store_from_rows(rows, max_len=50, user_ids=[f"u{i}" for i in range(64)],
+                                item_ids=[f"i{j}" for j in range(n_items)], split=True)
+        model = init_model(n_items, dim, seed=4, encoder="gru")
+        assert evaluation._EVAL_BATCH >= store.n_users  # one block
+        n = sum(len(r) - 1 for r in rows)  # the test phase's inputs
+        history = (4 * n + store.n_users) * dim * model.embeddings.itemsize
+        tracemalloc.start()
+        try:
+            next(evaluation._score_blocks(model, store, "test", False, depth=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < history
 
     def test_filter_seen_improves_or_keeps_rank(self, small_corpus):
         store, seg, _, _ = small_corpus
@@ -420,7 +442,7 @@ class TestTailCoverage:
         model.embeddings[1:] = 0.0
         model.embeddings[top] = 2.0
         model.embeddings[head] = 1.0
-        monkeypatch.setattr(evaluation, "encode_batch", lambda model, seqs: (
+        monkeypatch.setattr(evaluation, "encode_batch", lambda model, seqs, history: (
             np.ones((len(seqs), model.dim)), None))
         assert _tcov(model, store, seg, 1) == 1 / len(seg.tail_items)
         assert _tcov(model, store, seg, 1, filter_seen=True) == 0.0
