@@ -19,7 +19,10 @@ Both operators are one batch kernel, :func:`augment_batch`, whose uniforms
 (per row: operator and rate; per position: selection and pick) depend in
 number only on the batch's shape.  Training draws them per epoch, indexed
 by user and training-prefix position, so a seeded trace replays however
-users are batched.  ``augment_sequence`` is the one-row case.
+users are batched.  The kernel returns one :class:`AugmentedBatch` of
+columns, which training reads without building a per-row object;
+``batch[i]`` is row ``i``'s :class:`AugmentedSample`, and
+``augment_sequence`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -86,6 +89,55 @@ class AugmentedSample:
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
+@dataclass
+class AugmentedBatch:
+    """One sample per row, as columns.
+
+    Row ``i``'s outputs are ``s_prime[offsets[i]:offsets[i + 1]]`` and the
+    same slice of ``s_ext``; its edits are ``indices`` and ``chosen`` from
+    ``edit_offsets[i]`` to ``edit_offsets[i + 1]``.  ``insert`` and ``rates``
+    hold each row's operator (insertion or not) and rate.  ``batch[i]`` builds
+    row ``i``'s :class:`AugmentedSample`, and the batch iterates like a list
+    of them.
+    """
+
+    insert: np.ndarray
+    rates: np.ndarray | None
+    s_prime: np.ndarray
+    s_ext: np.ndarray
+    offsets: np.ndarray
+    indices: np.ndarray
+    chosen: np.ndarray | None
+    edit_offsets: np.ndarray
+
+    def __len__(self):
+        return len(self.insert)
+
+    def __getitem__(self, i) -> AugmentedSample:
+        i = range(len(self))[i]
+        out, edits = slice(*self.offsets[i:i + 2]), slice(*self.edit_offsets[i:i + 2])
+        return AugmentedSample(INSERT if self.insert[i] else SUBSTITUTE, self.s_prime[out],
+                               self.s_ext[out], self.indices[edits], self.chosen[edits],
+                               float(self.rates[i]))
+
+    @classmethod
+    def stack(cls, samples) -> AugmentedBatch:
+        """The columns of a sample list that the loss reads: each sample's
+        ``operator``, ``indices``, ``s_ext`` and ``s_prime``.  ``rates`` and
+        ``chosen`` stay None, so the result is not for indexing."""
+        return cls(insert=np.array([s.operator == INSERT for s in samples], dtype=bool),
+                   rates=None, s_prime=np.concatenate([s.s_prime for s in samples]),
+                   s_ext=np.concatenate([s.s_ext for s in samples]),
+                   offsets=_offsets([len(s.s_prime) for s in samples]),
+                   indices=np.concatenate([s.indices for s in samples]), chosen=None,
+                   edit_offsets=_offsets([len(s.indices) for s in samples]))
+
+
+def _offsets(sizes) -> np.ndarray:
+    """Where each row starts, then where the last one ends."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
 def draw_uniforms(rng, n_rows: int, n_positions: int, config: OperatorConfig):
     """A rate in ``[a, b)`` per row, then a selection and a pick uniform per position."""
     return (rng.uniform(config.a, config.b, n_rows), rng.random(n_positions),
@@ -105,7 +157,7 @@ def select_operator(seq_len: int, max_len: int, rng: np.random.Generator) -> str
 
 
 def augment_batch(ids, lengths, segmentation: Segmentation, candidates: CandidateSets,
-                  max_len: int, *, insert, rates, select, pick) -> list[AugmentedSample]:
+                  max_len: int, *, insert, rates, select, pick) -> AugmentedBatch:
     """One sample per row of ``ids`` (rows back to back); one uniform per entry.
 
     Entry ``v`` acts when ``select`` is below its row's rate, ``v`` is head
@@ -135,14 +187,11 @@ def augment_batch(ids, lengths, segmentation: Segmentation, candidates: Candidat
     full = lengths + np.bincount(row[grow], minlength=n)
     out = np.minimum(full, max_len)
     keep = np.arange(len(s_ext)) >= np.repeat(np.cumsum(full) - out, full)
-    s_prime, s_ext = s_prime[keep], s_ext[keep]
-    indices = at - (np.cumsum(lengths) - lengths)[row[at]]
+    starts = np.cumsum(lengths) - lengths
     edits = np.bincount(row[at], minlength=n)
-    return [AugmentedSample(INSERT if grows else SUBSTITUTE, s_prime[end - m:end],
-                            s_ext[end - m:end], indices[cut - k:cut], chosen[cut - k:cut], rate)
-            for grows, rate, end, m, cut, k in zip(
-                insert.tolist(), rates.tolist(), np.cumsum(out).tolist(), out.tolist(),
-                np.cumsum(edits).tolist(), edits.tolist())]
+    return AugmentedBatch(insert=insert, rates=rates, s_prime=s_prime[keep], s_ext=s_ext[keep],
+                          offsets=_offsets(out), indices=at - starts[row[at]], chosen=chosen,
+                          edit_offsets=_offsets(edits))
 
 
 def t_substitute(seq, segmentation: Segmentation, candidates: CandidateSets,

@@ -9,15 +9,15 @@ per sequence out, exact analytic gradients back):
 * ``gru``     — a single-layer gated recurrent unit; the output is the
   final hidden state.
 
-A batch is ragged: ``encode_batch(params, ids, lengths, history)`` receives
+A batch is ragged: ``encode_ragged(model, ids, lengths, history)`` takes
 the real item ids concatenated row by row and the per-row lengths, and
-``backward_batch`` returns one embedding-gradient row per entry of ``ids``,
-in the same order.  Only an encode with ``history`` keeps the cache a
+``backward_batch`` returns one embedding-gradient row per entry of
+``ids``, in the same order; ``encode_batch(model, seqs)`` wraps it for a
+list of sequences.  Only an encode with ``history`` keeps the cache a
 backward needs; scoring encodes without it, to the same bits.  Nothing is
-padded inside the GRU; the pooled encoder left-pads internally with the
-reserved padding id 0, so every sequence ends at the last time step.  Id 0
-is never a real position, and the padding embedding row stays exactly zero
-for the lifetime of a model.
+padded: a row's encoding depends on its own ids alone, to the last bit,
+whatever else is in its batch.  Id 0 is never a real position, and the
+padding embedding row stays exactly zero for the lifetime of a model.
 
 Every encode buffer, cache entry and gradient takes its dtype from the
 parameters, so a model initialized in float32 encodes and back-propagates
@@ -64,7 +64,9 @@ class PooledEncoder:
 
     The most recent item always has weight 1; rho = sigmoid(theta) lives
     in (0, 1), so rho -> 0 collapses onto the last item and rho -> 1 onto
-    the plain mean.
+    the plain mean.  Each id's weight is ``rho`` to the power of its
+    distance from its row's end, and every sum runs over the row's own
+    ids (``np.add.reduceat``), so nothing is padded.
     """
 
     name = "pooled"
@@ -73,39 +75,42 @@ class PooledEncoder:
         return {"pool_theta": np.zeros(1, dtype=np.float64)}
 
     def encode_batch(self, params, ids, lengths, history):
-        b, t = len(lengths), int(lengths.max())
-        real = np.arange(t) >= (t - lengths)[:, np.newaxis]  # left-padded layout
-        padded = np.zeros((b, t), dtype=np.int64)
-        padded[real] = ids
-        emb = params["item_embeddings"][padded]
-        mask = real.astype(emb.dtype)
+        emb = params["item_embeddings"][ids]
+        starts = np.cumsum(lengths) - lengths
+        # distance of each id from its row's last id, which has distance 0
+        exponents = (np.repeat(starts + lengths - 1, lengths)
+                     - np.arange(len(ids))).astype(emb.dtype)
         rho = float(sigmoid(params["pool_theta"])[0])
-        exponents = (t - 1) - np.arange(t, dtype=emb.dtype)  # last step -> 0
         w = rho ** exponents
-        wm = mask * w[np.newaxis, :]
-        wsum = wm.sum(axis=1, keepdims=True)
-        h = np.einsum("bt,btd->bd", wm, emb) / wsum
+        wsum = np.add.reduceat(w, starts)[:, np.newaxis]
+        h = np.add.reduceat(np.multiply(emb, w[:, np.newaxis], out=emb), starts, axis=0)
+        h /= wsum
         if not history:
             return h, None
-        cache = {"emb": emb, "mask": mask, "w": w, "wm": wm, "wsum": wsum,
-                 "h": h, "rho": rho, "exponents": exponents}
+        cache = {"ids": ids, "lengths": lengths, "w": w, "wsum": wsum, "h": h, "rho": rho,
+                 "exponents": exponents}
         return h, cache
 
     def backward_batch(self, params, cache, dh):
-        emb, mask, w = cache["emb"], cache["mask"], cache["w"]
-        wm, wsum, h, rho = cache["wm"], cache["wsum"], cache["h"], cache["rho"]
+        """Gradients of ``pool_theta``, and one embedding-gradient row per id.
+
+        The encode weighted its gathered rows in place, so they are gathered
+        again from the same table.
+        """
+        w, wsum, h, rho = cache["w"], cache["wsum"], cache["h"], cache["rho"]
+        emb, lengths = params["item_embeddings"][cache["ids"]], cache["lengths"]
         ds = dh / wsum                       # d/d(weighted sum), per row
-        dwsum = -np.sum(dh * h, axis=1, keepdims=True) / wsum
-        demb = wm[:, :, np.newaxis] * ds[:, np.newaxis, :]
-        # dL/dw_t accumulated over rows: via both the sum and the normalizer
-        dw_per = mask * (np.einsum("btd,bd->bt", emb, ds) + dwsum)
-        dw = dw_per.sum(axis=0)
+        dwsum = -np.sum(dh * h, axis=1) / wsum[:, 0]
+        demb = np.repeat(ds, lengths, axis=0)
+        # dL/dw per id, via both the sum and the normalizer
+        dw = np.einsum("nd,nd->n", emb, demb) + np.repeat(dwsum, lengths)
+        demb *= w[:, np.newaxis]
         exps = cache["exponents"]
         # d(rho^e)/d(rho); the e=0 term is identically zero (avoid rho^-1)
         dw_drho = np.where(exps == 0.0, 0.0, exps * rho ** np.maximum(exps - 1.0, 0.0))
         drho = float(np.sum(dw * dw_drho))
         dtheta = drho * rho * (1.0 - rho)
-        return {"pool_theta": np.array([dtheta], dtype=emb.dtype)}, demb[mask > 0]
+        return {"pool_theta": np.array([dtheta], dtype=emb.dtype)}, demb
 
 
 def _gemm(a, b, out):
@@ -315,18 +320,27 @@ def _checked_ids(model: ModelState, ids) -> np.ndarray:
     return ids
 
 
-def encode_batch(model: ModelState, seqs: list[np.ndarray], history: bool = True):
-    """Encode a list of id sequences; returns (H, cache) for ``backward_batch``.
+def encode_ragged(model: ModelState, ids, lengths, history: bool = True):
+    """Encode rows given back to back; returns (H, cache) for ``backward_batch``.
 
-    Without ``history`` the encoders keep no per-step state for a backward
-    and the cache is None; H is the same to the last bit.
+    Row ``i`` is the ``lengths[i]`` ids of ``ids`` after those of the rows
+    before it.  Without ``history`` the encoders keep no per-step state for
+    a backward and the cache is None; H is the same to the last bit.
     """
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
     if not lengths.all():
         raise ValueError("cannot encode an empty sequence")
-    ids = _checked_ids(model, np.concatenate(seqs))
+    ids = _checked_ids(model, ids)
+    if lengths.sum() != len(ids):
+        raise ValueError(f"lengths add up to {lengths.sum()}, but there are {len(ids)} ids")
     h, enc_cache = model.encoder.encode_batch(model.params, ids, lengths, history)
     return h, ({"ids": ids, "enc": enc_cache} if history else None)
+
+
+def encode_batch(model: ModelState, seqs: list[np.ndarray], history: bool = True):
+    """:func:`encode_ragged` of a list of id sequences."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    return encode_ragged(model, np.concatenate(seqs), lengths, history)
 
 
 def backward_batch(model: ModelState, cache, dh,

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .augment import (INSERT, CrossPlan, OperatorConfig, apply_cross_mixup,
+from .augment import (AugmentedBatch, CrossPlan, OperatorConfig, apply_cross_mixup,
                       augment_batch, draw_uniforms, insert_rows, plan_cross_batch)
 from .corpus import Segmentation, SequenceStore, preference_classes
-from .encoders import (ModelState, backward_batch, encode_batch, init_model,
+from .encoders import (ModelState, backward_batch, encode_ragged, init_model,
                        lookup, sigmoid)
 from .errors import DataError, NumericError, finite_positive
 from .rand import AUGMENT, CROSS, NEGATIVE, PREFIX, SHUFFLE, derive_rng
@@ -164,10 +164,12 @@ def batch_loss(model: ModelState, batch: Batch, *,
     """Composite per-batch loss and gradients from one encode and one backward.
 
     The main term always runs.  The operator term runs when ``samples``
+    (an :class:`AugmentedBatch`, or a list of samples, stacked into one)
     and ``op_lams`` are given: each row's augmented representation blends
     the extended-original encoding with the augmented-sequence encoding.
-    Each distinct sequence is encoded once: a substitution's ``s_ext`` is
-    its prefix, and an unedited row's outputs both are.
+    Each distinct sequence is encoded once, in one ragged encode: a
+    substitution's ``s_ext`` is its prefix, and an unedited row's outputs
+    both are.
     The cross term runs when ``plan`` is given: it pairs rows of the pool
     (originals followed by the operator-mixed rows, when present) within
     preference classes and mixes each row's representation, positive and
@@ -177,16 +179,20 @@ def batch_loss(model: ModelState, batch: Batch, *,
     Returns (components, grads) where components has per-term means.
     """
     n = len(batch)
-    seqs = list(batch.prefixes)
+    ids = [np.concatenate(batch.prefixes)]
+    lengths = [np.fromiter(map(len, batch.prefixes), np.int64, n)]
     if samples is not None:
-        edited = np.array([len(s.indices) > 0 for s in samples], dtype=bool)
-        grown = edited & np.array([s.operator == INSERT for s in samples], dtype=bool)
-        seqs += [s.s_ext for s, g in zip(samples, grown) if g]
-        seqs += [s.s_prime for s, e in zip(samples, edited) if e]
+        if not isinstance(samples, AugmentedBatch):
+            samples = AugmentedBatch.stack(samples)
+        out = np.diff(samples.offsets)
+        edited = np.diff(samples.edit_offsets) > 0
+        grown = edited & samples.insert
+        ids += [samples.s_ext[np.repeat(grown, out)], samples.s_prime[np.repeat(edited, out)]]
+        lengths += [out[grown], out[edited]]
         # each row's s_ext / s_prime: its prefix, or its own new row (both maps injective)
         ext_at = np.where(grown, n + np.cumsum(grown) - 1, np.arange(n))
         prime_at = np.where(edited, n + grown.sum() + np.cumsum(edited) - 1, np.arange(n))
-    h_all, cache = encode_batch(model, seqs)
+    h_all, cache = encode_ragged(model, np.concatenate(ids), np.concatenate(lengths))
     pool = h_all[:n]
     if samples is not None:
         lam_op = np.asarray(op_lams, dtype=h_all.dtype)[:, np.newaxis]
@@ -215,7 +221,7 @@ def batch_loss(model: ModelState, batch: Batch, *,
 
     dh, dpos, dneg = np.split(d_rows, 3, axis=1)
     if samples is not None:  # the blend's gradient splits between its two encodings
-        d_ao, dh = dh[n:], np.concatenate([dh[:n], np.zeros((len(seqs) - n, model.dim),
+        d_ao, dh = dh[n:], np.concatenate([dh[:n], np.zeros((len(h_all) - n, model.dim),
                                                             dh.dtype)])
         dh[ext_at] += lam_op * d_ao
         dh[prime_at] += (1.0 - lam_op) * d_ao
@@ -374,6 +380,9 @@ def save_checkpoint(path, model: ModelState, adam: AdamState | None, *,
 
 
 def _decode_checkpoint(meta: dict, sections: dict):
+    # the checksum covers the payload only: an edited header must fail here, not in a caller
+    if not isinstance(meta.get("config", {}), dict):
+        raise DataError("checkpoint config is not a JSON object")
     bad = sorted(k for k, v in sections.items() if not np.all(np.isfinite(v)))
     if bad:
         raise DataError(f"checkpoint has non-finite values in {', '.join(bad)}")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailaug.augment import (INSERT, SUBSTITUTE, CrossPlan, OperatorConfig,
+from tailaug.augment import (INSERT, SUBSTITUTE, AugmentedBatch, CrossPlan, OperatorConfig,
                              apply_cross_mixup, augment_batch, augment_sequence,
                              draw_uniforms, insert_rows, plan_cross_batch,
                              select_operator, t_insert, t_substitute)
@@ -293,6 +293,20 @@ class TestAugmentBatch:
             assert got.trace_line() == want.trace_line()
             operators.add(got.operator)
         assert operators == {SUBSTITUTE, INSERT}
+
+    def test_stacked_rows_give_the_columns_back(self):
+        store, seg, cands = self._fixture()
+        rows = [[1, 4, 2, 3, 1], [4, 1, 7, 6, 8], [5], [4]]
+        out = augment_batch(np.concatenate(rows), [5, 5, 1, 1], seg, cands, 6,
+                            insert=[False, True, True, True], rates=[0.5, 0.3, 0.2, 0.9],
+                            select=np.linspace(0.0, 0.9, 12), pick=np.linspace(0.9, 0.0, 12))
+        assert isinstance(out, AugmentedBatch) and len(out) == 4
+        assert out[-1].trace_line() == list(out)[3].trace_line()
+        with pytest.raises(IndexError):
+            out[4]
+        stacked = AugmentedBatch.stack(list(out))
+        for name in ("insert", "s_prime", "s_ext", "offsets", "indices", "edit_offsets"):
+            assert getattr(stacked, name).tobytes() == getattr(out, name).tobytes(), name
 
     def test_empty_row_rejected(self):
         store, seg, cands = self._fixture()

@@ -765,6 +765,21 @@ class TestFaultInjection:
         assert err.startswith(prefix) and "bad_input" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "store.json").exists()
 
+    @pytest.mark.parametrize("config", ["oops", ["augmented"], 3, None],
+                             ids=["string", "list", "number", "null"])
+    def test_checkpoint_config_not_an_object_is_data_error(self, config, pipeline_dir,
+                                                           tmp_path, capsys):
+        # the blob's checksum covers the payload, not the header's meta
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / REPORT).unlink()
+        _edit_envelope(out / CHECKPOINT, lambda meta: meta.update({"config": config}))
+        capsys.readouterr()
+        assert main(_command(CHECKPOINT, out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "config" in err and "Traceback" not in err
+        assert not (out / REPORT).exists()
+
     @pytest.mark.parametrize("artifact", ["candidates.json", CHECKPOINT])
     def test_missing_lineage_passes_with_force(self, artifact, pipeline_dir, tmp_path):
         out = tmp_path / "run"

@@ -1,14 +1,16 @@
+import io
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tailaug import training
-from tailaug.augment import (INSERT, SUBSTITUTE, OperatorConfig, apply_cross_mixup,
-                             augment_batch, augment_sequence, plan_cross_batch,
-                             t_substitute)
+from tailaug.augment import (INSERT, SUBSTITUTE, AugmentedBatch, AugmentedSample,
+                             OperatorConfig, apply_cross_mixup, augment_batch,
+                             augment_sequence, plan_cross_batch, t_substitute)
 from tailaug.corpus import classify_sequence
-from tailaug.encoders import ModelState, backward_batch, encode_batch, init_model, lookup
+from tailaug.encoders import (ModelState, backward_batch, encode_batch, encode_ragged,
+                              init_model, lookup)
 from tailaug.errors import DataError, NumericError
 from tailaug.rand import AUGMENT, CROSS, NEGATIVE, PREFIX, derive_rng
 from tailaug.training import (Batch, TrainConfig, adam_step,
@@ -255,7 +257,7 @@ class TestStage2:
     def test_one_encode_and_one_backward_per_step(self, small_corpus, monkeypatch):
         model, batch, samples, lams, classes = _stage2_inputs(small_corpus)
         plan = plan_cross_batch(classes + classes, 0.3, derive_rng(0, CROSS, 0, 0))
-        calls = {"encode_batch": 0, "backward_batch": 0}
+        calls = {"encode_ragged": 0, "backward_batch": 0}
         for name in calls:
             def counted(*args, _real=getattr(training, name), _name=name):
                 calls[_name] += 1
@@ -263,7 +265,7 @@ class TestStage2:
             monkeypatch.setattr(training, name, counted)
         comp, _ = batch_loss(model, batch, samples=samples, op_lams=lams, plan=plan)
         assert comp["operator"] > 0 and comp["cross"] > 0
-        assert calls == {"encode_batch": 1, "backward_batch": 1}
+        assert calls == {"encode_ragged": 1, "backward_batch": 1}
 
     def test_stage2_trains_and_records_components(self, small_corpus):
         store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
@@ -402,7 +404,7 @@ class TestOperatorMixup:
         batch = Batch(users=np.arange(n), prefixes=[np.array([1])] * n,
                       targets=np.full(n, 2), negatives=np.full(n, 3))
         h_all = np.vstack([np.zeros((n, dim)), h_ext, h_pr])
-        monkeypatch.setattr(training, "encode_batch", lambda model, seqs: (h_all, None))
+        monkeypatch.setattr(training, "encode_ragged", lambda model, ids, lengths: (h_all, None))
         monkeypatch.setattr(training, "backward_batch", lambda model, cache, dh, *items: {
             "item_embeddings": np.zeros_like(model.embeddings)})
         seen = []
@@ -529,11 +531,11 @@ class TestDistinctEncodes:
                                                       op_lams=lams, plan=plan)
         rows = []
 
-        def spy(model, seqs):
-            rows.append(len(seqs))
-            return encode_batch(model, seqs)
+        def spy(model, ids, lengths):
+            rows.append(len(lengths))
+            return encode_ragged(model, ids, lengths)
 
-        monkeypatch.setattr(training, "encode_batch", spy)
+        monkeypatch.setattr(training, "encode_ragged", spy)
         comp, grads = batch_loss(model, batch, samples=samples, op_lams=lams, plan=plan)
         edited, grown = self._kinds(samples)
         assert rows == [len(batch) + grown.sum() + edited.sum()]
@@ -565,6 +567,40 @@ class TestDistinctEncodes:
                                             op_lams=lams, plan=plan))
 
 
+class TestColumns:
+    """Stage 2 reads ``augment_batch``'s columns; a list of samples is stacked once."""
+
+    @pytest.mark.parametrize("encoder", ["pooled", "gru"])
+    def test_a_batch_and_its_list_give_the_same_bytes(self, small_corpus, encoder):
+        model, batch, samples, lams, plan = _three_kind_inputs(small_corpus, encoder)
+        assert isinstance(samples, AugmentedBatch)
+        comp, grads = batch_loss(model, batch, samples=samples, op_lams=lams, plan=plan)
+        want_comp, want_grads = batch_loss(model, batch, samples=list(samples), op_lams=lams,
+                                           plan=plan)
+        assert {k: np.float64(v).tobytes() for k, v in comp.items()} == {
+            k: np.float64(v).tobytes() for k, v in want_comp.items()}
+        assert set(grads) == set(want_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
+
+    def test_a_stage2_epoch_builds_no_sample_unless_traced(self, small_corpus, monkeypatch):
+        built, real = [], AugmentedSample.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(AugmentedSample, "__init__", counted)
+        store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
+        cfg = TrainConfig(batch_size=16, seed=7, stage1_epochs=0, stage2_epochs=1,
+                          patience=None)
+        history, _ = train_stage2(store, model, cands, seg, cfg, OperatorConfig())
+        assert history[0]["loss_operator"] > 0 and built == []
+        trace = io.StringIO()
+        train_stage2(store, model, cands, seg, cfg, OperatorConfig(), trace=trace)
+        assert len(built) == len(trace.getvalue().splitlines()) > 0
+
+
 class TestFloat32Step:
     """A float32 model trains in float32 from the encode to the Adam update."""
 
@@ -579,7 +615,7 @@ class TestFloat32Step:
                                            plan=plan)
         # the dtype of every float array into or out of the encode, losses and backward
         seen = set()
-        for name in ("encode_batch", "bce_loss_batch", "backward_batch"):
+        for name in ("encode_ragged", "bce_loss_batch", "backward_batch"):
             def spy(*args, _real=getattr(training, name), _name=name):
                 out = _real(*args)
                 seen.update((_name, a.dtype) for a in (*args, *out)
@@ -590,7 +626,7 @@ class TestFloat32Step:
         adam = init_adam(model.params)
         adam_step(model.params, grads, adam, TrainConfig())
         assert seen == {(name, np.dtype(np.float32))
-                        for name in ("encode_batch", "bce_loss_batch", "backward_batch")}
+                        for name in ("encode_ragged", "bce_loss_batch", "backward_batch")}
         single = {k: np.dtype(np.float32) for k in model.params}
         for group in (grads, adam.m, adam.v, model.params):
             assert {k: v.dtype for k, v in group.items()} == single
