@@ -58,10 +58,11 @@ base_tail = tail_item_results(model)
 
 # ---------------------------------------------------------------------
 # Two-stage: plain objective first so embeddings settle, then the
-# augmentation losses join with unit weights.
+# augmentation losses join with unit weights.  Both stages update one Adam
+# state in place, so stage 2 continues stage 1's optimizer.
 model = init_model(store.n_items, dim=32, seed=SEED, encoder="gru")
 adam = init_adam(model.params)
-_, adam = train_stage1(store, model, cfg, adam=adam)
+train_stage1(store, model, cfg, adam=adam)
 train_stage2(store, model, cands, seg, cfg, op_cfg, adam=adam)
 aug = evaluate(model, "augmented (25 plain + 25 augmented epochs)")
 aug_tail = tail_item_results(model)

@@ -6,11 +6,12 @@ subcommands refuse inputs from a different lineage, or with none, unless
 ``--force`` is given.  Only what the store does not determine is stored:
 ``candidates``, ``train`` and ``evaluate`` recompute the head/tail
 segmentation from ``store.json`` with ``corpus.segment``.  ``train`` writes
-``checkpoint_<mode>_seed<s>.bin`` per seed; ``evaluate`` scores the ones its
-``--mode`` and ``--seeds`` name, each of which must record that mode, and
-averages several into ``report_<mode>_mean_<phase>.json``.  Each pipeline
-command has one flag per key of its config sections; flags override
-config-file keys.  Exit codes: 0 ok, 2 config error, 3 data error,
+``checkpoint_<mode>_seed<s>.bin`` per seed, the parameters of the epoch it
+records (the restored one), and ``losses_<mode>_seed<s>.jsonl``; ``evaluate``
+scores the checkpoints its ``--mode`` and ``--seeds`` name, each of which must
+record that mode, and averages several into ``report_<mode>_mean_<phase>.json``.
+Each pipeline command has one flag per key of its config sections; flags
+override config-file keys.  Exit codes: 0 ok, 2 config error, 3 data error,
 4 numeric failure.
 """
 
@@ -169,41 +170,41 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
     if tcfg.patience is not None:
         validator = lambda m: evaluation.validation_score(m, store)
 
-    adam = training.init_adam(model.params)
     if mode == "baseline":
-        history, adam = training.train_stage1(
+        history = training.train_stage1(
             store, model, tcfg, epochs=tcfg.stage1_epochs + tcfg.stage2_epochs,
-            adam=adam, validator=validator)
+            validator=validator)
     else:
         # opened before stage 1, so an unwritable path fails before any training
         try:
             trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
         except OSError as exc:
             raise DataError(f"cannot write trace {trace_path}: {exc}") from exc
+        adam = training.init_adam(model.params)  # stage 2 continues stage 1's optimizer
         try:
-            history, adam = training.train_stage1(store, model, tcfg, adam=adam,
-                                                  validator=validator)
-            h2, adam = training.train_stage2(store, model, cands, seg, tcfg,
-                                             operator_config(cfg),
-                                             adam=adam, validator=validator,
-                                             trace=trace)
+            history = training.train_stage1(store, model, tcfg, adam=adam,
+                                            validator=validator)
+            history += training.train_stage2(store, model, cands, seg, tcfg,
+                                             operator_config(cfg), adam=adam,
+                                             validator=validator, trace=trace)
         finally:
             if trace is not None:
                 trace.close()
-        history = history + h2
 
+    # the epoch whose parameters the model now holds: the last stage's restored one
+    held = next((r for r in reversed(history) if r.get("restored")), {})
     ckpt_path = _checkpoint_path(out_dir, mode, seed)
     config_meta = {k: cfg[k] for k in section_keys("train")}
     config_meta.update({"mode": mode, "seed": seed})
     training.save_checkpoint(
-        ckpt_path, model, adam, epoch=history[-1]["epoch"] if history else 0,
-        config_meta=config_meta,
-        metrics={"final_loss": history[-1]["loss_total"] if history else None},
+        ckpt_path, model, epoch=held.get("epoch"), config_meta=config_meta,
+        metrics={"epochs_run": len(history),
+                 **{k: held[k] for k in ("loss_total", "valid_score") if k in held}},
         lineage={"prepare": store_id, "candidates": cand_id})
     serialize.write_jsonl(_artifact(out_dir, f"losses_{mode}_seed{seed}.jsonl"), history)
-    last = history[-1] if history else {}
     print(f"mode={mode} seed={seed} epochs={len(history)} "
-          f"final_loss={last.get('loss_total', float('nan')):.4f} "
+          f"restored_epoch={held.get('epoch')} "
+          f"loss_total={held.get('loss_total', float('nan')):.4f} "
           f"({time.perf_counter() - t0:.1f}s) -> {ckpt_path.name}")
     return ckpt_path
 
@@ -253,8 +254,8 @@ def cmd_evaluate(args) -> int:
         path = _checkpoint_path(out_dir, args.mode, seed)
         if not path.exists():
             raise DataError(f"missing checkpoint {path}; run `tailaug train` first")
-        model, _, meta = training.load_checkpoint(path)
-        _check_lineage(store_id, meta.get("lineage", {}).get("prepare"),
+        model, lineage, meta = training.load_checkpoint(path)
+        _check_lineage(store_id, lineage.get("prepare"),
                        f"checkpoint {path.name} vs store", args.force)
         _check_items(model.n_items, store, path)
         recorded = meta.get("config", {}).get("mode")

@@ -10,8 +10,8 @@ Blob layout: 8-byte magic ``TAUGBLOB``, u64 little-endian header length,
 UTF-8 header JSON, then the raw payload.  Every section is stored as
 little-endian float32 in C order; the header records name, offset, shape
 and a sha256 checksum of the whole payload so reloads are verifiably
-bit-exact.  Non-array metadata (configs, counters, metrics) lives in the
-header's ``meta`` object.
+bit-exact.  Non-array metadata (configs, epochs, metrics, lineage) lives in
+the header's ``meta`` object.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from .errors import DataError, NumericError, finite_positive
 from .rand import AUGMENT, CROSS, NEGATIVE, PREFIX, SHUFFLE, derive_rng
 from .simcand import CandidateSets
 
-CHECKPOINT_SCHEMA = "tailaug.checkpoint.v1"
+CHECKPOINT_SCHEMA = "tailaug.checkpoint.v2"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 NEGATIVE_BLOCK = 8  # uniform negative proposals per user and epoch
 
@@ -265,7 +265,11 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
                 candidates: CandidateSets | None = None,
                 op_config: OperatorConfig | None = None,
                 adam: AdamState | None = None, validator=None, trace=None):
-    """Train the global epoch indices ``epochs``; stage 2 iff ``op_config`` is given."""
+    """Train the global epoch indices ``epochs``; stage 2 iff ``op_config`` is given.
+
+    Returns one record per epoch; the one whose parameters the model holds on
+    return (see :func:`train_stage1`) carries ``"restored": True``.
+    """
     ids, lengths = store.train_prefixes()
     if op_config is not None and (segmentation is None or candidates is None):
         raise ValueError("augmentation losses need segmentation and candidates")
@@ -280,7 +284,7 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
     if adam is None:
         adam = init_adam(model.params)
     history = []
-    best_score, best_params, bad_epochs = -np.inf, None, 0
+    best_score, best_params, best_index, bad_epochs = -np.inf, None, -1, 0
     for e in epochs:
         sums = {"main": 0.0, "operator": 0.0, "cross": 0.0, "total": 0.0}
         count = 0
@@ -314,6 +318,7 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
             if score > best_score:
                 best_score, bad_epochs = score, 0
                 best_params = {k: v.copy() for k, v in model.params.items()}
+                best_index = len(history)
             else:
                 bad_epochs += 1
         history.append(record)
@@ -322,15 +327,20 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
             break
     if best_params is not None:
         model.params.update(best_params)
-    return history, adam
+    if history:
+        history[best_index]["restored"] = True
+    return history
 
 
 def train_stage1(store: SequenceStore, model: ModelState, config: TrainConfig, *,
                  epochs: int | None = None, adam: AdamState | None = None, validator=None):
     """Main-objective-only training from epoch 0 (also the baseline arm).
 
+    Returns the per-epoch history and updates ``adam`` in place, so one
+    ``AdamState`` passed to both stages carries the optimizer into stage 2.
     A ``validator`` stops it once more than ``config.patience`` epochs in a row
-    fail to beat the best score; the first epoch with the best score is restored.
+    fail to beat the best score; the first epoch with the best score is
+    restored.  The restored record (without a validator, the last) is marked.
     """
     return _run_epochs(store, model, config,
                        range(config.stage1_epochs if epochs is None else epochs),
@@ -353,30 +363,23 @@ def train_stage2(store: SequenceStore, model: ModelState,
         adam=adam, validator=validator, trace=trace)
 
 
-def save_checkpoint(path, model: ModelState, adam: AdamState | None, *,
-                    epoch: int, config_meta: dict, metrics: dict | None = None,
-                    lineage: dict | None = None) -> None:
-    """Persist parameters (and optimizer moments) as named float32 sections.
+def save_checkpoint(path, model: ModelState, *, epoch: int | None, config_meta: dict,
+                    metrics: dict | None = None, lineage: dict | None = None) -> None:
+    """Persist the parameters as float32 sections, one per ``model.params`` entry.
 
-    The CLI trains in float32, so its models and moments save without loss;
-    a float64 model is quantized to float32.  Loading restores exactly the
+    ``epoch`` names the epoch whose parameters these are (``None`` before
+    any).  The CLI trains in float32, so its models save without loss; a
+    float64 model is quantized to float32.  Loading restores exactly the
     stored 32-bit values, upcast to float64.
     """
-    sections = {f"param/{k}": v for k, v in model.params.items()}
-    adam_step_count = 0
-    if adam is not None:
-        sections.update({f"adam_m/{k}": v for k, v in adam.m.items()})
-        sections.update({f"adam_v/{k}": v for k, v in adam.v.items()})
-        adam_step_count = adam.step
     serialize.save(path, CHECKPOINT_SCHEMA, {
         "n_items": model.n_items,
         "dim": model.dim,
         "encoder": model.encoder_name,
         "epoch": epoch,
-        "adam_step": adam_step_count,
         "config": config_meta,
         "metrics": metrics or {},
-    }, lineage=lineage or {}, sections=sections)
+    }, lineage=lineage or {}, sections=model.params)
 
 
 def _decode_checkpoint(meta: dict, sections: dict):
@@ -386,24 +389,19 @@ def _decode_checkpoint(meta: dict, sections: dict):
     bad = sorted(k for k, v in sections.items() if not np.all(np.isfinite(v)))
     if bad:
         raise DataError(f"checkpoint has non-finite values in {', '.join(bad)}")
-
-    def group(prefix):
-        return {k[len(prefix):]: v.astype(np.float64)
-                for k, v in sections.items() if k.startswith(prefix)}
-
     model = ModelState(n_items=int(meta["n_items"]), dim=int(meta["dim"]),
-                       encoder_name=meta["encoder"], params=group("param/"))
-    # an unknown encoder or a missing or misshapen section fails here, not mid-evaluation
+                       encoder_name=meta["encoder"],
+                       params={k: v.astype(np.float64) for k, v in sections.items()})
+    # an unknown encoder or a missing, extra or misshapen section fails here
     expected = init_model(model.n_items, model.dim, 0, model.encoder_name).params
     if {k: v.shape for k, v in model.params.items()} != {k: v.shape for k, v in expected.items()}:
         raise DataError(f"checkpoint sections do not match a {model.encoder_name} model "
                         f"with {model.n_items} items and dim {model.dim}")
-    adam = None
-    if any(k.startswith("adam_m/") for k in sections):
-        adam = AdamState(m=group("adam_m/"), v=group("adam_v/"), step=int(meta["adam_step"]))
-    return model, adam, meta
+    return model, meta
 
 
 def load_checkpoint(path):
-    """Returns ``(model, adam or None, meta)``; ``meta`` carries the lineage."""
-    return serialize.load(path, CHECKPOINT_SCHEMA, _decode_checkpoint, blob=True)[0]
+    """Returns ``(model, lineage, meta)``: a float64 model and the header's fields."""
+    (model, meta), lineage = serialize.load(path, CHECKPOINT_SCHEMA, _decode_checkpoint,
+                                            blob=True)
+    return model, lineage, meta

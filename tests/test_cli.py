@@ -376,8 +376,40 @@ class TestTrainEvaluate:
         assert sorted(off) == sorted(base) and off_meta["epoch"] == base_meta["epoch"]
         for name in base:
             np.testing.assert_array_equal(off[name], base[name])
-        assert (out / "losses_augmented_seed5.jsonl").read_bytes() == \
-            (out / "losses_baseline_seed5.jsonl").read_bytes()
+        records = {mode: [json.loads(line) for line in
+                          (out / f"losses_{mode}_seed5.jsonl").read_text().splitlines()]
+                   for mode in ("augmented", "baseline")}
+        # each stage marks the epoch it returns with; every other field agrees exactly
+        assert [r.pop("restored", None) for r in records["augmented"]] == [None, True, None, True]
+        assert [r.pop("restored", None) for r in records["baseline"]] == [None, None, None, True]
+        assert records["augmented"] == records["baseline"]
+
+    def test_checkpoint_describes_the_restored_epoch(self, pipeline_dir, tmp_path,
+                                                     monkeypatch, capsys):
+        # stage 2 stops early: its best epoch (2) comes before its last (4)
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        scores = iter([0.1, 0.2, 0.5, 0.4, 0.3])
+        seen = []
+
+        def validation_score(model, store):
+            seen.append({k: v.copy() for k, v in model.params.items()})
+            return next(scores)
+
+        monkeypatch.setattr(evaluation, "validation_score", validation_score)
+        capsys.readouterr()
+        assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN,
+                     "--stage2-epochs", "4", "--patience", "1"]) == 0
+        assert "epochs=5 restored_epoch=2 " in capsys.readouterr().out
+        records = [json.loads(line) for line in
+                   (out / "losses_augmented_seed1.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in records if r.get("restored")] == [1, 2]
+        sections, meta = serialize.read_blob(out / CHECKPOINT)
+        assert meta["epoch"] == 2
+        assert meta["metrics"] == {"epochs_run": 5, "loss_total": records[2]["loss_total"],
+                                   "valid_score": 0.5}
+        for name, value in sections.items():
+            np.testing.assert_array_equal(value, seen[2][name])
 
     def test_seeded_pipeline_outcome_is_pinned(self, tmp_path):
         # re-pin on purpose only, with the criteria 7/8 before/after in CHANGES.md
@@ -685,7 +717,7 @@ def test_pipeline_leaves_only_what_is_read_or_reported(pipeline_dir):
 ARTIFACTS = {
     "store.json": (["candidates", "--k", "5"], "sequences"),
     "candidates.json": (["train", "--seed", "1", *FAST_TRAIN], "cc"),
-    CHECKPOINT: (["evaluate", "--seed", "1"], "param/item_embeddings"),
+    CHECKPOINT: (["evaluate", "--seed", "1"], "item_embeddings"),
 }
 
 
@@ -893,12 +925,41 @@ class TestFaultInjection:
         for path in pipeline_dir.iterdir():
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
+    def test_v1_checkpoint_is_refused_by_schema(self, pipeline_dir, tmp_path, capsys):
+        # the old layout: param/* beside the Adam moments, and an adam_step field
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / REPORT).unlink()
+        sections, meta = serialize.read_blob(out / CHECKPOINT)
+        old = {f"{group}/{k}": v if group == "param" else np.zeros_like(v)
+               for k, v in sections.items() for group in ("param", "adam_m", "adam_v")}
+        meta.update({"schema": "tailaug.checkpoint.v1", "adam_step": 12})
+        serialize.write_blob(out / CHECKPOINT, old, meta)
+        capsys.readouterr()
+        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "tailaug.checkpoint.v1" in err
+        assert not (out / REPORT).exists()
+
+    def test_checkpoint_with_an_extra_section_is_refused(self, pipeline_dir, tmp_path,
+                                                         capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / REPORT).unlink()
+        sections, meta = serialize.read_blob(out / CHECKPOINT)
+        sections["adam_m/item_embeddings"] = np.zeros_like(sections["item_embeddings"])
+        serialize.write_blob(out / CHECKPOINT, sections, meta)
+        capsys.readouterr()
+        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
+        assert "sections do not match" in capsys.readouterr().err
+        assert not (out / REPORT).exists()
+
     def test_nan_embedding_is_refused_not_scored(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
         (out / REPORT).unlink()
         sections, meta = serialize.read_blob(out / CHECKPOINT)
-        sections["param/item_embeddings"][3, 0] = np.nan
+        sections["item_embeddings"][3, 0] = np.nan
         serialize.write_blob(out / CHECKPOINT, sections, meta)
         assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
         assert "non-finite" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tailaug import training
+from tailaug import serialize, training
 from tailaug.augment import (INSERT, SUBSTITUTE, AugmentedBatch, AugmentedSample,
                              OperatorConfig, apply_cross_mixup, augment_batch,
                              augment_sequence, plan_cross_batch, t_substitute)
@@ -165,7 +165,7 @@ class TestStage1:
             model = init_model(store.n_items, 8, seed=seed, encoder="gru")
             cfg = TrainConfig(batch_size=64, learning_rate=0.01, seed=seed,
                               patience=None)
-            history, _ = train_stage1(store, model, cfg, epochs=20)
+            history = train_stage1(store, model, cfg, epochs=20)
             losses = [h["loss_main"] for h in history]
             decreases = sum(b < a for a, b in zip(losses, losses[1:]))
             fracs.append(decreases / (len(losses) - 1))
@@ -178,7 +178,7 @@ class TestStage1:
             for _ in range(2):
                 model = init_model(store.n_items, 8, seed=3, encoder="gru", dtype=dtype)
                 cfg = TrainConfig(batch_size=16, seed=3, patience=None)
-                history, _ = train_stage1(store, model, cfg, epochs=3)
+                history = train_stage1(store, model, cfg, epochs=3)
                 finals.append((history[-1]["loss_main"], model.embeddings.copy()))
             assert finals[0][1].dtype == dtype
             assert finals[0][0] == finals[1][0]
@@ -225,12 +225,12 @@ class TestStage2:
         for dtype in DTYPES:
             model_a = init_model(store.n_items, 8, seed=4, encoder="pooled", dtype=dtype)
             adam_a = init_adam(model_a.params)
-            h1, adam_a = train_stage1(store, model_a, cfg_a, adam=adam_a)
-            h2, _ = train_stage2(store, model_a, cands, seg, cfg_a, OperatorConfig(),
-                                 adam=adam_a)
+            h1 = train_stage1(store, model_a, cfg_a, adam=adam_a)
+            h2 = train_stage2(store, model_a, cands, seg, cfg_a, OperatorConfig(),
+                              adam=adam_a)
 
             model_b = init_model(store.n_items, 8, seed=4, encoder="pooled", dtype=dtype)
-            hb, _ = train_stage1(store, model_b, cfg_a, epochs=5)
+            hb = train_stage1(store, model_b, cfg_a, epochs=5)
             assert model_a.embeddings.dtype == dtype
             for k in model_a.params:
                 np.testing.assert_array_equal(model_a.params[k], model_b.params[k])
@@ -272,9 +272,10 @@ class TestStage2:
         cfg = TrainConfig(batch_size=16, seed=6, stage1_epochs=1, stage2_epochs=2,
                           patience=None)
         adam = init_adam(model.params)
-        _, adam = train_stage1(store, model, cfg, adam=adam)
-        history, _ = train_stage2(store, model, cands, seg, cfg, OperatorConfig(),
-                                  adam=adam)
+        train_stage1(store, model, cfg, adam=adam)
+        assert adam.step > 0  # stage 1 advanced the caller's optimizer in place
+        history = train_stage2(store, model, cands, seg, cfg, OperatorConfig(),
+                               adam=adam)
         assert len(history) == 2
         for rec in history:
             assert rec["loss_operator"] > 0 and rec["loss_cross"] > 0
@@ -594,7 +595,7 @@ class TestColumns:
         store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
         cfg = TrainConfig(batch_size=16, seed=7, stage1_epochs=0, stage2_epochs=1,
                           patience=None)
-        history, _ = train_stage2(store, model, cands, seg, cfg, OperatorConfig())
+        history = train_stage2(store, model, cands, seg, cfg, OperatorConfig())
         assert history[0]["loss_operator"] > 0 and built == []
         trace = io.StringIO()
         train_stage2(store, model, cands, seg, cfg, OperatorConfig(), trace=trace)
@@ -734,11 +735,37 @@ class TestEarlyStopping:
         scores = iter([0.5, 0.4, 0.3, 0.2, 0.1, 0.05])
 
         cfg = TrainConfig(batch_size=16, seed=8, patience=2)
-        history, _ = train_stage1(store, model, cfg, epochs=6,
-                                  validator=lambda m: next(scores))
+        history = train_stage1(store, model, cfg, epochs=6,
+                               validator=lambda m: next(scores))
         # best at epoch 0, patience 2 -> stop after epoch 3
         assert len(history) == 4
         assert history[0]["valid_score"] == 0.5
+        assert [h.get("restored") for h in history] == [True, None, None, None]
+
+    def test_without_a_validator_the_last_epoch_is_marked(self, small_corpus):
+        store, seg, cands, model = _toy_setup(small_corpus)
+        cfg = TrainConfig(batch_size=16, seed=8, patience=None)
+        history = train_stage1(store, model, cfg, epochs=3)
+        assert [h.get("restored") for h in history] == [None, None, True]
+
+    def test_stage2_early_stop_marks_its_restored_epoch(self, small_corpus):
+        # the model returns holding stage 2's best epoch, not its last
+        store, seg, cands, model = _toy_setup(small_corpus)
+        scores = iter([0.1, 0.3, 0.2, 0.1, 0.05])
+        seen = []
+
+        def validator(m):
+            seen.append({k: v.copy() for k, v in m.params.items()})
+            return next(scores)
+
+        cfg = TrainConfig(batch_size=16, seed=8, stage1_epochs=2, stage2_epochs=5,
+                          patience=1)
+        history = train_stage2(store, model, cands, seg, cfg, OperatorConfig(),
+                               validator=validator)
+        assert [h["epoch"] for h in history] == [2, 3, 4, 5]
+        assert [h.get("restored") for h in history] == [None, True, None, None]
+        for k, v in model.params.items():
+            np.testing.assert_array_equal(v, seen[1][k])
 
     def test_first_of_tied_best_epochs_wins(self, small_corpus):
         store, seg, cands, _ = small_corpus
@@ -751,9 +778,10 @@ class TestEarlyStopping:
             return next(scores)
 
         cfg = TrainConfig(batch_size=16, seed=8, patience=1)
-        history, _ = train_stage1(store, model, cfg, epochs=5, validator=validator)
+        history = train_stage1(store, model, cfg, epochs=5, validator=validator)
         # the tie at epoch 1 is not an improvement, so epoch 2 is the second bad one
         assert len(history) == 3
+        assert [h.get("restored") for h in history] == [True, None, None]
         assert any(not np.array_equal(seen[0][k], seen[1][k]) for k in seen[0])
         for k, v in model.params.items():
             np.testing.assert_array_equal(v, seen[0][k])
@@ -762,22 +790,31 @@ class TestEarlyStopping:
 class TestCheckpoint:
     def test_roundtrip_bytes_identical(self, small_corpus, tmp_path):
         store, seg, cands, model = _toy_setup(small_corpus, encoder="gru")
-        adam = init_adam(model.params)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_checkpoint(p1, model, adam, epoch=7, config_meta={"dim": 8})
-        model2, adam2, meta = load_checkpoint(p1)
-        save_checkpoint(p2, model2, adam2, epoch=meta["epoch"],
-                        config_meta=meta["config"], metrics=meta["metrics"],
-                        lineage=meta["lineage"])
+        save_checkpoint(p1, model, epoch=7, config_meta={"dim": 8},
+                        metrics={"loss_total": 1.5}, lineage={"prepare": "p-1"})
+        model2, lineage, meta = load_checkpoint(p1)
+        assert lineage == {"prepare": "p-1"}
+        save_checkpoint(p2, model2, epoch=meta["epoch"], config_meta=meta["config"],
+                        metrics=meta["metrics"], lineage=lineage)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_reload_restores_float32_values(self, small_corpus, tmp_path):
         store, seg, cands, model = _toy_setup(small_corpus, encoder="gru")
         path = tmp_path / "c.bin"
-        save_checkpoint(path, model, None, epoch=1, config_meta={})
-        model2, adam2, meta = load_checkpoint(path)
-        assert adam2 is None
+        save_checkpoint(path, model, epoch=1, config_meta={})
+        model2, lineage, meta = load_checkpoint(path)
+        assert lineage == {}
         assert meta["epoch"] == 1 and model2.encoder_name == "gru"
         for k in model.params:
             np.testing.assert_array_equal(model2.params[k],
                                           model.params[k].astype(np.float32))
+
+    @pytest.mark.parametrize("encoder", ["pooled", "gru"])
+    def test_sections_are_exactly_the_parameters(self, small_corpus, tmp_path, encoder):
+        store, seg, cands, model = _toy_setup(small_corpus, encoder=encoder)
+        path = tmp_path / "d.bin"
+        save_checkpoint(path, model, epoch=0, config_meta={})
+        sections, meta = serialize.read_blob(path)
+        assert list(sections) == sorted(model.params)
+        assert meta["schema"] == "tailaug.checkpoint.v2" and "adam_step" not in meta
