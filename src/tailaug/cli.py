@@ -85,7 +85,7 @@ def cmd_prepare(args) -> int:
     n_sample = cfg["corpus.sample_users"]
     if n_sample:
         # user codes in lexicographic order of their raw ids
-        users = sorted(np.unique(log.users).tolist(), key=log.user_ids.__getitem__)
+        users = sorted(corpus._sorted_unique(log.users).tolist(), key=log.user_ids.__getitem__)
         if n_sample < len(users):
             rng = derive_rng(cfg["seed"], SUBSAMPLE)
             keep = np.zeros(len(log.user_ids), dtype=bool)

@@ -246,6 +246,18 @@ def id_rows(flat, offsets: np.ndarray) -> list:
     return [flat[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an integer array by sort and mask, ~10x faster than numpy 2's hash."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])[:len(keys)]]
+
+
+def _in_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.isin(values, keys)`` for ascending ``keys``, by ``searchsorted``."""
+    at = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return keys[at] == values if len(keys) else np.zeros(np.shape(values), dtype=bool)
+
+
 def json_value(d: dict, key: str, kind: type):
     """``d[key]``, which must be a JSON value of type ``kind``; a boolean is no ``int``."""
     if type(d[key]) is not kind:

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Segmentation, SequenceStore, id_rows, json_value, ragged_ids
+from .corpus import (Segmentation, SequenceStore, _in_sorted, _sorted_unique, id_rows,
+                     json_value, ragged_ids)
 from .errors import DataError, NumericError, finite_positive
 
 CANDIDATES_SCHEMA = "tailaug.candidate_sets.v1"
@@ -230,8 +231,8 @@ def build_cooccurrence(store: SequenceStore,
     back = ~(head[a] & head[b])
     ahead = head[a] & ~head[b]
     n = store.n_items
-    keys = np.unique(np.concatenate([_pair_keys(b[back], a[back], n),
-                                     _pair_keys(a[ahead], b[ahead], n)]))
+    keys = _sorted_unique(np.concatenate([_pair_keys(b[back], a[back], n),
+                                          _pair_keys(a[ahead], b[ahead], n)]))
     return keys % (n + 1), np.searchsorted(keys // (n + 1), np.arange(1, n + 2))
 
 
@@ -291,14 +292,13 @@ def union_candidates(cr: tuple[np.ndarray, np.ndarray], cc: tuple[np.ndarray, np
         if np.any((members < 1) | (members > n)):
             raise ValueError(f"candidate ids must be internal item ids in 1..{n}")
     cr_owner = np.repeat(ids, np.diff(cr_offsets))
-    cr_keys = _pair_keys(cr_owner, cr_member, n)
-    # the first occurrence of each cr member, self excluded, in cr order
-    keep = np.zeros(len(cr_keys), dtype=bool)
-    keep[np.unique(cr_keys, return_index=True)[1]] = True
-    keep &= cr_member != cr_owner
+    # the first occurrence of each cr member, self excluded, in cr order (a sort, no hash)
+    cr_keys, first = np.unique(_pair_keys(cr_owner, cr_member, n), return_index=True)
+    keep = np.zeros(len(cr_member), dtype=bool)
+    keep[first] = cr_member[first] != cr_owner[first]
     # cc members that are neither in cr nor the item itself, ascending
-    cc_keys = np.unique(_pair_keys(np.repeat(ids, np.diff(cc_offsets)), cc_member, n))
-    cc_keys = cc_keys[~np.isin(cc_keys, cr_keys)]
+    cc_keys = _sorted_unique(_pair_keys(np.repeat(ids, np.diff(cc_offsets)), cc_member, n))
+    cc_keys = cc_keys[~_in_sorted(cc_keys, cr_keys)]
     cc_owner, cc_member = cc_keys // (n + 1), cc_keys % (n + 1)
     cc_new = cc_member != cc_owner
     owner = np.concatenate([cr_owner[keep], cc_owner[cc_new]])

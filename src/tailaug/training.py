@@ -15,14 +15,14 @@ from the items absent from the user's training prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from . import serialize
 from .augment import (AugmentedBatch, CrossPlan, OperatorConfig, apply_cross_mixup,
                       augment_batch, draw_uniforms, insert_rows, plan_cross_batch)
-from .corpus import Segmentation, SequenceStore, preference_classes
+from .corpus import Segmentation, SequenceStore, _in_sorted, _sorted_unique, preference_classes
 from .encoders import (ModelState, backward_batch, encode_ragged, init_model,
                        lookup, sigmoid)
 from .errors import DataError, NumericError, finite_positive
@@ -84,79 +84,88 @@ def bce_loss_batch(h, e_pos, e_neg):
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]  # what adam_step writes into
     step: int = 0
 
 
 def init_adam(params: dict[str, np.ndarray]) -> AdamState:
     return AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
-                     v={k: np.zeros_like(p) for k, p in params.items()})
+                     v={k: np.zeros_like(p) for k, p in params.items()},
+                     scratch={k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()})
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig) -> dict[str, np.ndarray]:
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update, applied in place.  Each operation runs
+    in the textbook order into the state's scratch arrays, so a step allocates nothing."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
+        m, v, (a, b) = state.m[name], state.v[name], state.scratch[name]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        params[name] -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=a), g, out=a)
+        np.multiply(config.learning_rate, np.divide(m, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+        params[name] -= np.divide(a, b, out=a)
     return params
 
 
 @dataclass
 class Batch:
+    """One step's users, targets, negatives and prefixes: ``ids`` back to back, cut by
+    ``lengths``.  A ``prefixes`` list (one array per user) is stacked into them once."""
     users: np.ndarray
-    prefixes: list[np.ndarray]
+    prefixes: InitVar[list[np.ndarray] | None]  # None when the columns are given
     targets: np.ndarray
     negatives: np.ndarray
+    ids: np.ndarray | None = None
+    lengths: np.ndarray | None = None
+
+    def __post_init__(self, prefixes):
+        if prefixes is not None:
+            self.ids = np.concatenate(prefixes)
+            self.lengths = np.fromiter(map(len, prefixes), np.int64, len(prefixes))
 
     def __len__(self):
         return len(self.users)
 
 
-def _owned_keys(ids: np.ndarray, lengths: np.ndarray, n_items: int) -> np.ndarray:
-    """Sorted ``user * (n_items + 1) + item`` keys of the prefixes ``ids`` (back to back)."""
-    users = np.repeat(np.arange(len(lengths)), lengths)
-    return np.unique(users * (n_items + 1) + ids)
+def _epoch_batches(ids: np.ndarray, lengths: np.ndarray, eligible: np.ndarray, n_items: int,
+                   seed: int, epoch: int, batch_size: int):
+    """One epoch's batches, each with the positions of its prefix ids in ``ids``.
 
-
-def _epoch_batches(ids: np.ndarray, lengths: np.ndarray, owned: np.ndarray,
-                   eligible: np.ndarray, n_items: int, seed: int, epoch: int, batch_size: int):
-    """One epoch's batches; every per-user draw is indexed by user, not by batch.
-
-    Each user's prefix end comes from one array draw per epoch, and its
-    negative is the first of ``NEGATIVE_BLOCK`` uniform proposals that it
-    does not own.  That is uniform over the items it does not own.  A user
-    that owns its whole block instead takes a uniform pick of its unowned
-    items, drawn from the same stream after the block, in the order of
-    ``eligible`` (ascending user ids).
+    Every per-user draw is indexed by user, not by batch.  Each user's prefix
+    end comes from one array draw per epoch, and its negative is the first of
+    ``NEGATIVE_BLOCK`` uniform proposals that it does not own.  That is uniform
+    over the items it does not own.  A user that owns its whole block instead
+    takes a uniform pick of its unowned items, drawn from the same stream after
+    the block, in the order of ``eligible`` (ascending user ids).
     """
     n_users = len(lengths)
     starts = np.cumsum(lengths) - lengths
-    ends = starts + derive_rng(seed, PREFIX, epoch).integers(1, np.maximum(lengths, 2))
+    # what each user owns, as sorted keys user * (n_items + 1) + item
+    owned = _sorted_unique(np.repeat(np.arange(n_users), lengths) * (n_items + 1) + ids)
+    cut = derive_rng(seed, PREFIX, epoch).integers(1, np.maximum(lengths, 2))
     rng = derive_rng(seed, NEGATIVE, epoch)
     proposals = rng.integers(1, n_items + 1, size=(n_users, NEGATIVE_BLOCK))
-    keys = np.arange(n_users)[:, np.newaxis] * (n_items + 1) + proposals
-    free = owned[np.minimum(np.searchsorted(owned, keys), len(owned) - 1)] != keys
+    free = ~_in_sorted(np.arange(n_users)[:, np.newaxis] * (n_items + 1) + proposals, owned)
     negatives = proposals[np.arange(n_users), free.argmax(axis=1)]
+    items = np.arange(1, n_items + 1)
     for u in eligible[~free[eligible].any(axis=1)].tolist():
-        unowned = np.setdiff1d(np.arange(1, n_items + 1), ids[starts[u]:starts[u] + lengths[u]])
+        unowned = items[~_in_sorted(u * (n_items + 1) + items, owned)]
         if len(unowned) == 0:
             raise DataError(f"user {u} interacted with every item; no negative exists")
         negatives[u] = unowned[rng.integers(len(unowned))]
     order = eligible[derive_rng(seed, SHUFFLE, epoch).permutation(len(eligible))]
     for start in range(0, len(order), batch_size):
         users = order[start:start + batch_size]
-        prefixes = [ids[a:b] for a, b in zip(starts[users].tolist(), ends[users].tolist())]
-        yield Batch(users=users, prefixes=prefixes, targets=ids[ends[users]],
-                    negatives=negatives[users])
+        n, first = cut[users], starts[users]
+        at = np.arange(n.sum()) + np.repeat(first - np.cumsum(n) + n, n)
+        yield Batch(users, None, ids[first + n], negatives[users], ids=ids[at], lengths=n), at
 
 
 def batch_loss(model: ModelState, batch: Batch, *,
@@ -179,8 +188,7 @@ def batch_loss(model: ModelState, batch: Batch, *,
     Returns (components, grads) where components has per-term means.
     """
     n = len(batch)
-    ids = [np.concatenate(batch.prefixes)]
-    lengths = [np.fromiter(map(len, batch.prefixes), np.int64, n)]
+    ids, lengths = [batch.ids], [batch.lengths]
     if samples is not None:
         if not isinstance(samples, AugmentedBatch):
             samples = AugmentedBatch.stack(samples)
@@ -230,23 +238,20 @@ def batch_loss(model: ModelState, batch: Batch, *,
     return components, grads
 
 
-def _stage2_inputs(batch, draws, classes, starts, store, segmentation, candidates,
+def _stage2_inputs(batch, at, draws, classes, store, segmentation, candidates,
                    op_config, config, epoch, step, trace=None):
     """The batch's samples, mix weights and cross plan.
 
-    Entry ``j`` of user ``u``'s prefix uses the per-position draws at ``starts[u] + j``.
+    Prefix id ``i`` of the batch uses the per-position draws at ``at[i]``.
     """
     samples = op_lams = plan = None
     users = batch.users
     if draws is not None:
         op_u, rates, select, pick, lams = draws
-        lengths = np.fromiter(map(len, batch.prefixes), np.int64, len(users))
-        positions = np.arange(lengths.sum()) + np.repeat(
-            starts[users] - (np.cumsum(lengths) - lengths), lengths)
         samples = augment_batch(
-            np.concatenate(batch.prefixes), lengths, segmentation, candidates, store.max_len,
-            insert=insert_rows(lengths, store.max_len, op_u[users]), rates=rates[users],
-            select=select[positions], pick=pick[positions])
+            batch.ids, batch.lengths, segmentation, candidates, store.max_len,
+            insert=insert_rows(batch.lengths, store.max_len, op_u[users]), rates=rates[users],
+            select=select[at], pick=pick[at])
         op_lams = lams[users]
         if trace is not None:
             for sample, u, lam in zip(samples, users.tolist(), op_lams.tolist()):
@@ -276,8 +281,6 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
     eligible = np.flatnonzero(lengths >= 2)
     if len(eligible) == 0:
         raise DataError("no user has a training prefix of length >= 2")
-    owned = _owned_keys(ids, lengths, store.n_items)
-    starts = np.cumsum(lengths) - lengths
     if op_config is not None:
         classes = preference_classes(ids, lengths, segmentation)
 
@@ -294,12 +297,12 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
             op_u = rng.random(store.n_users)
             draws = (op_u, *draw_uniforms(rng, store.n_users, lengths.sum(), op_config),
                      rng.beta(op_config.alpha, op_config.alpha, store.n_users))
-        for step, batch in enumerate(_epoch_batches(ids, lengths, owned, eligible, store.n_items,
-                                                    config.seed, e, config.batch_size)):
+        for step, (batch, at) in enumerate(_epoch_batches(
+                ids, lengths, eligible, store.n_items, config.seed, e, config.batch_size)):
             samples = op_lams = plan = None
             if op_config is not None:
                 samples, op_lams, plan = _stage2_inputs(
-                    batch, draws, classes, starts, store, segmentation, candidates,
+                    batch, at, draws, classes, store, segmentation, candidates,
                     op_config, config, e, step, trace=trace)
             components, grads = batch_loss(model, batch, samples=samples,
                                            op_lams=op_lams, plan=plan)

@@ -505,3 +505,37 @@ class TestRawIds:
         p.write_bytes(b"u1,i1,1\nu2,i1,2\nu3,\xff\xfe,3\n")
         with pytest.raises(DataError, match=r"log\.csv.*utf-8"):
             load_interactions(p)
+
+
+int64s = st.integers(-2 ** 63, 2 ** 63 - 1)
+# small values make repeats and hits likely; the full range reaches the int64 bounds
+key_lists = st.lists(st.one_of(st.integers(-3, 3), int64s), max_size=40)
+
+
+class TestIntegerKeySets:
+    """The sort-based key-set helpers agree with ``np.unique`` and ``np.isin``."""
+
+    @given(key_lists)
+    @example([])
+    @example([5])
+    @example([7, 7, 7])
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_unique_is_np_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        got, want = corpus._sorted_unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(key_lists, key_lists)
+    @example([], [])
+    @example([1, 2], [])
+    @example([], [4])
+    @example([3], [3])
+    @example([9, 9, 9], [9, 9])
+    @settings(max_examples=300, deadline=None)
+    def test_in_sorted_is_np_isin(self, values, keys):
+        values, keys = np.array(values, dtype=np.int64), np.array(keys, dtype=np.int64)
+        for sorted_keys in (np.sort(keys), corpus._sorted_unique(keys)):
+            got = corpus._in_sorted(values, sorted_keys)
+            assert got.dtype == bool and got.tolist() == np.isin(values, keys).tolist()
+            grid = values.reshape(-1, 1)  # the shape of ``values`` is kept
+            assert corpus._in_sorted(grid, sorted_keys).tolist() == np.isin(grid, keys).tolist()

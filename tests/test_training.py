@@ -8,7 +8,7 @@ from tailaug import serialize, training
 from tailaug.augment import (INSERT, SUBSTITUTE, AugmentedBatch, AugmentedSample,
                              OperatorConfig, apply_cross_mixup, augment_batch,
                              augment_sequence, plan_cross_batch, t_substitute)
-from tailaug.corpus import classify_sequence
+from tailaug.corpus import classify_sequence, preference_classes
 from tailaug.encoders import (ModelState, backward_batch, encode_batch, encode_ragged,
                               init_model, lookup)
 from tailaug.errors import DataError, NumericError
@@ -74,13 +74,17 @@ def flat_prefixes(trains):
     return np.concatenate([np.zeros(0, np.int64), *map(np.asarray, trains)]), lengths
 
 
+def batch_prefixes(batch):
+    """A batch's prefixes, one array per user, cut out of its columns."""
+    return np.split(batch.ids, np.cumsum(batch.lengths)[:-1])
+
+
 def epoch_negatives(trains, n_items, seed=0, epoch=0):
     """Each eligible user's negative in one epoch of ``_epoch_batches``, by user id."""
     ids, lengths = flat_prefixes(trains)
     eligible = np.flatnonzero(lengths >= 2)
-    batches = training._epoch_batches(ids, lengths, training._owned_keys(ids, lengths, n_items),
-                                      eligible, n_items, seed, epoch, len(trains))
-    return {u: v for b in batches for u, v in zip(b.users.tolist(), b.negatives.tolist())}
+    batches = training._epoch_batches(ids, lengths, eligible, n_items, seed, epoch, len(trains))
+    return {u: v for b, _ in batches for u, v in zip(b.users.tolist(), b.negatives.tolist())}
 
 
 class TestSampleNegative:
@@ -130,6 +134,46 @@ class TestAdam:
             w -= 0.001 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
             adam_step(params, {"w": np.ones(1)}, state, cfg)
             assert params["w"][0] == pytest.approx(w, abs=1e-15)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("lr", [0.0, 0.003])
+    def test_matches_the_textbook_update_byte_for_byte(self, dtype, lr):
+        rng = np.random.default_rng(8)
+        params = {"w": rng.normal(size=(5, 3)).astype(dtype),
+                  "b": rng.normal(size=2).astype(dtype)}
+        start = {k: p.copy() for k, p in params.items()}
+        want = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        state = init_adam(params)
+        for t in range(1, 201):
+            grads = {k: rng.normal(size=p.shape).astype(dtype) for k, p in params.items()}
+            grads["b"][t % 2] = 0.0
+            adam_step(params, grads, state, TrainConfig(learning_rate=lr))
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
+                want[k] = want[k] - lr * (m[k] / (1 - 0.9 ** t)) / (
+                    np.sqrt(v[k] / (1 - 0.999 ** t)) + 1e-8)
+                for got, ref in ((params, want), (state.m, m), (state.v, v)):
+                    assert got[k].dtype == dtype and got[k].tobytes() == ref[k].tobytes(), k
+        assert state.step == 200
+        if lr == 0:
+            assert all(params[k].tobytes() == start[k].tobytes() for k in params)
+
+    def test_a_step_allocates_no_parameter_sized_array(self):
+        import tracemalloc
+        params = {"w": np.ones((2000, 32))}
+        grads = {"w": np.full((2000, 32), 0.5)}
+        state = init_adam(params)
+        adam_step(params, grads, state, TrainConfig())
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params["w"].nbytes // 4
 
     def test_default_learning_rate(self):
         assert TrainConfig().learning_rate == pytest.approx(0.001)
@@ -444,7 +488,7 @@ class TestOperatorMixup:
 def _three_row_batch_loss(model, batch, *, samples=None, op_lams=None, plan=None):
     """``batch_loss`` as it was: three encoded rows per user and ``np.add.at`` scatters."""
     n = len(batch)
-    seqs = list(batch.prefixes)
+    seqs = batch_prefixes(batch)
     if samples is not None:
         seqs += [s.s_ext for s in samples] + [s.s_prime for s in samples]
     h_all, cache = encode_batch(model, seqs)
@@ -523,7 +567,7 @@ class TestDistinctEncodes:
         assert (~edited).any() and (edited & ~grown).any() and grown.any()
         assert {s.operator for s, e in zip(samples, edited) if not e} == {SUBSTITUTE, INSERT}
         assert any(len(s.s_ext) < len(p) + len(s.indices)  # an insertion lost its oldest
-                   for s, p, g in zip(samples, batch.prefixes, grown) if g)
+                   for s, p, g in zip(samples, batch_prefixes(batch), grown) if g)
 
     @pytest.mark.parametrize("encoder", ["pooled", "gru"])
     def test_matches_the_three_row_reference(self, small_corpus, monkeypatch, encoder):
@@ -553,7 +597,7 @@ class TestDistinctEncodes:
                                                           cross):
         # with no operator term nothing is deduplicated: the scatters alone must keep every byte
         model, batch, _, _, _ = _three_kind_inputs(small_corpus, encoder)
-        classes = [classify_sequence(p, small_corpus[1]) for p in batch.prefixes]
+        classes = [classify_sequence(p, small_corpus[1]) for p in batch_prefixes(batch)]
         plan = plan_cross_batch(classes, 0.3, derive_rng(0, CROSS, 0, 0)) if cross else None
         want_comp, want_grads = _three_row_batch_loss(model, batch, plan=plan)
         comp, grads = batch_loss(model, batch, plan=plan)
@@ -583,6 +627,62 @@ class TestColumns:
         assert set(grads) == set(want_grads)
         for name, g in grads.items():
             assert g.tobytes() == want_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("encoder", ["pooled", "gru"])
+    @pytest.mark.parametrize("terms", [(), ("operator",), ("cross",), ("operator", "cross")],
+                             ids=["main", "operator", "cross", "all"])
+    def test_an_epoch_batch_and_its_prefix_list_give_the_same_bytes(self, small_corpus, encoder,
+                                                                    terms):
+        store, seg, cands, model = _toy_setup(small_corpus, encoder=encoder, dim=6)
+        ids, lengths = store.train_prefixes()
+        batch, at = next(training._epoch_batches(ids, lengths, np.flatnonzero(lengths >= 2),
+                                                 store.n_items, 3, 0, 16))
+        prefixes = [store.train_prefix(u)[:n]
+                    for u, n in zip(batch.users.tolist(), batch.lengths.tolist())]
+        listed = Batch(users=batch.users, prefixes=prefixes, targets=batch.targets,
+                       negatives=batch.negatives)
+        assert listed.ids.tobytes() == batch.ids.tobytes() == ids[at].tobytes()
+        assert listed.lengths.tobytes() == batch.lengths.tobytes()
+        rng = np.random.default_rng(4)
+        kwargs = {}
+        if "operator" in terms:
+            kwargs["samples"] = augment_batch(
+                batch.ids, batch.lengths, seg, cands, store.max_len,
+                insert=rng.random(len(batch)) < 0.5, rates=np.full(len(batch), 0.5),
+                select=rng.random(len(at)), pick=rng.random(len(at)))
+            kwargs["op_lams"] = rng.beta(0.3, 0.3, len(batch))
+        if "cross" in terms:
+            classes = preference_classes(batch.ids, batch.lengths, seg)
+            kwargs["plan"] = plan_cross_batch(np.tile(classes, 1 + ("operator" in terms)),
+                                              0.3, rng)
+        comp, grads = batch_loss(model, batch, **kwargs)
+        want_comp, want_grads = batch_loss(model, listed, **kwargs)
+        assert all(comp[t] > 0 for t in ("main", *terms))
+        assert {k: np.float64(v).tobytes() for k, v in comp.items()} == {
+            k: np.float64(v).tobytes() for k, v in want_comp.items()}
+        assert set(grads) == set(want_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
+
+    def test_an_epoch_stacks_no_prefix_list(self, small_corpus, monkeypatch):
+        stacked, real = [], Batch.__post_init__
+
+        def counted(self, prefixes):
+            if prefixes is not None:
+                stacked.append(self)
+            real(self, prefixes)
+
+        monkeypatch.setattr(Batch, "__post_init__", counted)
+        store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
+        cfg = TrainConfig(batch_size=16, seed=7, stage1_epochs=1, stage2_epochs=1,
+                          patience=None)
+        adam = init_adam(model.params)
+        first = train_stage1(store, model, cfg, adam=adam)
+        second = train_stage2(store, model, cands, seg, cfg, OperatorConfig(), adam=adam)
+        assert first[0]["loss_main"] > 0 and second[0]["loss_operator"] > 0 and stacked == []
+        Batch(users=np.arange(1), prefixes=[np.array([1])], targets=np.array([2]),
+              negatives=np.array([3]))
+        assert len(stacked) == 1  # the spy sees the list path
 
     def test_a_stage2_epoch_builds_no_sample_unless_traced(self, small_corpus, monkeypatch):
         built, real = [], AugmentedSample.__init__
@@ -649,9 +749,9 @@ def _epoch_draws(small_corpus, monkeypatch, batch_size, stage2=False, dtype=np.f
     draws = {}
 
     def record(model, batch, *, samples=None, op_lams=None, plan=None):
-        for i, u in enumerate(batch.users.tolist()):
+        for i, (u, prefix) in enumerate(zip(batch.users.tolist(), batch_prefixes(batch))):
             assert u not in draws
-            draws[u] = (batch.prefixes[i].tolist(), int(batch.targets[i]),
+            draws[u] = (prefix.tolist(), int(batch.targets[i]),
                         int(batch.negatives[i]))
             if samples is not None:
                 draws[u] += (samples[i].trace_line(mix_weight=op_lams[i]),)
@@ -718,9 +818,8 @@ class TestScheduleIndependence:
         # user 0 owns items 1..10 of 30; with a one-proposal block a third are fallbacks
         store = store_from_sequences({0: list(range(1, 13)), 1: list(range(11, 31))})
         ids, lengths = flat_prefixes([store.train_prefix(u) for u in range(2)])
-        owned = training._owned_keys(ids, lengths, 30)
         monkeypatch.setattr(training, "NEGATIVE_BLOCK", block)
-        draws = [int(next(training._epoch_batches(ids, lengths, owned, np.array([0]), 30, 1, e, 1))
+        draws = [int(next(training._epoch_batches(ids, lengths, np.array([0]), 30, 1, e, 1))[0]
                      .negatives[0]) for e in range(4000)]
         counts = np.bincount(draws, minlength=31)
         assert counts[:11].sum() == 0
