@@ -3,13 +3,16 @@
 Each subcommand persists versioned artifacts into an output directory and
 embeds a lineage id (config hash chained through parents); downstream
 subcommands refuse inputs from a different lineage, or with none, unless
-``--force`` is given.  Only what the store does not determine is stored:
-``candidates``, ``train`` and ``evaluate`` recompute the head/tail
-segmentation from ``store.json`` with ``corpus.segment``.  ``train`` writes
+``--force`` is given, and inputs over another item universe even then; a
+missing input names the command that writes it.  Only what the store does
+not determine is stored: ``candidates``, ``train`` and ``evaluate``
+recompute the head/tail segmentation from ``store.json`` with
+``corpus.segment``.  ``train`` writes
 ``checkpoint_<mode>_seed<s>.bin`` per seed, the parameters of the epoch it
 records (the restored one), and ``losses_<mode>_seed<s>.jsonl``; ``evaluate``
 scores the checkpoints its ``--mode`` and ``--seeds`` name, each of which must
-record that mode, and averages several into ``report_<mode>_mean_<phase>.json``.
+record that mode, and on every call writes their mean, one checkpoint's too,
+to ``report_<mode>_mean_<phase>.json``, with the seeds in its lineage.
 Each pipeline command has one flag per key of its config sections; flags
 override config-file keys.  Exit codes: 0 ok, 2 config error, 3 data error,
 4 numeric failure.
@@ -43,30 +46,43 @@ def _file_sha(path) -> str:
     return h.hexdigest()[:16]
 
 
-def _artifact(out_dir, name) -> Path:
-    return Path(out_dir) / name
-
-
-def _checkpoint_path(out_dir, mode: str, seed: int) -> Path:
+def _checkpoint_path(out_dir: Path, mode: str, seed: int) -> Path:
     """Where ``train`` writes, and ``evaluate`` reads, one arm's checkpoint for one seed."""
-    return _artifact(out_dir, f"checkpoint_{mode}_seed{seed}.bin")
+    return out_dir / f"checkpoint_{mode}_seed{seed}.bin"
 
 
-def _check_lineage(expected: str | None, found: str | None, what: str, force: bool):
-    """Refuse unless both lineage ids are present and equal, or ``force``."""
-    if force or (expected is not None and expected == found):
-        return
-    problem = "lineage mismatch" if expected and found else "missing lineage id"
-    raise DataError(
-        f"{what}: {problem} (expected {expected}, found {found}); artifacts "
-        "come from a different config or input, or carry no lineage. Re-run "
-        "the upstream step, or pass --force where the command offers it.")
+def _load_upstream(path: Path, command: str, load, items, store, store_id: str,
+                   force: bool) -> tuple:
+    """``load(path)`` of an artifact that ``tailaug <command>`` derives from the store.
+
+    ``load`` returns the artifact and its lineage first.  A missing file names
+    ``command``; a ``prepare`` lineage other than ``store_id``, or none, is
+    refused unless ``force``; and ``items(artifact)`` must equal the store's
+    item count even then.
+    """
+    if not path.exists():
+        raise DataError(f"missing artifact {path}; run `tailaug {command}` first")
+    loaded = load(path)
+    found = loaded[1].get("prepare")
+    if not force and found != store_id:
+        problem = "lineage mismatch" if found else "missing lineage id"
+        raise DataError(
+            f"{path.name} vs store: {problem} (expected {store_id}, found {found}); "
+            "artifacts come from a different config or input, or carry no lineage. "
+            "Re-run the upstream step, or pass --force where the command offers it.")
+    if items(loaded[0]) != store.n_items:
+        raise DataError(f"{path} covers {items(loaded[0])} items, "
+                        f"the prepared store {store.n_items}")
+    return loaded
 
 
-def _check_items(n_items: int, store, path):
-    """Item universes must agree even when --force overrides lineage."""
-    if n_items != store.n_items:
-        raise DataError(f"{path} covers {n_items} items, the prepared store {store.n_items}")
+def _write_report(path: Path, report, lineage: dict, title: str):
+    """Save ``report`` as JSON beside its ``.txt`` table, and print the table."""
+    table = evaluation.format_table(report)
+    serialize.save(path, evaluation.REPORT_SCHEMA, report.to_fields(), lineage)
+    serialize.write_text(path.with_suffix(".txt"), table + "\n")
+    print(f"== {title} ==")
+    print(table)
 
 
 # ---------------------------------------------------------------- prepare
@@ -103,7 +119,7 @@ def cmd_prepare(args) -> int:
 
     prep_id = lineage_id("prepare", config_hash(cfg, ["seed", *section_keys("prepare")]),
                          {"input": _file_sha(args.input)})
-    serialize.save(_artifact(out_dir, "store.json"), corpus.STORE_SCHEMA,
+    serialize.save(out_dir / "store.json", corpus.STORE_SCHEMA,
                    store.to_fields(), {"id": prep_id})
 
     print(f"users={stats.n_users} items={stats.n_items} "
@@ -116,7 +132,7 @@ def cmd_prepare(args) -> int:
 
 def _load_prepared(out_dir):
     """The prepared store and its lineage id; a store without one is refused."""
-    path = _artifact(out_dir, "store.json")
+    path = out_dir / "store.json"
     if not path.exists():
         raise DataError(f"missing artifact {path}; run `tailaug prepare` first")
     store, lineage = serialize.load(path, corpus.STORE_SCHEMA, corpus.SequenceStore.from_fields)
@@ -143,7 +159,7 @@ def cmd_candidates(args) -> int:
     cands, sim = simcand.build_candidates(store, seg, solver_config(cfg), cfg["simcand.k"])
     cand_id = lineage_id("candidates", config_hash(cfg, section_keys("candidates")),
                          {"prepare": store_id})
-    serialize.save(_artifact(out_dir, "candidates.json"), simcand.CANDIDATES_SCHEMA,
+    serialize.save(out_dir / "candidates.json", simcand.CANDIDATES_SCHEMA,
                    cands.to_fields(), {"id": cand_id, "prepare": store_id})
     sizes = np.diff(cands.c[1])
     # the tail share of tail items' sets, then of head items', pooled over members
@@ -201,7 +217,7 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
         metrics={"epochs_run": len(history),
                  **{k: held[k] for k in ("loss_total", "valid_score") if k in held}},
         lineage={"prepare": store_id, "candidates": cand_id})
-    serialize.write_jsonl(_artifact(out_dir, f"losses_{mode}_seed{seed}.jsonl"), history)
+    serialize.write_jsonl(out_dir / f"losses_{mode}_seed{seed}.jsonl", history)
     print(f"mode={mode} seed={seed} epochs={len(history)} "
           f"restored_epoch={held.get('epoch')} "
           f"loss_total={held.get('loss_total', float('nan')):.4f} "
@@ -221,17 +237,13 @@ def cmd_train(args) -> int:
     seg = corpus.segment(store, beta=cfg["augment.beta"])
 
     cands, cand_id = None, None
-    needs_candidates = args.mode == "augmented"
-    cand_path = _artifact(out_dir, "candidates.json")
-    if needs_candidates:
-        if not cand_path.exists():
-            raise DataError(f"missing artifact {cand_path}; run `tailaug candidates` first")
-        cands, cand_lineage = serialize.load(cand_path, simcand.CANDIDATES_SCHEMA,
-                                             simcand.CandidateSets.from_fields)
+    if args.mode == "augmented":
+        cands, cand_lineage = _load_upstream(
+            out_dir / "candidates.json", "candidates",
+            lambda p: serialize.load(p, simcand.CANDIDATES_SCHEMA,
+                                     simcand.CandidateSets.from_fields),
+            lambda c: len(c.c[1]) - 1, store, store_id, args.force)
         cand_id = cand_lineage.get("id")
-        _check_lineage(store_id, cand_lineage.get("prepare"),
-                       "candidates vs store", args.force)
-        _check_items(len(cands.c[1]) - 1, store, cand_path)
 
     for seed in seeds:
         _train_one_seed(cfg, args.mode, seed, store, seg, cands, store_id,
@@ -252,12 +264,8 @@ def cmd_evaluate(args) -> int:
     loaded = []
     for seed in seeds:
         path = _checkpoint_path(out_dir, args.mode, seed)
-        if not path.exists():
-            raise DataError(f"missing checkpoint {path}; run `tailaug train` first")
-        model, lineage, meta = training.load_checkpoint(path)
-        _check_lineage(store_id, lineage.get("prepare"),
-                       f"checkpoint {path.name} vs store", args.force)
-        _check_items(model.n_items, store, path)
+        model, _, meta = _load_upstream(path, "train", training.load_checkpoint,
+                                        lambda m: m.n_items, store, store_id, args.force)
         recorded = meta.get("config", {}).get("mode")
         if recorded != args.mode:
             raise DataError(f"checkpoint {path.name} records mode {recorded}, but its "
@@ -269,23 +277,13 @@ def cmd_evaluate(args) -> int:
         report = evaluation.evaluate_model(
             model, store, seg, ks=cfg["eval.ks"], phase=args.phase,
             filter_seen=cfg["eval.filter_seen"])
-        rep_path = path.with_name(path.stem + f"_report_{args.phase}.json")
-        serialize.save(rep_path, evaluation.REPORT_SCHEMA, report.to_fields(),
-                       {"checkpoint": path.name, "prepare": store_id})
-        serialize.write_text(rep_path.with_suffix(".txt"),
-                             evaluation.format_table(report) + "\n")
+        _write_report(path.with_name(path.stem + f"_report_{args.phase}.json"), report,
+                      {"checkpoint": path.name, "prepare": store_id},
+                      f"{path.name} ({args.phase})")
         reports.append(report)
-        print(f"== {path.name} ({args.phase}) ==")
-        print(evaluation.format_table(report))
-    if len(reports) > 1:
-        mean = evaluation.mean_report(reports)
-        mean_path = _artifact(out_dir, f"report_{args.mode}_mean_{args.phase}.json")
-        serialize.save(mean_path, evaluation.REPORT_SCHEMA, mean.to_fields(),
-                       {"prepare": store_id})
-        serialize.write_text(mean_path.with_suffix(".txt"),
-                             evaluation.format_table(mean) + "\n")
-        print(f"== mean over {len(reports)} checkpoints ==")
-        print(evaluation.format_table(mean))
+    _write_report(out_dir / f"report_{args.mode}_mean_{args.phase}.json",
+                  evaluation.mean_report(reports), {"prepare": store_id, "seeds": seeds},
+                  f"mean over {len(reports)} checkpoints")
     return 0
 
 

@@ -246,6 +246,11 @@ def id_rows(flat, offsets: np.ndarray) -> list:
     return [flat[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
+def _pair_keys(owner, member, n: int) -> np.ndarray:
+    """One int64 key per (owner, member) pair, member in ``0..n``, ordered by owner."""
+    return owner * (n + 1) + member
+
+
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """``np.unique`` of an integer array by sort and mask, ~10x faster than numpy 2's hash."""
     keys = np.sort(keys)

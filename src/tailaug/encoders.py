@@ -69,8 +69,6 @@ class PooledEncoder:
     ids (``np.add.reduceat``), so nothing is padded.
     """
 
-    name = "pooled"
-
     def init_params(self, dim: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
         return {"pool_theta": np.zeros(1, dtype=np.float64)}
 
@@ -138,8 +136,6 @@ class GRUEncoder:
     over the whole left-padded batch, so its encoding does not depend on
     the other rows.
     """
-
-    name = "gru"
 
     _GATES = ("z", "r", "h")
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (Segmentation, SequenceStore, _in_sorted, _sorted_unique, id_rows,
-                     json_value, ragged_ids)
+from .corpus import (Segmentation, SequenceStore, _in_sorted, _pair_keys, _sorted_unique,
+                     id_rows, json_value, ragged_ids)
 from .errors import DataError, NumericError, finite_positive
 
 CANDIDATES_SCHEMA = "tailaug.candidate_sets.v1"
@@ -60,11 +60,6 @@ class SolverConfig:
             raise ValueError(f"ridge_penalty must be finite and > 0, got {self.ridge_penalty}")
         if not 0.0 <= self.diag_cap < 1.0:
             raise ValueError(f"diag_cap must be in [0, 1), got {self.diag_cap}")
-
-
-def _pair_keys(owner: np.ndarray, member: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key per (item, member) pair of ids in ``0..n``, ordered by item."""
-    return owner * (n + 1) + member
 
 
 def build_interaction_matrix(store: SequenceStore) -> scipy.sparse.csr_matrix:
@@ -96,7 +91,6 @@ class SimilarityMatrix:
     values: np.ndarray
     gamma: np.ndarray
     capped: np.ndarray
-    config: SolverConfig
 
     @property
     def n_items(self) -> int:
@@ -170,7 +164,7 @@ def solve_similarity(X: scipy.sparse.csr_matrix, config: SolverConfig,
     P[np.diag_indices_from(P)] += 1.0
     if not np.all(np.isfinite(P)):
         raise NumericError("similarity solve produced non-finite entries")
-    return SimilarityMatrix(values=P, gamma=gamma, capped=capped, config=config)
+    return SimilarityMatrix(values=P, gamma=gamma, capped=capped)
 
 
 def smallest_k(keys: np.ndarray, take: int) -> np.ndarray:

@@ -22,7 +22,8 @@ import numpy as np
 from . import serialize
 from .augment import (AugmentedBatch, CrossPlan, OperatorConfig, apply_cross_mixup,
                       augment_batch, draw_uniforms, insert_rows, plan_cross_batch)
-from .corpus import Segmentation, SequenceStore, _in_sorted, _sorted_unique, preference_classes
+from .corpus import (Segmentation, SequenceStore, _in_sorted, _pair_keys, _sorted_unique,
+                     preference_classes)
 from .encoders import (ModelState, backward_batch, encode_ragged, init_model,
                        lookup, sigmoid)
 from .errors import DataError, NumericError, finite_positive
@@ -147,16 +148,16 @@ def _epoch_batches(ids: np.ndarray, lengths: np.ndarray, eligible: np.ndarray, n
     """
     n_users = len(lengths)
     starts = np.cumsum(lengths) - lengths
-    # what each user owns, as sorted keys user * (n_items + 1) + item
-    owned = _sorted_unique(np.repeat(np.arange(n_users), lengths) * (n_items + 1) + ids)
+    # what each user owns, as sorted (user, item) keys
+    owned = _sorted_unique(_pair_keys(np.repeat(np.arange(n_users), lengths), ids, n_items))
     cut = derive_rng(seed, PREFIX, epoch).integers(1, np.maximum(lengths, 2))
     rng = derive_rng(seed, NEGATIVE, epoch)
     proposals = rng.integers(1, n_items + 1, size=(n_users, NEGATIVE_BLOCK))
-    free = ~_in_sorted(np.arange(n_users)[:, np.newaxis] * (n_items + 1) + proposals, owned)
+    free = ~_in_sorted(_pair_keys(np.arange(n_users)[:, np.newaxis], proposals, n_items), owned)
     negatives = proposals[np.arange(n_users), free.argmax(axis=1)]
     items = np.arange(1, n_items + 1)
     for u in eligible[~free[eligible].any(axis=1)].tolist():
-        unowned = items[~_in_sorted(u * (n_items + 1) + items, owned)]
+        unowned = items[~_in_sorted(_pair_keys(u, items, n_items), owned)]
         if len(unowned) == 0:
             raise DataError(f"user {u} interacted with every item; no negative exists")
         negatives[u] = unowned[rng.integers(len(unowned))]

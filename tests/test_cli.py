@@ -246,12 +246,20 @@ class TestTrainEvaluate:
         assert (tmp_path / "losses_augmented_seed1.jsonl").exists()
         assert (tmp_path / "checkpoint_augmented_seed1_report_test.json").exists()
 
-    def test_missing_candidates_is_actionable(self, tmp_path, csv_path, capsys):
-        _prepare(tmp_path, csv_path)
-        code = main(["train", "--out-dir", str(tmp_path), "--mode", "augmented",
-                     *FAST_TRAIN])
-        assert code == 3
-        assert "candidates" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, prepared, writer", [
+        (["train", "--mode", "augmented", *FAST_TRAIN], True, "candidates"),
+        (["candidates"], False, "prepare"),
+        (["evaluate", "--seed", "1"], True, "train"),
+    ], ids=["candidates", "store", "checkpoint"])
+    def test_missing_candidates_is_actionable(self, argv, prepared, writer, tmp_path,
+                                              csv_path, capsys):
+        # a missing upstream artifact names the command that writes it
+        if prepared:
+            _prepare(tmp_path, csv_path)
+        capsys.readouterr()
+        assert main([argv[0], "--out-dir", str(tmp_path), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: missing artifact") and f"`tailaug {writer}`" in err
 
     def test_baseline_needs_no_candidates(self, tmp_path, csv_path):
         _prepare(tmp_path, csv_path)
@@ -321,6 +329,19 @@ class TestTrainEvaluate:
                      "--seeds", "1,2"]) == 0
         assert (tmp_path / "report_augmented_mean_test.json").exists()
         assert "mean over 2 checkpoints" in capsys.readouterr().out
+
+    def test_mean_report_follows_the_last_seeds(self, pipeline_dir, tmp_path):
+        # a narrower sweep rewrites the mean rather than leaving the wider one
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        assert main(["train", "--out-dir", str(out), "--seed", "2", *FAST_TRAIN]) == 0
+        mean_path = out / "report_augmented_mean_test.json"
+        for seeds, listed in (("1,2", [1, 2]), ("1", [1])):
+            assert main(["evaluate", "--out-dir", str(out), "--seeds", seeds]) == 0
+            mean = json.loads(mean_path.read_text())
+            assert mean["lineage"]["seeds"] == listed
+        seed1 = json.loads((out / REPORT).read_text())
+        assert (mean["segments"], mean["tcov"]) == (seed1["segments"], seed1["tcov"])
 
     def test_mixed_modes_are_config_error_before_any_report(self, pipeline_dir, tmp_path,
                                                             capsys):
@@ -711,7 +732,8 @@ def test_pipeline_leaves_only_what_is_read_or_reported(pipeline_dir):
     # an artifact that no command reads must not quietly come back
     assert sorted(p.name for p in pipeline_dir.iterdir()) == sorted([
         "store.json", "candidates.json", CHECKPOINT, "losses_augmented_seed1.jsonl",
-        REPORT, REPORT.replace(".json", ".txt")])
+        REPORT, REPORT.replace(".json", ".txt"),
+        "report_augmented_mean_test.json", "report_augmented_mean_test.txt"])
 
 # artifact -> (the command that reads it, a required JSON field or blob section)
 ARTIFACTS = {

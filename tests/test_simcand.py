@@ -322,7 +322,7 @@ class TestTopK:
 
     def test_all_equal_scores_take_low_ids(self):
         sim = SimilarityMatrix(values=np.zeros((5, 5)), gamma=np.zeros(5),
-                               capped=np.zeros(5, bool), config=SolverConfig())
+                               capped=np.zeros(5, bool))
         cr = corpus.id_rows(*top_k_correlation(sim, 2))
         assert cr[0].tolist() == [2, 3]
         assert cr[4].tolist() == [1, 2]
@@ -331,7 +331,7 @@ class TestTopK:
         rng = np.random.default_rng(7)
         values = rng.normal(size=(6, 6))
         sim = SimilarityMatrix(values=values, gamma=np.zeros(6),
-                               capped=np.zeros(6, bool), config=SolverConfig())
+                               capped=np.zeros(6, bool))
         cr = corpus.id_rows(*top_k_correlation(sim, 3))
         for v in range(1, 7):
             col = values[:, v - 1]
@@ -341,7 +341,7 @@ class TestTopK:
 
     def test_fewer_than_k(self):
         sim = SimilarityMatrix(values=np.zeros((2, 2)), gamma=np.zeros(2),
-                               capped=np.zeros(2, bool), config=SolverConfig())
+                               capped=np.zeros(2, bool))
         assert [len(c) for c in corpus.id_rows(*top_k_correlation(sim, 10))] == [1, 1]
 
     # each matrix is also read transposed: its rows tie in other patterns
@@ -357,7 +357,7 @@ class TestTopK:
         if orient == "row":
             values = values.T
         sim = SimilarityMatrix(values=values, gamma=np.zeros(n),
-                               capped=np.zeros(n, bool), config=SolverConfig())
+                               capped=np.zeros(n, bool))
         got = corpus.id_rows(*top_k_correlation(sim, k))
         expected = reference_top_k(values, k)
         assert [a.tolist() for a in got] == [a.tolist() for a in expected]
@@ -375,7 +375,7 @@ class TestTopK:
         if orient == "row":
             values = values.T
         sim = SimilarityMatrix(values=values, gamma=np.zeros(270),
-                               capped=np.zeros(270, bool), config=SolverConfig())
+                               capped=np.zeros(270, bool))
         for k in (1, 7, 269, 400):
             got = corpus.id_rows(*top_k_correlation(sim, k))
             assert [a.tolist() for a in got] == \
