@@ -8,8 +8,8 @@ cross plan.
 import numpy as np
 
 from tailaug import corpus, simcand, synth
-from tailaug.augment import (OperatorConfig, apply_cross_mixup, plan_cross_batch,
-                             select_operator, t_insert, t_substitute)
+from tailaug.augment import (OperatorConfig, apply_cross_mixup, insert_rows,
+                             plan_cross_batch, t_insert, t_substitute)
 from tailaug.rand import derive_rng
 
 log = synth.generate_interactions(n_users=800, n_items=300, n_topics=8, seed=3)
@@ -25,8 +25,8 @@ config = OperatorConfig(a=0.2, b=0.8, alpha=0.3)
 # insertion (they need more interactions), full-length ones substitute.
 rng = derive_rng(0, 1)
 for length in (5, 25, 50):
-    picks = [select_operator(length, 50, rng) for _ in range(1000)]
-    print(f"len={length:2d}: insert chosen {picks.count('insert') / 10:.1f}% of the time")
+    picks = insert_rows(length, 50, rng.random(1000))
+    print(f"len={length:2d}: insert chosen {picks.sum() / 10:.1f}% of the time")
 
 # ---------------------------------------------------------------------
 # Substitution replaces head items with candidate items (often tail);

@@ -9,7 +9,7 @@ evaluation.
 
 from .augment import (AugmentedBatch, AugmentedSample, CrossPlan, OperatorConfig,
                       apply_cross_mixup, augment_batch, augment_sequence, plan_cross_batch,
-                      select_operator, t_insert, t_substitute)
+                      t_insert, t_substitute)
 from .corpus import (DatasetStats, InteractionLog, PreferenceClass, Segmentation,
                      SequenceStore, build_sequences, classify_sequence,
                      dataset_stats, k_core_filter, leave_one_out_split,

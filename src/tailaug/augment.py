@@ -93,29 +93,29 @@ class AugmentedSample:
 class AugmentedBatch:
     """One sample per row, as columns.
 
-    Row ``i``'s outputs are ``s_prime[offsets[i]:offsets[i + 1]]`` and the
-    same slice of ``s_ext``; its edits are ``indices`` and ``chosen`` from
-    ``edit_offsets[i]`` to ``edit_offsets[i + 1]``.  ``insert`` and ``rates``
-    hold each row's operator (insertion or not) and rate.  ``batch[i]`` builds
-    row ``i``'s :class:`AugmentedSample`, and the batch iterates like a list
-    of them.
+    ``s_prime`` and ``s_ext`` hold the rows' outputs back to back, cut by
+    ``lengths``; ``indices`` and ``chosen`` hold their edits, cut by
+    ``edits``.  ``insert`` and ``rates`` hold each row's operator (insertion
+    or not) and rate.  ``batch[i]`` builds row ``i``'s
+    :class:`AugmentedSample`, and the batch iterates like a list of them.
     """
 
     insert: np.ndarray
     rates: np.ndarray | None
     s_prime: np.ndarray
     s_ext: np.ndarray
-    offsets: np.ndarray
+    lengths: np.ndarray
     indices: np.ndarray
     chosen: np.ndarray | None
-    edit_offsets: np.ndarray
+    edits: np.ndarray
 
     def __len__(self):
         return len(self.insert)
 
     def __getitem__(self, i) -> AugmentedSample:
         i = range(len(self))[i]
-        out, edits = slice(*self.offsets[i:i + 2]), slice(*self.edit_offsets[i:i + 2])
+        o, e = self.lengths[:i].sum(), self.edits[:i].sum()
+        out, edits = slice(o, o + self.lengths[i]), slice(e, e + self.edits[i])
         return AugmentedSample(INSERT if self.insert[i] else SUBSTITUTE, self.s_prime[out],
                                self.s_ext[out], self.indices[edits], self.chosen[edits],
                                float(self.rates[i]))
@@ -128,14 +128,9 @@ class AugmentedBatch:
         return cls(insert=np.array([s.operator == INSERT for s in samples], dtype=bool),
                    rates=None, s_prime=np.concatenate([s.s_prime for s in samples]),
                    s_ext=np.concatenate([s.s_ext for s in samples]),
-                   offsets=_offsets([len(s.s_prime) for s in samples]),
+                   lengths=np.array([len(s.s_prime) for s in samples], dtype=np.int64),
                    indices=np.concatenate([s.indices for s in samples]), chosen=None,
-                   edit_offsets=_offsets([len(s.indices) for s in samples]))
-
-
-def _offsets(sizes) -> np.ndarray:
-    """Where each row starts, then where the last one ends."""
-    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+                   edits=np.array([len(s.indices) for s in samples], dtype=np.int64))
 
 
 def draw_uniforms(rng, n_rows: int, n_positions: int, config: OperatorConfig):
@@ -145,15 +140,8 @@ def draw_uniforms(rng, n_rows: int, n_positions: int, config: OperatorConfig):
 
 
 def insert_rows(lengths, max_len: int, uniforms):
-    """Insertion where the operator uniform is below ``1 - length/max_len``."""
+    """The operator rule: insertion where its uniform is below ``1 - length/max_len``."""
     return uniforms < 1.0 - np.asarray(lengths) / max_len
-
-
-def select_operator(seq_len: int, max_len: int, rng: np.random.Generator) -> str:
-    """Insertion with probability 1 - seq_len/max_len, substitution otherwise."""
-    if not 1 <= seq_len <= max_len:
-        raise ValueError(f"seq_len must be in [1, {max_len}], got {seq_len}")
-    return INSERT if insert_rows(seq_len, max_len, rng.random()) else SUBSTITUTE
 
 
 def augment_batch(ids, lengths, segmentation: Segmentation, candidates: CandidateSets,
@@ -188,10 +176,9 @@ def augment_batch(ids, lengths, segmentation: Segmentation, candidates: Candidat
     out = np.minimum(full, max_len)
     keep = np.arange(len(s_ext)) >= np.repeat(np.cumsum(full) - out, full)
     starts = np.cumsum(lengths) - lengths
-    edits = np.bincount(row[at], minlength=n)
     return AugmentedBatch(insert=insert, rates=rates, s_prime=s_prime[keep], s_ext=s_ext[keep],
-                          offsets=_offsets(out), indices=at - starts[row[at]], chosen=chosen,
-                          edit_offsets=_offsets(edits))
+                          lengths=out, indices=at - starts[row[at]], chosen=chosen,
+                          edits=np.bincount(row[at], minlength=n))
 
 
 def t_substitute(seq, segmentation: Segmentation, candidates: CandidateSets,
@@ -224,7 +211,9 @@ def augment_sequence(seq, segmentation: Segmentation, candidates: CandidateSets,
     """
     seq = np.asarray(seq, dtype=np.int64)
     if insert is None:
-        insert = select_operator(len(seq), max_len, rng) == INSERT
+        if not 1 <= len(seq) <= max_len:
+            raise ValueError(f"seq_len must be in [1, {max_len}], got {len(seq)}")
+        insert = insert_rows(len(seq), max_len, rng.random())
     rate, select, pick = draw_uniforms(rng, 1, len(seq), config)
     return augment_batch(seq, [len(seq)], segmentation, candidates, max_len,
                          insert=[insert], rates=rate, select=select, pick=pick)[0]

@@ -10,9 +10,10 @@ recompute the head/tail segmentation from ``store.json`` with
 ``corpus.segment``.  ``train`` writes
 ``checkpoint_<mode>_seed<s>.bin`` per seed, the parameters of the epoch it
 records (the restored one), and ``losses_<mode>_seed<s>.jsonl``; ``evaluate``
-scores the checkpoints its ``--mode`` and ``--seeds`` name, each of which must
-record that mode, and on every call writes their mean, one checkpoint's too,
-to ``report_<mode>_mean_<phase>.json``, with the seeds in its lineage.
+scores the checkpoints its ``--mode`` and ``--seeds`` name, which must record
+that mode and one setting (config but the seed, and candidates), and on every
+call writes their mean, one checkpoint's too, to
+``report_<mode>_mean_<phase>.json``, with the seeds in its lineage.
 Each pipeline command has one flag per key of its config sections; flags
 override config-file keys.  Exit codes: 0 ok, 2 config error, 3 data error,
 4 numeric failure.
@@ -21,6 +22,7 @@ override config-file keys.  Exit codes: 0 ok, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import sys
 import time
@@ -186,26 +188,18 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
     if tcfg.patience is not None:
         validator = lambda m: evaluation.validation_score(m, store)
 
-    if mode == "baseline":
-        history = training.train_stage1(
-            store, model, tcfg, epochs=tcfg.stage1_epochs + tcfg.stage2_epochs,
-            validator=validator)
-    else:
-        # opened before stage 1, so an unwritable path fails before any training
-        try:
-            trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
-        except OSError as exc:
-            raise DataError(f"cannot write trace {trace_path}: {exc}") from exc
+    # opened before stage 1, so an unwritable path fails before any training; the
+    # file appears, whole, only when training ends
+    with (serialize.atomic_open(trace_path, "w") if trace_path
+          else contextlib.nullcontext()) as trace:
         adam = training.init_adam(model.params)  # stage 2 continues stage 1's optimizer
-        try:
-            history = training.train_stage1(store, model, tcfg, adam=adam,
-                                            validator=validator)
+        extra = tcfg.stage2_epochs if mode == "baseline" else 0  # baseline: all main-loss epochs
+        history = training.train_stage1(store, model, tcfg, epochs=tcfg.stage1_epochs + extra,
+                                        adam=adam, validator=validator)
+        if mode == "augmented":
             history += training.train_stage2(store, model, cands, seg, tcfg,
                                              operator_config(cfg), adam=adam,
                                              validator=validator, trace=trace)
-        finally:
-            if trace is not None:
-                trace.close()
 
     # the epoch whose parameters the model now holds: the last stage's restored one
     held = next((r for r in reversed(history) if r.get("restored")), {})
@@ -261,15 +255,20 @@ def cmd_evaluate(args) -> int:
     seg = corpus.segment(store)
 
     # every checkpoint is read and checked before any report is written
-    loaded = []
+    loaded, settings = [], []
     for seed in seeds:
         path = _checkpoint_path(out_dir, args.mode, seed)
-        model, _, meta = _load_upstream(path, "train", training.load_checkpoint,
-                                        lambda m: m.n_items, store, store_id, args.force)
+        model, lineage, meta = _load_upstream(path, "train", training.load_checkpoint,
+                                              lambda m: m.n_items, store, store_id, args.force)
         recorded = meta.get("config", {}).get("mode")
         if recorded != args.mode:
             raise DataError(f"checkpoint {path.name} records mode {recorded}, but its "
                             f"name says {args.mode}; re-run `tailaug train --mode {args.mode}`")
+        settings.append(({k: v for k, v in meta.get("config", {}).items() if k != "seed"},
+                         lineage.get("candidates")))
+        if settings[-1] != settings[0]:
+            raise DataError(f"{path.name} was trained with other settings than "
+                            f"{loaded[0][0].name}; train every seed with one config")
         loaded.append((path, model))
 
     reports = []

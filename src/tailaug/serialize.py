@@ -16,6 +16,7 @@ the header's ``meta`` object.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -28,19 +29,29 @@ _MAGIC = b"TAUGBLOB"
 _VERSION = 1
 
 
-def write_bytes(path, data: bytes) -> None:
-    """Atomically replace ``path`` with ``data``; on failure the old file stays."""
+@contextlib.contextmanager
+def atomic_open(path, mode: str):
+    """``<path>.tmp`` opened in ``mode`` (text is UTF-8); fsynced and moved over
+    ``path`` when the block ends.  Any exception removes the temp file, so the old
+    ``path`` stays; an OSError becomes a DataError."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:  # after the replace there is nothing left to remove
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def write_bytes(path, data: bytes) -> None:
+    """Atomically replace ``path`` with ``data``; on failure the old file stays."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_text(path, text: str) -> None:

@@ -193,8 +193,7 @@ def batch_loss(model: ModelState, batch: Batch, *,
     if samples is not None:
         if not isinstance(samples, AugmentedBatch):
             samples = AugmentedBatch.stack(samples)
-        out = np.diff(samples.offsets)
-        edited = np.diff(samples.edit_offsets) > 0
+        out, edited = samples.lengths, samples.edits > 0
         grown = edited & samples.insert
         ids += [samples.s_ext[np.repeat(grown, out)], samples.s_prime[np.repeat(edited, out)]]
         lengths += [out[grown], out[edited]]

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from tailaug.augment import (INSERT, SUBSTITUTE, AugmentedBatch, CrossPlan, OperatorConfig,
                              apply_cross_mixup, augment_batch, augment_sequence,
-                             draw_uniforms, insert_rows, plan_cross_batch,
-                             select_operator, t_insert, t_substitute)
+                             draw_uniforms, insert_rows, plan_cross_batch, t_insert,
+                             t_substitute)
 from tailaug.corpus import PreferenceClass
 from tailaug.rand import derive_rng
 
@@ -97,25 +97,27 @@ class TestSampleRate:
 
 
 class TestSelectOperator:
+    """The length rule that picks each row's operator."""
+
     def test_full_length_always_substitutes(self):
         rng = derive_rng(4, 0)
-        assert all(select_operator(50, 50, rng) == SUBSTITUTE for _ in range(200))
+        assert not insert_rows(50, 50, rng.random(200)).any()
 
     def test_short_sequences_mostly_insert(self):
         rng = derive_rng(5, 0)
-        picks = [select_operator(1, 1000, rng) for _ in range(500)]
-        assert picks.count(INSERT) >= 495
+        assert insert_rows(1, 1000, rng.random(500)).sum() >= 495
 
     def test_monte_carlo_half(self):
         rng = derive_rng(6, 0)
-        picks = [select_operator(25, 50, rng) for _ in range(10_000)]
-        assert picks.count(INSERT) / 10_000 == pytest.approx(0.5, abs=0.02)
+        picks = insert_rows(25, 50, rng.random(10_000))
+        assert picks.sum() / 10_000 == pytest.approx(0.5, abs=0.02)
 
     def test_length_bounds(self):
-        with pytest.raises(ValueError):
-            select_operator(0, 50, derive_rng(0, 0))
-        with pytest.raises(ValueError):
-            select_operator(51, 50, derive_rng(0, 0))
+        store, seg, cands = _fixture(head_items=set())
+        for length in (0, 51):
+            with pytest.raises(ValueError):
+                augment_sequence(np.ones(length, dtype=np.int64), seg, cands,
+                                 OperatorConfig(), 50, derive_rng(0, 0))
 
 
 class TestSubstitute:
@@ -305,7 +307,7 @@ class TestAugmentBatch:
         with pytest.raises(IndexError):
             out[4]
         stacked = AugmentedBatch.stack(list(out))
-        for name in ("insert", "s_prime", "s_ext", "offsets", "indices", "edit_offsets"):
+        for name in ("insert", "s_prime", "s_ext", "lengths", "indices", "edits"):
             assert getattr(stacked, name).tobytes() == getattr(out, name).tobytes(), name
 
     def test_empty_row_rejected(self):

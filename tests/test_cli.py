@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailaug import cli, corpus, evaluation, serialize, simcand, synth
+from tailaug import cli, corpus, evaluation, serialize, simcand, synth, training
 from tailaug.cli import main
 from tailaug.config import DEFAULTS, config_hash, load_config
-from tailaug.errors import ConfigError
+from tailaug.errors import ConfigError, NumericError
 
 
 @pytest.fixture(scope="module")
@@ -369,8 +369,47 @@ class TestTrainEvaluate:
         code = main(["train", "--out-dir", str(out), "--seeds", "1", *FAST_TRAIN,
                      "--trace", str(tmp_path / "nodir" / "t.jsonl")])
         assert code == 3
-        assert "cannot write trace" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "t.jsonl" in err
         assert not list(out.glob("checkpoint_*")) and not list(out.glob("losses_*"))
+
+    def test_trace_of_a_failed_run_is_not_left(self, pipeline_dir, tmp_path, monkeypatch):
+        # the trace appears whole when training ends, or not at all
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        trace = tmp_path / "t.jsonl"
+        calls = []
+
+        def batch_loss(model, batch, **kwargs):
+            calls.append(kwargs.get("samples") is not None)
+            if sum(calls) == 3:  # the third stage-2 step
+                raise NumericError("injected")
+            return real(model, batch, **kwargs)
+
+        real = training.batch_loss
+        monkeypatch.setattr(training, "batch_loss", batch_loss)
+        assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN,
+                     "--trace", str(trace)]) == 4
+        assert sum(calls) == 3 and not calls[0]
+        assert not trace.exists() and not Path(f"{trace}.tmp").exists()
+
+    def test_mixed_configs_are_data_error_before_any_report(self, pipeline_dir, tmp_path,
+                                                            capsys):
+        # a mean over seeds trained with different settings would mix them
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        for report in out.glob("*report*"):
+            report.unlink()
+        for seed, arch in (("1", ["--encoder", "gru", "--dim", "8"]),
+                           ("2", ["--encoder", "pooled", "--dim", "16"])):
+            assert main(["train", "--out-dir", str(out), "--seed", seed, *FAST_TRAIN,
+                         *arch]) == 0
+        capsys.readouterr()
+        for force in ([], ["--force"]):
+            assert main(["evaluate", "--out-dir", str(out), "--seeds", "1,2", *force]) == 3
+            err = capsys.readouterr().err
+            assert "checkpoint_augmented_seed2.bin was trained with other settings" in err
+            assert not list(out.glob("*report*"))
 
     def test_trace_does_not_depend_on_batch_size(self, pipeline_dir, tmp_path):
         traces = []

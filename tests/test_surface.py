@@ -1,5 +1,6 @@
 """Every public module-level function and class of ``tailaug`` has a caller,
-and every defaulted parameter of a public function or method is set by one.
+every defaulted parameter of a public function or method is set by one, and
+only ``serialize`` opens a file for writing.
 
 A caller is a reference in ``src/tailaug/`` or ``demos/`` outside the
 name's own definition: a bare name in its module or in a module that
@@ -149,3 +150,26 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     assert _unset_defaults() == sorted(k for k in ALLOWED if len(k) == 3), (
         "defaulted parameters that no call in src/tailaug/ or demos/ sets must become "
         "constants, or be listed in ALLOWED with a reason")
+
+
+def _write_opens(path: Path) -> list[int]:
+    """Lines of ``path`` that call ``open`` with a writing mode, or a mode not spelled out."""
+    lines = []
+    for node in ast.walk(_parse(path)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_serialize_writes_files():
+    # serialize's writes are atomic: a temp file, fsynced, then moved over the target
+    found = {path.name: _write_opens(path) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "serialize.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _write_opens(PACKAGE / "serialize.py")
