@@ -153,8 +153,8 @@ def cmd_candidates(args) -> int:
 
     if store.n_items > WARN_ITEMS:
         print(f"warning: {store.n_items} items exceed {WARN_ITEMS}; the dense solve "
-              f"needs ~{8 * store.n_items ** 2 / 1e9:.1f} GB (about two n x n float32 "
-              "arrays at its peak; twice that if the ridge forces the float64 solve). "
+              f"needs ~{5 * store.n_items ** 2 / 1e9:.1f} GB (one n x n float32 array and its "
+              "sparse source at its peak; twice that if the ridge forces the float64 solve). "
               "Consider preparing with corpus.sample_users at desk scale.",
               file=sys.stderr)
 

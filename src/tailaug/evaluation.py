@@ -11,7 +11,8 @@ the user's membership) plus tail coverage: the fraction of tail items
 that appear in at least one user's top-K list.
 
 Scoring encodes each block of users without the per-step history a
-backward would need, and yields int64 rank arrays; the report masks each
+backward would need, holds at most ``simcand.BLOCK_ENTRIES`` scores at a
+time, and yields int64 rank arrays; the report masks each
 segment out of the user, target and rank columns.  ``hit_at_k`` and
 ``ndcg_at_k`` over per-user ``RankingResult`` lists compute through the
 same array formula.
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Segmentation, SequenceStore
-from .encoders import ModelState, encode_batch
+from .encoders import ModelState, _gemm, encode_batch
 from .errors import DataError, NumericError
-from .simcand import smallest_k
+from .simcand import block_rows, smallest_k
 
 REPORT_SCHEMA = "tailaug.metric_report.v1"
 
@@ -54,11 +55,12 @@ def rank_of_target(scores: np.ndarray, target) -> np.ndarray:
 
 def _score_blocks(model: ModelState, store: SequenceStore, phase: str,
                   filter_seen: bool, depth: int = 0):
-    """Yield (targets, int64 target ranks, top-``depth`` item ids) per block of users.
+    """Yield (targets, int64 target ranks, top-``depth`` item ids) per chunk of users.
 
-    Each block is encoded and scored once; ranks and top lists read the
-    same (optionally seen-filtered) scores.  Top lists order by score
-    descending, then id ascending on ties.
+    Each block of users is encoded once and scored in chunks of at most
+    ``BLOCK_ENTRIES`` scores that share one buffer; ranks and top lists
+    read the same (optionally seen-filtered) scores.  Top lists order by
+    score descending, then id ascending on ties.
     """
     if phase not in ("valid", "test"):
         raise ValueError(f"phase must be 'valid' or 'test', got {phase!r}")
@@ -67,23 +69,26 @@ def _score_blocks(model: ModelState, store: SequenceStore, phase: str,
     ends = store.offsets[1:] - (2 if phase == "valid" else 1)
     firsts, lasts = store.offsets[:-1].tolist(), ends.tolist()
     item_emb = model.embeddings[1:]  # padding row excluded from ranking
-    take = min(depth, len(item_emb))
+    take, chunk = min(depth, len(item_emb)), block_rows(len(item_emb))
+    buffer = np.empty((min(chunk, _EVAL_BATCH, store.n_users), len(item_emb)), item_emb.dtype)
     for start in range(0, store.n_users, _EVAL_BATCH):
         stop = min(start + _EVAL_BATCH, store.n_users)
         seqs = [store.items[a:b] for a, b in zip(firsts[start:stop], lasts[start:stop])]
-        targets = store.items[ends[start:stop]]
         h = encode_batch(model, seqs, history=False)[0]  # no backward: no per-step state
-        scores = h @ item_emb.T
-        if not np.all(np.isfinite(scores)):
-            raise NumericError(f"non-finite {phase} scores for users {start}..{stop - 1}")
-        if filter_seen:  # the target itself stays ranked when it reoccurs
-            rows = np.repeat(np.arange(stop - start), ends[start:stop] - store.offsets[start:stop])
-            seen = np.concatenate(seqs)
-            other = seen != targets[rows]
-            scores[rows[other], seen[other] - 1] = -np.inf
-        ranks = rank_of_target(scores, targets)
-        top = smallest_k(np.negative(scores, out=scores), take) + 1 if take else None
-        yield targets, ranks, top
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            targets = store.items[ends[lo:hi]]
+            scores = _gemm(h[lo - start:hi - start], item_emb.T, buffer[:hi - lo])
+            if not np.all(np.isfinite(scores)):
+                raise NumericError(f"non-finite {phase} scores for users {lo}..{hi - 1}")
+            if filter_seen:  # the target itself stays ranked when it reoccurs
+                rows = np.repeat(np.arange(hi - lo), ends[lo:hi] - store.offsets[lo:hi])
+                seen = np.concatenate(seqs[lo - start:hi - start])
+                other = seen != targets[rows]
+                scores[rows[other], seen[other] - 1] = -np.inf
+            ranks = rank_of_target(scores, targets)
+            top = smallest_k(np.negative(scores, out=scores), take) + 1 if take else None
+            yield targets, ranks, top
 
 
 def _hit_ndcg(ranks: np.ndarray, k: int) -> tuple[float, float]:

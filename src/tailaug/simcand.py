@@ -17,8 +17,9 @@ the unconstrained ridge optimum already satisfies the cap.
 
 The inverse is computed in place in the Gram buffer (LAPACK ``potrf`` then
 ``potri``), its other triangle is mirrored and the gamma scaling applied in
-place, so the solve peaks at about two ``n x n`` arrays of its dtype: the
-dense Gram matrix and the sparse product it is densified from.
+place, and finiteness is checked by row blocks, so the solve peaks at about
+one ``n x n`` array of its dtype plus the sparse product it is densified
+from (float32 at 6,915 items: 224 MB above imports, the Gram 191 MB).
 ``build_candidates`` solves in float32 when the Gershgorin bound on the
 condition number of ``X^T X + ridge * I``, ``(max row sum + ridge) / ridge``,
 is below ``F32_COND_BOUND``, and in float64 otherwise; the gamma branch rule
@@ -112,7 +113,13 @@ def _gram(X: scipy.sparse.csr_matrix, ridge: float, dtype) -> np.ndarray:
     return gram
 
 
-_BLOCK = 256  # rows per step of the in-place mirror and of top-K: bounds their temporaries
+_BLOCK = 256  # rows per step of the in-place mirror: its tril temporaries grow with rows²
+BLOCK_ENTRIES = 1 << 18  # entries per step of the other row-blocked kernels
+
+
+def block_rows(n: int) -> int:
+    """Rows of ``n`` entries per step within ``BLOCK_ENTRIES``, at least one."""
+    return max(1, BLOCK_ENTRIES // n)
 
 
 def _mirror_upper(a: np.ndarray) -> None:
@@ -162,7 +169,8 @@ def solve_similarity(X: scipy.sparse.csr_matrix, config: SolverConfig,
     gamma = np.where(capped, (1.0 - config.diag_cap) / p_diag, config.ridge_penalty)
     P *= (-gamma).astype(P.dtype)  # S = I - P diagMat(gamma), in place
     P[np.diag_indices_from(P)] += 1.0
-    if not np.all(np.isfinite(P)):
+    step = block_rows(n_items)
+    if not all(np.isfinite(P[i:i + step]).all() for i in range(0, n_items, step)):
         raise NumericError("similarity solve produced non-finite entries")
     return SimilarityMatrix(values=P, gamma=gamma, capped=capped)
 
@@ -197,10 +205,10 @@ def top_k_correlation(sim: SimilarityMatrix, k: int) -> tuple[np.ndarray, np.nda
     scores = sim.values.T
     n = sim.n_items
     take = min(k, n - 1)
-    blocks = [np.empty(0, dtype=np.int64)]
-    for start in range(0, n if take else 0, _BLOCK):
+    blocks, step = [np.empty(0, dtype=np.int64)], block_rows(n)
+    for start in range(0, n if take else 0, step):
         # ascending -score, self last: the k-slice holds the top scores
-        neg = np.negative(scores[start:start + _BLOCK], order="C")
+        neg = np.negative(scores[start:start + step], order="C")
         np.fill_diagonal(neg[:, start:], np.inf)
         blocks.append(smallest_k(neg, take).ravel() + 1)
     return np.concatenate(blocks), np.arange(n + 1, dtype=np.int64) * take

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailaug import evaluation
+from tailaug import evaluation, simcand
 from tailaug.encoders import encode_batch, init_model
 from tailaug.errors import DataError, NumericError
 from tailaug.evaluation import (RankingResult, evaluate_model, format_table, hit_at_k,
@@ -249,6 +249,51 @@ class TestFullRank:
             others = set(seq.tolist()) - {target}
             scores[[v - 1 for v in others]] = -np.inf
             assert rank == rank_of_target(scores, target) <= store.n_items - len(others)
+
+
+class TestScoreChunks:
+    """Each encode block is scored in chunks of ``simcand.block_rows(n_items)``
+    users through one buffer; no chunk size may change a result."""
+
+    @pytest.mark.parametrize("encoder", ["pooled", "gru"])
+    @pytest.mark.parametrize("filter_seen", [False, True])
+    def test_chunking_does_not_change_results(self, small_corpus, monkeypatch, encoder,
+                                              filter_seen):
+        store, seg, _, _ = small_corpus
+        model = init_model(store.n_items, 8, seed=5, encoder=encoder)
+
+        def run():
+            report = evaluate_model(model, store, seg, ks=(1, 5, 20), filter_seen=filter_seen)
+            return report.to_fields(), validation_score(model, store)
+
+        default = run()
+        monkeypatch.setattr(evaluation, "_EVAL_BATCH", 5)
+        for rows in (1, 3):  # a one-row chunk, and blocks of 5 split 3 + 2
+            monkeypatch.setattr(simcand, "BLOCK_ENTRIES", rows * store.n_items)
+            chunks = [len(t) for t, _, _ in
+                      evaluation._score_blocks(model, store, "test", filter_seen)]
+            assert max(chunks) == rows and sum(chunks) == store.n_users
+            assert run() == default
+
+    def test_a_pass_peaks_below_one_unchunked_block(self):
+        # unchunked, a 512-user block held its float64 scores and the int64
+        # partition indices of the same shape at once
+        rng = np.random.default_rng(8)
+        n_users, n_items = 1000, 1500
+        rows = [rng.integers(1, n_items + 1, size=n).tolist()
+                for n in rng.integers(3, 21, size=n_users)]
+        store = store_from_rows(rows, max_len=50, user_ids=[f"u{i}" for i in range(n_users)],
+                                item_ids=[f"i{j}" for j in range(n_items)], split=True)
+        model = init_model(n_items, 8, seed=4, encoder="pooled")
+        assert model.embeddings.dtype == np.float64
+        tracemalloc.start()
+        try:
+            for _ in evaluation._score_blocks(model, store, "test", True, depth=20):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * evaluation._EVAL_BATCH * n_items * 8
 
 
 class TestHitNdcg:

@@ -256,6 +256,25 @@ class TestSolver:
             eigs = np.linalg.eigvalsh(X.T @ X + 10.0 * np.eye(6))
             assert f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]" in str(err.value)
 
+    @pytest.mark.parametrize("routine", ["dpotri", "spotri"])
+    def test_non_finite_in_the_last_row_block_is_numeric_error(self, routine, monkeypatch):
+        # the check runs one row block at a time: with 1-row blocks, a NaN on
+        # the inverse's last diagonal entry is the only non-finite one of S
+        dtype = {"d": np.float64, "s": np.float32}[routine[0]]
+        potri = getattr(scipy.linalg.lapack, routine)
+
+        def nan_in_last_row(c, **kwargs):
+            inverse, info = potri(c, **kwargs)
+            inverse[-1, -1] = np.nan
+            return inverse, info
+
+        monkeypatch.setattr(f"scipy.linalg.lapack.{routine}", nan_in_last_row)
+        monkeypatch.setattr(simcand, "BLOCK_ENTRIES", 1)
+        rng = np.random.default_rng(10)
+        X = as_matrix(rng.random((12, 6)) < 0.4)
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_similarity(X, SolverConfig(ridge_penalty=10.0), dtype)
+
 
 def synth_store():
     log = synth.generate_interactions(n_users=1500, n_items=600, n_topics=6, seed=5)
@@ -367,6 +386,18 @@ class TestTopK:
             kth = [scores[j][expected[j][-1] - 1] for j in range(n)]
             assert any(np.count_nonzero(np.delete(scores[j], j) == kth[j]) > 1
                        for j in range(n))
+
+    def test_row_budget_does_not_change_lists(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        n = 40
+        values = rng.integers(-3, 2, size=(n, n)) * 0.5  # few levels: many ties
+        sim = SimilarityMatrix(values=values, gamma=np.zeros(n), capped=np.zeros(n, bool))
+        default = top_k_correlation(sim, 10)
+        for rows in (1, 7):
+            monkeypatch.setattr(simcand, "BLOCK_ENTRIES", rows * n)
+            assert simcand.block_rows(n) == rows
+            ids, offsets = top_k_correlation(sim, 10)
+            assert np.array_equal(ids, default[0]) and np.array_equal(offsets, default[1])
 
     @pytest.mark.parametrize("orient", ["column", "row"])
     def test_matches_lexsort_reference_negative_scores(self, orient):
