@@ -10,6 +10,8 @@ Takes a couple of minutes on one CPU core.  For the full five-seed
 protocol use the CLI (see README).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from tailaug import corpus, evaluation, simcand, synth
@@ -50,9 +52,10 @@ def tail_item_results(model):
 
 
 # ---------------------------------------------------------------------
-# Baseline: the plain objective for the full epoch budget.
+# Baseline: the plain objective for the full epoch budget, as one stage 1
+# given both stages' epochs.
 model = init_model(store.n_items, dim=32, seed=SEED, encoder="gru")
-train_stage1(store, model, cfg, epochs=cfg.stage1_epochs + cfg.stage2_epochs)
+train_stage1(store, model, replace(cfg, stage1_epochs=cfg.stage1_epochs + cfg.stage2_epochs))
 base = evaluate(model, "baseline (plain objective, 50 epochs)")
 base_tail = tail_item_results(model)
 

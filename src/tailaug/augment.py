@@ -73,7 +73,7 @@ class AugmentedSample:
     chosen: np.ndarray
     rate: float
 
-    def trace_line(self, user: int | None = None, mix_weight: float | None = None) -> str:
+    def trace_line(self, user: int, mix_weight: float | None = None) -> str:
         d = {
             "operator": self.operator,
             "indices": self.indices.tolist(),
@@ -81,9 +81,8 @@ class AugmentedSample:
             "rate": self.rate,
             "s_prime": self.s_prime.tolist(),
             "s_ext": self.s_ext.tolist(),
+            "user": int(user),
         }
-        if user is not None:
-            d["user"] = int(user)
         if mix_weight is not None:
             d["mix_weight"] = float(mix_weight)
         return json.dumps(d, sort_keys=True, separators=(",", ":"))

@@ -26,6 +26,7 @@ import contextlib
 import hashlib
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +92,6 @@ def _write_report(path: Path, report, lineage: dict, title: str):
 
 def cmd_prepare(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
-
     log = corpus.load_interactions(args.input, delimiter=cfg["corpus.delimiter"],
                                    header=cfg["corpus.header"])
     log = corpus.k_core_filter(log, cfg["corpus.k_core"])
@@ -121,6 +116,11 @@ def cmd_prepare(args) -> int:
 
     prep_id = lineage_id("prepare", config_hash(cfg, ["seed", *section_keys("prepare")]),
                          {"input": _file_sha(args.input)})
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
     serialize.save(out_dir / "store.json", corpus.STORE_SCHEMA,
                    store.to_fields(), {"id": prep_id})
 
@@ -193,9 +193,9 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
     with (serialize.atomic_open(trace_path, "w") if trace_path
           else contextlib.nullcontext()) as trace:
         adam = training.init_adam(model.params)  # stage 2 continues stage 1's optimizer
-        extra = tcfg.stage2_epochs if mode == "baseline" else 0  # baseline: all main-loss epochs
-        history = training.train_stage1(store, model, tcfg, epochs=tcfg.stage1_epochs + extra,
-                                        adam=adam, validator=validator)
+        if mode == "baseline":  # both stages' epochs go to the main loss
+            tcfg = replace(tcfg, stage1_epochs=tcfg.stage1_epochs + tcfg.stage2_epochs)
+        history = training.train_stage1(store, model, tcfg, adam=adam, validator=validator)
         if mode == "augmented":
             history += training.train_stage2(store, model, cands, seg, tcfg,
                                              operator_config(cfg), adam=adam,
@@ -327,16 +327,19 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _add_common(p, command):
-    """Shared flags, then one flag per key of ``command``'s sections.
+    """Shared flags, ``--seed`` and ``--force`` where the command reads them, then
+    one flag per key of ``command``'s sections.
 
     A value flag parses to its key's JSON type, which ``load_config``
     requires; argparse refuses malformed text (exit 2).
     """
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-dir", default="artifacts", help="artifact directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--force", action="store_true",
-                   help="proceed despite missing or mismatched artifact lineage")
+    if command != "candidates":
+        p.add_argument("--seed", type=int, default=None)
+    if command in ("train", "evaluate"):
+        p.add_argument("--force", action="store_true",
+                       help="proceed despite missing or mismatched artifact lineage")
     for key in section_keys(command):
         flag = "--" + key.rpartition(".")[2].replace("_", "-")
         if isinstance(DEFAULTS[key], bool):

@@ -92,7 +92,7 @@ def _coerce(key: str, raw: object) -> object:
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
+def load_config(path: str | None, overrides: dict) -> dict:
     """Defaults, then config file, then overrides; unknown keys are errors.
 
     File values and overrides alike must have their key's JSON type: a
@@ -112,7 +112,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    for key, value in {**raw, **(overrides or {})}.items():
+    for key, value in {**raw, **overrides}.items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = _coerce(key, value)
@@ -185,14 +185,13 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("; ".join(errors))
 
 
-def config_hash(cfg: dict, keys: list[str] | None = None) -> str:
-    subset = {k: cfg[k] for k in (keys if keys is not None else sorted(cfg))}
+def config_hash(cfg: dict, keys: list[str]) -> str:
+    subset = {k: cfg[k] for k in keys}
     blob = json.dumps(subset, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def lineage_id(step: str, config_hash_: str, parents: dict[str, str] | None = None) -> str:
-    blob = json.dumps({"step": step, "config": config_hash_,
-                       "parents": parents or {}},
+def lineage_id(step: str, config_hash_: str, parents: dict[str, str]) -> str:
+    blob = json.dumps({"step": step, "config": config_hash_, "parents": parents},
                       sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -91,7 +91,7 @@ def _id_order(vocab: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarra
     return [ids[j] for j in order], rank
 
 
-def load_interactions(path, delimiter: str = ",", header: bool = False) -> InteractionLog:
+def load_interactions(path, delimiter: str, header: bool) -> InteractionLog:
     """Read one interaction per line: user_id, item_id, timestamp.
 
     The file must be UTF-8 (a leading byte-order mark is dropped) and

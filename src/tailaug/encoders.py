@@ -28,7 +28,7 @@ each column is cast to the table's dtype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -275,7 +275,7 @@ class ModelState:
     n_items: int
     dim: int
     encoder_name: str
-    params: dict[str, np.ndarray] = field(default_factory=dict)
+    params: dict[str, np.ndarray]
 
     @property
     def embeddings(self) -> np.ndarray:

@@ -122,7 +122,7 @@ class MetricReport:
     ks: list[int]
     segments: dict[str, dict[str, float]]
     tcov: dict[int, float]
-    phase: str = "test"
+    phase: str
 
     def to_fields(self) -> dict:
         return {
@@ -134,8 +134,8 @@ class MetricReport:
 
 
 def segmented_report(users: np.ndarray, targets: np.ndarray, ranks: np.ndarray,
-                     segmentation: Segmentation, ks, tcov: dict[int, float] | None = None,
-                     phase: str = "test") -> MetricReport:
+                     segmentation: Segmentation, ks, tcov: dict[int, float],
+                     phase: str) -> MetricReport:
     """Metrics per segment of the aligned user, target and rank columns; item
     segments key on the held-out target."""
     if not len(ranks):
@@ -153,11 +153,11 @@ def segmented_report(users: np.ndarray, targets: np.ndarray, ranks: np.ndarray,
         for k in ks:
             row[f"hit@{k}"], row[f"ndcg@{k}"] = _hit_ndcg(members, k)
         segments[name] = row
-    return MetricReport(ks=list(ks), segments=segments, tcov=tcov or {}, phase=phase)
+    return MetricReport(ks=list(ks), segments=segments, tcov=tcov, phase=phase)
 
 
 def evaluate_model(model: ModelState, store: SequenceStore,
-                   segmentation: Segmentation, ks=(5, 10, 20),
+                   segmentation: Segmentation, ks,
                    phase: str = "test", filter_seen: bool = False) -> MetricReport:
     """Score every user once: the segmented report plus tail coverage per cutoff.
 

@@ -89,7 +89,7 @@ def read_json(path) -> dict:
     return _decode_object(path, _read_bytes(path))
 
 
-def write_blob(path, sections: dict[str, np.ndarray], meta: dict | None = None) -> None:
+def write_blob(path, sections: dict[str, np.ndarray], meta: dict) -> None:
     names = sorted(sections)
     payload = bytearray()
     index = []
@@ -102,7 +102,7 @@ def write_blob(path, sections: dict[str, np.ndarray], meta: dict | None = None) 
         "dtype": "<f4",
         "sections": index,
         "checksum": "sha256:" + hashlib.sha256(bytes(payload)).hexdigest(),
-        "meta": meta or {},
+        "meta": meta,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     write_bytes(path, _MAGIC + np.uint64(len(header_bytes)).tobytes()
@@ -132,17 +132,14 @@ def read_blob(path) -> tuple[dict[str, np.ndarray], dict]:
     return sections, header["meta"]
 
 
-def save(path, schema: str, fields: dict, lineage: dict | None = None,
+def save(path, schema: str, fields: dict, lineage: dict,
          sections: dict[str, np.ndarray] | None = None) -> None:
     """Write an artifact: ``fields`` plus its ``schema`` and ``lineage`` envelope.
 
     Without ``sections`` the envelope is a canonical JSON file; with them
     it becomes the blob header's ``meta`` and the sections its payload.
-    A ``None`` lineage is left out.
     """
-    doc = {**fields, "schema": schema}
-    if lineage is not None:
-        doc["lineage"] = lineage
+    doc = {**fields, "schema": schema, "lineage": lineage}
     if sections is None:
         write_json(path, doc)
     else:

@@ -53,8 +53,8 @@ F32_COND_BOUND = 1e5
 
 @dataclass(frozen=True)
 class SolverConfig:
-    ridge_penalty: float = 10.0
-    diag_cap: float = 0.2
+    ridge_penalty: float
+    diag_cap: float
 
     def __post_init__(self):
         if not finite_positive(self.ridge_penalty):

@@ -29,8 +29,8 @@ TOPIC_PROB = 0.85  # chance a step that does not follow draws from the user's to
 N_FOLLOWERS = 3  # designated follower items per item
 
 
-def generate_interactions(n_users: int = 3500, n_items: int = 1200,
-                          n_topics: int = N_TOPICS, seed: int = 7) -> InteractionLog:
+def generate_interactions(n_users: int, n_items: int, n_topics: int = N_TOPICS, *,
+                          seed: int) -> InteractionLog:
     """Draw a full interaction log; deterministic per seed."""
     rng = derive_rng(seed, 0)
 

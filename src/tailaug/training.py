@@ -37,14 +37,14 @@ NEGATIVE_BLOCK = 8  # uniform negative proposals per user and epoch
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 256
-    stage1_epochs: int = 50
-    stage2_epochs: int = 150
-    learning_rate: float = 1e-3
-    seed: int = 0
+    batch_size: int
+    stage1_epochs: int
+    stage2_epochs: int
+    learning_rate: float
+    seed: int
+    patience: int | None
     enable_operator_loss: bool = True
     enable_cross_loss: bool = True
-    patience: int | None = 10
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -86,12 +86,12 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     scratch: dict[str, tuple[np.ndarray, np.ndarray]]  # what adam_step writes into
-    step: int = 0
+    step: int
 
 
 def init_adam(params: dict[str, np.ndarray]) -> AdamState:
     return AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
-                     v={k: np.zeros_like(p) for k, p in params.items()},
+                     v={k: np.zeros_like(p) for k, p in params.items()}, step=0,
                      scratch={k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()})
 
 
@@ -336,8 +336,9 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
 
 
 def train_stage1(store: SequenceStore, model: ModelState, config: TrainConfig, *,
-                 epochs: int | None = None, adam: AdamState | None = None, validator=None):
-    """Main-objective-only training from epoch 0 (also the baseline arm).
+                 adam: AdamState | None = None, validator=None):
+    """Main-objective-only training of ``config.stage1_epochs`` epochs from epoch 0;
+    the baseline arm is one stage 1 given both stages' epochs.
 
     Returns the per-epoch history and updates ``adam`` in place, so one
     ``AdamState`` passed to both stages carries the optimizer into stage 2.
@@ -345,15 +346,14 @@ def train_stage1(store: SequenceStore, model: ModelState, config: TrainConfig, *
     fail to beat the best score; the first epoch with the best score is
     restored.  The restored record (without a validator, the last) is marked.
     """
-    return _run_epochs(store, model, config,
-                       range(config.stage1_epochs if epochs is None else epochs),
+    return _run_epochs(store, model, config, range(config.stage1_epochs),
                        adam=adam, validator=validator)
 
 
 def train_stage2(store: SequenceStore, model: ModelState,
                  candidates: CandidateSets, segmentation: Segmentation,
                  config: TrainConfig, op_config: OperatorConfig, *,
-                 adam: AdamState | None = None, validator=None, trace=None):
+                 adam: AdamState, validator=None, trace=None):
     """Augmented training on top of a stage-1 model, ``config.stage2_epochs`` epochs.
 
     Epoch indices continue from stage 1 so that running stage 2 with both
@@ -367,13 +367,14 @@ def train_stage2(store: SequenceStore, model: ModelState,
 
 
 def save_checkpoint(path, model: ModelState, *, epoch: int | None, config_meta: dict,
-                    metrics: dict | None = None, lineage: dict | None = None) -> None:
+                    metrics: dict, lineage: dict) -> None:
     """Persist the parameters as float32 sections, one per ``model.params`` entry.
 
     ``epoch`` names the epoch whose parameters these are (``None`` before
-    any).  The CLI trains in float32, so its models save without loss; a
-    float64 model is quantized to float32.  Loading restores exactly the
-    stored 32-bit values, upcast to float64.
+    any); it, ``config_meta`` and ``metrics`` form the header with ``lineage``.
+    The CLI trains in float32, so its models save without loss; a float64
+    model is quantized to float32.  Loading restores exactly the stored
+    32-bit values, upcast to float64.
     """
     serialize.save(path, CHECKPOINT_SCHEMA, {
         "n_items": model.n_items,
@@ -381,8 +382,8 @@ def save_checkpoint(path, model: ModelState, *, epoch: int | None, config_meta: 
         "encoder": model.encoder_name,
         "epoch": epoch,
         "config": config_meta,
-        "metrics": metrics or {},
-    }, lineage=lineage or {}, sections=model.params)
+        "metrics": metrics,
+    }, lineage=lineage, sections=model.params)
 
 
 def _decode_checkpoint(meta: dict, sections: dict):

@@ -292,7 +292,7 @@ class TestAugmentBatch:
             at = slice(starts[i], starts[i] + lengths[i])
             rng = ScriptedRng(op[i], rates[i:i + 1], select[at], pick[at])
             want = augment_sequence(row, seg, cands, cfg, store.max_len, rng)
-            assert got.trace_line() == want.trace_line()
+            assert got.trace_line(user=i) == want.trace_line(user=i)
             operators.add(got.operator)
         assert operators == {SUBSTITUTE, INSERT}
 
@@ -303,7 +303,7 @@ class TestAugmentBatch:
                             insert=[False, True, True, True], rates=[0.5, 0.3, 0.2, 0.9],
                             select=np.linspace(0.0, 0.9, 12), pick=np.linspace(0.9, 0.0, 12))
         assert isinstance(out, AugmentedBatch) and len(out) == 4
-        assert out[-1].trace_line() == list(out)[3].trace_line()
+        assert out[-1].trace_line(user=0) == list(out)[3].trace_line(user=0)
         with pytest.raises(IndexError):
             out[4]
         stacked = AugmentedBatch.stack(list(out))

@@ -133,6 +133,16 @@ class TestPrepare:
         assert code == 3
         assert "sparse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--input", "missing.csv"], ["--k-core", "500"]],
+                             ids=["missing-input", "emptied-by-k-core"])
+    def test_failed_prepare_leaves_no_out_dir(self, tmp_path, csv_path, argv):
+        # the directory is made only when there is a store to write into it
+        out = tmp_path / "new"
+        argv = ([argv[0], str(tmp_path / argv[1])] if argv[0] == "--input"
+                else ["--input", str(csv_path), *argv])
+        assert main(["prepare", "--out-dir", str(out), *argv]) == 3
+        assert not out.exists()
+
     def test_out_dir_that_is_a_file_is_data_error(self, tmp_path, csv_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory")
@@ -444,6 +454,20 @@ class TestTrainEvaluate:
         assert [r.pop("restored", None) for r in records["baseline"]] == [None, None, None, True]
         assert records["augmented"] == records["baseline"]
 
+    @pytest.mark.parametrize("encoder", ["gru", "pooled"])
+    def test_validation_score_is_the_valid_phase_ndcg(self, pipeline_dir, tmp_path, encoder):
+        # training validates the float32 model, evaluate scores its float64 upcast;
+        # the restored epoch's score and the valid report must agree exactly
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN,
+                     "--encoder", encoder, "--patience", "1"]) == 0
+        assert main(["evaluate", "--out-dir", str(out), "--seed", "1",
+                     "--phase", "valid"]) == 0
+        _, meta = serialize.read_blob(out / CHECKPOINT)
+        report = json.loads((out / "checkpoint_augmented_seed1_report_valid.json").read_text())
+        assert meta["metrics"]["valid_score"] == report["segments"]["overall"]["ndcg@10"]
+
     def test_checkpoint_describes_the_restored_epoch(self, pipeline_dir, tmp_path,
                                                      monkeypatch, capsys):
         # stage 2 stops early: its best epoch (2) comes before its last (4)
@@ -570,12 +594,12 @@ class TestConfigFile:
         p = tmp_path / "run.cfg"
         p.write_text("corpus.k_core = 3\ntrain.batch_size = 16\n# comment\n")
         with pytest.raises(ConfigError, match="not valid JSON"):
-            load_config(p)
+            load_config(p, {})
 
     def test_flat_json_file(self, tmp_path):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"corpus.k_core": 3, "train.batch_size": 16}))
-        cfg = load_config(p)
+        cfg = load_config(p, {})
         assert cfg["corpus.k_core"] == 3 and cfg["train.batch_size"] == 16
 
     def test_nested_json_file(self, tmp_path):
@@ -583,7 +607,7 @@ class TestConfigFile:
         # an integral float is an integer: 16.0 loads as 16
         p.write_text(json.dumps({"corpus": {"k_core": 4}, "eval": {"ks": [5, 10.0]},
                                  "train": {"batch_size": 16.0}}))
-        cfg = load_config(p)
+        cfg = load_config(p, {})
         assert cfg["corpus.k_core"] == 4 and cfg["eval.ks"] == [5, 10]
         assert cfg["train.batch_size"] == 16 and type(cfg["train.batch_size"]) is int
 
@@ -601,7 +625,7 @@ class TestConfigFile:
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"corpus.bogus": 1}))
         with pytest.raises(ConfigError, match="bogus"):
-            load_config(p)
+            load_config(p, {})
 
     def test_flag_overrides_file(self, tmp_path, csv_path):
         p = tmp_path / "run.json"
@@ -651,23 +675,24 @@ class TestConfigFile:
     def test_flags_beyond_the_config_keys_are_pinned(self):
         # a new flag must be added here too; the per-key flags (dest a dotted
         # key) are covered by test_every_key_has_a_flag
-        common = {"-h", "--help", "--config", "--out-dir", "--seed", "--force"}
+        common = {"-h", "--help", "--config", "--out-dir"}
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         flags = {command: {s for a in p._actions if "." not in a.dest
                            for s in a.option_strings}
                  for command, p in subparsers.choices.items()}
         assert flags == {
-            "prepare": common | {"--input"},
+            "prepare": common | {"--seed", "--input"},
             "candidates": common,
-            "train": common | {"--mode", "--seeds", "--trace"},
-            "evaluate": common | {"--mode", "--seeds", "--phase"},
+            "train": common | {"--seed", "--force", "--mode", "--seeds", "--trace"},
+            "evaluate": common | {"--seed", "--force", "--mode", "--seeds", "--phase"},
             "synth": {"-h", "--help", "--out", "--users", "--items", "--seed"},
         }
 
     def test_config_hash_stable(self):
         cfg = dict(DEFAULTS)
-        assert config_hash(cfg) == config_hash(dict(reversed(cfg.items())))
+        keys = sorted(cfg)
+        assert config_hash(cfg, keys) == config_hash(dict(reversed(cfg.items())), keys)
 
     def test_stock_hyperparameter_defaults(self):
         # the standard experimental settings this pipeline ships with

@@ -20,7 +20,7 @@ class TestLoadInteractions:
     def test_well_formed_rows(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_text("u1,i1,10\nu2,i2,20\nu1,i3,30\n")
-        rows = log_rows(load_interactions(p))
+        rows = log_rows(load_interactions(p, delimiter=",", header=False))
         assert rows == [Interaction("u1", "i1", 10), Interaction("u2", "i2", 20),
                         Interaction("u1", "i3", 30)]
 
@@ -28,25 +28,25 @@ class TestLoadInteractions:
         p = tmp_path / "log.csv"
         p.write_text("u1,i1,10\nu2,i2\n")
         with pytest.raises(DataError, match=":2"):
-            load_interactions(p)
+            load_interactions(p, delimiter=",", header=False)
 
     def test_bad_timestamp_reports_line(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_text("u1,i1,notatime\n")
         with pytest.raises(DataError, match=":1"):
-            load_interactions(p)
+            load_interactions(p, delimiter=",", header=False)
 
     def test_duplicates_retained(self, tmp_path):
         # round-trip count oracle: rows in == rows out, duplicates included
         p = tmp_path / "log.csv"
         p.write_text("u1,i1,10\nu1,i1,10\nu1,i1,10\n")
-        rows = log_rows(load_interactions(p))
+        rows = log_rows(load_interactions(p, delimiter=",", header=False))
         assert len(rows) == 3
         assert Counter(rows) == Counter({Interaction("u1", "i1", 10): 3})
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
-            load_interactions(tmp_path / "missing.csv")
+            load_interactions(tmp_path / "missing.csv", delimiter=",", header=False)
 
     def test_header_and_delimiter(self, tmp_path):
         p = tmp_path / "log.tsv"
@@ -58,14 +58,14 @@ class TestLoadInteractions:
         # some spreadsheet exports start the file with a UTF-8 BOM
         p = tmp_path / "log.csv"
         p.write_bytes(b"\xef\xbb\xbfu1,i1,1\nu1,i2,2\nu1,i3,3\n")
-        log = load_interactions(p)
+        log = load_interactions(p, delimiter=",", header=False)
         assert log.user_ids == ["u1"]
         assert log_rows(log) == [Interaction("u1", f"i{t}", t) for t in (1, 2, 3)]
 
     def test_byte_order_mark_before_header(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_bytes(b"\xef\xbb\xbfuser,item,ts\nu1,i1,5\n")
-        rows = log_rows(load_interactions(p, header=True))
+        rows = log_rows(load_interactions(p, delimiter=",", header=True))
         assert rows == [Interaction("u1", "i1", 5)]
 
 
@@ -290,9 +290,9 @@ class TestPersistence:
     def test_store_roundtrip_bit_exact(self, tmp_path):
         store = store_from_sequences({"u1": ["a", "b", "c", "d"], "u2": ["b", "c", "a"]})
         p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
-        serialize.save(p1, corpus.STORE_SCHEMA, store.to_fields())
+        serialize.save(p1, corpus.STORE_SCHEMA, store.to_fields(), {})
         reloaded, _ = serialize.load(p1, corpus.STORE_SCHEMA, corpus.SequenceStore.from_fields)
-        serialize.save(p2, corpus.STORE_SCHEMA, reloaded.to_fields())
+        serialize.save(p2, corpus.STORE_SCHEMA, reloaded.to_fields(), {})
         assert p1.read_bytes() == p2.read_bytes()
         assert reloaded.max_len == store.max_len
         assert all(np.array_equal(a, b)
@@ -304,10 +304,10 @@ class TestPersistence:
             (tmp_path / f"{name}.csv").write_text(text)
         outs = []
         for name in ("a", "b"):
-            rows = load_interactions(tmp_path / f"{name}.csv")
+            rows = load_interactions(tmp_path / f"{name}.csv", delimiter=",", header=False)
             store = leave_one_out_split(build_sequences(rows, 50))
             out = tmp_path / f"{name}_store.json"
-            serialize.save(out, corpus.STORE_SCHEMA, store.to_fields())
+            serialize.save(out, corpus.STORE_SCHEMA, store.to_fields(), {})
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -488,23 +488,24 @@ class TestRawIds:
     def test_ids_differing_by_nul_stay_distinct(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_text("a,i1,1\na\x00,i1,2\na,i2,3\n", encoding="utf-8")
-        store = build_sequences(load_interactions(p), 50)
+        store = build_sequences(load_interactions(p, delimiter=",", header=False), 50)
         assert store.user_ids == ["a", "a\x00"]
         assert [len(s) for s in store.sequences] == [2, 1]
 
     def test_int64_timestamps_bounds(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_text(f"u,i,{2 ** 63 - 1}\nu,j,{-2 ** 63}\n")
-        assert load_interactions(p).timestamps.tolist() == [2 ** 63 - 1, -2 ** 63]
+        assert load_interactions(p, delimiter=",", header=False).timestamps.tolist() == \
+            [2 ** 63 - 1, -2 ** 63]
         p.write_text(f"u,i,1\nu,j,{2 ** 63}\n")
         with pytest.raises(DataError, match=r"log\.csv:2: .*int64"):
-            load_interactions(p)
+            load_interactions(p, delimiter=",", header=False)
 
     def test_non_utf8_names_the_file(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_bytes(b"u1,i1,1\nu2,i1,2\nu3,\xff\xfe,3\n")
         with pytest.raises(DataError, match=r"log\.csv.*utf-8"):
-            load_interactions(p)
+            load_interactions(p, delimiter=",", header=False)
 
 
 int64s = st.integers(-2 ** 63, 2 ** 63 - 1)

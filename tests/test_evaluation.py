@@ -339,7 +339,7 @@ def _toy_seg():
 
 class TestSegmentedReport:
     def test_hand_computed_segments(self):
-        report = segmented_report(*_toy_columns(), _toy_seg(), ks=[5, 10])
+        report = segmented_report(*_toy_columns(), _toy_seg(), ks=[5, 10], tcov={}, phase="test")
         seg = report.segments
         # head_item = users 0,2,4 with ranks 1,12,5 ; tail_item = 3,2,40
         assert seg["head_item"]["count"] == 3 and seg["tail_item"]["count"] == 3
@@ -353,12 +353,13 @@ class TestSegmentedReport:
     def test_absent_segment_when_empty(self):
         users, targets, ranks = _toy_columns()
         head = targets == 1
-        report = segmented_report(users[head], targets[head], ranks[head], _toy_seg(), ks=[5])
+        report = segmented_report(users[head], targets[head], ranks[head], _toy_seg(), ks=[5],
+                                  tcov={}, phase="test")
         assert "tail_item" not in report.segments
         assert "head_item" in report.segments
 
     def test_user_segments_partition_overall(self):
-        report = segmented_report(*_toy_columns(), _toy_seg(), ks=[5])
+        report = segmented_report(*_toy_columns(), _toy_seg(), ks=[5], tcov={}, phase="test")
         seg = report.segments
         assert seg["head_user"]["count"] + seg["tail_user"]["count"] == \
             seg["overall"]["count"]
@@ -366,7 +367,7 @@ class TestSegmentedReport:
             seg["overall"]["count"]
 
     def test_overall_is_weighted_average_of_item_segments(self):
-        report = segmented_report(*_toy_columns(), _toy_seg(), ks=[10])
+        report = segmented_report(*_toy_columns(), _toy_seg(), ks=[10], tcov={}, phase="test")
         seg = report.segments
         weighted = (seg["head_item"]["hit@10"] * seg["head_item"]["count"]
                     + seg["tail_item"]["hit@10"] * seg["tail_item"]["count"])
@@ -389,7 +390,7 @@ class TestSegmentedReport:
         ks = data.draw(st.lists(st.integers(1, n_items), max_size=3, unique=True)) + [n_items + 1]
         results = [RankingResult(u, t, r) for u, t, r in
                    zip(users.tolist(), targets.tolist(), ranks.tolist())]
-        assert segmented_report(users, targets, ranks, seg, ks).segments == \
+        assert segmented_report(users, targets, ranks, seg, ks, {}, "test").segments == \
             _rowwise_segments(results, seg, ks)
 
     def test_empty_user_and_item_segments(self):
@@ -398,7 +399,7 @@ class TestSegmentedReport:
                                       head_items=range(1, 5))
         users, targets = np.array([0, 1, 2, 2]), np.array([1, 4, 2, 3])
         ranks = targets.copy()
-        report = segmented_report(users, targets, ranks, seg, ks=[2, 5])
+        report = segmented_report(users, targets, ranks, seg, ks=[2, 5], tcov={}, phase="test")
         assert list(report.segments) == ["overall", "head_item", "tail_user"]
         results = [RankingResult(*row) for row in zip(users, targets, ranks)]
         assert report.segments == _rowwise_segments(results, seg, [2, 5])
@@ -496,16 +497,18 @@ class TestTailCoverage:
 class TestReportPlumbing:
     def test_format_table_has_all_columns(self):
         report = segmented_report(*_toy_columns(), _toy_seg(), ks=[5],
-                                  tcov={5: 0.5})
+                                  tcov={5: 0.5}, phase="test")
         table = format_table(report)
         for label in ("Overall", "Head Item", "Tail Item", "Head User", "Tail User"):
             assert label in table
         assert "tcov@5" in table
 
     def test_mean_report_averages(self):
-        r1 = segmented_report(*_toy_columns(), _toy_seg(), ks=[5], tcov={5: 0.2})
+        r1 = segmented_report(*_toy_columns(), _toy_seg(), ks=[5], tcov={5: 0.2},
+                              phase="test")
         users, targets, ranks = _toy_columns()
-        r2 = segmented_report(users, targets, ranks + 1, _toy_seg(), ks=[5], tcov={5: 0.4})
+        r2 = segmented_report(users, targets, ranks + 1, _toy_seg(), ks=[5], tcov={5: 0.4},
+                              phase="test")
         mean = mean_report([r1, r2])
         assert mean.tcov[5] == pytest.approx(0.3)
         assert mean.segments["overall"]["hit@5"] == pytest.approx(
@@ -561,7 +564,8 @@ class TestSlicedInputsMatchRowwise:
         ranks = rank_of_target(encode_batch(model, seqs)[0] @ model.embeddings[1:].T, targets)
         tcov = {k: bruteforce_tail_coverage(model, store, seg, k) for k in ks}
         assert evaluate_model(model, store, seg, ks=ks).to_fields() == segmented_report(
-            np.arange(store.n_users), np.array(targets), ranks, seg, ks, tcov=tcov).to_fields()
+            np.arange(store.n_users), np.array(targets), ranks, seg, ks, tcov=tcov,
+            phase="test").to_fields()
 
     @given(ragged_rows(min_users=1), st.sampled_from(["pooled", "gru"]))
     @example(([[1, 2, 1, 2, 1], [2, 1, 2]], 2, 5), "pooled")

@@ -76,7 +76,7 @@ def test_bad_json_is_data_error(tmp_path, raw):
 @pytest.mark.parametrize("write", [
     lambda p: write_json(p, {"new": 1}),
     lambda p: write_blob(p, {"w": np.zeros(2)}, meta={}),
-    lambda p: synth.write_csv(p, synth.generate_interactions(n_users=30, n_items=20)),
+    lambda p: synth.write_csv(p, synth.generate_interactions(n_users=30, n_items=20, seed=7)),
 ])
 def test_failed_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch, write):
     path = tmp_path / "artifact"

@@ -210,13 +210,14 @@ class TestSolver:
     def test_config_validation(self):
         for ridge in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
-                SolverConfig(ridge_penalty=ridge)
+                SolverConfig(ridge_penalty=ridge, diag_cap=0.2)
         with pytest.raises(ValueError):
-            SolverConfig(diag_cap=1.0)
+            SolverConfig(ridge_penalty=10.0, diag_cap=1.0)
 
     def test_no_items_is_data_error(self):
         with pytest.raises(DataError):
-            solve_similarity(as_matrix(np.zeros((3, 0))), SolverConfig())
+            solve_similarity(as_matrix(np.zeros((3, 0))),
+                             SolverConfig(ridge_penalty=10.0, diag_cap=0.2))
 
     def test_matches_explicit_inverse(self):
         # 300 items: the in-place mirror of the inverse spans two blocks
@@ -236,7 +237,7 @@ class TestSolver:
         for dtype in (np.float64, np.float32):
             tracemalloc.start()
             try:
-                sim = solve_similarity(X, SolverConfig(), dtype)
+                sim = solve_similarity(X, SolverConfig(ridge_penalty=10.0, diag_cap=0.2), dtype)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -251,7 +252,7 @@ class TestSolver:
         rng = np.random.default_rng(10)
         X = as_matrix(rng.random((12, 6)) < 0.4)
         with pytest.raises(NumericError, match=f"{routine} info 3") as err:
-            solve_similarity(X, SolverConfig(ridge_penalty=10.0), dtype)
+            solve_similarity(X, SolverConfig(ridge_penalty=10.0, diag_cap=0.2), dtype)
         if routine.endswith("potrf"):  # the range of the intact Gram matrix, not the buffer
             eigs = np.linalg.eigvalsh(X.T @ X + 10.0 * np.eye(6))
             assert f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]" in str(err.value)
@@ -273,7 +274,7 @@ class TestSolver:
         rng = np.random.default_rng(10)
         X = as_matrix(rng.random((12, 6)) < 0.4)
         with pytest.raises(NumericError, match="non-finite"):
-            solve_similarity(X, SolverConfig(ridge_penalty=10.0), dtype)
+            solve_similarity(X, SolverConfig(ridge_penalty=10.0, diag_cap=0.2), dtype)
 
 
 def synth_store():
@@ -290,7 +291,7 @@ def gershgorin_bound(X, ridge):
 class TestSinglePrecision:
     def test_float32_solve_agrees_with_float64(self):
         X = build_interaction_matrix(synth_store())
-        cfg = SolverConfig()
+        cfg = SolverConfig(ridge_penalty=10.0, diag_cap=0.2)
         s64 = solve_similarity(X, cfg)
         s32 = solve_similarity(X, cfg, np.float32)
         assert s32.values.dtype == np.float32 and s32.gamma.dtype == np.float64
@@ -310,7 +311,7 @@ class TestSinglePrecision:
     def test_guard_picks_precision_by_conditioning_bound(self, monkeypatch):
         store = synth_store()
         seg = corpus.segment(store, beta=0.5)
-        cfg = SolverConfig()
+        cfg = SolverConfig(ridge_penalty=10.0, diag_cap=0.2)
         bound = gershgorin_bound(build_interaction_matrix(store), cfg.ridge_penalty)
         for constant, dtype in ((bound * (1 + 1e-9), np.float32),
                                 (bound * (1 - 1e-9), np.float64)):
@@ -320,7 +321,7 @@ class TestSinglePrecision:
     def test_ill_conditioned_ridge_solves_in_float64(self):
         store = synth_store()
         seg = corpus.segment(store, beta=0.5)
-        cfg = SolverConfig(ridge_penalty=1e-3)
+        cfg = SolverConfig(ridge_penalty=1e-3, diag_cap=0.2)
         X = build_interaction_matrix(store)
         assert gershgorin_bound(X, cfg.ridge_penalty) > simcand.F32_COND_BOUND
         cands, sim = build_candidates(store, seg, cfg, 10)
@@ -328,14 +329,15 @@ class TestSinglePrecision:
         expected = corpus.id_rows(*top_k_correlation(solve_similarity(X, cfg), 10))
         assert [a.tolist() for a in corpus.id_rows(*cands.cr)] == \
             [a.tolist() for a in expected]
-        assert build_candidates(store, seg, SolverConfig(), 10)[1].values.dtype == np.float32
+        cfg = SolverConfig(ridge_penalty=10.0, diag_cap=0.2)
+        assert build_candidates(store, seg, cfg, 10)[1].values.dtype == np.float32
 
 
 class TestTopK:
     def test_two_items(self):
         rng = np.random.default_rng(0)
         X = (rng.random((6, 2)) < 0.5).astype(float)
-        sim = solve_similarity(as_matrix(X), SolverConfig())
+        sim = solve_similarity(as_matrix(X), SolverConfig(ridge_penalty=10.0, diag_cap=0.2))
         cr = corpus.id_rows(*top_k_correlation(sim, 5))
         assert cr[0].tolist() == [2] and cr[1].tolist() == [1]
 
@@ -530,8 +532,8 @@ class TestUnion:
     def test_json_roundtrip(self, small_corpus, tmp_path):
         _, _, cands, _ = small_corpus
         p1, p2 = tmp_path / "c1.json", tmp_path / "c2.json"
-        serialize.save(p1, CANDIDATES_SCHEMA, cands.to_fields())
+        serialize.save(p1, CANDIDATES_SCHEMA, cands.to_fields(), {})
         back, _ = serialize.load(p1, CANDIDATES_SCHEMA, CandidateSets.from_fields)
-        serialize.save(p2, CANDIDATES_SCHEMA, back.to_fields())
+        serialize.save(p2, CANDIDATES_SCHEMA, back.to_fields(), {})
         assert p1.read_bytes() == p2.read_bytes()
         assert all(np.array_equal(x, y) for x, y in zip(back.c, cands.c))

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from tailaug import serialize, training
 from tailaug.augment import (INSERT, SUBSTITUTE, AugmentedBatch, AugmentedSample,
                              OperatorConfig, apply_cross_mixup, augment_batch,
                              augment_sequence, plan_cross_batch, t_substitute)
+from tailaug.config import DEFAULTS, train_config
 from tailaug.corpus import classify_sequence, preference_classes
 from tailaug.encoders import (ModelState, backward_batch, encode_batch, encode_ragged,
                               init_model, lookup)
@@ -19,6 +21,11 @@ from tailaug.training import (Batch, TrainConfig, adam_step,
                               train_stage1, train_stage2)
 
 from conftest import DTYPES, identity_plan, store_from_sequences, users_with_train_len
+
+
+def _cfg(**fields) -> TrainConfig:
+    """The CLI's default TrainConfig (seed 0) with ``fields`` set."""
+    return replace(train_config(DEFAULTS, 0), **fields)
 
 
 class TestBCE:
@@ -120,11 +127,11 @@ class TestAdam:
     def test_zero_gradient_no_move(self):
         params = {"w": np.array([1.0, -2.0])}
         state = init_adam(params)
-        adam_step(params, {"w": np.zeros(2)}, state, TrainConfig())
+        adam_step(params, {"w": np.zeros(2)}, state, _cfg())
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
     def test_hand_recurrence_two_steps(self):
-        cfg = TrainConfig(learning_rate=0.001)
+        cfg = _cfg(learning_rate=0.001)
         params = {"w": np.array([0.5])}
         state = init_adam(params)
         w, m, v = 0.5, 0.0, 0.0
@@ -149,7 +156,7 @@ class TestAdam:
         for t in range(1, 201):
             grads = {k: rng.normal(size=p.shape).astype(dtype) for k, p in params.items()}
             grads["b"][t % 2] = 0.0
-            adam_step(params, grads, state, TrainConfig(learning_rate=lr))
+            adam_step(params, grads, state, _cfg(learning_rate=lr))
             for k, g in grads.items():
                 m[k] = 0.9 * m[k] + (1 - 0.9) * g
                 v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
@@ -166,24 +173,24 @@ class TestAdam:
         params = {"w": np.ones((2000, 32))}
         grads = {"w": np.full((2000, 32), 0.5)}
         state = init_adam(params)
-        adam_step(params, grads, state, TrainConfig())
+        adam_step(params, grads, state, _cfg())
         tracemalloc.start()
         try:
-            adam_step(params, grads, state, TrainConfig())
+            adam_step(params, grads, state, _cfg())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < params["w"].nbytes // 4
 
     def test_default_learning_rate(self):
-        assert TrainConfig().learning_rate == pytest.approx(0.001)
+        assert _cfg().learning_rate == pytest.approx(0.001)
         assert training.ADAM_BETA1 == 0.9 and training.ADAM_BETA2 == 0.999
 
     def test_learning_rate_is_zero_or_finite_positive(self):
-        assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
+        assert _cfg(learning_rate=0.0).learning_rate == 0.0
         for lr in (-0.001, float("inf"), float("nan")):
             with pytest.raises(ValueError):
-                TrainConfig(learning_rate=lr)
+                _cfg(learning_rate=lr)
 
 
 def _toy_setup(small_corpus, encoder="pooled", dim=8, seed=0, dtype=np.float64):
@@ -196,8 +203,8 @@ class TestStage1:
     def test_zero_learning_rate_freezes_params(self, small_corpus):
         store, seg, cands, model = _toy_setup(small_corpus)
         before = {k: v.copy() for k, v in model.params.items()}
-        cfg = TrainConfig(batch_size=16, learning_rate=0.0, seed=1, patience=None)
-        train_stage1(store, model, cfg, epochs=1)
+        cfg = _cfg(batch_size=16, learning_rate=0.0, seed=1, stage1_epochs=1, patience=None)
+        train_stage1(store, model, cfg)
         for k in before:
             np.testing.assert_array_equal(model.params[k], before[k])
 
@@ -207,9 +214,9 @@ class TestStage1:
         fracs = []
         for seed in (0, 1, 2):
             model = init_model(store.n_items, 8, seed=seed, encoder="gru")
-            cfg = TrainConfig(batch_size=64, learning_rate=0.01, seed=seed,
-                              patience=None)
-            history = train_stage1(store, model, cfg, epochs=20)
+            cfg = _cfg(batch_size=64, learning_rate=0.01, seed=seed, stage1_epochs=20,
+                       patience=None)
+            history = train_stage1(store, model, cfg)
             losses = [h["loss_main"] for h in history]
             decreases = sum(b < a for a, b in zip(losses, losses[1:]))
             fracs.append(decreases / (len(losses) - 1))
@@ -221,8 +228,8 @@ class TestStage1:
             finals = []
             for _ in range(2):
                 model = init_model(store.n_items, 8, seed=3, encoder="gru", dtype=dtype)
-                cfg = TrainConfig(batch_size=16, seed=3, patience=None)
-                history = train_stage1(store, model, cfg, epochs=3)
+                cfg = _cfg(batch_size=16, seed=3, stage1_epochs=3, patience=None)
+                history = train_stage1(store, model, cfg)
                 finals.append((history[-1]["loss_main"], model.embeddings.copy()))
             assert finals[0][1].dtype == dtype
             assert finals[0][0] == finals[1][0]
@@ -231,14 +238,14 @@ class TestStage1:
     def test_divergence_raises_numeric_error(self, small_corpus):
         store, seg, cands, model = _toy_setup(small_corpus)
         model.embeddings[1, 0] = np.nan
-        cfg = TrainConfig(batch_size=16, seed=0, patience=None)
+        cfg = _cfg(batch_size=16, seed=0, stage1_epochs=1, patience=None)
         with pytest.raises(NumericError):
-            train_stage1(store, model, cfg, epochs=1)
+            train_stage1(store, model, cfg)
 
     def test_padding_row_stays_zero(self, small_corpus):
         store, seg, cands, model = _toy_setup(small_corpus, encoder="gru")
-        cfg = TrainConfig(batch_size=16, seed=0, patience=None)
-        train_stage1(store, model, cfg, epochs=2)
+        cfg = _cfg(batch_size=16, seed=0, stage1_epochs=2, patience=None)
+        train_stage1(store, model, cfg)
         np.testing.assert_array_equal(model.embeddings[0], np.zeros(model.dim))
 
 
@@ -263,9 +270,9 @@ class TestStage2:
 
     def test_disabled_aug_losses_match_stage1_bit_exactly(self, small_corpus):
         store, seg, cands, _ = small_corpus
-        cfg_a = TrainConfig(batch_size=16, seed=4, stage1_epochs=2, stage2_epochs=3,
-                            enable_operator_loss=False, enable_cross_loss=False,
-                            patience=None)
+        cfg_a = _cfg(batch_size=16, seed=4, stage1_epochs=2, stage2_epochs=3,
+                     enable_operator_loss=False, enable_cross_loss=False,
+                     patience=None)
         for dtype in DTYPES:
             model_a = init_model(store.n_items, 8, seed=4, encoder="pooled", dtype=dtype)
             adam_a = init_adam(model_a.params)
@@ -274,7 +281,7 @@ class TestStage2:
                               adam=adam_a)
 
             model_b = init_model(store.n_items, 8, seed=4, encoder="pooled", dtype=dtype)
-            hb = train_stage1(store, model_b, cfg_a, epochs=5)
+            hb = train_stage1(store, model_b, replace(cfg_a, stage1_epochs=5))
             assert model_a.embeddings.dtype == dtype
             for k in model_a.params:
                 np.testing.assert_array_equal(model_a.params[k], model_b.params[k])
@@ -313,8 +320,8 @@ class TestStage2:
 
     def test_stage2_trains_and_records_components(self, small_corpus):
         store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
-        cfg = TrainConfig(batch_size=16, seed=6, stage1_epochs=1, stage2_epochs=2,
-                          patience=None)
+        cfg = _cfg(batch_size=16, seed=6, stage1_epochs=1, stage2_epochs=2,
+                   patience=None)
         adam = init_adam(model.params)
         train_stage1(store, model, cfg, adam=adam)
         assert adam.step > 0  # stage 1 advanced the caller's optimizer in place
@@ -329,11 +336,12 @@ class TestStage2:
     def test_trace_emitter_writes_jsonl(self, small_corpus, tmp_path):
         import json
         store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
-        cfg = TrainConfig(batch_size=16, seed=7, stage1_epochs=0, stage2_epochs=1,
-                          patience=None)
+        cfg = _cfg(batch_size=16, seed=7, stage1_epochs=0, stage2_epochs=1,
+                   patience=None)
         trace_path = tmp_path / "trace.jsonl"
         with open(trace_path, "w") as fh:
-            train_stage2(store, model, cands, seg, cfg, OperatorConfig(), trace=fh)
+            train_stage2(store, model, cands, seg, cfg, OperatorConfig(),
+                         adam=init_adam(model.params), trace=fh)
         lines = trace_path.read_text().strip().splitlines()
         assert len(lines) > 0
         rec = json.loads(lines[0])
@@ -352,11 +360,12 @@ class TestStage2:
             return derive_rng(seed, *t)
 
         monkeypatch.setattr(training, "derive_rng", spy)
-        cfg = TrainConfig(batch_size=16, seed=7, stage1_epochs=5, stage2_epochs=2,
-                          patience=None)
+        cfg = _cfg(batch_size=16, seed=7, stage1_epochs=5, stage2_epochs=2,
+                   patience=None)
         trace_path = tmp_path / "trace.jsonl"
         with open(trace_path, "w") as fh:
-            train_stage2(store, model, cands, seg, cfg, op_cfg, trace=fh)
+            train_stage2(store, model, cands, seg, cfg, op_cfg, adam=init_adam(model.params),
+                         trace=fh)
         assert [t for t in tags if t[0] == AUGMENT] == [(AUGMENT, 5), (AUGMENT, 6)]
         assert max(map(len, tags)) == 3  # (CROSS, epoch, step); nothing per user
 
@@ -674,8 +683,8 @@ class TestColumns:
 
         monkeypatch.setattr(Batch, "__post_init__", counted)
         store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
-        cfg = TrainConfig(batch_size=16, seed=7, stage1_epochs=1, stage2_epochs=1,
-                          patience=None)
+        cfg = _cfg(batch_size=16, seed=7, stage1_epochs=1, stage2_epochs=1,
+                   patience=None)
         adam = init_adam(model.params)
         first = train_stage1(store, model, cfg, adam=adam)
         second = train_stage2(store, model, cands, seg, cfg, OperatorConfig(), adam=adam)
@@ -693,12 +702,14 @@ class TestColumns:
 
         monkeypatch.setattr(AugmentedSample, "__init__", counted)
         store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
-        cfg = TrainConfig(batch_size=16, seed=7, stage1_epochs=0, stage2_epochs=1,
-                          patience=None)
-        history = train_stage2(store, model, cands, seg, cfg, OperatorConfig())
+        cfg = _cfg(batch_size=16, seed=7, stage1_epochs=0, stage2_epochs=1,
+                   patience=None)
+        history = train_stage2(store, model, cands, seg, cfg, OperatorConfig(),
+                               adam=init_adam(model.params))
         assert history[0]["loss_operator"] > 0 and built == []
         trace = io.StringIO()
-        train_stage2(store, model, cands, seg, cfg, OperatorConfig(), trace=trace)
+        train_stage2(store, model, cands, seg, cfg, OperatorConfig(),
+                     adam=init_adam(model.params), trace=trace)
         assert len(built) == len(trace.getvalue().splitlines()) > 0
 
 
@@ -725,7 +736,7 @@ class TestFloat32Step:
             monkeypatch.setattr(training, name, spy)
         comp, grads = batch_loss(model, batch, samples=samples, op_lams=lams, plan=plan)
         adam = init_adam(model.params)
-        adam_step(model.params, grads, adam, TrainConfig())
+        adam_step(model.params, grads, adam, _cfg())
         assert seen == {(name, np.dtype(np.float32))
                         for name in ("encode_ragged", "bce_loss_batch", "backward_batch")}
         single = {k: np.dtype(np.float32) for k in model.params}
@@ -754,17 +765,18 @@ def _epoch_draws(small_corpus, monkeypatch, batch_size, stage2=False, dtype=np.f
             draws[u] = (prefix.tolist(), int(batch.targets[i]),
                         int(batch.negatives[i]))
             if samples is not None:
-                draws[u] += (samples[i].trace_line(mix_weight=op_lams[i]),)
+                draws[u] += (samples[i].trace_line(user=u, mix_weight=op_lams[i]),)
         zeros = {k: np.zeros_like(v) for k, v in model.params.items()}
         return {"main": 0.0, "operator": 0.0, "cross": 0.0, "total": 0.0}, zeros
 
     monkeypatch.setattr(training, "batch_loss", record)
-    cfg = TrainConfig(batch_size=batch_size, seed=9, stage1_epochs=0, stage2_epochs=1,
-                      patience=None)
+    cfg = _cfg(batch_size=batch_size, seed=9, stage1_epochs=0, stage2_epochs=1,
+               patience=None)
     if stage2:  # either way, one epoch: epoch 0
-        train_stage2(store, model, cands, seg, cfg, OperatorConfig())
+        train_stage2(store, model, cands, seg, cfg, OperatorConfig(),
+                     adam=init_adam(model.params))
     else:
-        train_stage1(store, model, cfg, epochs=1)
+        train_stage1(store, model, replace(cfg, stage1_epochs=1))
     return draws
 
 
@@ -833,9 +845,8 @@ class TestEarlyStopping:
         model = init_model(store.n_items, 8, seed=8, encoder="pooled")
         scores = iter([0.5, 0.4, 0.3, 0.2, 0.1, 0.05])
 
-        cfg = TrainConfig(batch_size=16, seed=8, patience=2)
-        history = train_stage1(store, model, cfg, epochs=6,
-                               validator=lambda m: next(scores))
+        cfg = _cfg(batch_size=16, seed=8, stage1_epochs=6, patience=2)
+        history = train_stage1(store, model, cfg, validator=lambda m: next(scores))
         # best at epoch 0, patience 2 -> stop after epoch 3
         assert len(history) == 4
         assert history[0]["valid_score"] == 0.5
@@ -843,8 +854,8 @@ class TestEarlyStopping:
 
     def test_without_a_validator_the_last_epoch_is_marked(self, small_corpus):
         store, seg, cands, model = _toy_setup(small_corpus)
-        cfg = TrainConfig(batch_size=16, seed=8, patience=None)
-        history = train_stage1(store, model, cfg, epochs=3)
+        cfg = _cfg(batch_size=16, seed=8, stage1_epochs=3, patience=None)
+        history = train_stage1(store, model, cfg)
         assert [h.get("restored") for h in history] == [None, None, True]
 
     def test_stage2_early_stop_marks_its_restored_epoch(self, small_corpus):
@@ -857,10 +868,10 @@ class TestEarlyStopping:
             seen.append({k: v.copy() for k, v in m.params.items()})
             return next(scores)
 
-        cfg = TrainConfig(batch_size=16, seed=8, stage1_epochs=2, stage2_epochs=5,
-                          patience=1)
+        cfg = _cfg(batch_size=16, seed=8, stage1_epochs=2, stage2_epochs=5,
+                   patience=1)
         history = train_stage2(store, model, cands, seg, cfg, OperatorConfig(),
-                               validator=validator)
+                               adam=init_adam(model.params), validator=validator)
         assert [h["epoch"] for h in history] == [2, 3, 4, 5]
         assert [h.get("restored") for h in history] == [None, True, None, None]
         for k, v in model.params.items():
@@ -876,8 +887,8 @@ class TestEarlyStopping:
             seen.append({k: v.copy() for k, v in m.params.items()})
             return next(scores)
 
-        cfg = TrainConfig(batch_size=16, seed=8, patience=1)
-        history = train_stage1(store, model, cfg, epochs=5, validator=validator)
+        cfg = _cfg(batch_size=16, seed=8, stage1_epochs=5, patience=1)
+        history = train_stage1(store, model, cfg, validator=validator)
         # the tie at epoch 1 is not an improvement, so epoch 2 is the second bad one
         assert len(history) == 3
         assert [h.get("restored") for h in history] == [True, None, None]
@@ -901,7 +912,7 @@ class TestCheckpoint:
     def test_reload_restores_float32_values(self, small_corpus, tmp_path):
         store, seg, cands, model = _toy_setup(small_corpus, encoder="gru")
         path = tmp_path / "c.bin"
-        save_checkpoint(path, model, epoch=1, config_meta={})
+        save_checkpoint(path, model, epoch=1, config_meta={}, metrics={}, lineage={})
         model2, lineage, meta = load_checkpoint(path)
         assert lineage == {}
         assert meta["epoch"] == 1 and model2.encoder_name == "gru"
@@ -913,7 +924,7 @@ class TestCheckpoint:
     def test_sections_are_exactly_the_parameters(self, small_corpus, tmp_path, encoder):
         store, seg, cands, model = _toy_setup(small_corpus, encoder=encoder)
         path = tmp_path / "d.bin"
-        save_checkpoint(path, model, epoch=0, config_meta={})
+        save_checkpoint(path, model, epoch=0, config_meta={}, metrics={}, lineage={})
         sections, meta = serialize.read_blob(path)
         assert list(sections) == sorted(model.params)
         assert meta["schema"] == "tailaug.checkpoint.v2" and "adam_step" not in meta
