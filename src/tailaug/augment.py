@@ -100,12 +100,12 @@ class AugmentedBatch:
     """
 
     insert: np.ndarray
-    rates: np.ndarray | None
+    rates: np.ndarray
     s_prime: np.ndarray
     s_ext: np.ndarray
     lengths: np.ndarray
     indices: np.ndarray
-    chosen: np.ndarray | None
+    chosen: np.ndarray
     edits: np.ndarray
 
     def __len__(self):
@@ -121,14 +121,14 @@ class AugmentedBatch:
 
     @classmethod
     def stack(cls, samples) -> AugmentedBatch:
-        """The columns of a sample list that the loss reads: each sample's
-        ``operator``, ``indices``, ``s_ext`` and ``s_prime``.  ``rates`` and
-        ``chosen`` stay None, so the result is not for indexing."""
+        """The columns of a sample list, one row per sample."""
         return cls(insert=np.array([s.operator == INSERT for s in samples], dtype=bool),
-                   rates=None, s_prime=np.concatenate([s.s_prime for s in samples]),
+                   rates=np.array([s.rate for s in samples], dtype=np.float64),
+                   s_prime=np.concatenate([s.s_prime for s in samples]),
                    s_ext=np.concatenate([s.s_ext for s in samples]),
                    lengths=np.array([len(s.s_prime) for s in samples], dtype=np.int64),
-                   indices=np.concatenate([s.indices for s in samples]), chosen=None,
+                   indices=np.concatenate([s.indices for s in samples]),
+                   chosen=np.concatenate([s.chosen for s in samples]),
                    edits=np.array([len(s.indices) for s in samples], dtype=np.int64))
 
 

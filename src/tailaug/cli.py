@@ -14,9 +14,10 @@ scores the checkpoints its ``--mode`` and ``--seeds`` name, which must record
 that mode and one setting (config but the seed, and candidates), and on every
 call writes their mean, one checkpoint's too, to
 ``report_<mode>_mean_<phase>.json``, with the seeds in its lineage.
-Each pipeline command has one flag per key of its config sections; flags
-override config-file keys.  Exit codes: 0 ok, 2 config error, 3 data error,
-4 numeric failure.
+Flags are the one configuration: each pipeline command has one flag per key
+of its config sections, and every flag is spelled in full.  ``--seed`` is
+``prepare``'s alone; ``train`` and ``evaluate`` take ``--seeds``.  Exit
+codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import hashlib
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +93,7 @@ def _write_report(path: Path, report, lineage: dict, title: str):
 # ---------------------------------------------------------------- prepare
 
 def cmd_prepare(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(_overrides(args))
     log = corpus.load_interactions(args.input, delimiter=cfg["corpus.delimiter"],
                                    header=cfg["corpus.header"])
     log = corpus.k_core_filter(log, cfg["corpus.k_core"])
@@ -146,7 +148,7 @@ def _load_prepared(out_dir):
 # ------------------------------------------------------------- candidates
 
 def cmd_candidates(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(_overrides(args))
     out_dir = Path(args.out_dir)
     store, store_id = _load_prepared(out_dir)
     seg = corpus.segment(store)
@@ -220,8 +222,8 @@ def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
+    cfg = load_config(_overrides(args))
+    seeds = _parse_seeds(args.seeds)
     if args.trace and (len(seeds) > 1 or args.mode == "baseline"
                        or not cfg["train.operator_loss"] or cfg["train.stage2_epochs"] == 0):
         raise ConfigError("--trace records one seed's augmented samples; give a single "
@@ -248,9 +250,9 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------- evaluate
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(_overrides(args))
     out_dir = Path(args.out_dir)
-    seeds = _parse_seeds(args.seeds) if args.seeds else [cfg["seed"]]
+    seeds = _parse_seeds(args.seeds)
     store, store_id = _load_prepared(out_dir)
     seg = corpus.segment(store)
 
@@ -327,17 +329,18 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _add_common(p, command):
-    """Shared flags, ``--seed`` and ``--force`` where the command reads them, then
-    one flag per key of ``command``'s sections.
+    """Shared flags: ``--seed`` on ``prepare``, ``--seeds`` and ``--force`` on
+    ``train`` and ``evaluate``, then one flag per key of ``command``'s sections.
 
-    A value flag parses to its key's JSON type, which ``load_config``
-    requires; argparse refuses malformed text (exit 2).
+    A value flag parses to its key's type; argparse refuses malformed text
+    (exit 2).
     """
-    p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-dir", default="artifacts", help="artifact directory")
-    if command != "candidates":
+    if command == "prepare":
         p.add_argument("--seed", type=int, default=None)
     if command in ("train", "evaluate"):
+        p.add_argument("--seeds", default=str(DEFAULTS["seed"]),
+                       help=f"comma-separated seed sweep (default {DEFAULTS['seed']})")
         p.add_argument("--force", action="store_true",
                        help="proceed despite missing or mismatched artifact lineage")
     for key in section_keys(command):
@@ -354,36 +357,38 @@ def _add_common(p, command):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tailaug",
-        description="Long-tail sequential recommendation with tail-aware augmentation")
+        description="Long-tail sequential recommendation with tail-aware augmentation",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags spelled in full: a prefix would otherwise set a key (`--k-c` as
+    # `--k-core`) or take `train --seed` for `--seeds`
+    add = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("prepare", help="ingest, filter and split into store.json")
+    p = add("prepare", help="ingest, filter and split into store.json")
     _add_common(p, "prepare")
     p.add_argument("--input", required=True, help="interaction file (user,item,timestamp)")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("candidates", help="solve similarity and build candidate sets")
+    p = add("candidates", help="solve similarity and build candidate sets")
     _add_common(p, "candidates")
     p.set_defaults(func=cmd_candidates)
 
-    p = sub.add_parser("train", help="train a model (baseline or augmented)")
+    p = add("train", help="train a model (baseline or augmented)")
     _add_common(p, "train")
     p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented")
-    p.add_argument("--seeds", default=None, help="comma-separated seed sweep")
     p.add_argument("--trace", default=None,
                    help="write one JSON line per augmented sample to this file "
                         "(augmented mode, a single seed only)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="rank held-out targets and report metrics")
+    p = add("evaluate", help="rank held-out targets and report metrics")
     _add_common(p, "evaluate")
     p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented",
                    help="arm whose checkpoints are scored")
-    p.add_argument("--seeds", default=None, help="comma-separated seed sweep")
     p.add_argument("--phase", choices=["valid", "test"], default="test")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("synth", help="generate a synthetic long-tail interaction log")
+    p = add("synth", help="generate a synthetic long-tail interaction log")
     p.add_argument("--out", required=True)
     p.add_argument("--users", type=int, default=3500)
     p.add_argument("--items", type=int, default=1200)

@@ -1,10 +1,9 @@
-"""Run configuration: defaults, config-file parsing, overrides, hashing.
+"""Run configuration: defaults, flag overrides, validation, hashing.
 
-Config files are JSON objects, flat or nested by section; keys are
-dot-namespaced (``corpus.k_core``), and a key given twice is an error.
-CLI flags override file keys.  ``DEFAULTS`` lists every key; a command's
-``SECTIONS`` give its flags and the keys hashed into its artifacts'
-lineage ids, chained through parent ids to refuse mismatched inputs.
+Keys are dot-namespaced (``corpus.k_core``), and each is set by exactly
+one CLI flag.  ``DEFAULTS`` lists every key; a command's ``SECTIONS``
+give its flags and the keys hashed into its artifacts' lineage ids,
+chained through parent ids to refuse mismatched inputs.
 """
 
 from __future__ import annotations
@@ -55,67 +54,9 @@ def section_keys(command: str) -> list[str]:
     return [k for s in SECTIONS[command] for k in DEFAULTS if k.startswith(s + ".")]
 
 
-def _flat_object(pairs: list) -> dict:
-    """A ``json.loads`` hook: one object, its nested objects (already flat) as
-    dotted keys.  A key given twice, in one object or nested and dotted, is refused."""
-    flat = {}
-    for name, value in pairs:
-        inner = ({f"{name}.{k}": v for k, v in value.items()} if isinstance(value, dict)
-                 else {name: value})
-        for key, v in inner.items():
-            if key in flat:
-                raise ConfigError(f"config key {key!r} is given twice")
-            flat[key] = v
-    return flat
-
-
-def _number(raw: object, kind: type) -> int | float:
-    """A JSON number as ``kind`` (int or float); an int must be integral."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"not a number: {raw!r}")
-    if kind is int and isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"not an integer: {raw!r}")
-    return kind(raw)
-
-
-def _coerce(key: str, raw: object) -> object:
-    """``raw``, which must have the JSON type of ``key``'s default, as that type."""
-    kind = type(DEFAULTS[key])
-    try:
-        if kind in (int, float):
-            return _number(raw, kind)
-        if not isinstance(raw, kind):
-            name = {bool: "boolean", list: "list", str: "string"}[kind]
-            raise ValueError(f"not a {name}: {raw!r}")
-        return [_number(v, int) for v in raw] if kind is list else raw
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key}: {exc}") from exc
-
-
-def load_config(path: str | None, overrides: dict) -> dict:
-    """Defaults, then config file, then overrides; unknown keys are errors.
-
-    File values and overrides alike must have their key's JSON type: a
-    number, a list of integers, a boolean or a string.
-    """
-    cfg = dict(DEFAULTS)
-    raw: dict[str, object] = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        try:
-            raw = json.loads(text, object_pairs_hook=_flat_object)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    for key, value in {**raw, **overrides}.items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = _coerce(key, value)
+def load_config(overrides: dict) -> dict:
+    """``DEFAULTS`` with ``overrides``, the argparse-typed flag values, then validated."""
+    cfg = {**DEFAULTS, **overrides}
     validate_config(cfg)
     return cfg
 

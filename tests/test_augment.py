@@ -307,7 +307,8 @@ class TestAugmentBatch:
         with pytest.raises(IndexError):
             out[4]
         stacked = AugmentedBatch.stack(list(out))
-        for name in ("insert", "s_prime", "s_ext", "lengths", "indices", "edits"):
+        for name in ("insert", "rates", "s_prime", "s_ext", "lengths", "indices", "chosen",
+                     "edits"):
             assert getattr(stacked, name).tobytes() == getattr(out, name).tobytes(), name
 
     def test_empty_row_rejected(self):

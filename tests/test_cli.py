@@ -81,11 +81,12 @@ class TestPrepare:
         (["prepare", "--input", "missing.csv", "--seed", "-1", "--sample-users", "50"],
          "seed must be >= 0"),
         (["prepare", "--input", "missing.csv", "--seed", "-1"], "seed must be >= 0"),
-        (["train", "--seed", "-2"], "seed must be >= 0"),
+        (["prepare", "--input", "missing.csv", "--seed=-2"], "seed must be >= 0"),
         (["train", "--seeds=-2"], "--seeds must be >= 0"),
         (["evaluate", "--seeds=-2"], "--seeds must be >= 0"),
         (["train", "--no-operator-loss", "--trace", "trace.jsonl"], "--trace"),
         (["train", "--stage2-epochs", "0", "--trace", "trace.jsonl"], "--trace"),
+        (["evaluate", "--seeds", ""], "--seeds is empty"),
     ])
     def test_negative_count_fails_before_io(self, tmp_path, capsys, argv, key):
         # neither the input nor the prepared artifacts exist
@@ -106,25 +107,6 @@ class TestPrepare:
             main([*argv, "--out-dir", str(tmp_path / "none")])
         assert exc.value.code == 2
         assert f"argument {flag}: invalid" in capsys.readouterr().err
-        assert not (tmp_path / "none").exists()
-
-    @pytest.mark.parametrize("key, value", [("corpus.k_core", True),
-                                            ("simcand.diag_cap", False),
-                                            ("corpus.k_core", float("inf")),
-                                            ("corpus.k_core", 2.7),
-                                            ("eval.ks", [5, 10.5])],
-                             ids=["bool-int", "bool-float", "inf-int", "float-int",
-                                  "float-int-list"])
-    def test_non_numeric_config_value_fails_before_io(self, tmp_path, capsys, key, value):
-        # JSON true/false would otherwise read as 1/0, Infinity overflows int,
-        # and int() would truncate 2.7 to 2
-        section, name = key.split(".")
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({section: {name: value}}))
-        code = main(["prepare", "--input", str(tmp_path / "missing.csv"),
-                     "--out-dir", str(tmp_path / "none"), "--config", str(config)])
-        assert code == 2
-        assert key in capsys.readouterr().err
         assert not (tmp_path / "none").exists()
 
     def test_too_aggressive_kcore_is_data_error(self, tmp_path, csv_path, capsys):
@@ -219,9 +201,6 @@ class TestCandidates:
         assert match[2] == f"{pooled[True][0] / pooled[True][1]:.3f}"
         assert match[3] == f"{pooled[False][0] / pooled[False][1]:.3f}"
 
-    def test_default_k_from_config(self):
-        assert DEFAULTS["simcand.k"] == 10
-
     def test_failed_factorization_is_numeric_failure(self, tmp_path, csv_path,
                                                      monkeypatch, capsys):
         _prepare(tmp_path, csv_path)
@@ -246,9 +225,9 @@ class TestTrainEvaluate:
         _prepare(tmp_path, csv_path)
         assert main(["candidates", "--out-dir", str(tmp_path), "--k", "5"]) == 0
         assert main(["train", "--out-dir", str(tmp_path), "--mode", "augmented",
-                     "--seed", "1", *FAST_TRAIN]) == 0
+                     "--seeds", "1", *FAST_TRAIN]) == 0
         assert main(["evaluate", "--out-dir", str(tmp_path), "--mode", "augmented",
-                     "--seed", "1"]) == 0
+                     "--seeds", "1"]) == 0
         assert time.perf_counter() - t0 < 60
         out = capsys.readouterr().out
         assert "Overall" in out and "Tail Item" in out
@@ -259,7 +238,7 @@ class TestTrainEvaluate:
     @pytest.mark.parametrize("argv, prepared, writer", [
         (["train", "--mode", "augmented", *FAST_TRAIN], True, "candidates"),
         (["candidates"], False, "prepare"),
-        (["evaluate", "--seed", "1"], True, "train"),
+        (["evaluate", "--seeds", "1"], True, "train"),
     ], ids=["candidates", "store", "checkpoint"])
     def test_missing_candidates_is_actionable(self, argv, prepared, writer, tmp_path,
                                               csv_path, capsys):
@@ -274,7 +253,7 @@ class TestTrainEvaluate:
     def test_baseline_needs_no_candidates(self, tmp_path, csv_path):
         _prepare(tmp_path, csv_path)
         assert main(["train", "--out-dir", str(tmp_path), "--mode", "baseline",
-                     "--seed", "2", *FAST_TRAIN]) == 0
+                     "--seeds", "2", *FAST_TRAIN]) == 0
 
     def test_fixed_seed_identical_checkpoints(self, tmp_path, csv_path):
         _prepare(tmp_path, csv_path)
@@ -282,7 +261,7 @@ class TestTrainEvaluate:
         ckpts = []
         for run in ("x", "y"):
             code = main(["train", "--out-dir", str(tmp_path), "--mode",
-                         "augmented", "--seed", "3", *FAST_TRAIN])
+                         "augmented", "--seeds", "3", *FAST_TRAIN])
             assert code == 0
             ckpts.append((tmp_path / "checkpoint_augmented_seed3.bin").read_bytes())
         assert ckpts[0] == ckpts[1]
@@ -306,14 +285,14 @@ class TestTrainEvaluate:
         # an identical item universe
         _prepare(b, csv_path, extra=["--seed", "3"])
         main(["candidates", "--out-dir", str(a), "--k", "5"])
-        main(["train", "--out-dir", str(a), "--mode", "augmented", "--seed", "9",
+        main(["train", "--out-dir", str(a), "--mode", "augmented", "--seeds", "9",
               *FAST_TRAIN])
         name = "checkpoint_augmented_seed9.bin"
         shutil.copyfile(a / name, b / name)
-        code = main(["evaluate", "--out-dir", str(b), "--seed", "9"])
+        code = main(["evaluate", "--out-dir", str(b), "--seeds", "9"])
         assert code == 3
         assert "lineage" in capsys.readouterr().err
-        assert main(["evaluate", "--out-dir", str(b), "--seed", "9", "--force"]) == 0
+        assert main(["evaluate", "--out-dir", str(b), "--seeds", "9", "--force"]) == 0
 
     def test_beta_sweep_reuses_prepare_and_candidates(self, pipeline_dir, tmp_path):
         # beta is a train key: sweeping it leaves the store and candidates valid
@@ -322,7 +301,7 @@ class TestTrainEvaluate:
         upstream = {name: (out / name).read_bytes() for name in ("store.json", "candidates.json")}
         params = []
         for beta in ("0.05", "0.95"):
-            assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN,
+            assert main(["train", "--out-dir", str(out), "--seeds", "1", *FAST_TRAIN,
                          "--beta", beta]) == 0
             sections, meta = serialize.read_blob(out / CHECKPOINT)
             assert meta["config"]["augment.beta"] == float(beta)
@@ -344,7 +323,7 @@ class TestTrainEvaluate:
         # a narrower sweep rewrites the mean rather than leaving the wider one
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
-        assert main(["train", "--out-dir", str(out), "--seed", "2", *FAST_TRAIN]) == 0
+        assert main(["train", "--out-dir", str(out), "--seeds", "2", *FAST_TRAIN]) == 0
         mean_path = out / "report_augmented_mean_test.json"
         for seeds, listed in (("1,2", [1, 2]), ("1", [1])):
             assert main(["evaluate", "--out-dir", str(out), "--seeds", seeds]) == 0
@@ -360,7 +339,7 @@ class TestTrainEvaluate:
         shutil.copytree(pipeline_dir, out)
         for report in out.glob("*report*"):
             report.unlink()
-        assert main(["train", "--out-dir", str(out), "--mode", "baseline", "--seed", "2",
+        assert main(["train", "--out-dir", str(out), "--mode", "baseline", "--seeds", "2",
                      *FAST_TRAIN]) == 0
         shutil.copyfile(out / "checkpoint_baseline_seed2.bin",
                         out / "checkpoint_augmented_seed2.bin")
@@ -398,7 +377,7 @@ class TestTrainEvaluate:
 
         real = training.batch_loss
         monkeypatch.setattr(training, "batch_loss", batch_loss)
-        assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN,
+        assert main(["train", "--out-dir", str(out), "--seeds", "1", *FAST_TRAIN,
                      "--trace", str(trace)]) == 4
         assert sum(calls) == 3 and not calls[0]
         assert not trace.exists() and not Path(f"{trace}.tmp").exists()
@@ -412,7 +391,7 @@ class TestTrainEvaluate:
             report.unlink()
         for seed, arch in (("1", ["--encoder", "gru", "--dim", "8"]),
                            ("2", ["--encoder", "pooled", "--dim", "16"])):
-            assert main(["train", "--out-dir", str(out), "--seed", seed, *FAST_TRAIN,
+            assert main(["train", "--out-dir", str(out), "--seeds", seed, *FAST_TRAIN,
                          *arch]) == 0
         capsys.readouterr()
         for force in ([], ["--force"]):
@@ -427,7 +406,7 @@ class TestTrainEvaluate:
             out = tmp_path / f"bs{batch_size}"
             shutil.copytree(pipeline_dir, out)
             trace = out / "trace.jsonl"
-            assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN,
+            assert main(["train", "--out-dir", str(out), "--seeds", "1", *FAST_TRAIN,
                          "--batch-size", batch_size, "--trace", str(trace)]) == 0
             traces.append(trace.read_bytes())
         assert traces[0] == traces[1] and traces[0].count(b"\n") > 100
@@ -437,7 +416,7 @@ class TestTrainEvaluate:
         shutil.copytree(pipeline_dir, out)
         for mode, extra in (("augmented", ["--no-operator-loss", "--no-cross-loss"]),
                             ("baseline", [])):
-            assert main(["train", "--out-dir", str(out), "--mode", mode, "--seed", "5",
+            assert main(["train", "--out-dir", str(out), "--mode", mode, "--seeds", "5",
                          *FAST_TRAIN, *extra]) == 0
         off, off_meta = serialize.read_blob(out / "checkpoint_augmented_seed5.bin")
         base, base_meta = serialize.read_blob(out / "checkpoint_baseline_seed5.bin")
@@ -460,9 +439,9 @@ class TestTrainEvaluate:
         # the restored epoch's score and the valid report must agree exactly
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
-        assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN,
+        assert main(["train", "--out-dir", str(out), "--seeds", "1", *FAST_TRAIN,
                      "--encoder", encoder, "--patience", "1"]) == 0
-        assert main(["evaluate", "--out-dir", str(out), "--seed", "1",
+        assert main(["evaluate", "--out-dir", str(out), "--seeds", "1",
                      "--phase", "valid"]) == 0
         _, meta = serialize.read_blob(out / CHECKPOINT)
         report = json.loads((out / "checkpoint_augmented_seed1_report_valid.json").read_text())
@@ -482,7 +461,7 @@ class TestTrainEvaluate:
 
         monkeypatch.setattr(evaluation, "validation_score", validation_score)
         capsys.readouterr()
-        assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN,
+        assert main(["train", "--out-dir", str(out), "--seeds", "1", *FAST_TRAIN,
                      "--stage2-epochs", "4", "--patience", "1"]) == 0
         assert "epochs=5 restored_epoch=2 " in capsys.readouterr().out
         records = [json.loads(line) for line in
@@ -503,9 +482,9 @@ class TestTrainEvaluate:
         assert _prepare(tmp_path, log) == 0
         assert main(["candidates", "--out-dir", str(tmp_path), "--k", "5"]) == 0
         assert main(["train", "--out-dir", str(tmp_path), "--mode", "augmented",
-                     "--seed", "1", "--dim", "8", "--encoder", "gru", "--batch-size", "32",
+                     "--seeds", "1", "--dim", "8", "--encoder", "gru", "--batch-size", "32",
                      "--stage1-epochs", "2", "--stage2-epochs", "2", "--patience", "-1"]) == 0
-        assert main(["evaluate", "--out-dir", str(tmp_path), "--seed", "1"]) == 0
+        assert main(["evaluate", "--out-dir", str(tmp_path), "--seeds", "1"]) == 0
         losses = (tmp_path / "losses_augmented_seed1.jsonl").read_text().splitlines()
         overall = json.loads((tmp_path / "checkpoint_augmented_seed1_report_test.json")
                              .read_text())["segments"]["overall"]
@@ -517,12 +496,12 @@ class TestTrainEvaluate:
         _prepare(tmp_path, csv_path)
         main(["candidates", "--out-dir", str(tmp_path), "--k", "5"])
         assert main(["train", "--out-dir", str(tmp_path), "--mode", "baseline",
-                     "--seed", "4", "--dim", "8", "--encoder", "pooled",
+                     "--seeds", "4", "--dim", "8", "--encoder", "pooled",
                      "--batch-size", "32", "--stage1-epochs", "0",
                      "--stage2-epochs", "0", "--patience", "-1",
                      "--learning-rate", "1e-9"]) == 0
         assert main(["evaluate", "--out-dir", str(tmp_path), "--mode", "baseline",
-                     "--seed", "4"]) == 0
+                     "--seeds", "4"]) == 0
         report = json.loads(
             (tmp_path / "checkpoint_baseline_seed4_report_test.json").read_text())
         store = json.loads((tmp_path / "store.json").read_text())
@@ -545,9 +524,9 @@ for step, argv in [
         ("synth", ["synth", "--out", f"{out}/log.csv", "--users", "120", "--items", "60"]),
         ("prepare", ["prepare", "--input", f"{out}/log.csv", "--out-dir", out,
                      "--k-core", "3", "--max-len", "20"]),
-        ("train", ["train", "--out-dir", out, "--mode", "baseline", "--seed", "1",
+        ("train", ["train", "--out-dir", out, "--mode", "baseline", "--seeds", "1",
                    *fast_train]),
-        ("evaluate", ["evaluate", "--out-dir", out, "--mode", "baseline", "--seed", "1"])]:
+        ("evaluate", ["evaluate", "--out-dir", out, "--mode", "baseline", "--seeds", "1"])]:
     assert main(argv) == 0, step
     note(step)
 print(json.dumps(loaded))
@@ -589,82 +568,6 @@ def _flag_for(key):
 
 
 class TestConfigFile:
-    def test_key_value_file(self, tmp_path):
-        # JSON is the one config syntax
-        p = tmp_path / "run.cfg"
-        p.write_text("corpus.k_core = 3\ntrain.batch_size = 16\n# comment\n")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_config(p, {})
-
-    def test_flat_json_file(self, tmp_path):
-        p = tmp_path / "run.json"
-        p.write_text(json.dumps({"corpus.k_core": 3, "train.batch_size": 16}))
-        cfg = load_config(p, {})
-        assert cfg["corpus.k_core"] == 3 and cfg["train.batch_size"] == 16
-
-    def test_nested_json_file(self, tmp_path):
-        p = tmp_path / "run.json"
-        # an integral float is an integer: 16.0 loads as 16
-        p.write_text(json.dumps({"corpus": {"k_core": 4}, "eval": {"ks": [5, 10.0]},
-                                 "train": {"batch_size": 16.0}}))
-        cfg = load_config(p, {})
-        assert cfg["corpus.k_core"] == 4 and cfg["eval.ks"] == [5, 10]
-        assert cfg["train.batch_size"] == 16 and type(cfg["train.batch_size"]) is int
-
-    @pytest.mark.parametrize("command", ["prepare", "train"])
-    def test_old_corpus_beta_key_is_config_error(self, command, tmp_path, capsys):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"corpus.beta": 0.4}))
-        extra = ["--input", "missing.csv"] if command == "prepare" else []
-        assert main([command, "--out-dir", str(tmp_path / "none"), "--config", str(config),
-                     *extra]) == 2
-        assert "'corpus.beta'" in capsys.readouterr().err
-        assert not (tmp_path / "none").exists()
-
-    def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "run.json"
-        p.write_text(json.dumps({"corpus.bogus": 1}))
-        with pytest.raises(ConfigError, match="bogus"):
-            load_config(p, {})
-
-    def test_flag_overrides_file(self, tmp_path, csv_path):
-        p = tmp_path / "run.json"
-        p.write_text(json.dumps({"corpus.k_core": 2}))
-        out = tmp_path / "out"
-        assert main(["prepare", "--input", str(csv_path), "--out-dir", str(out),
-                     "--config", str(p), "--k-core", "3", "--max-len", "20"]) == 0
-
-    @pytest.mark.parametrize("content, names", [
-        ("corpus.k_core = 3\n", ["not valid JSON"]),
-        ('[{"corpus.k_core": 3}]', ["expected a JSON object", "list"]),
-        ('"corpus.k_core"', ["expected a JSON object", "str"]),
-        ('{"eval.filter_seen": "yes"}', ["eval.filter_seen", "not a boolean"]),
-        ('{"eval": {"filter_seen": 1}}', ["eval.filter_seen", "not a boolean"]),
-        ('{"seed": 1, "seed": 2}', ["'seed' is given twice"]),
-        ('{"corpus": {"k_core": 3, "k_core": 4}}', ["'k_core' is given twice"]),
-        ('{"corpus": {"k_core": 3}, "corpus.k_core": 4}', ["'corpus.k_core' is given twice"]),
-        ('{"corpus.k_core": 4, "corpus": {"k_core": 3}}', ["'corpus.k_core' is given twice"]),
-        ('{"corpus.k_core": "3"}', ["corpus.k_core", "not a number"]),
-        ('{"eval.ks": "5,10"}', ["eval.ks", "not a list"]),
-        ('{"model": {"dim": "16"}}', ["model.dim", "not a number"]),
-        ('{"eval.ks": [5, "10"]}', ["eval.ks", "not a number"]),
-        ('{"corpus": {"delimiter": 9}}', ["corpus.delimiter", "not a string"]),
-    ], ids=["key-value-lines", "top-level-array", "top-level-string", "string-boolean",
-            "integer-boolean", "repeated-key", "repeated-nested-key", "nested-then-dotted",
-            "dotted-then-nested", "string-integer", "string-list", "string-nested-integer",
-            "string-list-member", "number-string"])
-    def test_malformed_config_file_is_config_error(self, content, names, csv_path,
-                                                   tmp_path, capsys):
-        config = tmp_path / "run.json"
-        config.write_text(content)
-        capsys.readouterr()
-        assert main(["prepare", "--input", str(csv_path), "--out-dir", str(tmp_path / "out"),
-                     "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
-        assert all(name in err for name in names)
-        assert not (tmp_path / "out").exists()
-
     def test_report_command_is_gone(self, capsys):
         # `evaluate` writes the mean report; nothing re-averages saved ones
         with pytest.raises(SystemExit) as exc:
@@ -672,10 +575,26 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "invalid choice: 'report'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["prepare", "--input", "missing.csv", "--config", "run.json"],
+        ["train", "--seed", "1"],
+        ["evaluate", "--seed", "1"],
+        ["prepare", "--input", "missing.csv", "--k-c", "3"],
+    ], ids=["config-file", "train-seed", "evaluate-seed", "abbreviated-flag"])
+    def test_removed_and_abbreviated_flags_exit_2(self, argv, tmp_path, capsys):
+        # flags are the one configuration, each spelled in full; seeds for
+        # train and evaluate come from --seeds alone
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
     def test_flags_beyond_the_config_keys_are_pinned(self):
         # a new flag must be added here too; the per-key flags (dest a dotted
-        # key) are covered by test_every_key_has_a_flag
-        common = {"-h", "--help", "--config", "--out-dir"}
+        # key) are covered by test_every_key_has_a_flag.  --config is gone with
+        # the config file, and --seed is prepare's: train and evaluate take --seeds
+        common = {"-h", "--help", "--out-dir"}
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         flags = {command: {s for a in p._actions if "." not in a.dest
@@ -684,8 +603,8 @@ class TestConfigFile:
         assert flags == {
             "prepare": common | {"--seed", "--input"},
             "candidates": common,
-            "train": common | {"--seed", "--force", "--mode", "--seeds", "--trace"},
-            "evaluate": common | {"--seed", "--force", "--mode", "--seeds", "--phase"},
+            "train": common | {"--force", "--mode", "--seeds", "--trace"},
+            "evaluate": common | {"--force", "--mode", "--seeds", "--phase"},
             "synth": {"-h", "--help", "--out", "--users", "--items", "--seed"},
         }
 
@@ -712,8 +631,8 @@ class TestConfigFile:
     def test_every_key_has_a_flag(self, key, tmp_path, monkeypatch):
         loaded = {}
 
-        def spy(path, overrides):
-            loaded.update(load_config(path, overrides))
+        def spy(overrides):
+            loaded.update(load_config(overrides))
             raise ConfigError("stop before any I/O")
 
         monkeypatch.setattr(cli, "load_config", spy)
@@ -783,8 +702,8 @@ def pipeline_dir(tmp_path_factory, csv_path):
     out = tmp_path_factory.mktemp("pipeline")
     assert _prepare(out, csv_path) == 0
     assert main(["candidates", "--out-dir", str(out), "--k", "5"]) == 0
-    assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN]) == 0
-    assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 0
+    assert main(["train", "--out-dir", str(out), "--seeds", "1", *FAST_TRAIN]) == 0
+    assert main(["evaluate", "--out-dir", str(out), "--seeds", "1"]) == 0
     return out
 
 
@@ -802,8 +721,8 @@ def test_pipeline_leaves_only_what_is_read_or_reported(pipeline_dir):
 # artifact -> (the command that reads it, a required JSON field or blob section)
 ARTIFACTS = {
     "store.json": (["candidates", "--k", "5"], "sequences"),
-    "candidates.json": (["train", "--seed", "1", *FAST_TRAIN], "cc"),
-    CHECKPOINT: (["evaluate", "--seed", "1"], "item_embeddings"),
+    "candidates.json": (["train", "--seeds", "1", *FAST_TRAIN], "cc"),
+    CHECKPOINT: (["evaluate", "--seeds", "1"], "item_embeddings"),
 }
 
 
@@ -866,21 +785,18 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("flag, content, code, prefix", [
-        ("--input", b"u1,i1,1\nu2,i1,2\nu3,\xff\xfe,3\n", 3, "data error:"),
-        ("--input", b"u1,i1,1\nu1,i2,2\nu1,i3,99999999999999999999\n", 3, "data error:"),
-        ("--config", b'{"corpus.k_core": 3}\n\xff\xfe\n', 2, "config error:"),
-    ], ids=["non-utf8-log", "int64-overflow-log", "non-utf8-config"])
-    def test_bad_prepare_input_is_refused(self, flag, content, code, prefix, csv_path,
-                                          tmp_path, capsys):
+    @pytest.mark.parametrize("content", [
+        b"u1,i1,1\nu2,i1,2\nu3,\xff\xfe,3\n",
+        b"u1,i1,1\nu1,i2,2\nu1,i3,99999999999999999999\n",
+    ], ids=["non-utf8-log", "int64-overflow-log"])
+    def test_bad_prepare_input_is_refused(self, content, tmp_path, capsys):
         bad = tmp_path / "bad_input"
         bad.write_bytes(content)
-        argv = {"--input": str(csv_path), "--k-core": "1", flag: str(bad)}
         capsys.readouterr()
-        assert main(["prepare", "--out-dir", str(tmp_path / "out"),
-                     *itertools.chain(*argv.items())]) == code
+        assert main(["prepare", "--out-dir", str(tmp_path / "out"), "--input", str(bad),
+                     "--k-core", "1"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(prefix) and "bad_input" in err and "Traceback" not in err
+        assert err.startswith("data error:") and "bad_input" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "store.json").exists()
 
     @pytest.mark.parametrize("config", ["oops", ["augmented"], 3, None],
@@ -972,7 +888,7 @@ class TestFaultInjection:
         shutil.copytree(pipeline_dir, out)
         _edit_envelope(out / "store.json", edit)
         capsys.readouterr()
-        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
+        assert main(["evaluate", "--out-dir", str(out), "--seeds", "1"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
@@ -982,7 +898,7 @@ class TestFaultInjection:
         shutil.copytree(pipeline_dir, out)
         _edit_envelope(out / "store.json", lambda doc: doc["users"].append("u-extra"))
         capsys.readouterr()
-        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
+        assert main(["evaluate", "--out-dir", str(out), "--seeds", "1"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
@@ -1006,8 +922,8 @@ class TestFaultInjection:
         for name in ("candidates.json", CHECKPOINT, REPORT):
             (out / name).unlink()
         assert main(["candidates", "--out-dir", str(out), "--k", "5"]) == 0
-        assert main(["train", "--out-dir", str(out), "--seed", "1", *FAST_TRAIN]) == 0
-        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 0
+        assert main(["train", "--out-dir", str(out), "--seeds", "1", *FAST_TRAIN]) == 0
+        assert main(["evaluate", "--out-dir", str(out), "--seeds", "1"]) == 0
         for path in pipeline_dir.iterdir():
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
@@ -1022,7 +938,7 @@ class TestFaultInjection:
         meta.update({"schema": "tailaug.checkpoint.v1", "adam_step": 12})
         serialize.write_blob(out / CHECKPOINT, old, meta)
         capsys.readouterr()
-        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
+        assert main(["evaluate", "--out-dir", str(out), "--seeds", "1"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "tailaug.checkpoint.v1" in err
         assert not (out / REPORT).exists()
@@ -1036,7 +952,7 @@ class TestFaultInjection:
         sections["adam_m/item_embeddings"] = np.zeros_like(sections["item_embeddings"])
         serialize.write_blob(out / CHECKPOINT, sections, meta)
         capsys.readouterr()
-        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
+        assert main(["evaluate", "--out-dir", str(out), "--seeds", "1"]) == 3
         assert "sections do not match" in capsys.readouterr().err
         assert not (out / REPORT).exists()
 
@@ -1047,7 +963,7 @@ class TestFaultInjection:
         sections, meta = serialize.read_blob(out / CHECKPOINT)
         sections["item_embeddings"][3, 0] = np.nan
         serialize.write_blob(out / CHECKPOINT, sections, meta)
-        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 3
+        assert main(["evaluate", "--out-dir", str(out), "--seeds", "1"]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert not (out / REPORT).exists()
 
@@ -1057,5 +973,5 @@ class TestFaultInjection:
         shutil.copytree(pipeline_dir, out)
         monkeypatch.setattr(evaluation, "encode_batch", lambda model, seqs, history: (
             np.full((len(seqs), model.dim), np.nan), None))
-        assert main(["evaluate", "--out-dir", str(out), "--seed", "1"]) == 4
+        assert main(["evaluate", "--out-dir", str(out), "--seeds", "1"]) == 4
         assert capsys.readouterr().err.startswith("numeric failure:")

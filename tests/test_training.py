@@ -1,6 +1,5 @@
 import io
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -469,8 +468,8 @@ class TestOperatorMixup:
 
         monkeypatch.setattr(training, "bce_loss_batch", record)
         # an insertion with one edit: prefixes, s_ext and s_prime are all rows of h_all
-        sample = SimpleNamespace(operator=INSERT, indices=np.array([0]),
-                                 s_ext=np.array([1]), s_prime=np.array([1]))
+        sample = AugmentedSample(INSERT, s_prime=np.array([1]), s_ext=np.array([1]),
+                                 indices=np.array([0]), chosen=np.array([1]), rate=0.5)
         batch_loss(model, batch, samples=[sample] * n, op_lams=lams)
         return seen[0][n:]  # the operator rows follow the originals
 
