@@ -7,17 +7,18 @@ subcommands refuse inputs from a different lineage, or with none, unless
 missing input names the command that writes it.  Only what the store does
 not determine is stored: ``candidates``, ``train`` and ``evaluate``
 recompute the head/tail segmentation from ``store.json`` with
-``corpus.segment``.  ``train`` writes
-``checkpoint_<mode>_seed<s>.bin`` per seed, the parameters of the epoch it
-records (the restored one), and ``losses_<mode>_seed<s>.jsonl``; ``evaluate``
-scores the checkpoints its ``--mode`` and ``--seeds`` name, which must record
-that mode and one setting (config but the seed, and candidates), and on every
-call writes their mean, one checkpoint's too, to
-``report_<mode>_mean_<phase>.json``, with the seeds in its lineage.
-Flags are the one configuration: each pipeline command has one flag per key
-of its config sections, and every flag is spelled in full.  ``--seed`` is
-``prepare``'s alone; ``train`` and ``evaluate`` take ``--seeds``.  Exit
-codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
+``corpus.segment``.  ``train`` trains its seeds one after another and
+writes ``checkpoint_<mode>_seed<s>.bin`` per seed, the parameters of the
+epoch it records (the restored one), and ``losses_<mode>_seed<s>.jsonl``;
+``evaluate`` scores the checkpoints its ``--mode`` and ``--seeds`` name,
+whose headers must hold a config object that records that mode and one
+setting (config but the seed, and candidates), and on every call writes
+their mean, one checkpoint's too, to ``report_<mode>_mean_<phase>.json``,
+with the seeds in its lineage.  Flags are the one configuration: each
+pipeline command has one flag per key of its config sections, and every
+flag is spelled in full.  ``--seed`` is ``prepare``'s alone; ``train`` and
+``evaluate`` take ``--seeds`` and ``--mode``.  Exit codes: 0 ok, 2 config
+error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from . import corpus, evaluation, serialize, simcand, synth, training
 from .config import (DEFAULTS, config_hash, lineage_id, load_config, operator_config,
                      section_keys, solver_config, train_config)
 from .encoders import init_model
-from .errors import ConfigError, DataError, NumericError, TailaugError
+from .errors import ConfigError, DataError, NumericError
 from .rand import SUBSAMPLE, derive_rng
 
 WARN_ITEMS = 20_000  # the dense similarity solve is O(n^2) memory in items
@@ -118,12 +119,11 @@ def cmd_prepare(args) -> int:
 
     prep_id = lineage_id("prepare", config_hash(cfg, ["seed", *section_keys("prepare")]),
                          {"input": _file_sha(args.input)})
-    out_dir = Path(args.out_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
-    serialize.save(out_dir / "store.json", corpus.STORE_SCHEMA,
+        raise DataError(f"cannot create output directory {args.out_dir}: {exc}") from exc
+    serialize.save(args.out_dir / "store.json", corpus.STORE_SCHEMA,
                    store.to_fields(), {"id": prep_id})
 
     print(f"users={stats.n_users} items={stats.n_items} "
@@ -149,8 +149,7 @@ def _load_prepared(out_dir):
 
 def cmd_candidates(args) -> int:
     cfg = load_config(_overrides(args))
-    out_dir = Path(args.out_dir)
-    store, store_id = _load_prepared(out_dir)
+    store, store_id = _load_prepared(args.out_dir)
     seg = corpus.segment(store)
 
     if store.n_items > WARN_ITEMS:
@@ -163,7 +162,7 @@ def cmd_candidates(args) -> int:
     cands, sim = simcand.build_candidates(store, seg, solver_config(cfg), cfg["simcand.k"])
     cand_id = lineage_id("candidates", config_hash(cfg, section_keys("candidates")),
                          {"prepare": store_id})
-    serialize.save(out_dir / "candidates.json", simcand.CANDIDATES_SCHEMA,
+    serialize.save(args.out_dir / "candidates.json", simcand.CANDIDATES_SCHEMA,
                    cands.to_fields(), {"id": cand_id, "prepare": store_id})
     sizes = np.diff(cands.c[1])
     # the tail share of tail items' sets, then of head items', pooled over members
@@ -180,47 +179,6 @@ def cmd_candidates(args) -> int:
 
 # ------------------------------------------------------------------ train
 
-def _train_one_seed(cfg, mode, seed, store, seg, cands, store_id, cand_id,
-                    out_dir, trace_path):
-    t0 = time.perf_counter()
-    tcfg = train_config(cfg, seed)
-    model = init_model(store.n_items, cfg["model.dim"], seed,
-                       encoder=cfg["model.encoder"], dtype=np.float32)
-    validator = None
-    if tcfg.patience is not None:
-        validator = lambda m: evaluation.validation_score(m, store)
-
-    # opened before stage 1, so an unwritable path fails before any training; the
-    # file appears, whole, only when training ends
-    with (serialize.atomic_open(trace_path, "w") if trace_path
-          else contextlib.nullcontext()) as trace:
-        adam = training.init_adam(model.params)  # stage 2 continues stage 1's optimizer
-        if mode == "baseline":  # both stages' epochs go to the main loss
-            tcfg = replace(tcfg, stage1_epochs=tcfg.stage1_epochs + tcfg.stage2_epochs)
-        history = training.train_stage1(store, model, tcfg, adam=adam, validator=validator)
-        if mode == "augmented":
-            history += training.train_stage2(store, model, cands, seg, tcfg,
-                                             operator_config(cfg), adam=adam,
-                                             validator=validator, trace=trace)
-
-    # the epoch whose parameters the model now holds: the last stage's restored one
-    held = next((r for r in reversed(history) if r.get("restored")), {})
-    ckpt_path = _checkpoint_path(out_dir, mode, seed)
-    config_meta = {k: cfg[k] for k in section_keys("train")}
-    config_meta.update({"mode": mode, "seed": seed})
-    training.save_checkpoint(
-        ckpt_path, model, epoch=held.get("epoch"), config_meta=config_meta,
-        metrics={"epochs_run": len(history),
-                 **{k: held[k] for k in ("loss_total", "valid_score") if k in held}},
-        lineage={"prepare": store_id, "candidates": cand_id})
-    serialize.write_jsonl(out_dir / f"losses_{mode}_seed{seed}.jsonl", history)
-    print(f"mode={mode} seed={seed} epochs={len(history)} "
-          f"restored_epoch={held.get('epoch')} "
-          f"loss_total={held.get('loss_total', float('nan')):.4f} "
-          f"({time.perf_counter() - t0:.1f}s) -> {ckpt_path.name}")
-    return ckpt_path
-
-
 def cmd_train(args) -> int:
     cfg = load_config(_overrides(args))
     seeds = _parse_seeds(args.seeds)
@@ -228,22 +186,55 @@ def cmd_train(args) -> int:
                        or not cfg["train.operator_loss"] or cfg["train.stage2_epochs"] == 0):
         raise ConfigError("--trace records one seed's augmented samples; give a single "
                           "seed, --mode augmented, the operator loss and stage-2 epochs")
-    out_dir = Path(args.out_dir)
-    store, store_id = _load_prepared(out_dir)
+    store, store_id = _load_prepared(args.out_dir)
     seg = corpus.segment(store, beta=cfg["augment.beta"])
 
     cands, cand_id = None, None
     if args.mode == "augmented":
         cands, cand_lineage = _load_upstream(
-            out_dir / "candidates.json", "candidates",
+            args.out_dir / "candidates.json", "candidates",
             lambda p: serialize.load(p, simcand.CANDIDATES_SCHEMA,
                                      simcand.CandidateSets.from_fields),
             lambda c: len(c.c[1]) - 1, store, store_id, args.force)
         cand_id = cand_lineage.get("id")
 
+    config_meta = {k: cfg[k] for k in section_keys("train")}
     for seed in seeds:
-        _train_one_seed(cfg, args.mode, seed, store, seg, cands, store_id,
-                        cand_id, out_dir, args.trace)
+        t0 = time.perf_counter()
+        tcfg = train_config(cfg, seed)
+        model = init_model(store.n_items, cfg["model.dim"], seed,
+                           encoder=cfg["model.encoder"], dtype=np.float32)
+        validator = None
+        if tcfg.patience is not None:
+            validator = lambda m: evaluation.validation_score(m, store)
+
+        # opened before stage 1, so an unwritable path fails before any training; the
+        # file appears, whole, only when training ends
+        with (serialize.atomic_open(args.trace, "w") if args.trace
+              else contextlib.nullcontext()) as trace:
+            adam = training.init_adam(model.params)  # stage 2 continues stage 1's optimizer
+            if args.mode == "baseline":  # both stages' epochs go to the main loss
+                tcfg = replace(tcfg, stage1_epochs=tcfg.stage1_epochs + tcfg.stage2_epochs)
+            history = training.train_stage1(store, model, tcfg, adam=adam, validator=validator)
+            if args.mode == "augmented":
+                history += training.train_stage2(store, model, cands, seg, tcfg,
+                                                 operator_config(cfg), adam=adam,
+                                                 validator=validator, trace=trace)
+
+        # the epoch whose parameters the model now holds: the last stage's restored one
+        held = next((r for r in reversed(history) if r.get("restored")), {})
+        ckpt_path = _checkpoint_path(args.out_dir, args.mode, seed)
+        training.save_checkpoint(
+            ckpt_path, model, epoch=held.get("epoch"),
+            config_meta={**config_meta, "mode": args.mode, "seed": seed},
+            metrics={"epochs_run": len(history),
+                     **{k: held[k] for k in ("loss_total", "valid_score") if k in held}},
+            lineage={"prepare": store_id, "candidates": cand_id})
+        serialize.write_jsonl(args.out_dir / f"losses_{args.mode}_seed{seed}.jsonl", history)
+        print(f"mode={args.mode} seed={seed} epochs={len(history)} "
+              f"restored_epoch={held.get('epoch')} "
+              f"loss_total={held.get('loss_total', float('nan')):.4f} "
+              f"({time.perf_counter() - t0:.1f}s) -> {ckpt_path.name}")
     return 0
 
 
@@ -251,22 +242,21 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(_overrides(args))
-    out_dir = Path(args.out_dir)
     seeds = _parse_seeds(args.seeds)
-    store, store_id = _load_prepared(out_dir)
+    store, store_id = _load_prepared(args.out_dir)
     seg = corpus.segment(store)
 
     # every checkpoint is read and checked before any report is written
     loaded, settings = [], []
     for seed in seeds:
-        path = _checkpoint_path(out_dir, args.mode, seed)
+        path = _checkpoint_path(args.out_dir, args.mode, seed)
         model, lineage, meta = _load_upstream(path, "train", training.load_checkpoint,
                                               lambda m: m.n_items, store, store_id, args.force)
-        recorded = meta.get("config", {}).get("mode")
+        recorded = meta["config"].get("mode")
         if recorded != args.mode:
             raise DataError(f"checkpoint {path.name} records mode {recorded}, but its "
                             f"name says {args.mode}; re-run `tailaug train --mode {args.mode}`")
-        settings.append(({k: v for k, v in meta.get("config", {}).items() if k != "seed"},
+        settings.append(({k: v for k, v in meta["config"].items() if k != "seed"},
                          lineage.get("candidates")))
         if settings[-1] != settings[0]:
             raise DataError(f"{path.name} was trained with other settings than "
@@ -282,7 +272,7 @@ def cmd_evaluate(args) -> int:
                       {"checkpoint": path.name, "prepare": store_id},
                       f"{path.name} ({args.phase})")
         reports.append(report)
-    _write_report(out_dir / f"report_{args.mode}_mean_{args.phase}.json",
+    _write_report(args.out_dir / f"report_{args.mode}_mean_{args.phase}.json",
                   evaluation.mean_report(reports), {"prepare": store_id, "seeds": seeds},
                   f"mean over {len(reports)} checkpoints")
     return 0
@@ -329,13 +319,13 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _add_common(p, command):
-    """Shared flags: ``--seed`` on ``prepare``, ``--seeds`` and ``--force`` on
-    ``train`` and ``evaluate``, then one flag per key of ``command``'s sections.
+    """Shared flags: ``--seed`` on ``prepare``, ``--seeds``, ``--force`` and ``--mode``
+    on ``train`` and ``evaluate``, then one flag per key of ``command``'s sections.
 
     A value flag parses to its key's type; argparse refuses malformed text
     (exit 2).
     """
-    p.add_argument("--out-dir", default="artifacts", help="artifact directory")
+    p.add_argument("--out-dir", type=Path, default="artifacts", help="artifact directory")
     if command == "prepare":
         p.add_argument("--seed", type=int, default=None)
     if command in ("train", "evaluate"):
@@ -343,6 +333,8 @@ def _add_common(p, command):
                        help=f"comma-separated seed sweep (default {DEFAULTS['seed']})")
         p.add_argument("--force", action="store_true",
                        help="proceed despite missing or mismatched artifact lineage")
+        p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented",
+                       help="arm to train, or whose checkpoints are scored")
     for key in section_keys(command):
         flag = "--" + key.rpartition(".")[2].replace("_", "-")
         if isinstance(DEFAULTS[key], bool):
@@ -375,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train", help="train a model (baseline or augmented)")
     _add_common(p, "train")
-    p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented")
     p.add_argument("--trace", default=None,
                    help="write one JSON line per augmented sample to this file "
                         "(augmented mode, a single seed only)")
@@ -383,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("evaluate", help="rank held-out targets and report metrics")
     _add_common(p, "evaluate")
-    p.add_argument("--mode", choices=["baseline", "augmented"], default="augmented",
-                   help="arm whose checkpoints are scored")
     p.add_argument("--phase", choices=["valid", "test"], default="test")
     p.set_defaults(func=cmd_evaluate)
 
@@ -412,9 +401,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except TailaugError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

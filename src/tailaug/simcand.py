@@ -113,8 +113,7 @@ def _gram(X: scipy.sparse.csr_matrix, ridge: float, dtype) -> np.ndarray:
     return gram
 
 
-_BLOCK = 256  # rows per step of the in-place mirror: its tril temporaries grow with rows²
-BLOCK_ENTRIES = 1 << 18  # entries per step of the other row-blocked kernels
+BLOCK_ENTRIES = 1 << 18  # entries per step of the row-blocked kernels
 
 
 def block_rows(n: int) -> int:
@@ -123,9 +122,13 @@ def block_rows(n: int) -> int:
 
 
 def _mirror_upper(a: np.ndarray) -> None:
-    """Copy the upper triangle of square ``a`` onto its lower one, in place."""
-    for i in range(0, a.shape[0], _BLOCK):
-        rows = slice(i, i + _BLOCK)
+    """Copy the upper triangle of square ``a`` onto its lower one, in place.
+
+    A step's diagonal block has at most ``min(n, BLOCK_ENTRIES / n) <= 512``
+    rows, so its ``tril_indices`` temporaries stay under about 2 MB."""
+    step = block_rows(a.shape[0])
+    for i in range(0, a.shape[0], step):
+        rows = slice(i, i + step)
         a[rows, :i] = a[:i, rows].T
         diag = a[rows, rows]
         lower = np.tril_indices(diag.shape[0], -1)

@@ -5,7 +5,8 @@ converge on original data; stage 2 adds, with unit weights, a per-sequence
 operator-augmentation loss and a batch-level cross-mixup loss.  Disabling
 both stage-2 additions reproduces stage-1 behaviour bit-exactly, because
 the main path draws from random streams that are disjoint from the
-augmentation streams and epochs are indexed globally across stages.
+augmentation streams and epochs are indexed globally across stages.  Each
+stage calls the one epoch loop, where a stage-2 step builds its own inputs.
 
 Per step, each eligible user contributes one (prefix -> next item) pair:
 a prefix end is sampled uniformly inside the training prefix and the
@@ -23,7 +24,7 @@ from . import serialize
 from .augment import (AugmentedBatch, CrossPlan, OperatorConfig, apply_cross_mixup,
                       augment_batch, draw_uniforms, insert_rows, plan_cross_batch)
 from .corpus import (Segmentation, SequenceStore, _in_sorted, _pair_keys, _sorted_unique,
-                     preference_classes)
+                     json_value, preference_classes)
 from .encoders import (ModelState, backward_batch, encode_ragged, init_model,
                        lookup, sigmoid)
 from .errors import DataError, NumericError, finite_positive
@@ -238,33 +239,6 @@ def batch_loss(model: ModelState, batch: Batch, *,
     return components, grads
 
 
-def _stage2_inputs(batch, at, draws, classes, store, segmentation, candidates,
-                   op_config, config, epoch, step, trace=None):
-    """The batch's samples, mix weights and cross plan.
-
-    Prefix id ``i`` of the batch uses the per-position draws at ``at[i]``.
-    """
-    samples = op_lams = plan = None
-    users = batch.users
-    if draws is not None:
-        op_u, rates, select, pick, lams = draws
-        samples = augment_batch(
-            batch.ids, batch.lengths, segmentation, candidates, store.max_len,
-            insert=insert_rows(batch.lengths, store.max_len, op_u[users]), rates=rates[users],
-            select=select[at], pick=pick[at])
-        op_lams = lams[users]
-        if trace is not None:
-            for sample, u, lam in zip(samples, users.tolist(), op_lams.tolist()):
-                trace.write(sample.trace_line(user=u, mix_weight=lam) + "\n")
-    if config.enable_cross_loss:
-        classes = classes[users]
-        if config.enable_operator_loss:
-            classes = np.concatenate([classes, classes])  # operator rows inherit the class
-        rng = derive_rng(config.seed, CROSS, epoch, step)
-        plan = plan_cross_batch(classes, op_config.alpha, rng)
-    return samples, op_lams, plan
-
-
 def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
                 epochs: range, *, segmentation: Segmentation | None = None,
                 candidates: CandidateSets | None = None,
@@ -272,16 +246,19 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
                 adam: AdamState | None = None, validator=None, trace=None):
     """Train the global epoch indices ``epochs``; stage 2 iff ``op_config`` is given.
 
-    Returns one record per epoch; the one whose parameters the model holds on
-    return (see :func:`train_stage1`) carries ``"restored": True``.
+    A stage-2 step augments each batch row with its user's epoch draws, prefix
+    id ``i`` with the per-position draws at ``at[i]``, and plans the cross
+    mixup over the rows' preference classes.  Returns one record per epoch; the
+    one whose parameters the model holds on return (see :func:`train_stage1`)
+    carries ``"restored": True``.
     """
     ids, lengths = store.train_prefixes()
-    if op_config is not None and (segmentation is None or candidates is None):
-        raise ValueError("augmentation losses need segmentation and candidates")
     eligible = np.flatnonzero(lengths >= 2)
     if len(eligible) == 0:
         raise DataError("no user has a training prefix of length >= 2")
-    if op_config is not None:
+    augmenting = op_config is not None and config.enable_operator_loss
+    crossing = op_config is not None and config.enable_cross_loss
+    if crossing:
         classes = preference_classes(ids, lengths, segmentation)
 
     if adam is None:
@@ -290,20 +267,27 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
     best_score, best_params, best_index, bad_epochs = -np.inf, None, -1, 0
     for e in epochs:
         sums = {"main": 0.0, "operator": 0.0, "cross": 0.0, "total": 0.0}
-        count = 0
-        draws = None
-        if op_config is not None and config.enable_operator_loss:
+        if augmenting:
             rng = derive_rng(config.seed, AUGMENT, e)
             op_u = rng.random(store.n_users)
-            draws = (op_u, *draw_uniforms(rng, store.n_users, lengths.sum(), op_config),
-                     rng.beta(op_config.alpha, op_config.alpha, store.n_users))
+            rates, select, pick = draw_uniforms(rng, store.n_users, lengths.sum(), op_config)
+            lams = rng.beta(op_config.alpha, op_config.alpha, store.n_users)
         for step, (batch, at) in enumerate(_epoch_batches(
                 ids, lengths, eligible, store.n_items, config.seed, e, config.batch_size)):
+            users = batch.users
             samples = op_lams = plan = None
-            if op_config is not None:
-                samples, op_lams, plan = _stage2_inputs(
-                    batch, at, draws, classes, store, segmentation, candidates,
-                    op_config, config, e, step, trace=trace)
+            if augmenting:
+                samples = augment_batch(
+                    batch.ids, batch.lengths, segmentation, candidates, store.max_len,
+                    insert=insert_rows(batch.lengths, store.max_len, op_u[users]),
+                    rates=rates[users], select=select[at], pick=pick[at])
+                op_lams = lams[users]
+                if trace is not None:
+                    for sample, u, lam in zip(samples, users.tolist(), op_lams.tolist()):
+                        trace.write(sample.trace_line(user=u, mix_weight=lam) + "\n")
+            if crossing:  # operator rows inherit their original's class
+                plan = plan_cross_batch(np.tile(classes[users], 2 if augmenting else 1),
+                                        op_config.alpha, derive_rng(config.seed, CROSS, e, step))
             components, grads = batch_loss(model, batch, samples=samples,
                                            op_lams=op_lams, plan=plan)
             if not np.isfinite(components["total"]):
@@ -312,9 +296,8 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
                     f"(components: {components})")
             adam_step(model.params, grads, adam, config)
             for k in sums:
-                sums[k] += components.get(k, 0.0) * len(batch)
-            count += len(batch)
-        record = {"epoch": e, **{f"loss_{k}": sums[k] / count for k in sums}}
+                sums[k] += components[k] * len(batch)
+        record = {"epoch": e, **{f"loss_{k}": sums[k] / len(eligible) for k in sums}}
         if validator is not None:
             score = float(validator(model))
             record["valid_score"] = score
@@ -388,8 +371,7 @@ def save_checkpoint(path, model: ModelState, *, epoch: int | None, config_meta: 
 
 def _decode_checkpoint(meta: dict, sections: dict):
     # the checksum covers the payload only: an edited header must fail here, not in a caller
-    if not isinstance(meta.get("config", {}), dict):
-        raise DataError("checkpoint config is not a JSON object")
+    json_value(meta, "config", dict)
     bad = sorted(k for k, v in sections.items() if not np.all(np.isfinite(v)))
     if bad:
         raise DataError(f"checkpoint has non-finite values in {', '.join(bad)}")

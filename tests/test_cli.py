@@ -87,6 +87,10 @@ class TestPrepare:
         (["train", "--no-operator-loss", "--trace", "trace.jsonl"], "--trace"),
         (["train", "--stage2-epochs", "0", "--trace", "trace.jsonl"], "--trace"),
         (["evaluate", "--seeds", ""], "--seeds is empty"),
+        (["prepare", "--input", "missing.csv", "--k-core", "0"], "corpus.k_core"),
+        (["prepare", "--input", "missing.csv", "--max-len", "2"], "corpus.max_len"),
+        (["train", "--dim", "0"], "model.dim"),
+        (["train", "--seeds", "1,x"], "--seeds expects comma-separated integers"),
     ])
     def test_negative_count_fails_before_io(self, tmp_path, capsys, argv, key):
         # neither the input nor the prepared artifacts exist
@@ -249,6 +253,15 @@ class TestTrainEvaluate:
         assert main([argv[0], "--out-dir", str(tmp_path), *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: missing artifact") and f"`tailaug {writer}`" in err
+
+    def test_no_training_pair_is_data_error(self, tmp_path, csv_path, capsys):
+        # with three items per user, validation and test leave at most one to train on
+        _prepare(tmp_path, csv_path, extra=["--max-len", "3"])
+        capsys.readouterr()
+        assert main(["train", "--out-dir", str(tmp_path), "--mode", "baseline",
+                     "--seeds", "1", *FAST_TRAIN]) == 3
+        assert "no user has a training prefix of length >= 2" in capsys.readouterr().err
+        assert not list(tmp_path.glob("checkpoint_*"))
 
     def test_baseline_needs_no_candidates(self, tmp_path, csv_path):
         _prepare(tmp_path, csv_path)
@@ -768,8 +781,13 @@ def _drop_lineage(path, key):
     _edit_envelope(path, lambda doc: doc.pop("lineage"))
 
 
+def _lineage_not_object(path, key):
+    _edit_envelope(path, lambda doc: doc.update({"lineage": []}))
+
+
 CORRUPTIONS = {"truncate": _truncate, "garbage-head": _garbage_head,
-               "drop-field": _drop_field, "drop-lineage": _drop_lineage}
+               "drop-field": _drop_field, "drop-lineage": _drop_lineage,
+               "lineage-not-object": _lineage_not_object}
 
 
 class TestFaultInjection:
@@ -788,7 +806,8 @@ class TestFaultInjection:
     @pytest.mark.parametrize("content", [
         b"u1,i1,1\nu2,i1,2\nu3,\xff\xfe,3\n",
         b"u1,i1,1\nu1,i2,2\nu1,i3,99999999999999999999\n",
-    ], ids=["non-utf8-log", "int64-overflow-log"])
+        b"u1,i1,1\n,i2,2\n",
+    ], ids=["non-utf8-log", "int64-overflow-log", "empty-user-id"])
     def test_bad_prepare_input_is_refused(self, content, tmp_path, capsys):
         bad = tmp_path / "bad_input"
         bad.write_bytes(content)
@@ -799,15 +818,20 @@ class TestFaultInjection:
         assert err.startswith("data error:") and "bad_input" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "store.json").exists()
 
-    @pytest.mark.parametrize("config", ["oops", ["augmented"], 3, None],
-                             ids=["string", "list", "number", "null"])
-    def test_checkpoint_config_not_an_object_is_data_error(self, config, pipeline_dir,
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.update({"config": "oops"}),
+        lambda meta: meta.update({"config": ["augmented"]}),
+        lambda meta: meta.update({"config": 3}),
+        lambda meta: meta.update({"config": None}),
+        lambda meta: meta.pop("config"),
+    ], ids=["string", "list", "number", "null", "missing"])
+    def test_checkpoint_config_not_an_object_is_data_error(self, edit, pipeline_dir,
                                                            tmp_path, capsys):
         # the blob's checksum covers the payload, not the header's meta
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
         (out / REPORT).unlink()
-        _edit_envelope(out / CHECKPOINT, lambda meta: meta.update({"config": config}))
+        _edit_envelope(out / CHECKPOINT, edit)
         capsys.readouterr()
         assert main(_command(CHECKPOINT, out)) == 3
         err = capsys.readouterr().err

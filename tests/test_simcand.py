@@ -220,7 +220,7 @@ class TestSolver:
                              SolverConfig(ridge_penalty=10.0, diag_cap=0.2))
 
     def test_matches_explicit_inverse(self):
-        # 300 items: the in-place mirror of the inverse spans two blocks
+        # 300 items: the in-place mirror of the inverse is one row block
         rng = np.random.default_rng(6)
         X = (rng.random((40, 300)) < 0.1).astype(float)
         cfg = SolverConfig(ridge_penalty=2.0, diag_cap=0.2)
@@ -229,6 +229,22 @@ class TestSolver:
         expected = np.eye(300) - P * sim.gamma
         assert sim.values.flags.c_contiguous
         np.testing.assert_allclose(sim.values, expected, rtol=0, atol=1e-12)
+
+    def test_row_budget_does_not_change_the_solve(self, monkeypatch):
+        # 7-row steps: the in-place mirror spans six blocks and a partial one
+        rng = np.random.default_rng(6)
+        n = 45
+        X = as_matrix(rng.random((60, n)) < 0.2)
+        cfg = SolverConfig(ridge_penalty=2.0, diag_cap=0.2)
+        for dtype in (np.float64, np.float32):
+            default = solve_similarity(X, cfg, dtype)
+            with monkeypatch.context() as m:
+                m.setattr(simcand, "BLOCK_ENTRIES", 7 * n)
+                assert simcand.block_rows(n) == 7
+                blocked = solve_similarity(X, cfg, dtype)
+            assert blocked.values.dtype == dtype
+            assert blocked.values.tobytes() == default.values.tobytes()
+            assert np.array_equal(blocked.capped, default.capped)
 
     def test_peak_memory_about_two_dense_arrays(self):
         n = 800
