@@ -34,18 +34,20 @@ for length in (5, 25, 50):
 u = next(u for u in range(store.n_users)
          if np.any(seg.item_head_mask[store.train_prefix(u)]))
 seq = store.train_prefix(u)
-sample = t_substitute(seq, seg, cands, config, derive_rng(0, 2, u))
-print(f"\nsubstitute on user {store.user_ids[u]} (rate={sample.rate:.2f})")
+rng = derive_rng(0, 2, u)
+sample = t_substitute(seq, seg, cands, config, rng)  # a one-row AugmentedBatch
+lam = rng.beta(config.alpha, config.alpha)  # the weight that mixes s_ext with s_prime
+print(f"\nsubstitute on user {store.user_ids[u]} (rate={sample.rate[0]:.2f})")
 print(f"  before: {seq.tolist()}")
 print(f"  after : {sample.s_prime.tolist()}")
-print(f"  trace : {sample.trace_line(user=u)}")
+print(f"  trace : {sample.trace_lines([u], [lam])[0]}", end="")
 
 # ---------------------------------------------------------------------
 # Insertion places a candidate before each selected tail item and
 # duplicates that tail item in the extended original, so both outputs
 # share one length and can be mixed position-free at the output level.
 sample = t_insert(seq, seg, cands, config, store.max_len, derive_rng(0, 3, u))
-print(f"\ninsert on the same sequence (rate={sample.rate:.2f})")
+print(f"\ninsert on the same sequence (rate={sample.rate[0]:.2f})")
 print(f"  augmented: {sample.s_prime.tolist()}")
 print(f"  extended : {sample.s_ext.tolist()}")
 assert len(sample.s_prime) == len(sample.s_ext)

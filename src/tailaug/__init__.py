@@ -7,9 +7,8 @@ two-stage training of pluggable encoders, and segmented head/tail
 evaluation.
 """
 
-from .augment import (AugmentedBatch, AugmentedSample, CrossPlan, OperatorConfig,
-                      apply_cross_mixup, augment_batch, augment_sequence, plan_cross_batch,
-                      t_insert, t_substitute)
+from .augment import (AugmentedBatch, CrossPlan, OperatorConfig, apply_cross_mixup,
+                      augment_batch, augment_sequence, plan_cross_batch, t_insert, t_substitute)
 from .corpus import (DatasetStats, InteractionLog, PreferenceClass, Segmentation,
                      SequenceStore, build_sequences, classify_sequence,
                      dataset_stats, k_core_filter, leave_one_out_split,

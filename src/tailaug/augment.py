@@ -20,15 +20,15 @@ Both operators are one batch kernel, :func:`augment_batch`, whose uniforms
 number only on the batch's shape.  Training draws them per epoch, indexed
 by user and training-prefix position, so a seeded trace replays however
 users are batched.  The kernel returns one :class:`AugmentedBatch` of
-columns, which training reads without building a per-row object;
-``batch[i]`` is row ``i``'s :class:`AugmentedSample`, and
-``augment_sequence`` is the one-row case.
+columns, which training reads as they are; ``augment_sequence`` (and the
+two operators through it) returns the one-row case, and ``stack`` joins
+such batches row by row.  ``--trace`` lines are written from the columns.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -55,52 +55,22 @@ class OperatorConfig:
 
 
 @dataclass
-class AugmentedSample:
-    """One operator application.
-
-    ``indices`` are positions in the *original* sequence where the
-    operator acted (selected positions whose candidate set was empty are
-    dropped).  For substitution ``s_ext`` equals the original sequence;
-    for insertion it is the duplicated-extension, and both outputs are
-    truncated from the oldest end together whenever they would exceed the
-    maximum length.
-    """
-
-    operator: str
-    s_prime: np.ndarray
-    s_ext: np.ndarray
-    indices: np.ndarray
-    chosen: np.ndarray
-    rate: float
-
-    def trace_line(self, user: int, mix_weight: float | None = None) -> str:
-        d = {
-            "operator": self.operator,
-            "indices": self.indices.tolist(),
-            "chosen": self.chosen.tolist(),
-            "rate": self.rate,
-            "s_prime": self.s_prime.tolist(),
-            "s_ext": self.s_ext.tolist(),
-            "user": int(user),
-        }
-        if mix_weight is not None:
-            d["mix_weight"] = float(mix_weight)
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
-
-
-@dataclass
 class AugmentedBatch:
-    """One sample per row, as columns.
+    """One operator application per row, as columns; a single application is one row.
 
     ``s_prime`` and ``s_ext`` hold the rows' outputs back to back, cut by
     ``lengths``; ``indices`` and ``chosen`` hold their edits, cut by
-    ``edits``.  ``insert`` and ``rates`` hold each row's operator (insertion
-    or not) and rate.  ``batch[i]`` builds row ``i``'s
-    :class:`AugmentedSample`, and the batch iterates like a list of them.
+    ``edits``.  ``insert`` and ``rate`` hold each row's operator (insertion
+    or not) and rate.  ``indices`` are positions in the row's *original*
+    sequence where the operator acted (selected positions whose candidate
+    set was empty are dropped).  For substitution ``s_ext`` equals the
+    original sequence; for insertion it is the duplicated-extension, and
+    both outputs are truncated from the oldest end together whenever they
+    would exceed the maximum length.
     """
 
     insert: np.ndarray
-    rates: np.ndarray
+    rate: np.ndarray
     s_prime: np.ndarray
     s_ext: np.ndarray
     lengths: np.ndarray
@@ -111,25 +81,28 @@ class AugmentedBatch:
     def __len__(self):
         return len(self.insert)
 
-    def __getitem__(self, i) -> AugmentedSample:
-        i = range(len(self))[i]
-        o, e = self.lengths[:i].sum(), self.edits[:i].sum()
-        out, edits = slice(o, o + self.lengths[i]), slice(e, e + self.edits[i])
-        return AugmentedSample(INSERT if self.insert[i] else SUBSTITUTE, self.s_prime[out],
-                               self.s_ext[out], self.indices[edits], self.chosen[edits],
-                               float(self.rates[i]))
+    @property
+    def operator(self) -> np.ndarray:
+        """Each row's operator name, read off ``insert``."""
+        return np.where(self.insert, INSERT, SUBSTITUTE)
 
     @classmethod
-    def stack(cls, samples) -> AugmentedBatch:
-        """The columns of a sample list, one row per sample."""
-        return cls(insert=np.array([s.operator == INSERT for s in samples], dtype=bool),
-                   rates=np.array([s.rate for s in samples], dtype=np.float64),
-                   s_prime=np.concatenate([s.s_prime for s in samples]),
-                   s_ext=np.concatenate([s.s_ext for s in samples]),
-                   lengths=np.array([len(s.s_prime) for s in samples], dtype=np.int64),
-                   indices=np.concatenate([s.indices for s in samples]),
-                   chosen=np.concatenate([s.chosen for s in samples]),
-                   edits=np.array([len(s.indices) for s in samples], dtype=np.int64))
+    def stack(cls, batches) -> AugmentedBatch:
+        """The rows of ``batches``, in order, as one batch."""
+        return cls(*(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(cls)))
+
+    def trace_lines(self, users, mix_weights) -> list[str]:
+        """Row ``i``'s ``--trace`` line, newline included, for ``users[i]`` mixed with
+        ``mix_weights[i]``."""
+        outs, edits = np.cumsum(self.lengths)[:-1], np.cumsum(self.edits)[:-1]
+        rows = zip(self.operator.tolist(), self.rate.tolist(), np.split(self.s_prime, outs),
+                   np.split(self.s_ext, outs), np.split(self.indices, edits),
+                   np.split(self.chosen, edits), users, mix_weights)
+        return [json.dumps({"operator": op, "indices": indices.tolist(), "chosen": chosen.tolist(),
+                            "rate": rate, "s_prime": s_prime.tolist(), "s_ext": s_ext.tolist(),
+                            "user": int(u), "mix_weight": float(w)},
+                           sort_keys=True, separators=(",", ":")) + "\n"
+                for op, rate, s_prime, s_ext, indices, chosen, u, w in rows]
 
 
 def draw_uniforms(rng, n_rows: int, n_positions: int, config: OperatorConfig):
@@ -175,13 +148,13 @@ def augment_batch(ids, lengths, segmentation: Segmentation, candidates: Candidat
     out = np.minimum(full, max_len)
     keep = np.arange(len(s_ext)) >= np.repeat(np.cumsum(full) - out, full)
     starts = np.cumsum(lengths) - lengths
-    return AugmentedBatch(insert=insert, rates=rates, s_prime=s_prime[keep], s_ext=s_ext[keep],
+    return AugmentedBatch(insert=insert, rate=rates, s_prime=s_prime[keep], s_ext=s_ext[keep],
                           lengths=out, indices=at - starts[row[at]], chosen=chosen,
                           edits=np.bincount(row[at], minlength=n))
 
 
 def t_substitute(seq, segmentation: Segmentation, candidates: CandidateSets,
-                 config: OperatorConfig, rng: np.random.Generator) -> AugmentedSample:
+                 config: OperatorConfig, rng: np.random.Generator) -> AugmentedBatch:
     """Replace each head item, selected with probability ``rate``, by one
     of its candidates.  Tail items are never touched; a selected position
     with an empty candidate set keeps its item and is dropped from
@@ -192,7 +165,7 @@ def t_substitute(seq, segmentation: Segmentation, candidates: CandidateSets,
 
 def t_insert(seq, segmentation: Segmentation, candidates: CandidateSets,
              config: OperatorConfig, max_len: int,
-             rng: np.random.Generator) -> AugmentedSample:
+             rng: np.random.Generator) -> AugmentedBatch:
     """Insert a candidate before each selected tail item; extend the
     original by duplicating those tail items so both outputs share one
     length.  If that length exceeds ``max_len`` the oldest positions are
@@ -203,7 +176,7 @@ def t_insert(seq, segmentation: Segmentation, candidates: CandidateSets,
 
 def augment_sequence(seq, segmentation: Segmentation, candidates: CandidateSets,
                      config: OperatorConfig, max_len: int, rng: np.random.Generator,
-                     insert: bool | None = None) -> AugmentedSample:
+                     insert: bool | None = None) -> AugmentedBatch:
     """Length-based operator choice (unless ``insert`` forces it), then the operator.
 
     The one-row case of :func:`augment_batch`, its uniforms drawn from ``rng``.
@@ -215,7 +188,7 @@ def augment_sequence(seq, segmentation: Segmentation, candidates: CandidateSets,
         insert = insert_rows(len(seq), max_len, rng.random())
     rate, select, pick = draw_uniforms(rng, 1, len(seq), config)
     return augment_batch(seq, [len(seq)], segmentation, candidates, max_len,
-                         insert=[insert], rates=rate, select=select, pick=pick)[0]
+                         insert=[insert], rates=rate, select=select, pick=pick)
 
 
 @dataclass

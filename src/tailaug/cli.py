@@ -156,7 +156,7 @@ def cmd_candidates(args) -> int:
         print(f"warning: {store.n_items} items exceed {WARN_ITEMS}; the dense solve "
               f"needs ~{5 * store.n_items ** 2 / 1e9:.1f} GB (one n x n float32 array and its "
               "sparse source at its peak; twice that if the ridge forces the float64 solve). "
-              "Consider preparing with corpus.sample_users at desk scale.",
+              "Consider sampling users at desk scale: `prepare --sample-users N`.",
               file=sys.stderr)
 
     cands, sim = simcand.build_candidates(store, seg, solver_config(cfg), cfg["simcand.k"])

@@ -175,7 +175,7 @@ def batch_loss(model: ModelState, batch: Batch, *,
     """Composite per-batch loss and gradients from one encode and one backward.
 
     The main term always runs.  The operator term runs when ``samples``
-    (an :class:`AugmentedBatch`, or a list of samples, stacked into one)
+    (an :class:`AugmentedBatch`, or a list of them, stacked into one)
     and ``op_lams`` are given: each row's augmented representation blends
     the extended-original encoding with the augmented-sequence encoding.
     Each distinct sequence is encoded once, in one ragged encode: a
@@ -283,8 +283,7 @@ def _run_epochs(store: SequenceStore, model: ModelState, config: TrainConfig,
                     rates=rates[users], select=select[at], pick=pick[at])
                 op_lams = lams[users]
                 if trace is not None:
-                    for sample, u, lam in zip(samples, users.tolist(), op_lams.tolist()):
-                        trace.write(sample.trace_line(user=u, mix_weight=lam) + "\n")
+                    trace.writelines(samples.trace_lines(users, op_lams))
             if crossing:  # operator rows inherit their original's class
                 plan = plan_cross_batch(np.tile(classes[users], 2 if augmenting else 1),
                                         op_config.alpha, derive_rng(config.seed, CROSS, e, step))
@@ -372,11 +371,13 @@ def save_checkpoint(path, model: ModelState, *, epoch: int | None, config_meta: 
 def _decode_checkpoint(meta: dict, sections: dict):
     # the checksum covers the payload only: an edited header must fail here, not in a caller
     json_value(meta, "config", dict)
+    if meta["epoch"] is not None:
+        json_value(meta, "epoch", int)
     bad = sorted(k for k, v in sections.items() if not np.all(np.isfinite(v)))
     if bad:
         raise DataError(f"checkpoint has non-finite values in {', '.join(bad)}")
-    model = ModelState(n_items=int(meta["n_items"]), dim=int(meta["dim"]),
-                       encoder_name=meta["encoder"],
+    model = ModelState(n_items=json_value(meta, "n_items", int), dim=json_value(meta, "dim", int),
+                       encoder_name=json_value(meta, "encoder", str),
                        params={k: v.astype(np.float64) for k, v in sections.items()})
     # an unknown encoder or a missing, extra or misshapen section fails here
     expected = init_model(model.n_items, model.dim, 0, model.encoder_name).params

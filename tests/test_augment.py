@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,14 @@ class ScriptedRng:
         draw = self._next(size)
         assert np.all((a <= draw) & (draw < b))
         return draw
+
+
+def _rows(batch):
+    """Each row's operator, ``s_prime``, ``s_ext``, ``indices`` and ``chosen``, cut from
+    the batch's columns."""
+    outs, edits = np.cumsum(batch.lengths)[:-1], np.cumsum(batch.edits)[:-1]
+    return zip(batch.operator.tolist(), np.split(batch.s_prime, outs), np.split(batch.s_ext, outs),
+               np.split(batch.indices, edits), np.split(batch.chosen, edits))
 
 
 def _fixture(head_items, n_items=6, cands=None):
@@ -265,15 +275,15 @@ class TestAugmentBatch:
         # item 6 has no candidates and 0.3 is not below the rate 0.3.  Seven
         # entries exceed max_len 6, so both outputs lose their oldest one.
         # row 2 selects nothing; row 3's largest pick below 1 takes the last candidate.
-        assert [s.operator for s in out] == [SUBSTITUTE, INSERT, INSERT, INSERT]
-        assert [s.rate for s in out] == [0.5, 0.3, 0.2, 0.9]
-        assert [s.s_prime.tolist() for s in out] == [[6, 4, 2, 3, 5], [4, 1, 8, 7, 6, 8],
-                                                     [5], [3, 4]]
-        assert [s.s_ext.tolist() for s in out] == [[1, 4, 2, 3, 1], [4, 1, 7, 7, 6, 8],
-                                                   [5], [4, 4]]
-        assert [s.indices.tolist() for s in out] == [[0, 4], [0, 2], [], [0]]
-        assert [s.chosen.tolist() for s in out] == [[6, 5], [2, 8], [], [3]]
-        assert all(s.indices.dtype == s.chosen.dtype == np.int64 for s in out)
+        operators, *outputs = zip(*_rows(out))
+        s_prime, s_ext, indices, chosen = ([r.tolist() for r in rows] for rows in outputs)
+        assert list(operators) == [SUBSTITUTE, INSERT, INSERT, INSERT]
+        assert out.rate.tolist() == [0.5, 0.3, 0.2, 0.9]
+        assert s_prime == [[6, 4, 2, 3, 5], [4, 1, 8, 7, 6, 8], [5], [3, 4]]
+        assert s_ext == [[1, 4, 2, 3, 1], [4, 1, 7, 7, 6, 8], [5], [4, 4]]
+        assert indices == [[0, 4], [0, 2], [], [0]]
+        assert chosen == [[6, 5], [2, 8], [], [3]]
+        assert out.indices.dtype == out.chosen.dtype == np.int64
 
     def test_rows_match_the_one_row_case(self, small_corpus):
         store, seg, cands, _ = small_corpus
@@ -287,29 +297,39 @@ class TestAugmentBatch:
                             insert=insert_rows(lengths, store.max_len, op), rates=rates,
                             select=select, pick=pick)
         starts = np.cumsum(lengths) - lengths
-        operators = set()
-        for i, (row, got) in enumerate(zip(rows, out)):
+        wants = []
+        for i, row in enumerate(rows):
             at = slice(starts[i], starts[i] + lengths[i])
             rng = ScriptedRng(op[i], rates[i:i + 1], select[at], pick[at])
-            want = augment_sequence(row, seg, cands, cfg, store.max_len, rng)
-            assert got.trace_line(user=i) == want.trace_line(user=i)
-            operators.add(got.operator)
-        assert operators == {SUBSTITUTE, INSERT}
+            wants.append(augment_sequence(row, seg, cands, cfg, store.max_len, rng))
+        assert all(len(want) == 1 for want in wants)
+        stacked = AugmentedBatch.stack(wants)
+        for field in fields(AugmentedBatch):
+            got, want = getattr(out, field.name), getattr(stacked, field.name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+        users, weights = np.arange(len(rows)), derive_rng(23, 1).random(len(rows))
+        assert out.trace_lines(users, weights) == stacked.trace_lines(users, weights)
+        assert set(out.operator.tolist()) == {SUBSTITUTE, INSERT}
 
     def test_stacked_rows_give_the_columns_back(self):
         store, seg, cands = self._fixture()
         rows = [[1, 4, 2, 3, 1], [4, 1, 7, 6, 8], [5], [4]]
-        out = augment_batch(np.concatenate(rows), [5, 5, 1, 1], seg, cands, 6,
-                            insert=[False, True, True, True], rates=[0.5, 0.3, 0.2, 0.9],
-                            select=np.linspace(0.0, 0.9, 12), pick=np.linspace(0.9, 0.0, 12))
+        lengths, insert, rates = [5, 5, 1, 1], [False, True, True, True], [0.5, 0.3, 0.2, 0.9]
+        select, pick = np.linspace(0.0, 0.9, 12), np.linspace(0.9, 0.0, 12)
+        out = augment_batch(np.concatenate(rows), lengths, seg, cands, 6, insert=insert,
+                            rates=rates, select=select, pick=pick)
         assert isinstance(out, AugmentedBatch) and len(out) == 4
-        assert out[-1].trace_line(user=0) == list(out)[3].trace_line(user=0)
-        with pytest.raises(IndexError):
-            out[4]
-        stacked = AugmentedBatch.stack(list(out))
-        for name in ("insert", "rates", "s_prime", "s_ext", "lengths", "indices", "chosen",
-                     "edits"):
-            assert getattr(stacked, name).tobytes() == getattr(out, name).tobytes(), name
+        # rows 0, 1-2 and 3 augmented apart: stacking the three batches gives the columns back
+        starts = np.cumsum([0, *lengths])
+        parts = [augment_batch(np.concatenate(rows[a:b]), lengths[a:b], seg, cands, 6,
+                               insert=insert[a:b], rates=rates[a:b],
+                               select=select[starts[a]:starts[b]], pick=pick[starts[a]:starts[b]])
+                 for a, b in ((0, 1), (1, 3), (3, 4))]
+        stacked = AugmentedBatch.stack(parts)
+        assert len(stacked) == 4
+        for field in fields(AugmentedBatch):
+            got, want = getattr(stacked, field.name), getattr(out, field.name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
 
     def test_empty_row_rejected(self):
         store, seg, cands = self._fixture()
@@ -354,40 +374,40 @@ class TestAugmentBatch:
         head, members, rows, max_len, insert, rates, select, pick, out = self._draw_batch(data)
         lengths = np.array([len(r) for r in rows])
         starts = np.cumsum(lengths) - lengths
-        for i, (row, s) in enumerate(zip(rows, out)):
+        for i, (row, (_, s_prime, s_ext, indices, chosen)) in enumerate(zip(rows, _rows(out))):
             row = np.array(row)
             at = slice(starts[i], starts[i] + len(row))
             eligible = np.array([(v in head) != insert[i] and len(members[v]) > 0
                                  for v in row.tolist()], dtype=bool)
-            assert s.indices.tolist() == np.flatnonzero(
+            assert indices.tolist() == np.flatnonzero(
                 eligible & (select[at] < rates[i])).tolist()
-            for j, pick_id in zip(s.indices.tolist(), s.chosen.tolist()):
+            for j, pick_id in zip(indices.tolist(), chosen.tolist()):
                 assert pick_id in members[row[j]]
-            assert len(s.s_prime) == len(s.s_ext)             # equal lengths
+            assert len(s_prime) == len(s_ext)             # equal lengths
             if insert[i]:
-                full = len(row) + len(s.indices)
-                assert len(s.s_ext) == min(full, max_len)
-                ext = np.repeat(row, 1 + np.isin(np.arange(len(row)), s.indices))
-                assert s.s_ext.tolist() == ext[full - len(s.s_ext):].tolist()
-                changed = s.s_prime != s.s_ext
-                assert np.all(np.isin(s.s_prime[changed], s.chosen))
+                full = len(row) + len(indices)
+                assert len(s_ext) == min(full, max_len)
+                ext = np.repeat(row, 1 + np.isin(np.arange(len(row)), indices))
+                assert s_ext.tolist() == ext[full - len(s_ext):].tolist()
+                changed = s_prime != s_ext
+                assert np.all(np.isin(s_prime[changed], chosen))
             else:
-                assert s.s_ext.tolist() == row.tolist()
-                assert s.s_prime[s.indices].tolist() == s.chosen.tolist()
-                kept = np.setdiff1d(np.arange(len(row)), s.indices)
-                assert s.s_prime[kept].tolist() == row[kept].tolist()
-                assert all(v in head for v in row[s.indices].tolist())  # head only
+                assert s_ext.tolist() == row.tolist()
+                assert s_prime[indices].tolist() == chosen.tolist()
+                kept = np.setdiff1d(np.arange(len(row)), indices)
+                assert s_prime[kept].tolist() == row[kept].tolist()
+                assert all(v in head for v in row[indices].tolist())  # head only
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_rows_that_repeat_their_input(self, data):
         # batch_loss encodes these outputs once, as the input row, from operator and indices
         *_, rows, _, _, _, _, _, out = self._draw_batch(data)
-        for row, s in zip(rows, out):
-            if s.operator == SUBSTITUTE:
-                assert s.s_ext.tolist() == row
-            if len(s.indices) == 0:
-                assert s.s_prime.tolist() == s.s_ext.tolist() == row
+        for row, (operator, s_prime, s_ext, indices, _) in zip(rows, _rows(out)):
+            if operator == SUBSTITUTE:
+                assert s_ext.tolist() == row
+            if len(indices) == 0:
+                assert s_prime.tolist() == s_ext.tolist() == row
 
 
 class TestCrossPlan:
@@ -513,7 +533,9 @@ class TestDeterminism:
         store, seg, cands, _ = small_corpus
         sample = augment_sequence(store.train_prefix(0), seg, cands,
                                   OperatorConfig(), store.max_len, derive_rng(21, 0))
-        rec = json.loads(sample.trace_line(user=0, mix_weight=0.5))
+        [line] = sample.trace_lines([0], [0.5])
+        assert line.endswith("\n") and line.count("\n") == 1
+        rec = json.loads(line)
         assert rec["operator"] in (SUBSTITUTE, INSERT)
         assert rec["user"] == 0 and rec["mix_weight"] == 0.5
         assert rec["s_prime"] == sample.s_prime.tolist()

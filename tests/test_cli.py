@@ -222,6 +222,16 @@ class TestCandidates:
         assert main(["candidates", "--out-dir", str(tmp_path), "--ridge-penalty", "1e-6"]) == 0
         assert "precision=float64;" in capsys.readouterr().out
 
+    def test_large_catalog_warning_names_the_sample_flag(self, tmp_path, csv_path,
+                                                          monkeypatch, capsys):
+        _prepare(tmp_path, csv_path)
+        monkeypatch.setattr(cli, "WARN_ITEMS", 10)
+        capsys.readouterr()
+        assert main(["candidates", "--out-dir", str(tmp_path), "--k", "5"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning:") and "items exceed 10;" in err
+        assert "`prepare --sample-users N`" in err
+
 
 class TestTrainEvaluate:
     def test_full_pipeline_under_a_minute(self, tmp_path, csv_path, capsys):
@@ -836,6 +846,23 @@ class TestFaultInjection:
         assert main(_command(CHECKPOINT, out)) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "config" in err and "Traceback" not in err
+        assert not (out / REPORT).exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda meta: meta.update({"dim": meta["dim"] + 0.9}), "dim"),
+        (lambda meta: meta.update({"n_items": str(meta["n_items"])}), "n_items"),
+        (lambda meta: meta.update({"epoch": "x"}), "epoch"),
+    ], ids=["fractional-dim", "string-n-items", "string-epoch"])
+    def test_checkpoint_header_field_of_the_wrong_type_is_data_error(
+            self, edit, field, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / REPORT).unlink()
+        _edit_envelope(out / CHECKPOINT, edit)
+        capsys.readouterr()
+        assert main(_command(CHECKPOINT, out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and field in err and "Traceback" not in err
         assert not (out / REPORT).exists()
 
     @pytest.mark.parametrize("artifact", ["candidates.json", CHECKPOINT])

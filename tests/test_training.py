@@ -1,13 +1,13 @@
 import io
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from tailaug import serialize, training
-from tailaug.augment import (INSERT, SUBSTITUTE, AugmentedBatch, AugmentedSample,
-                             OperatorConfig, apply_cross_mixup, augment_batch,
-                             augment_sequence, plan_cross_batch, t_substitute)
+from tailaug.augment import (INSERT, SUBSTITUTE, AugmentedBatch, OperatorConfig,
+                             apply_cross_mixup, augment_batch, augment_sequence,
+                             plan_cross_batch, t_substitute)
 from tailaug.config import DEFAULTS, train_config
 from tailaug.corpus import classify_sequence, preference_classes
 from tailaug.encoders import (ModelState, backward_batch, encode_batch, encode_ragged,
@@ -387,8 +387,8 @@ class TestStage2:
                 want = augment_batch(
                     trains[u][:ends[u]], [ends[u]], seg, cands, store.max_len,
                     insert=[op[u] < 1 - ends[u] / store.max_len], rates=rates[u:u + 1],
-                    select=select[at], pick=pick[at])[0]
-                assert line == want.trace_line(user=u, mix_weight=lams[u])
+                    select=select[at], pick=pick[at])
+                assert [line + "\n"] == want.trace_lines([u], lams[u:u + 1])
 
 
 def _stage2_inputs(small_corpus):
@@ -468,8 +468,10 @@ class TestOperatorMixup:
 
         monkeypatch.setattr(training, "bce_loss_batch", record)
         # an insertion with one edit: prefixes, s_ext and s_prime are all rows of h_all
-        sample = AugmentedSample(INSERT, s_prime=np.array([1]), s_ext=np.array([1]),
-                                 indices=np.array([0]), chosen=np.array([1]), rate=0.5)
+        sample = AugmentedBatch(insert=np.array([True]), rate=np.array([0.5]),
+                                s_prime=np.array([1]), s_ext=np.array([1]),
+                                lengths=np.array([1]), indices=np.array([0]),
+                                chosen=np.array([1]), edits=np.array([1]))
         batch_loss(model, batch, samples=[sample] * n, op_lams=lams)
         return seen[0][n:]  # the operator rows follow the originals
 
@@ -498,7 +500,8 @@ def _three_row_batch_loss(model, batch, *, samples=None, op_lams=None, plan=None
     n = len(batch)
     seqs = batch_prefixes(batch)
     if samples is not None:
-        seqs += [s.s_ext for s in samples] + [s.s_prime for s in samples]
+        cuts = np.cumsum(samples.lengths)[:-1]
+        seqs += np.split(samples.s_ext, cuts) + np.split(samples.s_prime, cuts)
     h_all, cache = encode_batch(model, seqs)
     pool = h_all[:n]
     if samples is not None:
@@ -565,17 +568,16 @@ class TestDistinctEncodes:
 
     @staticmethod
     def _kinds(samples):
-        edited = np.array([len(s.indices) > 0 for s in samples])
-        grown = edited & np.array([s.operator == INSERT for s in samples])
-        return edited, grown
+        edited = samples.edits > 0
+        return edited, edited & samples.insert
 
     def test_batch_has_all_three_kinds(self, small_corpus):
         _, batch, samples, _, _ = _three_kind_inputs(small_corpus, "gru")
         edited, grown = self._kinds(samples)
         assert (~edited).any() and (edited & ~grown).any() and grown.any()
-        assert {s.operator for s, e in zip(samples, edited) if not e} == {SUBSTITUTE, INSERT}
-        assert any(len(s.s_ext) < len(p) + len(s.indices)  # an insertion lost its oldest
-                   for s, p, g in zip(samples, batch_prefixes(batch), grown) if g)
+        assert set(samples.operator[~edited].tolist()) == {SUBSTITUTE, INSERT}
+        # an insertion lost its oldest
+        assert np.any((samples.lengths < batch.lengths + samples.edits)[grown])
 
     @pytest.mark.parametrize("encoder", ["pooled", "gru"])
     def test_matches_the_three_row_reference(self, small_corpus, monkeypatch, encoder):
@@ -621,15 +623,25 @@ class TestDistinctEncodes:
 
 
 class TestColumns:
-    """Stage 2 reads ``augment_batch``'s columns; a list of samples is stacked once."""
+    """Stage 2 reads ``augment_batch``'s columns; a list of one-row batches is stacked once."""
+
+    @staticmethod
+    def _one_row_batches(samples):
+        """``samples`` cut row by row into one-row batches."""
+        outs, edits = np.cumsum(samples.lengths)[:-1], np.cumsum(samples.edits)[:-1]
+        cuts = {"s_prime": outs, "s_ext": outs, "indices": edits, "chosen": edits}
+        columns = [np.split(getattr(samples, f.name), cuts.get(f.name, len(samples)))
+                   for f in fields(AugmentedBatch)]
+        return [AugmentedBatch(*row) for row in zip(*columns)]
 
     @pytest.mark.parametrize("encoder", ["pooled", "gru"])
     def test_a_batch_and_its_list_give_the_same_bytes(self, small_corpus, encoder):
         model, batch, samples, lams, plan = _three_kind_inputs(small_corpus, encoder)
         assert isinstance(samples, AugmentedBatch)
         comp, grads = batch_loss(model, batch, samples=samples, op_lams=lams, plan=plan)
-        want_comp, want_grads = batch_loss(model, batch, samples=list(samples), op_lams=lams,
-                                           plan=plan)
+        rows = self._one_row_batches(samples)
+        assert len(rows) == len(samples) and all(len(row) == 1 for row in rows)
+        want_comp, want_grads = batch_loss(model, batch, samples=rows, op_lams=lams, plan=plan)
         assert {k: np.float64(v).tobytes() for k, v in comp.items()} == {
             k: np.float64(v).tobytes() for k, v in want_comp.items()}
         assert set(grads) == set(want_grads)
@@ -693,13 +705,13 @@ class TestColumns:
         assert len(stacked) == 1  # the spy sees the list path
 
     def test_a_stage2_epoch_builds_no_sample_unless_traced(self, small_corpus, monkeypatch):
-        built, real = [], AugmentedSample.__init__
+        built, real = [], AugmentedBatch.trace_lines
 
-        def counted(self, *args, **kwargs):
-            built.append(self)
-            real(self, *args, **kwargs)
+        def counted(self, users, mix_weights):
+            built.append(real(self, users, mix_weights))
+            return built[-1]
 
-        monkeypatch.setattr(AugmentedSample, "__init__", counted)
+        monkeypatch.setattr(AugmentedBatch, "trace_lines", counted)
         store, seg, cands, model = _toy_setup(small_corpus, encoder="pooled")
         cfg = _cfg(batch_size=16, seed=7, stage1_epochs=0, stage2_epochs=1,
                    patience=None)
@@ -709,7 +721,7 @@ class TestColumns:
         trace = io.StringIO()
         train_stage2(store, model, cands, seg, cfg, OperatorConfig(),
                      adam=init_adam(model.params), trace=trace)
-        assert len(built) == len(trace.getvalue().splitlines()) > 0
+        assert sum(map(len, built)) == len(trace.getvalue().splitlines()) > 0
 
 
 class TestFloat32Step:
@@ -759,12 +771,14 @@ def _epoch_draws(small_corpus, monkeypatch, batch_size, stage2=False, dtype=np.f
     draws = {}
 
     def record(model, batch, *, samples=None, op_lams=None, plan=None):
+        if samples is not None:
+            lines = samples.trace_lines(batch.users, op_lams)
         for i, (u, prefix) in enumerate(zip(batch.users.tolist(), batch_prefixes(batch))):
             assert u not in draws
             draws[u] = (prefix.tolist(), int(batch.targets[i]),
                         int(batch.negatives[i]))
             if samples is not None:
-                draws[u] += (samples[i].trace_line(user=u, mix_weight=op_lams[i]),)
+                draws[u] += (lines[i],)
         zeros = {k: np.zeros_like(v) for k, v in model.params.items()}
         return {"main": 0.0, "operator": 0.0, "cross": 0.0, "total": 0.0}, zeros
 
